@@ -3,7 +3,7 @@
 Measures the three legs of the pair-engine optimization against their
 naive counterparts on a realistic clustered particle set:
 
-* Verlet-cached pair-list query vs a fresh chaining-mesh build — the
+* Verlet-cached pair-list query vs a fresh ``neighbor_pairs`` build — the
   per-subcycle saving from reusing one list across a PM step;
 * sorted-CSR ``segment_sum`` vs buffered ``np.add.at`` — the per-pair
   scatter cost on the force hot path;
@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from repro.core.scatter import segment_sum
 from repro.core.sph import (
@@ -62,6 +63,7 @@ def _best_of(fn, repeats=5):
 
 
 def _append_record(record: dict) -> None:
+    record = {**record, "numpy": np.__version__, "scipy": scipy.__version__}
     history = []
     if ARTIFACT.exists():
         history = json.loads(ARTIFACT.read_text())
@@ -136,7 +138,9 @@ def test_x6_pair_engine(benchmark):
     # the full problem size; the smoke run just proves the legs still run
     if FULL:
         _append_record(r)
-        # a cached query must beat rebuilding the chaining mesh, and the
-        # sorted-CSR reduction must beat the buffered ufunc scatter
-        assert r["cache_speedup"] > 1.5
+        # a cached query must beat a fresh build, and the sorted-CSR
+        # reduction must beat the buffered ufunc scatter.  The list leg
+        # recorded 1.8-3.5x over seven runs: the query filters the skin
+        # superset in both orientations, the build only its half list
+        assert r["cache_speedup"] > 1.2
         assert r["scatter_speedup"] > 1.5

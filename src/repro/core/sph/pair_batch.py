@@ -70,8 +70,9 @@ def make_pair_batch(pos, h, pi, pj, kernel: Kernel, box=None,
                     dx_pairs=None, sink_ids=None, n_sinks=None) -> PairBatch:
     """Build the shared pair state for ``(pi, pj)``.
 
-    Pairs are re-sorted by ``pi`` when necessary (lists served by
-    ``tree.pair_cache.PairCache`` arrive sorted and skip this).
+    Pairs are re-sorted by ``pi`` when necessary (lists from
+    ``tree.neighbor_pairs`` and ``tree.pair_cache.PairCache`` arrive
+    ``(pi, pj)``-ascending and skip this).
 
     ``sink_ids``/``n_sinks`` switch the segment-reduction plan to compact
     active rows: per-particle accumulations land in row ``sink_ids[p]`` of

@@ -64,19 +64,23 @@ class LinearPower:
     def transfer(self, k):
         return eisenstein_hu_nowiggle(k, self.cosmo)
 
+    def _at_unit_growth(self, k):
+        k = np.asarray(k, dtype=np.float64)
+        return self._norm * k**self.cosmo.n_s * self.transfer(k) ** 2
+
     def __call__(self, k, a: float = 1.0):
         """P(k) at scale factor a, in (Mpc/h)^3."""
-        k = np.asarray(k, dtype=np.float64)
-        d = self.cosmo.growth_factor(a)
-        pk = self._norm * k**self.cosmo.n_s * self.transfer(k) ** 2
-        return pk * d**2
+        return self._at_unit_growth(k) * self.cosmo.growth_factor(a) ** 2
 
     def sigma_r(self, r: float, a: float = 1.0) -> float:
         """RMS linear density fluctuation in spheres of radius r [Mpc/h]."""
+        # the growth factor is itself a quadrature: once, not per evaluation
+        growth2 = self.cosmo.growth_factor(a) ** 2
 
         def integrand(lnk):
             k = np.exp(lnk)
-            return k**3 * self(k, a) * _tophat_window(k * r) ** 2 / (2.0 * np.pi**2)
+            pk = self._at_unit_growth(k) * growth2
+            return k**3 * pk * _tophat_window(k * r) ** 2 / (2.0 * np.pi**2)
 
         val, _ = integrate.quad(integrand, np.log(1e-5), np.log(1e3), limit=400)
         return float(np.sqrt(val))

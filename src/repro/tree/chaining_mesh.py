@@ -3,7 +3,9 @@
 The CM grid divides a rank's (or box's) domain into cubical bins roughly
 four FFT cells wide (paper Section IV-B1).  All short-range forces operate
 only within a bin and its 26 neighbors, so the bin width must be at least
-the largest interaction radius.
+the largest interaction radius.  The bins feed leaf sets and leaf-leaf
+interaction lists; the particle-level pair list (``neighbor_pairs``) comes
+from a k-d tree search and does no binning.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -146,75 +149,66 @@ def neighbor_pairs(
     pos: np.ndarray,
     h: np.ndarray,
     box: float | None = None,
-    mesh: ChainingMesh | None = None,
     include_self: bool = True,
 ):
-    """Symmetric neighbor pair lists via the chaining mesh (cell-list method).
+    """Symmetric neighbor pair lists from a k-d tree half list.
 
     Returns ordered pair index arrays ``(pi, pj)`` containing every pair with
     ``|x_i - x_j| < max(h_i, h_j)`` in both orientations, plus self pairs if
     requested.  The max-h criterion makes the list symmetric by construction,
     which the conservative CRKSPH pairing requires.
+
+    Rows are in canonical order — ``pi`` ascending, ``pj`` ascending within
+    each ``pi`` — whatever the positions' spatial layout.  Consumers rely on
+    it: ``make_pair_batch`` and ``SegmentReducer(assume_sorted=True)`` skip
+    their sort, and a filtered ``PairCache`` query is ``array_equal`` to a
+    fresh call.
+
+    A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` yields the
+    ``i < j`` candidates; membership is then decided by the minimum-image
+    arithmetic below on the caller's positions, so the tree (built on a
+    wrapped copy when periodic) only has to return a superset.  Positions
+    need not lie inside ``[0, box)`` but must be finite (``ValueError``).
     """
     pos = np.asarray(pos, dtype=np.float64)
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (pos.shape[0],))
     n = pos.shape[0]
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (n,))
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
     hmax = float(h.max())
-    if mesh is None:
-        if box is not None:
-            mesh = build_chaining_mesh(pos, hmax, origin=0.0, extent=box, periodic=True)
-        else:
-            mesh = build_chaining_mesh(pos, hmax)
+    if hmax <= 0:
+        raise ValueError("search radii must be positive")
+    if box is None:
+        tree = cKDTree(pos)
+    else:
+        boxv = np.broadcast_to(np.asarray(box, dtype=np.float64), (3,))
+        # cKDTree rejects coordinates outside [0, box); mod can round up to
+        # exactly box (e.g. for -1e-17), which is the same point as 0
+        wrapped = np.mod(pos, boxv)
+        tree = cKDTree(np.where(wrapped >= boxv, 0.0, wrapped), boxsize=boxv)
+    # padded well past the rounding differences (~1e-16 relative, a few
+    # ulps of the box from wrapping) between the tree's distances and the
+    # filter's
+    half = tree.query_pairs(hmax * (1.0 + 1e-9), output_type="ndarray")
+    a, b = half[:, 0], half[:, 1]
 
-    # Per-bin target table over the 27 stencil offsets.  In tiny periodic
-    # meshes several offsets wrap onto the same neighbor bin; masking those
-    # duplicates *per bin* (cheap: n_bins x 27) keeps the pair expansion
-    # duplicate-free by construction, so no O(P log P) dedup is needed.
-    all_bins = np.arange(mesh.total_bins)
-    bin_coords_all = mesh.bin_coords(all_bins)
-    targets = np.stack(
-        [mesh.flat_index(bin_coords_all + off) for off in NEIGHBOR_OFFSETS]
-    )  # (27, n_bins)
-    fresh = np.ones_like(targets, dtype=bool)
-    for o in range(1, len(NEIGHBOR_OFFSETS)):
-        dup = (targets[:o] == targets[o][None, :]).any(axis=0)
-        fresh[o] = ~dup
-    fresh &= targets >= 0
-
-    coords = mesh.bin_coords(mesh.bin_index)
-    pi_chunks = []
-    pj_chunks = []
-    for o in range(len(NEIGHBOR_OFFSETS)):
-        valid = fresh[o][mesh.bin_index]
-        idx_i = np.nonzero(valid)[0]
-        if len(idx_i) == 0:
-            continue
-        tb = targets[o][mesh.bin_index[idx_i]]
-        counts = mesh.bin_count[tb]
-        if counts.sum() == 0:
-            continue
-        rep_i = np.repeat(idx_i, counts)
-        starts = np.repeat(mesh.bin_start[tb], counts)
-        intra = np.arange(len(rep_i)) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        rep_j = mesh.order[starts + intra]
-        pi_chunks.append(rep_i)
-        pj_chunks.append(rep_j)
-
-    pi = np.concatenate(pi_chunks)
-    pj = np.concatenate(pj_chunks)
-
-    dx = pos[pi] - pos[pj]
+    # exact criterion; dx -> -dx leaves r2 bitwise unchanged, so deciding the
+    # i < j orientation decides both
+    dx = pos[a] - pos[b]
     if box is not None:
         dx -= box * np.round(dx / box)
     r2 = np.einsum("pa,pa->p", dx, dx)
-    rmax = np.maximum(h[pi], h[pj])
+    rmax = np.maximum(h[a], h[b])
     keep = r2 < rmax * rmax
-    if not include_self:
-        keep &= pi != pj
-    return pi[keep], pj[keep]
+    a, b = a[keep], b[keep]
+
+    # one key per directed row: sorting the keys is the canonical order,
+    # and decoding them is cheaper than carrying a permutation
+    keys = [a * n + b, b * n + a]
+    if include_self:
+        keys.append(np.flatnonzero(0.0 < h * h) * (n + 1))
+    key = np.concatenate(keys)
+    key.sort()
+    return np.divmod(key, n)  # (pi, pj)

@@ -4,16 +4,18 @@ The paper builds short-range interaction lists once per PM step and reuses
 them across all subcycles (Section IV-B1); the CRK-HACC method papers
 credit exactly this amortization for making the short-range solver the fast
 path.  ``PairCache`` implements the classic Verlet-list version of that
-idea for the chaining-mesh pair search:
+idea for the ``neighbor_pairs`` search:
 
 * **Build** with per-particle search radii inflated by a skin,
   ``h_build = h * (1 + skin)``, and store the resulting superset pair list
-  sorted by ``pi`` (CSR order, so downstream segment reductions never sort).
+  as ``neighbor_pairs`` returns it: ``(pi, pj)`` ascending (CSR order, so
+  downstream segment reductions never sort).
 * **Query** filters the cached superset down to the exact fresh-list
   criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current* positions — a
-  cheap vectorized pass — so consumers see precisely the pairs a fresh
-  ``neighbor_pairs`` call would produce, and the symmetric-pair-list
-  contract of the conservative CRKSPH pairing is preserved.
+  cheap vectorized pass that keeps row order — so consumers see precisely
+  the arrays a fresh ``neighbor_pairs`` call would produce, whenever the
+  list was last rebuilt, and the symmetric-pair-list contract of the
+  conservative CRKSPH pairing is preserved.
 * **Rebuild** only when reuse could miss a pair: some particle drifted more
   than half its skin (``|x - x_build| > skin * h_build / 2``), a support
   radius grew beyond its build value, or the particle set itself changed.
@@ -138,15 +140,11 @@ class PairCache:
         return None
 
     def _build(self, pos, h, ids) -> None:
-        pi, pj = neighbor_pairs(
+        # rows arrive in canonical (pi, pj)-ascending order, i.e. already CSR
+        self._pi, self._pj = neighbor_pairs(
             pos, h * (1.0 + self.skin), box=self.box,
             include_self=self.include_self,
         )
-        # store in CSR (pi-sorted) order so downstream SegmentReducers and
-        # PairBatches never pay an argsort
-        order = np.argsort(pi, kind="stable")
-        self._pi = pi[order]
-        self._pj = pj[order]
         # CSR row starts over sinks: rows of sink i live in
         # _pi[_starts[i]:_starts[i+1]] — the active-subset queries gather
         # whole sink rows through this without scanning the full list
@@ -180,10 +178,9 @@ class PairCache:
     def get(self, pos, h, ids=None):
         """Pair lists ``(pi, pj)`` for the current positions and supports.
 
-        Equivalent (as a set of pairs) to
-        ``neighbor_pairs(pos, h, box=box)``, reusing the cached skin-radius
-        superset whenever the Verlet criterion allows.  Returned arrays are
-        sorted by ``pi``.
+        ``array_equal`` to ``neighbor_pairs(pos, h, box=box)`` — rows in
+        ``(pi, pj)``-ascending order — reusing the cached skin-radius
+        superset whenever the Verlet criterion allows.
         """
         self.n_queries += 1
         pos = np.asarray(pos, dtype=np.float64)

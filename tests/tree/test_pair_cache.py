@@ -50,6 +50,43 @@ class TestCachedListMatchesFresh:
         assert _pair_set(pi, pj) == _pair_set(fi, fj)
 
 
+class TestCachedQueryIsTheFreshArrays:
+    """Row order is canonical, not a by-product of the build, so a query is
+    ``array_equal`` to a fresh list whenever the cache last rebuilt."""
+
+    @staticmethod
+    def _assert_same_arrays(cache, pos, h, box):
+        pi, pj = cache.get(pos, h)
+        fi, fj = neighbor_pairs(pos, h, box=box)
+        assert np.array_equal(pi, fi)
+        assert np.array_equal(pj, fj)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_after_sub_skin_drift(self, periodic):
+        rng, pos, h, box = _random_setup()
+        box = box if periodic else None
+        cache = PairCache(skin=0.3, box=box)
+        self._assert_same_arrays(cache, pos, h, box)
+        drift = rng.normal(size=pos.shape)
+        drift *= (0.25 * 0.3 * h / np.linalg.norm(drift, axis=1))[:, None]
+        moved = np.mod(pos + drift, box) if periodic else pos + drift
+        self._assert_same_arrays(cache, moved, h, box)
+        assert cache.n_builds == 1
+
+    def test_after_h_triggered_rebuild_and_later_drift(self):
+        rng, pos, h, box = _random_setup()
+        cache = PairCache(skin=0.25, box=box)
+        cache.get(pos, h)
+        grown = h.copy()
+        grown[::7] *= 1.3
+        self._assert_same_arrays(cache, pos, grown, box)
+        assert cache.n_rebuilds_h == 1
+        drift = rng.normal(size=pos.shape)
+        drift *= (0.25 * 0.25 * h / np.linalg.norm(drift, axis=1))[:, None]
+        self._assert_same_arrays(cache, np.mod(pos + drift, box), grown, box)
+        assert cache.n_builds == 2
+
+
 class TestRebuildTriggers:
     def test_drift_beyond_skin_rebuilds(self):
         rng, pos, h, box = _random_setup()
