@@ -23,7 +23,6 @@ Newtonian test problems.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,23 +39,27 @@ from .gravity.pm import PMSolver
 from .gravity.short_range import short_range_accelerations
 from .particles import Particles, Species
 from .sph.eos import IdealGasEOS
-from .sph.hydro import crksph_derivatives, update_smoothing_lengths
+from .sph.hydro import (
+    crksph_derivatives,
+    crksph_derivatives_active,
+    update_smoothing_lengths,
+)
 from .sph.kernels import get_kernel
 from .sph.viscosity import MonaghanViscosity
 from .subgrid.agn import AGNModel
 from .subgrid.cooling import CoolingModel
 from .subgrid.star_formation import StarFormationModel
-from .sph.hydro import crksph_derivatives_active
 from .subgrid.supernova import SupernovaModel, kernel_weights_for_sources
-from .timestep import SubcycleStats, assign_rungs, timestep_criteria
+from .timestep import (
+    HierarchicalIntegrator,
+    SubcycleStats,
+    a_hubble,
+    criteria_rungs,
+    deepest_rung,
+)
 
 #: the serial phase taxonomy — StepRecord.timers keys, Fig. 2 components
 PHASE_KEYS = SERIAL_PHASES
-
-
-def _t(timers, key: str):
-    """Phase-timer context for an optional TimerGroup (no-op when None)."""
-    return timers.time(key) if timers is not None else nullcontext()
 
 
 @dataclass
@@ -315,14 +318,32 @@ class Simulation:
         """Physical seconds between scale factors (for subgrid physics)."""
         return float((self.cosmo.age(a1) - self.cosmo.age(a0)) * GYR_S)
 
-    def _a_h(self, a: float) -> float:
-        """a * H(a) in km/s/Mpc; the da/dt Jacobian (1 in static mode)."""
-        if self.config.static:
-            return 1.0
-        return float(a * self.cosmo.hubble(a))
+    # -- stepping-core domain operations -------------------------------------
+    # what HierarchicalIntegrator asks of the serial box; the loop itself
+    # lives in repro.core.timestep
+    @property
+    def vel(self) -> np.ndarray:
+        return self.particles.vel
 
-    # -- forces ---------------------------------------------------------------
-    def _long_range_dpda(self, a: float, timers=None) -> np.ndarray:
+    @property
+    def u(self) -> np.ndarray:
+        return self.particles.u
+
+    def opening_forces(self, a: float):
+        # cache hit after the first step: positions are unchanged since the
+        # previous step's closing solve, so no new FFT runs here
+        dp_long = self.long_range(a)
+        dp_da, du_da, vsig = self.short_range(a)
+        if self.nsan is not None:
+            p = self.particles
+            self.nsan.check_finite(
+                self.step_index, "opening forces",
+                pos=p.pos, vel=p.vel, u=p.u,
+                dp_long=dp_long, dp_short=dp_da, du=du_da,
+            )
+        return dp_da, du_da, vsig, dp_long
+
+    def long_range(self, a: float) -> np.ndarray:
         """Long-range PM contribution to dp/da (all particles).
 
         The PM field depends on positions only, so the solve runs at unit
@@ -336,7 +357,7 @@ class Simulation:
         p = self.particles
         if not self.config.gravity:
             return np.zeros_like(p.pos)
-        with _t(timers, "long_range"):
+        with self._timers.time("long_range"):
             if (
                 self._pm_acc_unit is None
                 or len(self._pm_acc_unit) != len(p)
@@ -348,30 +369,32 @@ class Simulation:
                 self._pm_ref_pos = p.pos.copy()
         a_eff = 1.0 if self.config.static else a
         coeff = 4.0 * np.pi * G_COSMO / a_eff
-        return self._pm_acc_unit * (coeff / self._a_h(a))
+        return self._pm_acc_unit * (coeff / a_hubble(self.config, a))
 
-    def _short_force(self, a: float, timers=None, sinks=None):
+    def short_range(self, a: float, sinks=None, closing_rung=0, last=False):
         """Subcycled short-range RHS: tree gravity + CRKSPH hydro.
 
-        Returns ``(dp_da, du_da, vsig, n_pairs)`` as full-length arrays.
-        With ``sinks`` (sorted active particle indices) only the sink rows
-        are evaluated — inactive particles enter as gather-only sources —
-        and every other row is zero; the caller merges fresh rows into its
+        Returns ``(dp_da, du_da, vsig)`` as full-length arrays.  With
+        ``sinks`` (sorted active particle indices) only the sink rows are
+        evaluated — inactive particles enter as gather-only sources — and
+        every other row is zero; the caller merges fresh rows into its
         persistent RHS arrays.  The long-range kick is handled separately
-        (:meth:`_long_range_dpda`), once per PM step.
+        (:meth:`long_range`), once per PM step.  ``closing_rung`` and
+        ``last`` are the rank domain's concern; pair rows streamed
+        accumulate in ``_n_pairs``.
         """
         p = self.particles
         cfg = self.config
+        timers = self._timers
         n = len(p)
         a_eff = 1.0 if cfg.static else a
-        ah = self._a_h(a)
+        ah = a_hubble(cfg, a)
         accel = np.zeros((n, 3))
         du_da = np.zeros(n)
         vsig = np.zeros(n)
-        n_pairs = 0
 
         if cfg.gravity:
-            with _t(timers, "short_range"):
+            with timers.time("short_range"):
                 h_cut = np.full(n, cfg.cutoff)
                 if sinks is None:
                     pi, pj = self._grav_cache.get(p.pos, h_cut)
@@ -389,11 +412,11 @@ class Simulation:
                         sink_index=np.searchsorted(sinks, pi),
                         n_out=len(sinks),
                     )
-                n_pairs += len(pi)
+                self._n_pairs += len(pi)
 
         gas = np.nonzero(p.gas)[0]
         if cfg.hydro and len(gas) > 0:
-            with _t(timers, "hydro"):
+            with timers.time("hydro"):
                 gpos = p.pos[gas]
                 gh = p.h[gas]
                 # peculiar velocity v = p_mom / a in comoving dynamics
@@ -409,7 +432,7 @@ class Simulation:
                     du_da[gas] = d.du_dt
                     vsig[gas] = d.max_signal_speed
                     p.rho[gas] = d.rho
-                    n_pairs += len(pi)
+                    self._n_pairs += len(pi)
                 else:
                     # map active sinks into the gas-local frame
                     gas_sinks = np.searchsorted(gas, sinks[p.gas[sinks]])
@@ -430,7 +453,7 @@ class Simulation:
                         # final substep closes everyone, so rho is fully
                         # refreshed before subgrid physics reads it
                         p.rho[gas[sl.tier1]] = d.rho
-                        n_pairs += d.n_pairs
+                        self._n_pairs += d.n_pairs
 
         dp_da = accel / ah
         # du/da: comoving work / (a^2 H) + adiabatic expansion term.  The
@@ -444,25 +467,52 @@ class Simulation:
             else:
                 du_da[sinks] -= 3.0 * (GAMMA_IDEAL - 1.0) * p.u[sinks] / a
         du_da = np.where(p.gas, du_da, 0.0)
-        return dp_da, du_da, vsig, n_pairs
+        return dp_da, du_da, vsig
 
-    # -- stepping ---------------------------------------------------------------
     def _assign_rungs(self, dp_da, vsig, da: float) -> np.ndarray:
         p = self.particles
-        ah = self._a_h(self.a)
-        # CFL in 'a' units: dt_a = cfl h aH / vsig ; accel criterion likewise
-        h_eff = np.where(p.gas, p.h, self.config.softening * 4.0)
-        vsig_a = np.where(p.gas, vsig, 0.0) / ah
-        dt_req = timestep_criteria(
-            dp_da,
-            h_eff,
-            vsig_a,
-            cfl=self.config.cfl,
-            eta_accel=self.config.eta_accel,
-            dt_max=da,
-        )
-        return assign_rungs(dt_req, da, max_rung=self.config.max_rung)
+        return criteria_rungs(dp_da, vsig, p.gas, p.h,
+                              a_hubble(self.config, self.a), da, self.config)
 
+    def assign_rungs(self, dv_total, vsig, da: float) -> np.ndarray:
+        # looked up per call: tests and benches impose a schedule by
+        # rebinding ``_assign_rungs`` on the instance
+        return self._assign_rungs(dv_total, vsig, da)
+
+    def interval_depth(self, rungs) -> int:
+        # the loop depth carries a margin beyond the assigned rungs so
+        # particles whose conditions stiffen mid-step (shock formation,
+        # feedback) can be *promoted* to deeper rungs at their own substep
+        # boundaries — the Saitoh-Makino adaptivity the paper relies on
+        cfg = self.config
+        assigned = deepest_rung(rungs)
+        if assigned > 0 or cfg.hydro:
+            return min(assigned + cfg.rung_margin, cfg.max_rung)
+        return assigned
+
+    def check_state(self, label: str) -> None:
+        if self.nsan is not None:
+            p = self.particles
+            self.nsan.check_finite(self.step_index, label,
+                                   pos=p.pos, vel=p.vel, u=p.u)
+
+    def drift(self, a_mid: float, dt: float, s: int, nsub: int) -> None:
+        cfg = self.config
+        p = self.particles
+        a_eff = 1.0 if cfg.static else a_mid
+        p.pos += p.vel * (dt / (a_eff * a_hubble(cfg, a_mid)))
+        p.pos = wrap_positions(p.pos, cfg.box_array)
+        # grow leaf boxes to cover drifted particles (no rebuild)
+        if s % max(nsub // 4, 1) == 0:
+            with self._timers.time("tree_build"):
+                self.leaves.recompute_boxes(p.pos, grow=True)
+
+    def reduce_stats(self, stats: SubcycleStats, rungs) -> SubcycleStats:
+        self.particles.rung[:] = rungs
+        stats.n_pairs = self._n_pairs
+        return stats
+
+    # -- stepping ---------------------------------------------------------------
     def pm_step(self) -> StepRecord:
         """Advance one global PM step.
 
@@ -471,7 +521,9 @@ class Simulation:
         interval-boundary half-kicks of ``da/2`` to every particle, while
         only the short-range gravity + CRKSPH forces are re-evaluated
         inside the subcycle — and, with ``active_set``, only for the
-        particles whose rung closes a substep.
+        particles whose rung closes a substep.  The rung loop itself is
+        :class:`~repro.core.timestep.HierarchicalIntegrator`, shared with
+        the distributed driver.
         """
         with self.observe.tracer.span("step", cat="driver",
                                       step=self.step_index, a=self.a):
@@ -483,9 +535,10 @@ class Simulation:
         p = self.particles
         da = (cfg.a_final - cfg.a_init) / cfg.n_pm_steps
         a0 = self.a
-        timers = self.observe.timer_group(
+        self._timers = timers = self.observe.timer_group(
             f"{self._obs_scope}/step{self.step_index:05d}", keys=PHASE_KEYS
         )
+        self._n_pairs = 0
         fft0 = self.pm.n_evaluations if self.pm is not None else 0
 
         # -- tree build (once per PM step; boxes grow during subcycles) ----
@@ -503,126 +556,25 @@ class Simulation:
                 # under slow drift (paper IV-B1)
                 self._grav_cache.ensure(p.pos, np.full(len(p), cfg.cutoff))
 
-        # -- opening forces & rung assignment --------------------------------
-        # cache hit after the first step: positions are unchanged since the
-        # previous step's closing solve, so no new FFT runs here
-        dp_long = self._long_range_dpda(a0, timers=timers)
-        dp_da, du_da, vsig, n_pairs0 = self._short_force(a0, timers=timers)
-        if self.nsan is not None:
-            self.nsan.check_finite(
-                self.step_index, "opening forces",
-                pos=p.pos, vel=p.vel, u=p.u,
-                dp_long=dp_long, dp_short=dp_da, du=du_da,
-            )
-        rungs = self._assign_rungs(dp_da + dp_long, vsig, da)
-        p.rung[:] = rungs
-        # the loop depth carries a margin beyond the assigned rungs so
-        # particles whose conditions stiffen mid-step (shock formation,
-        # feedback) can be *promoted* to deeper rungs at their own substep
-        # boundaries — the Saitoh-Makino adaptivity the paper relies on
-        assigned_depth = int(rungs.max()) if len(rungs) else 0
-        depth = min(assigned_depth + cfg.rung_margin, cfg.max_rung) \
-            if assigned_depth > 0 or cfg.hydro else assigned_depth
-        nsub = 2**depth
-        dt_fine = da / nsub
-        dts = da / (2.0 ** rungs.astype(np.float64))
-
-        stats = SubcycleStats(
-            n_substeps=nsub, deepest_rung=depth, n_particles=len(p),
-            n_force_evaluations=1, n_active_total=len(p), n_pairs=n_pairs0,
-        )
-
-        # -- long-range half-kick over the whole PM interval -----------------
-        p.vel += 0.5 * da * dp_long
-
-        # -- subcycled KDK (short-range forces only) --------------------------
-        for s in range(nsub):
-            period = 2 ** (depth - rungs.astype(np.int64))
-            act = (s % period) == 0
-            p.vel[act] += 0.5 * dts[act, None] * dp_da[act]
-            p.u[act] += 0.5 * dts[act] * du_da[act]
-            p.u = np.maximum(p.u, 0.0)
-
-            # drift everyone at the fine cadence
-            a_mid = a0 + (s + 0.5) * dt_fine
-            a_eff = 1.0 if cfg.static else a_mid
-            ah = self._a_h(a_mid)
-            p.pos += p.vel[:, :] * (dt_fine / (a_eff * ah))
-            p.pos = wrap_positions(p.pos, cfg.box_array)
-
-            # grow leaf boxes to cover drifted particles (no rebuild)
-            if s % max(nsub // 4, 1) == 0:
-                with timers.time("tree_build"):
-                    self.leaves.recompute_boxes(p.pos, grow=True)
-
-            # closing kick with fresh forces.  The closing set of substep s
-            # equals the opening (active) set of substep s+1, so evaluating
-            # exactly these rows keeps every kick — opening and closing —
-            # on fresh forces; stale rows in the persistent RHS arrays are
-            # never read before their owner's next evaluation refreshes
-            # them.  The final substep closes every particle.
-            a_end = a0 + (s + 1) * dt_fine
-            closing = ((s + 1) % period) == 0
-            sinks = None
-            if cfg.active_set and not closing.all():
-                sinks = np.nonzero(closing)[0]
-            dp_s, du_s, vs_s, np_s = self._short_force(
-                a_end, timers=timers, sinks=sinks
-            )
-            if sinks is None:
-                dp_da, du_da, vsig = dp_s, du_s, vs_s
-            else:
-                dp_da[sinks] = dp_s[sinks]
-                du_da[sinks] = du_s[sinks]
-                vsig[sinks] = vs_s[sinks]
-            stats.n_force_evaluations += 1
-            stats.n_active_total += int(closing.sum())
-            stats.n_pairs += np_s
-
-            p.vel[closing] += 0.5 * dts[closing, None] * dp_da[closing]
-            p.u[closing] += 0.5 * dts[closing] * du_da[closing]
-            p.u = np.maximum(p.u, 0.0)
-
-            # rung promotion: a particle at its own substep boundary whose
-            # fresh timestep criterion now demands a deeper rung moves down
-            # immediately (demotion only happens at PM-step boundaries).
-            # The criterion sees the interval-frozen long-range force plus
-            # the fresh short-range rows; only closing rows are consulted,
-            # and those are fresh in both evaluation modes.
-            if s + 1 < nsub:
-                rung_need = np.minimum(
-                    self._assign_rungs(dp_da + dp_long, vsig, da), depth
-                )
-                promote = closing & (rung_need > rungs)
-                if promote.any():
-                    rungs = np.where(promote, rung_need, rungs).astype(np.int16)
-                    p.rung[:] = rungs
-                    dts = da / (2.0 ** rungs.astype(np.float64))
-
-        if self.nsan is not None:
-            self.nsan.check_finite(
-                self.step_index, "subcycle loop",
-                pos=p.pos, vel=p.vel, u=p.u,
-            )
-
-        a1 = a0 + da
-        # -- closing long-range half-kick (the step's one fresh FFT); the
-        # unit-coefficient solve is cached and becomes the next step's
-        # opening evaluation
-        dp_long = self._long_range_dpda(a1, timers=timers)
-        p.vel += 0.5 * da * dp_long
+        # -- opening forces, rungs, subcycled KDK, closing long-range kick
+        # (the step's one fresh FFT; the unit-coefficient solve is cached
+        # and becomes the next step's opening evaluation)
+        stats = HierarchicalIntegrator(
+            da, active_set=cfg.active_set, promote=True
+        ).run(self, a0)
         if self.nsan is not None:
             self.nsan.check_finite(
                 self.step_index, "closing long-range kick", vel=p.vel
             )
 
+        a1 = a0 + da
         stats.n_fft = (self.pm.n_evaluations - fft0) if self.pm is not None else 0
         record = StepRecord(
             step=self.step_index,
             a=a1,
             timers=timers,
-            n_substeps=nsub,
-            deepest_rung=depth,
+            n_substeps=stats.n_substeps,
+            deepest_rung=stats.deepest_rung,
             n_particles=len(p),
             subcycle=stats,
             n_fft=stats.n_fft,

@@ -51,6 +51,31 @@ def assign_rungs(dt_required: np.ndarray, dt_pm: float, max_rung: int = 16) -> n
     return np.clip(rung, 0, max_rung).astype(np.int16)
 
 
+def a_hubble(cfg, a: float) -> float:
+    """a * H(a) in km/s/Mpc: the da/dt Jacobian of the comoving KDK (1 in
+    static mode).  ``cfg`` is either driver's config (``static``, ``cosmo``).
+    """
+    return 1.0 if cfg.static else float(a * cfg.cosmo.hubble(a))
+
+
+def criteria_rungs(dv_total, vsig, gas, h_gas, ah: float, da: float, cfg):
+    """Rungs from the timestep criteria in 'a' units, for either driver.
+
+    CFL (``dt_a = cfl h aH / vsig``) applies to the ``gas`` rows at their
+    support radius ``h_gas``; the acceleration criterion applies to every
+    row, with four softening lengths standing in for h on collisionless
+    rows.  ``cfg`` supplies ``softening``, ``cfl``, ``eta_accel``,
+    ``max_rung``.
+    """
+    dt_req = timestep_criteria(
+        dv_total,
+        np.where(gas, h_gas, cfg.softening * 4.0),
+        np.where(gas, vsig, 0.0) / ah,
+        cfl=cfg.cfl, eta_accel=cfg.eta_accel, dt_max=da,
+    )
+    return assign_rungs(dt_req, da, max_rung=cfg.max_rung)
+
+
 def deepest_rung(rungs: np.ndarray) -> int:
     return int(rungs.max()) if len(rungs) else 0
 
@@ -120,56 +145,125 @@ class SubcycleStats:
 
 
 class HierarchicalIntegrator:
-    """Drives the rung-based subcycle loop for one PM interval.
+    """The kick-split KDK rung loop of one PM interval — its only home.
 
-    The caller supplies a force callback evaluated only on active particles;
-    the integrator performs interleaved kick-drift-kick updates such that a
-    particle on rung r experiences 2^r KDK cycles of size dt_pm/2^r.  All
-    particles drift every substep (at the finest cadence) so pair forces see
-    consistent positions.
+    The long-range force is applied as two interval-boundary half-kicks of
+    ``dt_pm / 2``; only the short-range forces are re-evaluated inside the
+    ``2^depth`` fine substeps, on the rows whose rung closes the substep,
+    so a particle on rung r receives ``2^r`` KDK cycles of size
+    ``dt_pm / 2^r`` while everyone drifts at the finest cadence.
+
+    The loop is rank-count agnostic: it talks to a *domain* — the serial
+    box (:class:`~repro.core.simulation.Simulation`) or one rank's owned
+    rows (:class:`~repro.parallel.distributed_sim.RankDomain`) — through
+    the operations below, and every collective stays inside the domain.
+
+    ``vel``, ``u``
+        arrays the loop kicks in place (not rebound between
+        ``opening_forces`` and ``reduce_stats``)
+    ``opening_forces(a) -> (dv, du, vsig, dv_long)``
+        short-range RHS rows and the long-range kick at the interval start
+    ``assign_rungs(dv_total, vsig, dt_pm) -> rungs``
+    ``interval_depth(rungs) -> int``
+        substep depth shared by every rank of the domain
+    ``check_state(label)``
+        numerics tripwire at a phase boundary (no-op unless sanitizing)
+    ``drift(a_mid, dt, s, nsub)``
+        fine drift of every row over substep ``s`` of ``nsub``
+    ``short_range(a, sinks, closing_rung, last) -> (dv, du, vsig)``
+        full-length arrays; with ``sinks`` (sorted row indices) only those
+        rows are fresh.  ``closing_rung`` labels the substep's
+        synchronization level, ``last`` marks the interval's final substep
+    ``long_range(a) -> dv_long``
+    ``reduce_stats(stats, rungs) -> SubcycleStats``
+        finish the interval and fill in the domain-wide totals
     """
 
-    def __init__(self, dt_pm: float, max_rung: int = 8):
+    def __init__(self, dt_pm: float, active_set: bool = True,
+                 promote: bool = False):
         if dt_pm <= 0:
             raise ValueError("dt_pm must be positive")
         self.dt_pm = dt_pm
-        self.max_rung = max_rung
+        #: evaluate only the closing rows of a substep (inactive rows stay
+        #: gather-only sources); off, every substep recomputes every row
+        self.active_set = active_set
+        #: let a closing row whose fresh criterion stiffened move to a
+        #: deeper rung mid-interval (needs a domain whose depth has room)
+        self.promote = promote
 
-    def run(self, pos, vel, rungs, force_fn, drift_fn=None):
-        """Integrate one PM interval in place.
+    def run(self, dom, a0: float) -> SubcycleStats:
+        """Advance ``dom`` over ``[a0, a0 + dt_pm]`` in place."""
+        da = self.dt_pm
+        dv, du, vsig, dv_long = dom.opening_forces(a0)
+        rungs = dom.assign_rungs(dv + dv_long, vsig, da)
+        depth = dom.interval_depth(rungs)
+        nsub = 1 << depth
+        dt_fine = da / nsub
+        dts = rung_dt(rungs, da)
+        n_active = len(rungs)  # substep-0 active set: everyone
 
-        force_fn(pos, vel, active_idx) -> accel array (N, 3) (full length;
-        only active rows are used).  drift_fn(pos, vel, dt) optionally
-        customizes the drift (e.g. periodic wrap); default is pos += vel*dt.
-        """
-        depth = deepest_rung(rungs)
-        stats = SubcycleStats(deepest_rung=depth, n_particles=len(pos))
-        nsub = 2**depth
-        dt_fine = self.dt_pm / nsub
-        dts = rung_dt(rungs, self.dt_pm)
+        # long-range half-kick over the whole PM interval: the PM field is
+        # solved once per interval, never inside the substep loop
+        vel = dom.vel
+        vel += 0.5 * da * dv_long
+        dom.check_state("opening half-kick")
 
-        # opening evaluation: only the rungs active at substep 0 need
-        # forces (at depth 0 that is still everyone, but the schedule —
-        # not a hardcoded arange — decides)
-        opening = np.nonzero(active_mask(rungs, 0, depth))[0]
-        accel = force_fn(pos, vel, opening)
-        stats.n_force_evaluations += 1
-        stats.n_active_total += len(opening)
         for s in range(nsub):
-            act = active_mask(rungs, s, depth)
-            # opening kick for newly active particles
-            vel[act] += 0.5 * dts[act, None] * accel[act]
-            # fine drift for everyone
-            if drift_fn is None:
-                pos += vel * dt_fine
-            else:
-                drift_fn(pos, vel, dt_fine)
-            # closing kick for particles completing their substep
+            _kick(dom, active_mask(rungs, s, depth), dts, dv, du)
+            dom.drift(a0 + (s + 0.5) * dt_fine, dt_fine, s, nsub)
+
+            # closing evaluation.  The closing set of substep s equals the
+            # opening (active) set of substep s+1, so evaluating exactly
+            # these rows keeps every kick — opening and closing — on fresh
+            # forces; stale rows of the persistent RHS arrays are never
+            # read before their owner's next evaluation refreshes them.
+            # The final substep closes every particle.
             closing = active_mask(rungs, s + 1, depth)
-            idx = np.nonzero(closing)[0]
-            accel = force_fn(pos, vel, idx)
-            vel[closing] += 0.5 * dts[closing, None] * accel[closing]
-            stats.n_substeps += 1
-            stats.n_force_evaluations += 1
-            stats.n_active_total += int(closing.sum())
-        return stats
+            sinks = None
+            if self.active_set and not closing.all():
+                sinks = np.nonzero(closing)[0]
+            dv_s, du_s, vs_s = dom.short_range(
+                a0 + (s + 1) * dt_fine, sinks, closing_rung(s, depth),
+                s + 1 == nsub,
+            )
+            if sinks is None:
+                dv, du, vsig = dv_s, du_s, vs_s
+            else:
+                dv[sinks] = dv_s[sinks]
+                du[sinks] = du_s[sinks]
+                vsig[sinks] = vs_s[sinks]
+            n_active += int(closing.sum())
+            _kick(dom, closing, dts, dv, du)
+
+            # rung promotion: a particle at its own substep boundary whose
+            # fresh timestep criterion now demands a deeper rung moves down
+            # immediately (demotion only happens at PM-step boundaries).
+            # The criterion sees the interval-frozen long-range force plus
+            # the fresh short-range rows; only closing rows are consulted,
+            # and those are fresh in both evaluation modes.
+            if self.promote and s + 1 < nsub:
+                need = np.minimum(
+                    dom.assign_rungs(dv + dv_long, vsig, da), depth
+                )
+                promote = closing & (need > rungs)
+                if promote.any():
+                    rungs = np.where(promote, need, rungs).astype(np.int16)
+                    dts = rung_dt(rungs, da)
+        dom.check_state("subcycle loop")
+
+        # closing long-range half-kick: the interval's one fresh PM solve
+        vel += 0.5 * da * dom.long_range(a0 + da)
+        return dom.reduce_stats(
+            SubcycleStats(
+                n_substeps=nsub, n_force_evaluations=1 + nsub,
+                n_active_total=n_active, deepest_rung=depth,
+                n_particles=len(rungs),
+            ),
+            rungs,
+        )
+
+
+def _kick(dom, rows, dts, dv, du) -> None:
+    """Half-kick of ``rows`` at their own rung's step size."""
+    dom.vel[rows] += 0.5 * dts[rows, None] * dv[rows]
+    dom.u[rows] = np.maximum(dom.u[rows] + 0.5 * dts[rows] * du[rows], 0.0)

@@ -2,8 +2,9 @@
 
 The Fig. 2 / Fig. 6 benches and the CI trace diffs key off span names, so
 an instrumented module inventing a name silently breaks attribution.
-``scripts/check_spans.py`` statically greps the instrumented modules for
-span-name literals and fails when one is not registered here.
+The ``span-taxonomy`` rule of ``python -m repro lint`` scans the
+instrumented modules for span-name literals and fails when one is not
+registered here.
 
 Clock model (DESIGN.md "Observability"): wall-clock spans live on
 ``pid=WALL_PID`` with one ``tid`` per simulated rank; simulated-fabric
@@ -155,8 +156,3 @@ FIG6_METRICS = (
 
 def is_registered(name: str) -> bool:
     return name in SPAN_NAMES
-
-
-def unregistered(names) -> list[str]:
-    """The subset of ``names`` missing from the taxonomy (sorted)."""
-    return sorted(set(names) - SPAN_NAMES)

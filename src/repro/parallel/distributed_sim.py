@@ -23,13 +23,14 @@ exchange is still in flight; the boundary rows finish after ``wait()``.
 Both comm modes execute this identical split — only the position of the
 wait differs — so overlap is bit-identical to blocking by construction.
 
-With ``subcycle=True`` the step loop runs the hierarchical power-of-two
-rung schedule (:mod:`repro.core.timestep`) instead of one flat KDK:
-rungs are assigned from the opening forces, the depth is globally
-reduced, and ``2^depth`` fine substeps evaluate only the closing rungs'
-rows (``active_set=True``) via the rank-local active-sink pair queries.
-Each substep evaluation is timed under its shallowest closing rung
-(``"rung/<r>"`` phase keys, comm-wait alike) and the step's
+Every rank is a :class:`RankDomain` driven by the one kick-split rung loop
+(:class:`~repro.core.timestep.HierarchicalIntegrator`, shared with the
+serial driver).  With ``subcycle=True`` rungs are assigned from the
+opening forces, the depth is globally reduced, and ``2^depth`` fine
+substeps evaluate only the closing rungs' rows (``active_set=True``) via
+the rank-local active-sink pair queries; ``subcycle=False`` is depth 0 of
+the same loop.  Each substep evaluation is timed under its shallowest
+closing rung (``"rung/<r>"`` phase keys, comm-wait alike) and the step's
 :class:`~repro.core.timestep.SubcycleStats` are globally reduced into
 the :class:`~repro.core.simulation.StepRecord`.  Under overlap the
 migration is nonblocking and two-waved: the closing half-kick only
@@ -52,20 +53,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backend import select_backend, use_backend
-from ..constants import G_COSMO
+from ..constants import G_COSMO, GAMMA_IDEAL
 from ..cosmology.background import Cosmology
 from ..core.gravity.force_split import recommended_cutoff
-from ..core.gravity.pm import cic_deposit, cic_interpolate, cic_window_sq
+from ..core.gravity.pm import cic_deposit, cic_interpolate
 from ..core.gravity.short_range import short_range_accelerations
 from ..core.simulation import StepRecord
+from ..core.sph.hydro import crksph_derivatives_active
+from ..core.sph.kernels import get_kernel
 from ..core.timestep import (
+    HierarchicalIntegrator,
     SubcycleStats,
-    active_mask,
-    assign_rungs,
-    closing_rung,
+    a_hubble,
+    criteria_rungs,
     deepest_rung,
-    rung_dt,
-    timestep_criteria,
 )
 from ..observe import Observatory
 from ..observe.taxonomy import DISTRIBUTED_PHASES, MAX_TAXONOMY_RUNG
@@ -73,7 +74,7 @@ from ..sanitize.numerics import NumericsSanitizer, kinetic_internal_energy
 from ..tree import PairCache
 from .comm import World
 from .decomposition import make_decomposition
-from .overload import exchange_overload, migrate_particles, post_migration
+from .overload import GhostExchange, migrate_particles, post_migration
 from .swfft import DistributedFFT, slab_bounds
 
 
@@ -124,7 +125,9 @@ class DistributedConfig:
     #: hierarchical power-of-two subcycling: assign rungs from the opening
     #: forces and run 2^depth fine KDK substeps per PM interval (depth is
     #: the global maximum assigned rung, allreduced so the substep
-    #: schedule — and every collective inside it — stays structural)
+    #: schedule — and every collective inside it — stays structural).
+    #: Off, every particle sits on rung 0: depth 0 of the same loop, one
+    #: KDK per PM interval, no depth reduction
     subcycle: bool = False
     #: with ``subcycle``: evaluate only the closing rungs' rows per
     #: substep via active-sink pair queries; ``False`` evaluates everyone
@@ -183,81 +186,342 @@ def _face_distance(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.minimum(pos - lo, hi - pos).min(axis=1)
 
 
-class DistributedSimulation:
-    """SPMD gravity solver: run with ``results = sim.run(pos, vel, mass)``."""
+#: the per-particle arrays a rank owns (``RankDomain.<name>``), in the
+#: order step hooks and checkpoints name them
+OWNED_FIELDS = ("pos", "vel", "mass", "u", "ids", "gas")
 
-    def __init__(self, config: DistributedConfig, n_ranks: int,
-                 observe: Observatory | None = None, fault_plan=None):
-        self.config = config
-        self.n_ranks = n_ranks
-        #: optional :class:`~repro.resilience.faults.FaultPlan`: injected
-        #: rank deaths fire from inside the phase entries below (or the
-        #: comm layer), raising typed RankFailure for the recovery tests
-        self.fault_plan = fault_plan
-        #: end-of-step callbacks ``hook(comm, istep, a, my)`` run by every
-        #: rank after its closing kick, where the union of owned arrays is
-        #: the complete consistent global state — the checkpoint point
-        #: (hooks must stay structural: same collectives on every rank)
-        self.step_hooks: list = []
-        # observability: one tracer serves all simulated ranks (one trace
-        # track per rank); phase timers and comm-wait live in the registry
+
+class RankDomain:
+    """One rank's owned rows: the stepping core's domain on a rank.
+
+    Implements the domain operations of
+    :class:`~repro.core.timestep.HierarchicalIntegrator` on this rank's
+    particles — every collective of a PM step is issued from here, so the
+    rung loop itself stays rank-count agnostic.  ``owned`` maps ``pos``,
+    ``vel``, ``mass``, ``u``, ``ids``, ``gas`` to this rank's rows (the
+    object takes ownership of the arrays); the same six names are what
+    step hooks see (:meth:`view`).  ``scope`` is the run's metrics prefix,
+    shared by every rank of one run.
+    """
+
+    def __init__(self, comm, config: DistributedConfig, decomp, owned: dict,
+                 observe: Observatory | None = None, scope: str = "dist",
+                 fault_plan=None, backend: str | None = None):
+        self.comm = comm
+        self.cfg = cfg = config
+        self.decomp = decomp
         self.observe = observe if observe is not None else Observatory()
-        # resolve the kernel backend once (env override + numba fallback)
-        # and warm JIT compilation outside the per-step timers
-        self.backend = select_backend(config.backend, observe=self.observe)
-        self.decomp = make_decomposition(config.box, n_ranks)
-        if 2.0 * config.overload_width >= self.decomp.widths.min():
-            raise ValueError(
-                "short-range cutoff exceeds half the rank domain width; "
-                "use fewer ranks or a larger box"
-            )
-        # precompute the spectral Green's function pieces per rank lazily
-        self._green_cache = {}
-        #: per-rank count of distributed PM solves (one forward + three
-        #: gradient FFT sets each); the kick split holds this at one solve
-        #: per PM step in steady state instead of two
-        self.pm_eval_counts = np.zeros(n_ranks, dtype=np.int64)
-        #: rank-0 per-step records (timers + per-phase comm wait)
-        self.step_records: list[StepRecord] = []
-        #: TrafficStats of the last run (per-rank wait/bytes counters)
-        self.traffic = None
+        self.scope = scope
+        self.fault_plan = fault_plan
+        self.backend = backend
+        self.tracer = comm.world.tracer
+        self.tracer.set_track(comm.rank, f"rank {comm.rank}")
+        self.overlap = cfg.comm_mode == "overlap"
+        self._adopt({name: owned[name] for name in OWNED_FIELDS})
+        #: unit-coefficient PM acceleration rows for owned particles;
+        #: None marks the field stale (positions moved).  Staleness is a
+        #: structural decision (set after the drift on every rank alike)
+        #: so the collective FFT solve is entered by all ranks together.
+        self.acc_long = None
+        self.fft = (
+            DistributedFFT(comm, cfg.pm_grid, mode=cfg.comm_mode,
+                           n_stages=cfg.fft_stages)
+            if cfg.gravity
+            else None
+        )
+        self.kernel = get_kernel(cfg.kernel) if cfg.hydro else None
+        # per-rank Verlet caches: the *_own caches cover owned particles
+        # only and serve the interior rows (available before the ghost
+        # exchange lands); the overloaded caches cover owned + ghost and
+        # serve the boundary rows.  Ghost ids ride along in the exchange so
+        # the caches can tell "same neighborhood, small drift" (reuse) from
+        # "membership changed" (rebuild).
+        self.grav_cache = PairCache(skin=cfg.pair_skin, box=None)
+        self.grav_cache_own = PairCache(skin=cfg.pair_skin, box=None)
+        self.hydro_cache = PairCache(skin=cfg.pair_skin, box=None)
+        self.hydro_cache_own = PairCache(skin=cfg.pair_skin, box=None)
+        self.lo, self.hi = decomp.bounds(comm.rank)
+        # max displacement of ANY particle since the last migration
+        # (globally reduced): bounds how far a ghost can have drifted into
+        # this domain, so the interior margin stays sound.  Displacement
+        # accumulates over the fine substeps (disp_accum: running sum of
+        # per-substep max norms — a conservative bound on any particle's
+        # total wander).
+        self.drift_req = None
+        self.drift_max = 0.0
+        self.disp_accum = 0.0
+        #: PM density reduction posted behind a short-range evaluation
+        self.rho_req = None
+        # the in-flight nonblocking migration (overlap mode): wave 1 posted
+        # after the final drift of a step, wave 2 after its closing kick,
+        # settled under the next step's opening work
+        self.flight = None
+        self.flight_id = 0
+        self.a = cfg.a_init
+        self.istep = 0
+        self.n_pairs = 0
+        #: distributed PM solves this rank entered (one forward + three
+        #: gradient FFT sets each)
+        self.pm_evals = 0
+        self.records: list[StepRecord] = []
+        # per-step phase timers and comm-wait attribution live in the
+        # run's metrics registry; these are the current step's TimerGroup
+        # views (rebound each step, snapshot-free: each step gets fresh
+        # instruments under its own prefix)
+        self.timers = None
+        self.cwait = None
+        # numerics tripwire (cfg.sanitize): NaN/Inf + energy blowup checks
+        # at the kick/migration phase boundaries of every step
+        self.nsan = (
+            NumericsSanitizer(context=f"dist rank {comm.rank}")
+            if cfg.sanitize
+            else None
+        )
+        self._green = None
 
-    # -- helpers --------------------------------------------------------------
-    def _a_h(self, a: float, cosmo: Cosmology) -> float:
-        if self.config.static:
-            return 1.0
-        return float(a * cosmo.hubble(a))
+    def view(self) -> dict:
+        """The owned arrays by name — the ``my`` mapping step hooks get."""
+        return {name: getattr(self, name) for name in OWNED_FIELDS}
 
-    def _long_range_accel(self, comm, fft, pos_owned, mass_owned, coeff,
-                          rho=None):
-        """Distributed PM accelerations at owned particle positions.
+    # -- driving --------------------------------------------------------------
+    def run(self, hooks=()) -> list[StepRecord]:
+        """All configured PM steps, then the last migration settled."""
+        try:
+            for _ in range(self.cfg.n_pm_steps):
+                self.step(hooks)
+            self.settle()
+        except BaseException:
+            # any mid-step failure (peer abort, numerics tripwire) can
+            # strand the posted-ahead drift/rho reductions and the
+            # in-flight migration waves
+            self._cancel_posted_ahead()
+            if self.flight is not None:
+                self.flight.cancel()  # idempotent, both waves
+                self.flight = None
+            raise
+        return self.records
 
-        Deposit is a grid allreduce (every rank contributes its owned
-        particles); the Poisson solve + spectral gradient runs on
-        slab-decomposed FFTs; acceleration slabs are allgathered for the
-        final rank-local CIC interpolation.  Overlap-mode callers may pass
-        a ``rho`` they reduced earlier (hidden behind short-range work);
-        with ``fft.mode == "overlap"`` the three gradient-axis gathers are
-        pipelined — each axis' slab allgather rides the wire while the next
-        axis' inverse FFT computes.
+    def step(self, hooks=()) -> StepRecord:
+        """One PM step; under overlap its migration stays in flight until
+        the next step's opening work (or :meth:`settle`)."""
+        cfg = self.cfg
+        da = (cfg.a_final - cfg.a_init) / cfg.n_pm_steps
+        self.istep = len(self.records)
+        step_scope = f"{self.scope}/rank{self.comm.rank}/step{self.istep:05d}"
+        self.timers = self.observe.timer_group(
+            step_scope, keys=DISTRIBUTED_PHASES
+        )
+        self.cwait = self.observe.timer_group(
+            f"{step_scope}/wait", keys=DISTRIBUTED_PHASES
+        )
+        self.n_pairs = 0
+        fft0 = self.pm_evals
+        stats = HierarchicalIntegrator(da, active_set=cfg.active_set).run(
+            self, self.a
+        )
+        stats.n_fft = self.pm_evals - fft0
+        self.a = self.a + da
+
+        if self.nsan is not None:
+            self.nsan.check_finite(self.istep, "migration",
+                                   pos=self.pos, vel=self.vel, u=self.u)
+            # global (not per-rank) energy: migration moves particles
+            # between ranks, so only the reduced total is step-to-step
+            # comparable
+            self.nsan.check_energy(self.istep, self.comm.allreduce(
+                kinetic_internal_energy(self.mass, self.vel, self.u)
+            ))
+        record = StepRecord(
+            step=self.istep, a=self.a, timers=self.timers,
+            n_substeps=stats.n_substeps, deepest_rung=stats.deepest_rung,
+            n_particles=stats.n_particles, subcycle=stats, n_fft=stats.n_fft,
+            comm_wait=self.cwait, comm_mode=cfg.comm_mode,
+            backend=self.backend,
+        )
+        self.records.append(record)
+        # end-of-step hooks (checkpointers): the closing kick has landed
+        # everywhere and migration only re-homes rows, so the union of
+        # owned arrays is the complete global state at scale factor ``a``
+        for hook in hooks:
+            hook(self.comm, self.istep, self.a, self.view())
+        return record
+
+    def settle(self) -> None:
+        """Complete an in-flight migration under the last step's migration
+        timer (the record's timer views are live, so the wait lands in the
+        right phase)."""
+        if self.flight is not None:
+            self._timed("migration", self._settle_migration)
+            self._timed("migration", self._finish_payload)
+
+    def _timed(self, phase: str, fn, *fn_args):
+        # phase entry doubles as the failure surface: the fault plan's
+        # compute kills fire here (typed RankFailure), and the world
+        # records the phase so a hung rank's timeout report can say where
+        # it was last seen
+        rank = self.comm.rank
+        world = self.comm.world
+        if self.fault_plan is not None:
+            self.fault_plan.enter(rank, self.istep, phase)
+        world.note_phase(rank, self.istep, phase)
+        w0 = world.stats.wait_seconds.get(rank, 0.0)
+        with self.timers.time(phase):
+            out = fn(*fn_args)
+        self.cwait.add(phase, world.stats.wait_seconds.get(rank, 0.0) - w0)
+        return out
+
+    def _cancel_posted_ahead(self) -> None:
+        """Settle posted-ahead requests on an error path so the comm
+        sanitizer's teardown leak report stays clean."""
+        if self.drift_req is not None:
+            self.drift_req.cancel()
+            self.drift_req = None
+        if self.rho_req is not None:
+            self.rho_req.cancel()
+            self.rho_req = None
+
+    # -- stepping-core domain operations --------------------------------------
+    def opening_forces(self, a: float):
+        # settle the previous step's migration: wave 1 matured behind its
+        # closing evaluation and FFT
+        if self.flight is not None:
+            self._timed("migration", self._settle_migration)
+        # A posted-ahead rho reduction is only wanted when no cached (or
+        # in-flight migrating) acc_long will serve the opening long-range
+        # solve — in steady state that is never, the closing solve of the
+        # previous step rides through migration
+        open_rho = self.acc_long is None and self.flight is None
+        dv_da, du_da, vsig = self._timed(
+            "short_range", self._short_forces, a, None, open_rho
+        )
+        if self.flight is not None:
+            # gravity-only: vel/acc_long were not needed until now —
+            # wave 2 matured behind the opening work
+            self._timed("migration", self._finish_payload)
+        return dv_da, du_da, vsig, self.long_range(a)
+
+    def assign_rungs(self, dv_total, vsig, da: float) -> np.ndarray:
+        """Rungs from the opening forces (the serial driver's criteria on
+        the owned rows: CFL for gas at the fixed support radius,
+        acceleration for all); all zero without ``subcycle``."""
+        cfg = self.cfg
+        if not cfg.subcycle:
+            return np.zeros(len(self.pos), dtype=np.int16)
+        return criteria_rungs(dv_total, vsig, self.gas & cfg.hydro,
+                              cfg.sph_h, a_hubble(cfg, self.a), da, cfg)
+
+    def interval_depth(self, rungs) -> int:
+        """Global maximum rung: reduced so every collective inside the
+        substep loop is entered by all ranks together.  There is no margin
+        for mid-step promotion — the schedule is frozen at assignment, a
+        pure function of the opening forces, which is what makes
+        active-set overlap runs bit-identical to full-evaluation blocking
+        runs."""
+        if not self.cfg.subcycle:
+            return 0
+        return self._timed("short_range", self._reduce_depth, rungs)
+
+    def _reduce_depth(self, rungs) -> int:
+        return int(self.comm.allreduce(deepest_rung(rungs), op="max"))
+
+    def check_state(self, label: str) -> None:
+        if self.nsan is not None:
+            self.nsan.check_finite(self.istep, label,
+                                   pos=self.pos, vel=self.vel, u=self.u)
+
+    def drift(self, a_mid: float, dt: float, s: int, nsub: int) -> None:
+        cfg = self.cfg
+        a_eff = 1.0 if cfg.static else a_mid
+        # drift WITHOUT wrapping: a boundary particle that wraps mid-step
+        # would teleport across the box and lose its (non-periodic)
+        # overloaded neighborhood; migration wraps and re-homes everyone
+        # at step end
+        disp = self.vel * (dt / (a_eff * a_hubble(cfg, a_mid)))
+        self.pos = self.pos + disp
+        self.acc_long = None  # positions moved: field stale
+        d2 = np.einsum("na,na->n", disp, disp)
+        # cumulative bound on any particle's total wander since the last
+        # migration (sum of per-substep maxima — conservative, keeps the
+        # interior margin sound as ghosts drift deeper into the domain
+        # over substeps)
+        self.disp_accum += float(np.sqrt(d2.max())) if len(d2) else 0.0
+        self.drift_req = self.comm.iallreduce(self.disp_accum, op="max")
+        if self.overlap and s + 1 == nsub:
+            # final destinations are fixed: wave 1 matures behind the
+            # full closing evaluation + FFT
+            self._timed("migration", self._post_departures)
+
+    def short_range(self, a: float, sinks, closing_rung: int, last: bool):
+        # the substep is timed under its shallowest closing rung; only the
+        # interval's last evaluation precedes a long-range solve
+        phase = "rung/%d" % closing_rung if self.cfg.subcycle \
+            else "short_range"
+        return self._timed(phase, self._short_forces, a, sinks, last)
+
+    def long_range(self, a: float):
+        return self._timed("long_range", self._long_range_dvda, a)
+
+    def reduce_stats(self, stats: SubcycleStats, rungs) -> SubcycleStats:
+        """Migrate, then reduce the step's bookkeeping in one sum-reduce:
+        active totals, pair rows, particle count, rung histogram (the
+        substep schedule is a pure function of the histogram, which is
+        what makes StepRecord honesty testable)."""
+        if self.nsan is not None:
+            self.nsan.check_finite(self.istep, "closing half-kick",
+                                   pos=self.pos, vel=self.vel, u=self.u)
+        if self.overlap:
+            self._timed("migration", self._post_payload)
+        else:
+            self._timed("migration", self._migrate_blocking)
+        hist = np.bincount(rungs.astype(np.int64),
+                           minlength=self.cfg.max_rung + 1)
+        tot = self.comm.allreduce(np.concatenate((
+            [float(stats.n_active_total), float(self.n_pairs),
+             float(len(self.pos))],
+            hist.astype(np.float64),
+        )))
+        stats.n_active_total = int(round(tot[0]))
+        stats.n_pairs = int(round(tot[1]))
+        stats.n_particles = int(round(tot[2]))
+        stats.rung_counts = tuple(int(round(x)) for x in tot[3:])
+        return stats
+
+    # -- long range -----------------------------------------------------------
+    def _long_range_dvda(self, a: float):
+        """Long-range dv/da on owned particles at scale factor a.
+
+        The PM acceleration depends on positions only and is linear in the
+        source coefficient, so the unit-coefficient field is solved once
+        per position state and rescaled per kick.  The closing evaluation
+        of one step is reused as the opening of the next (positions are
+        unchanged across the boundary; the cached rows ride through
+        migration with their particles), halving the distributed FFT count
+        in steady state.
         """
-        cfg = self.config
-        n = cfg.pm_grid
-        self.pm_eval_counts[comm.rank] += 1
-        if rho is None:
-            rho = comm.allreduce(cic_deposit(pos_owned, mass_owned, n,
-                                             cfg.box))
-        rho_mean = float(rho.mean())
+        cfg = self.cfg
+        if not cfg.gravity:
+            return 0.0
+        if self.acc_long is None:
+            rho = None
+            if self.rho_req is not None:
+                # reduction posted back in _short_forces: by now it has
+                # matured behind the short-range evaluation
+                rho = self.rho_req.wait()
+                self.rho_req = None
+            self.acc_long = self._solve_long_range(rho)
+        a_eff = 1.0 if cfg.static else a
+        coeff = 4.0 * np.pi * G_COSMO / a_eff
+        return self.acc_long * (coeff / a_hubble(cfg, a))
 
-        xs, xe = slab_bounds(n, comm.size, comm.rank)
-        spec = fft.forward((rho - rho_mean)[xs:xe].astype(complex))
-
-        # spectrally filtered Green's function on this rank's y-slab
-        key = (comm.rank, comm.size)
-        if key not in self._green_cache:
+    def _green_tables(self):
+        """Spectrally filtered Green's function and wave vectors on this
+        rank's y-slab (built on first use)."""
+        if self._green is None:
+            cfg = self.cfg
+            n = cfg.pm_grid
             dk = 2.0 * np.pi / cfg.box
             k1 = np.fft.fftfreq(n, d=1.0 / n) * dk
-            ys, ye = slab_bounds(n, comm.size, comm.rank)
+            ys, ye = slab_bounds(n, self.comm.size, self.comm.rank)
             k2 = (
                 k1[:, None, None] ** 2
                 + k1[ys:ye][None, :, None] ** 2
@@ -279,11 +543,35 @@ class DistributedSimulation:
             kx = k1[:, None, None] * np.ones_like(k2)
             ky = k1[ys:ye][None, :, None] * np.ones_like(k2)
             kz = k1[None, None, :] * np.ones_like(k2)
-            self._green_cache[key] = (green, (kx, ky, kz))
-        green, kvecs = self._green_cache[key]
+            self._green = (green, (kx, ky, kz))
+        return self._green
 
-        phik = coeff * green * spec
-        accel = np.empty((len(pos_owned), 3))
+    def _solve_long_range(self, rho=None) -> np.ndarray:
+        """Unit-coefficient distributed PM accelerations at owned positions.
+
+        Deposit is a grid allreduce (every rank contributes its owned
+        particles); the Poisson solve + spectral gradient runs on
+        slab-decomposed FFTs; acceleration slabs are allgathered for the
+        final rank-local CIC interpolation.  Overlap-mode callers may pass
+        a ``rho`` they reduced earlier (hidden behind short-range work);
+        with ``fft.mode == "overlap"`` the three gradient-axis gathers are
+        pipelined — each axis' slab allgather rides the wire while the next
+        axis' inverse FFT computes.
+        """
+        cfg = self.cfg
+        comm = self.comm
+        fft = self.fft
+        n = cfg.pm_grid
+        self.pm_evals += 1
+        if rho is None:
+            rho = comm.allreduce(cic_deposit(self.pos, self.mass, n, cfg.box))
+        rho_mean = float(rho.mean())
+
+        xs, xe = slab_bounds(n, comm.size, comm.rank)
+        spec = fft.forward((rho - rho_mean)[xs:xe].astype(complex))
+        green, kvecs = self._green_tables()
+        phik = green * spec
+        accel = np.empty((len(self.pos), 3))
         if fft.mode == "overlap":
             # pipeline the axes: all three inverse transforms share one
             # posting wave (inverse_many), then each slab gather rides the
@@ -294,34 +582,311 @@ class DistributedSimulation:
             reqs = [comm.iallgather(c.real) for c in comps]
             for axis in range(3):
                 comp = np.concatenate(reqs[axis].wait(), axis=0)
-                accel[:, axis] = cic_interpolate(comp, pos_owned, cfg.box)
+                accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
         else:
             for axis in range(3):
                 comp_slab = fft.inverse(-1j * kvecs[axis] * phik).real
                 comp = np.concatenate(comm.allgather(comp_slab), axis=0)
-                accel[:, axis] = cic_interpolate(comp, pos_owned, cfg.box)
+                accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
         return accel
 
-    def _short_range_accel(self, pos_owned, all_pos, all_mass, n_owned, a_eff,
-                           pairs):
-        """Node-local short-range forces on owned particles.
+    # -- short range ----------------------------------------------------------
+    def _short_forces(self, a: float, sinks=None, rho_ahead: bool = True):
+        """Short-range (dv/da, du/da, vsig) on owned rows at a.
 
-        ``all_pos/all_mass`` hold owned particles first, then ghosts.  The
-        overload guarantees completeness within the cutoff, so a
-        *non-periodic* neighbor search over the overloaded set is exact
-        for the owned rows.  ``pairs`` is the rank-local ``(pi, pj)`` list
-        from the caller's :class:`~repro.tree.PairCache`.
+        Posts the ghost exchange, partitions the sink rows into
+        interior/boundary, evaluates the interior rows from owned data
+        (while the exchange is in flight under ``comm_mode="overlap"``),
+        then completes the boundary rows from the overloaded set.
+        Identical arithmetic in both modes — only the wait position
+        differs.  ``sinks`` (sorted owned-row indices) restricts evaluation
+        to the active set: per-sink pair rows are identical regardless of
+        the sink set, so restricted rows match the full evaluation bitwise.
+        ``rho_ahead`` marks evaluations that immediately precede a
+        long-range solve with genuinely stale ``acc_long``, so the PM
+        density reduction can be posted behind this work — subcycle
+        substeps and openings with a migration payload in flight must pass
+        False or the reduction leaks/mismatches.
         """
-        cfg = self.config
-        pi, pj = pairs
-        accel = short_range_accelerations(
-            all_pos, all_mass, pi, pj,
+        cfg = self.cfg
+        # gravity-only runs never read ghost vel/u — don't ship it
+        fields = {"mass": self.mass, "ids": self.ids}
+        if cfg.hydro:
+            fields.update(vel=self.vel, u=self.u, gas=self.gas)
+        exchange = GhostExchange(self.comm, self.pos, fields, self.decomp,
+                                 cfg.overload_width)
+        try:
+            return self._short_forces_posted(a, exchange, sinks, rho_ahead)
+        except BaseException:
+            # a failure (typically a CommAborted cascade from a peer)
+            # between post and wait leaves the exchange and the
+            # posted-ahead reductions in flight — settle them
+            exchange.cancel()
+            self._cancel_posted_ahead()
+            raise
+
+    def _short_forces_posted(self, a, exchange, sinks, rho_ahead):
+        cfg = self.cfg
+        a_eff = 1.0 if cfg.static else a
+        ah = a_hubble(cfg, a)
+        n_owned = len(self.pos)
+        if rho_ahead and self.overlap and cfg.gravity \
+                and self.acc_long is None:
+            # the PM solve that follows needs the global density at these
+            # same positions; post its reduction now so it matures behind
+            # the short-range work.  Staleness of acc_long is structural
+            # (every rank alike), so every rank posts — the sequence
+            # numbers stay matched.
+            self.rho_req = self.comm.iallreduce(cic_deposit(
+                self.pos, self.mass, cfg.pm_grid, cfg.box
+            ))
+
+        if self.drift_req is not None:
+            self.drift_max = float(self.drift_req.wait())
+            self.drift_req = None
+        drift = self.drift_max
+
+        # -- interior/boundary partition from owned data only ------------
+        # the partition is structural (positions + drift bound, never
+        # force values) and the per-sink pair rows are sink-set
+        # independent, so restricting to ``sinks`` is bitwise neutral per
+        # evaluated row
+        face = _face_distance(self.pos, self.lo, self.hi)
+        if cfg.gravity:
+            grav_bnd = face < cfg.cutoff + drift
+            g_sinks = np.arange(n_owned) if sinks is None else sinks
+        if cfg.hydro:
+            gas_rows = np.nonzero(self.gas)[0]
+            gpos = self.pos[gas_rows]
+            gids = self.ids[gas_rows]
+            # seeds: owned gas that may hold a fresh pair with a ghost;
+            # the CRKSPH evaluation of a sink reads data 3 pair-hops out,
+            # so 2 more hops bound the sinks whose result could touch
+            # ghost data
+            seeds = face[gas_rows] < cfg.sph_h + drift
+            hyd_bnd = self.hydro_cache_own.hop_closure(
+                gpos, np.full(len(gas_rows), cfg.sph_h), seeds, hops=2,
+                ids=gids,
+            )
+            if sinks is None:
+                h_sinks = np.arange(len(gas_rows))
+            else:
+                h_sinks = np.searchsorted(gas_rows, sinks[self.gas[sinks]])
+
+        if not self.overlap:
+            ghost_pos, gfl = exchange.wait()
+
+        out = (np.zeros((n_owned, 3)), np.zeros(n_owned), np.zeros(n_owned))
+
+        # -- interior rows: owned data only (overlaps the exchange) ------
+        with self.tracer.span("short_range/interior", cat="driver"):
+            if cfg.gravity:
+                self._gravity_rows(
+                    out[0], g_sinks[~grav_bnd[g_sinks]], self.grav_cache_own,
+                    self.pos, self.mass, self.ids, a_eff,
+                )
+            if cfg.hydro:
+                intr_g = h_sinks[~hyd_bnd[h_sinks]]
+                if len(intr_g):
+                    self._hydro_rows(
+                        out, gas_rows[intr_g], intr_g, self.hydro_cache_own,
+                        gpos, self.vel[gas_rows], self.mass[gas_rows],
+                        self.u[gas_rows], gids, a_eff,
+                    )
+
+        if self.overlap:
+            ghost_pos, gfl = exchange.wait()
+
+        # -- boundary rows: need the overloaded set ----------------------
+        with self.tracer.span("short_range/boundary", cat="driver"):
+            all_pos = np.vstack([self.pos, ghost_pos])
+            all_mass = np.concatenate([self.mass, gfl["mass"]])
+            all_ids = np.concatenate([self.ids, gfl["ids"]])
+            if cfg.gravity:
+                self._gravity_rows(
+                    out[0], g_sinks[grav_bnd[g_sinks]], self.grav_cache,
+                    all_pos, all_mass, all_ids, a_eff,
+                )
+            if cfg.hydro:
+                bnd_g = h_sinks[hyd_bnd[h_sinks]]
+                if len(bnd_g):
+                    agr = np.nonzero(
+                        np.concatenate([self.gas, gfl["gas"]])
+                    )[0]
+                    all_vel = np.vstack([self.vel, gfl["vel"]])
+                    all_u = np.concatenate([self.u, gfl["u"]])
+                    # owned rows precede ghosts, so owned-gas-frame sink
+                    # indices are valid in the overloaded gas frame
+                    # unchanged
+                    self._hydro_rows(
+                        out, gas_rows[bnd_g], bnd_g, self.hydro_cache,
+                        all_pos[agr], all_vel[agr], all_mass[agr],
+                        all_u[agr], all_ids[agr], a_eff,
+                    )
+
+        accel, du_dt, vsig = out
+        du_da = du_dt / (a_eff * ah)
+        if cfg.hydro and not cfg.static:
+            g = self.gas
+            du_da[g] = du_da[g] - (
+                3.0 * (GAMMA_IDEAL - 1.0) * self.u[g] / a
+            )
+        return accel / ah, du_da, vsig
+
+    def _gravity_rows(self, accel, rows, cache, pos, mass, ids, a_eff):
+        """Pair gravity on sink ``rows`` from the particle set ``pos``
+        (owned rows first): owned-only for interior sinks, overloaded for
+        boundary sinks.  The overload guarantees completeness within the
+        cutoff, so a *non-periodic* neighbor search is exact."""
+        if not len(rows):
+            return
+        cfg = self.cfg
+        pi, pj = cache.get_for_sinks(
+            pos, np.full(len(pos), cfg.cutoff), rows, ids=ids
+        )
+        accel[rows] += short_range_accelerations(
+            pos, mass, pi, pj,
             r_split=cfg.r_split, softening=cfg.softening, box=None,
             g_newton=G_COSMO / a_eff,
+            sink_index=np.searchsorted(rows, pi), n_out=len(rows),
         )
-        return accel[:n_owned]
+        self.n_pairs += len(pi)
 
-    # -- main entry --------------------------------------------------------------
+    def _hydro_rows(self, out, rows, sinks_g, cache, gpos, gvel, gmass, gu,
+                    gids, a_eff):
+        """CRKSPH rows for the gas-frame sinks ``sinks_g`` (owned rows
+        ``rows``) from the gas set ``gpos``: owned-only or overloaded."""
+        accel, du_dt, vsig = out
+        gh = np.full(len(gpos), self.cfg.sph_h)
+        sl = cache.active_slices(gpos, gh, sinks_g, ids=gids)
+        d = crksph_derivatives_active(
+            gpos, gvel / a_eff, gmass, gu, gh, sl, self.kernel, box=None,
+        )
+        accel[rows] += d.accel
+        du_dt[rows] = d.du_dt
+        vsig[rows] = d.max_signal_speed
+        self.n_pairs += d.n_pairs
+
+    # -- migration (blocking + two-wave nonblocking) --------------------------
+    def _migrate_blocking(self) -> None:
+        """Blocking migration: one alltoallv per field, serial."""
+        payload = {"vel": self.vel, "mass": self.mass, "u": self.u,
+                   "ids": self.ids, "gas": self.gas}
+        if self.cfg.gravity:
+            payload["acc_long"] = self.acc_long
+        self.pos, got = migrate_particles(self.comm, self.pos, payload,
+                                          self.decomp)
+        self._adopt(got)
+        self.drift_req = None
+        self.drift_max = 0.0
+        self.disp_accum = 0.0
+
+    def _adopt(self, arrived: dict) -> None:
+        """Bind per-particle arrays by name (the constructor's rows, or
+        what a migration delivered — ``acc_long`` rides along there)."""
+        for name, rows in arrived.items():
+            setattr(self, name, rows)
+
+    def _post_departures(self) -> None:
+        """Wave 1: wrapped positions + kick-invariant fields, the moment
+        the final drift fixes every destination; matures behind the
+        closing force evaluation."""
+        early = {"mass": self.mass, "ids": self.ids, "gas": self.gas}
+        with self.tracer.span("migration/post", cat="driver"):
+            self.flight = post_migration(self.comm, self.pos, early,
+                                         self.decomp)
+        if self.tracer.enabled:
+            self.flight_id = self.tracer.next_id()
+            self.tracer.async_begin("migration/flight", self.flight_id,
+                                    cat="async", tid=self.comm.rank)
+
+    def _post_payload(self) -> None:
+        """Wave 2: the fields the closing half-kick mutates (vel/u) plus
+        the cached acc_long rows; matures behind the next step's opening
+        evaluation."""
+        late = {"vel": self.vel, "u": self.u}
+        if self.cfg.gravity:
+            late["acc_long"] = self.acc_long
+        with self.tracer.span("migration/post", cat="driver"):
+            self.flight.post_payload(late)
+
+    def _settle_migration(self) -> None:
+        """Complete wave 1 (re-homed positions + early fields) and reset
+        the drift-since-migration bound.  Hydro settles the payload too —
+        the opening ghost exchange ships vel/u — while gravity-only runs
+        leave it maturing until after the opening short-range
+        evaluation."""
+        with self.tracer.span("migration/settle", cat="driver"):
+            self._adopt(self.flight.settle_arrivals())
+        self.drift_max = 0.0
+        self.disp_accum = 0.0
+        if self.cfg.hydro or not self.cfg.gravity:
+            self._finish_payload()
+
+    def _finish_payload(self) -> None:
+        fl = self.flight
+        if fl is None or not fl.arrivals_settled:
+            return
+        with self.tracer.span("migration/settle", cat="driver"):
+            self._adopt(fl.settle_payload())
+        if self.tracer.enabled:
+            self.tracer.async_end("migration/flight", self.flight_id,
+                                  cat="async", tid=self.comm.rank)
+        self.flight = None
+
+
+def _run_rank(comm, sim: DistributedSimulation, particles: dict,
+              owner: np.ndarray, scope: str) -> RankDomain:
+    """One rank of ``DistributedSimulation.run``: take the owned rows, run
+    every PM step, hand the finished domain back for the gather."""
+    mine = owner == comm.rank
+    rank = RankDomain(
+        comm, sim.config, sim.decomp,
+        {name: rows[mine].copy() for name, rows in particles.items()},
+        observe=sim.observe, scope=scope, fault_plan=sim.fault_plan,
+        backend=sim.backend,
+    )
+    rank.run(sim.step_hooks)
+    return rank
+
+
+class DistributedSimulation:
+    """SPMD gravity solver: run with ``results = sim.run(pos, vel, mass)``."""
+
+    def __init__(self, config: DistributedConfig, n_ranks: int,
+                 observe: Observatory | None = None, fault_plan=None):
+        self.config = config
+        self.n_ranks = n_ranks
+        #: optional :class:`~repro.resilience.faults.FaultPlan`: injected
+        #: rank deaths fire from inside the ranks' phase entries (or the
+        #: comm layer), raising typed RankFailure for the recovery tests
+        self.fault_plan = fault_plan
+        #: end-of-step callbacks ``hook(comm, istep, a, my)`` run by every
+        #: rank after its closing kick, where the union of owned arrays is
+        #: the complete consistent global state — the checkpoint point
+        #: (hooks must stay structural: same collectives on every rank)
+        self.step_hooks: list = []
+        # observability: one tracer serves all simulated ranks (one trace
+        # track per rank); phase timers and comm-wait live in the registry
+        self.observe = observe if observe is not None else Observatory()
+        # resolve the kernel backend once (env override + numba fallback)
+        # and warm JIT compilation outside the per-step timers
+        self.backend = select_backend(config.backend, observe=self.observe)
+        self.decomp = make_decomposition(config.box, n_ranks)
+        if 2.0 * config.overload_width >= self.decomp.widths.min():
+            raise ValueError(
+                "short-range cutoff exceeds half the rank domain width; "
+                "use fewer ranks or a larger box"
+            )
+        #: per-rank count of distributed PM solves (one forward + three
+        #: gradient FFT sets each); the kick split holds this at one solve
+        #: per PM step in steady state instead of two
+        self.pm_eval_counts = np.zeros(n_ranks, dtype=np.int64)
+        #: rank-0 per-step records (timers + per-phase comm wait)
+        self.step_records: list[StepRecord] = []
+        #: TrafficStats of the last run (per-rank wait/bytes counters)
+        self.traffic = None
+
     def run(self, pos: np.ndarray, vel: np.ndarray, mass: np.ndarray,
             u: np.ndarray | None = None, gas: np.ndarray | None = None):
         """Evolve the global particle set across the simulated ranks.
@@ -333,700 +898,20 @@ class DistributedSimulation:
         couples everything.  ``ids`` maps rows back to the input order.
         """
         cfg = self.config
-        decomp = self.decomp
-        pos = np.mod(np.asarray(pos, dtype=np.float64), cfg.box)
-        owner = decomp.rank_of_positions(pos)
-        ids = np.arange(len(pos))
         if cfg.hydro and u is None:
             raise ValueError("hydro runs need initial internal energies u")
-        u_global = (
-            np.asarray(u, dtype=np.float64)
-            if u is not None
-            else np.zeros(len(pos))
-        )
-        gas_global = (
-            np.asarray(gas, dtype=bool)
-            if gas is not None
-            else np.ones(len(pos), dtype=bool)
-        )
-
-        from ..constants import GAMMA_IDEAL
-        from ..core.sph.hydro import crksph_derivatives_active
-        from ..core.sph.kernels import get_kernel
-
-        kernel = get_kernel(cfg.kernel) if cfg.hydro else None
-        width = cfg.overload_width
-        overlap = cfg.comm_mode == "overlap"
-
-        run_scope = self.observe.scope("dist")
-
-        def rank_fn(comm):
-            tracer = comm.world.tracer
-            tracer.set_track(comm.rank, f"rank {comm.rank}")
-            mine = owner == comm.rank
-            my = {
-                "pos": pos[mine].copy(),
-                "vel": vel[mine].copy(),
-                "mass": np.asarray(mass, dtype=np.float64)[mine].copy(),
-                "u": u_global[mine].copy(),
-                "ids": ids[mine].copy(),
-                "gas": gas_global[mine].copy(),
-            }
-            # unit-coefficient PM acceleration rows for owned particles;
-            # None marks the field stale (positions moved).  Staleness is a
-            # structural decision (set after the drift on every rank alike)
-            # so the collective FFT solve is entered by all ranks together.
-            my["acc_long"] = None
-            fft = (
-                DistributedFFT(
-                    comm, cfg.pm_grid, mode=cfg.comm_mode,
-                    n_stages=cfg.fft_stages,
-                )
-                if cfg.gravity
-                else None
-            )
-            # per-rank Verlet caches: the *_own caches cover owned
-            # particles only and serve the interior rows (available before
-            # the ghost exchange lands); the overloaded caches cover
-            # owned + ghost and serve the boundary rows.  Ghost ids ride
-            # along in the exchange so the caches can tell "same
-            # neighborhood, small drift" (reuse) from "membership changed"
-            # (rebuild).
-            grav_cache = PairCache(skin=cfg.pair_skin, box=None)
-            grav_cache_own = PairCache(skin=cfg.pair_skin, box=None)
-            hydro_cache = PairCache(skin=cfg.pair_skin, box=None)
-            hydro_cache_own = PairCache(skin=cfg.pair_skin, box=None)
-            lo, hi = decomp.bounds(comm.rank)
-            # max displacement of ANY particle since the last migration
-            # (globally reduced): bounds how far a ghost can have drifted
-            # into this domain, so the interior margin stays sound.  Under
-            # subcycling, displacement accumulates over the fine substeps
-            # (disp_accum: running sum of per-substep max norms — a
-            # conservative bound on any particle's total wander).
-            state = {"drift_req": None, "drift_max": 0.0, "rho_req": None,
-                     "disp_accum": 0.0, "n_pairs": 0, "istep": 0}
-            # the in-flight nonblocking migration (overlap mode): wave 1
-            # posted after the final drift of a step, wave 2 after its
-            # closing kick, settled under the next step's opening work
-            mig = {"flight": None, "fid": 0}
-            records: list[StepRecord] = []
-            # numerics tripwire (cfg.sanitize): NaN/Inf + energy blowup
-            # checks at the kick/migration phase boundaries of every step
-            nsan = (
-                NumericsSanitizer(context=f"dist rank {comm.rank}")
-                if cfg.sanitize
-                else None
-            )
-
-            def cancel_state_reqs():
-                """Settle posted-ahead requests on an error path so the
-                comm sanitizer's teardown leak report stays clean."""
-                for key in ("drift_req", "rho_req"):
-                    if state[key] is not None:
-                        state[key].cancel()
-                        state[key] = None
-
-            def cancel_migration():
-                """Settle both waves of an in-flight migration on an
-                error path (cancel is idempotent; already-completed
-                requests are safe to re-settle)."""
-                if mig["flight"] is not None:
-                    mig["flight"].cancel()
-                    mig["flight"] = None
-
-            def rank_wait():
-                return comm.world.stats.wait_seconds.get(comm.rank, 0.0)
-
-            def long_range_dvda(a):
-                """Long-range dv/da on owned particles at scale factor a.
-
-                The PM acceleration depends on positions only and is linear
-                in the source coefficient, so the unit-coefficient field is
-                solved once per position state and rescaled per kick.  The
-                closing evaluation of one step is reused as the opening of
-                the next (positions are unchanged across the boundary; the
-                cached rows ride through migration with their particles),
-                halving the distributed FFT count in steady state.
-                """
-                if not cfg.gravity:
-                    return 0.0
-                a_eff = 1.0 if cfg.static else a
-                ah = self._a_h(a, cfg.cosmo)
-                if my["acc_long"] is None:
-                    rho = None
-                    if state["rho_req"] is not None:
-                        # reduction posted back in short_forces: by now it
-                        # has matured behind the short-range evaluation
-                        rho = state["rho_req"].wait()
-                        state["rho_req"] = None
-                    my["acc_long"] = self._long_range_accel(
-                        comm, fft, my["pos"], my["mass"], 1.0, rho=rho
-                    )
-                coeff = 4.0 * np.pi * G_COSMO / a_eff
-                return my["acc_long"] * (coeff / ah)
-
-            def short_forces(a, sinks=None, rho_ahead=True):
-                """Short-range (dv/da, du/da, vsig) on owned rows at a.
-
-                Posts the ghost exchange, partitions the sink rows into
-                interior/boundary, evaluates the interior rows from owned
-                data (while the exchange is in flight under
-                ``comm_mode="overlap"``), then completes the boundary rows
-                from the overloaded set.  Identical arithmetic in both
-                modes — only the wait position differs.  ``sinks`` (sorted
-                owned-row indices) restricts evaluation to the active set:
-                per-sink pair rows are identical regardless of the sink
-                set, so restricted rows match the full evaluation bitwise.
-                ``rho_ahead`` marks evaluations that immediately precede a
-                long-range solve with genuinely stale ``acc_long``, so the
-                PM density reduction can be posted behind this work —
-                subcycle substeps and openings with a migration payload in
-                flight must pass False or the reduction leaks/mismatches.
-                """
-                a_eff = 1.0 if cfg.static else a
-                ah = self._a_h(a, cfg.cosmo)
-                n_owned = len(my["pos"])
-                # gravity-only runs never read ghost vel/u — don't ship it
-                fields = {"mass": my["mass"], "ids": my["ids"]}
-                if cfg.hydro:
-                    fields.update(vel=my["vel"], u=my["u"], gas=my["gas"])
-                reqs = _post_exchange_fields(
-                    comm, my["pos"], fields, decomp, width
-                )
-                try:
-                    return _short_forces_posted(
-                        a, a_eff, ah, n_owned, reqs, sinks, rho_ahead
-                    )
-                except BaseException:
-                    # a failure (typically a CommAborted cascade from a
-                    # peer) between post and wait leaves the exchange and
-                    # the posted-ahead reductions in flight — settle them
-                    _cancel_exchange_fields(reqs)
-                    cancel_state_reqs()
-                    raise
-
-            def _short_forces_posted(a, a_eff, ah, n_owned, reqs, sinks,
-                                     rho_ahead):
-                if (rho_ahead and overlap and cfg.gravity
-                        and my["acc_long"] is None):
-                    # the PM solve that follows needs the global density at
-                    # these same positions; post its reduction now so it
-                    # matures behind the short-range work.  Staleness of
-                    # acc_long is structural (every rank alike), so every
-                    # rank posts — the sequence numbers stay matched.
-                    state["rho_req"] = comm.iallreduce(cic_deposit(
-                        my["pos"], my["mass"], cfg.pm_grid, cfg.box
-                    ))
-
-                if state["drift_req"] is not None:
-                    state["drift_max"] = float(state["drift_req"].wait())
-                    state["drift_req"] = None
-                drift = state["drift_max"]
-
-                # -- interior/boundary partition from owned data only ----
-                # the partition is structural (positions + drift bound,
-                # never force values) and the per-sink pair rows are
-                # sink-set independent, so restricting to ``sinks`` is
-                # bitwise neutral per evaluated row
-                face = _face_distance(my["pos"], lo, hi)
-                if cfg.gravity:
-                    grav_bnd = face < cfg.cutoff + drift
-                    g_sinks = (np.arange(n_owned) if sinks is None
-                               else sinks)
-                if cfg.hydro:
-                    gas_rows = np.nonzero(my["gas"])[0]
-                    gpos = my["pos"][gas_rows]
-                    gh = np.full(len(gas_rows), cfg.sph_h)
-                    gids = my["ids"][gas_rows]
-                    # seeds: owned gas that may hold a fresh pair with a
-                    # ghost; the CRKSPH evaluation of a sink reads data 3
-                    # pair-hops out, so 2 more hops bound the sinks whose
-                    # result could touch ghost data
-                    seeds = face[gas_rows] < cfg.sph_h + drift
-                    hyd_bnd = hydro_cache_own.hop_closure(
-                        gpos, gh, seeds, hops=2, ids=gids
-                    )
-                    if sinks is None:
-                        h_sinks = np.arange(len(gas_rows))
-                    else:
-                        h_sinks = np.searchsorted(
-                            gas_rows, sinks[my["gas"][sinks]]
-                        )
-
-                if not overlap:
-                    ghost_pos, gfl = _wait_exchange_fields(reqs)
-
-                accel = np.zeros((n_owned, 3))
-                du_dt = np.zeros(n_owned)
-                vsig = np.zeros(n_owned)
-
-                # -- interior rows: owned data only (overlaps exchange) --
-                with tracer.span("short_range/interior", cat="driver"):
-                    if cfg.gravity:
-                        intr = g_sinks[~grav_bnd[g_sinks]]
-                        if len(intr):
-                            pi_i, pj_i = grav_cache_own.get_for_sinks(
-                                my["pos"], np.full(n_owned, cfg.cutoff),
-                                intr, ids=my["ids"],
-                            )
-                            accel[intr] += short_range_accelerations(
-                                my["pos"], my["mass"], pi_i, pj_i,
-                                r_split=cfg.r_split, softening=cfg.softening,
-                                box=None, g_newton=G_COSMO / a_eff,
-                                sink_index=np.searchsorted(intr, pi_i),
-                                n_out=len(intr),
-                            )
-                            state["n_pairs"] += len(pi_i)
-                    if cfg.hydro:
-                        intr_g = h_sinks[~hyd_bnd[h_sinks]]
-                        if len(intr_g):
-                            sl = hydro_cache_own.active_slices(
-                                gpos, gh, intr_g, ids=gids
-                            )
-                            d = crksph_derivatives_active(
-                                gpos, my["vel"][gas_rows] / a_eff,
-                                my["mass"][gas_rows], my["u"][gas_rows],
-                                gh, sl, kernel, box=None,
-                            )
-                            rows = gas_rows[intr_g]
-                            accel[rows] += d.accel
-                            du_dt[rows] = d.du_dt
-                            vsig[rows] = d.max_signal_speed
-                            state["n_pairs"] += d.n_pairs
-
-                if overlap:
-                    ghost_pos, gfl = _wait_exchange_fields(reqs)
-
-                # -- boundary rows: need the overloaded set --------------
-                with tracer.span("short_range/boundary", cat="driver"):
-                    all_pos = np.vstack([my["pos"], ghost_pos])
-                    all_mass = np.concatenate([my["mass"], gfl["mass"]])
-                    all_ids = np.concatenate([my["ids"], gfl["ids"]])
-                    if cfg.gravity:
-                        bnd = g_sinks[grav_bnd[g_sinks]]
-                        if len(bnd):
-                            pi_b, pj_b = grav_cache.get_for_sinks(
-                                all_pos, np.full(len(all_pos), cfg.cutoff),
-                                bnd, ids=all_ids,
-                            )
-                            accel[bnd] += short_range_accelerations(
-                                all_pos, all_mass, pi_b, pj_b,
-                                r_split=cfg.r_split, softening=cfg.softening,
-                                box=None, g_newton=G_COSMO / a_eff,
-                                sink_index=np.searchsorted(bnd, pi_b),
-                                n_out=len(bnd),
-                            )
-                            state["n_pairs"] += len(pi_b)
-                    if cfg.hydro:
-                        bnd_g = h_sinks[hyd_bnd[h_sinks]]
-                        if len(bnd_g):
-                            all_gas = np.concatenate([my["gas"], gfl["gas"]])
-                            agr = np.nonzero(all_gas)[0]
-                            all_vel = np.vstack([my["vel"], gfl["vel"]])
-                            all_u = np.concatenate([my["u"], gfl["u"]])
-                            h_ga = np.full(len(agr), cfg.sph_h)
-                            # owned rows precede ghosts, so owned-gas-frame
-                            # sink indices are valid in the overloaded gas
-                            # frame unchanged
-                            sl = hydro_cache.active_slices(
-                                all_pos[agr], h_ga, bnd_g, ids=all_ids[agr]
-                            )
-                            d = crksph_derivatives_active(
-                                all_pos[agr], all_vel[agr] / a_eff,
-                                all_mass[agr], all_u[agr], h_ga, sl,
-                                kernel, box=None,
-                            )
-                            rows = gas_rows[bnd_g]
-                            accel[rows] += d.accel
-                            du_dt[rows] = d.du_dt
-                            vsig[rows] = d.max_signal_speed
-                            state["n_pairs"] += d.n_pairs
-
-                du_da = du_dt / (a_eff * ah)
-                if cfg.hydro and not cfg.static:
-                    g = my["gas"]
-                    du_da[g] = du_da[g] - (
-                        3.0 * (GAMMA_IDEAL - 1.0) * my["u"][g] / a
-                    )
-                return accel / ah, du_da, vsig
-
-            # per-step phase timers and comm-wait attribution live in the
-            # run's metrics registry; ``groups`` holds the current step's
-            # TimerGroup views (rebound each step, snapshot-free: each step
-            # gets fresh instruments under its own prefix)
-            groups = {}
-            fplan = self.fault_plan
-
-            def timed(phase, fn, *fn_args):
-                # phase entry doubles as the failure surface: the fault
-                # plan's compute kills fire here (typed RankFailure), and
-                # the world records the phase so a hung rank's timeout
-                # report can say where it was last seen
-                if fplan is not None:
-                    fplan.enter(comm.rank, state["istep"], phase)
-                comm.world.note_phase(comm.rank, state["istep"], phase)
-                w0 = rank_wait()
-                with groups["timers"].time(phase):
-                    out = fn(*fn_args)
-                groups["cwait"].add(phase, rank_wait() - w0)
-                return out
-
-            # --- migration (blocking + two-wave nonblocking) -------------
-            def do_migrate():
-                """Blocking migration: one alltoallv per field, serial."""
-                payload_in = {"vel": my["vel"], "mass": my["mass"],
-                              "u": my["u"], "ids": my["ids"],
-                              "gas": my["gas"]}
-                if cfg.gravity:
-                    payload_in["acc_long"] = my["acc_long"]
-                return migrate_particles(comm, my["pos"], payload_in, decomp)
-
-            def post_departures():
-                """Wave 1: wrapped positions + kick-invariant fields, the
-                moment the final drift fixes every destination; matures
-                behind the closing force evaluation."""
-                early = {"mass": my["mass"], "ids": my["ids"],
-                         "gas": my["gas"]}
-                with tracer.span("migration/post", cat="driver"):
-                    mig["flight"] = post_migration(
-                        comm, my["pos"], early, decomp
-                    )
-                if tracer.enabled:
-                    mig["fid"] = tracer.next_id()
-                    tracer.async_begin("migration/flight", mig["fid"],
-                                       cat="async", tid=comm.rank)
-
-            def post_payload():
-                """Wave 2: the fields the closing half-kick mutates
-                (vel/u) plus the cached acc_long rows; matures behind the
-                next step's opening evaluation."""
-                late = {"vel": my["vel"], "u": my["u"]}
-                if cfg.gravity:
-                    late["acc_long"] = my["acc_long"]
-                with tracer.span("migration/post", cat="driver"):
-                    mig["flight"].post_payload(late)
-
-            def finish_payload():
-                fl = mig["flight"]
-                if fl is None or not fl.arrivals_settled:
-                    return
-                with tracer.span("migration/settle", cat="driver"):
-                    got = fl.settle_payload()
-                my["vel"] = got["vel"]
-                my["u"] = got["u"]
-                if "acc_long" in got:
-                    my["acc_long"] = got["acc_long"]
-                if tracer.enabled:
-                    tracer.async_end("migration/flight", mig["fid"],
-                                     cat="async", tid=comm.rank)
-                mig["flight"] = None
-
-            def settle_migration():
-                """Complete wave 1 (re-homed positions + early fields) and
-                reset the drift-since-migration bound.  Hydro settles the
-                payload too — the opening ghost exchange ships vel/u —
-                while gravity-only runs leave it maturing until after the
-                opening short-range evaluation."""
-                fl = mig["flight"]
-                if fl is None:
-                    return
-                with tracer.span("migration/settle", cat="driver"):
-                    got = fl.settle_arrivals()
-                my["pos"] = got.pop("pos")
-                my.update(got)
-                state["drift_max"] = 0.0
-                state["disp_accum"] = 0.0
-                if cfg.hydro or not cfg.gravity:
-                    finish_payload()
-
-            # --- step bodies ---------------------------------------------
-            def assign_step_rungs(dv_tot, vsig, a, da):
-                """Per-particle rung assignment from the opening forces
-                (the serial driver's criteria on the owned rows: CFL for
-                gas at the fixed support radius, acceleration for all)."""
-                ah = self._a_h(a, cfg.cosmo)
-                n_owned = len(my["pos"])
-                if cfg.hydro:
-                    h_eff = np.where(my["gas"], cfg.sph_h,
-                                     cfg.softening * 4.0)
-                    vsig_a = np.where(my["gas"], vsig, 0.0) / ah
-                else:
-                    h_eff = np.full(n_owned, cfg.softening * 4.0)
-                    vsig_a = np.zeros(n_owned)
-                dt_req = timestep_criteria(
-                    dv_tot, h_eff, vsig_a, cfl=cfg.cfl,
-                    eta_accel=cfg.eta_accel, dt_max=da,
-                )
-                return assign_rungs(dt_req, da, max_rung=cfg.max_rung)
-
-            def flat_step(istep, a, da, dv_da, du_da, lr):
-                """One flat KDK interval (n_substeps=1)."""
-                my["vel"] += 0.5 * da * (dv_da + lr)
-                my["u"] = np.maximum(my["u"] + 0.5 * da * du_da, 0.0)
-                if nsan is not None:
-                    nsan.check_finite(istep, "opening half-kick",
-                                      vel=my["vel"], u=my["u"])
-
-                a_mid = a + 0.5 * da
-                ah_mid = self._a_h(a_mid, cfg.cosmo)
-                a_eff_mid = 1.0 if cfg.static else a_mid
-                # drift WITHOUT wrapping: a boundary particle that
-                # wraps mid-step would teleport across the box and
-                # lose its (non-periodic) overloaded neighborhood;
-                # migration wraps and re-homes everyone at step end
-                disp = my["vel"] * (da / (a_eff_mid * ah_mid))
-                my["pos"] = my["pos"] + disp
-                my["acc_long"] = None  # positions moved: field stale
-                d2 = np.einsum("na,na->n", disp, disp)
-                local_max = float(np.sqrt(d2.max())) if len(d2) else 0.0
-                state["drift_req"] = comm.iallreduce(local_max, op="max")
-                if overlap:
-                    # destinations are fixed: wave 1 rides the wire while
-                    # the closing evaluation computes
-                    timed("migration", post_departures)
-
-                a_new = a + da
-                dv_da, du_da, _ = timed("short_range", short_forces, a_new)
-                lr = timed("long_range", long_range_dvda, a_new)
-                my["vel"] += 0.5 * da * (dv_da + lr)
-                my["u"] = np.maximum(my["u"] + 0.5 * da * du_da, 0.0)
-                if nsan is not None:
-                    nsan.check_finite(istep, "closing half-kick",
-                                      pos=my["pos"], vel=my["vel"],
-                                      u=my["u"])
-                if overlap:
-                    timed("migration", post_payload)
-                else:
-                    my["pos"], payload = timed("migration", do_migrate)
-                    my.update(payload)
-                    state["drift_req"] = None
-                    state["drift_max"] = 0.0
-                    state["disp_accum"] = 0.0
-
-            def subcycled_step(istep, a, da, dv_da, du_da, vsig, lr):
-                """One hierarchically subcycled PM interval.
-
-                Mirrors the serial kick-split pm_step: rungs from the
-                opening forces, an interval-spanning long-range half-kick,
-                2^depth fine KDK substeps evaluating only the closing
-                rows, one fresh FFT at the closing long-range solve.  The
-                depth is globally reduced so every collective inside the
-                substep loop is entered by all ranks together.  Unlike the
-                serial driver there is no mid-step rung promotion: the
-                schedule is frozen at assignment, a pure function of the
-                opening forces — which is what makes active-set overlap
-                runs bit-identical to full-evaluation blocking runs.
-                """
-                rungs = assign_step_rungs(dv_da + lr, vsig, a, da)
-                depth = timed("short_range", lambda: int(comm.allreduce(
-                    deepest_rung(rungs), op="max"
-                )))
-                nsub = 1 << depth
-                dt_fine = da / nsub
-                dts = rung_dt(rungs, da)
-                n_act = len(my["pos"])  # substep-0 active set: everyone
-                n_evals = 1
-
-                # long-range half-kick over the whole PM interval (the
-                # kick-split: PM is solved at unit coefficient once per
-                # step, never inside the substep loop)
-                my["vel"] += 0.5 * da * lr
-                if nsan is not None:
-                    nsan.check_finite(istep, "opening half-kick",
-                                      vel=my["vel"], u=my["u"])
-
-                for s in range(nsub):
-                    act = active_mask(rungs, s, depth)
-                    my["vel"][act] += 0.5 * dts[act, None] * dv_da[act]
-                    my["u"][act] = np.maximum(
-                        my["u"][act] + 0.5 * dts[act] * du_da[act], 0.0
-                    )
-
-                    # fine drift for everyone, unwrapped (see flat_step)
-                    a_mid = a + (s + 0.5) * dt_fine
-                    ah_mid = self._a_h(a_mid, cfg.cosmo)
-                    a_eff_mid = 1.0 if cfg.static else a_mid
-                    disp = my["vel"] * (dt_fine / (a_eff_mid * ah_mid))
-                    my["pos"] = my["pos"] + disp
-                    my["acc_long"] = None
-                    d2 = np.einsum("na,na->n", disp, disp)
-                    local_max = (
-                        float(np.sqrt(d2.max())) if len(d2) else 0.0
-                    )
-                    # cumulative bound on any particle's total wander
-                    # since the last migration (sum of per-substep maxima
-                    # — conservative, keeps the interior margin sound as
-                    # ghosts drift deeper into the domain over substeps)
-                    state["disp_accum"] += local_max
-                    state["drift_req"] = comm.iallreduce(
-                        state["disp_accum"], op="max"
-                    )
-
-                    last = s + 1 == nsub
-                    if last and overlap:
-                        # final destinations are fixed: wave 1 matures
-                        # behind the full closing evaluation + FFT
-                        timed("migration", post_departures)
-
-                    # closing evaluation: the closing set of substep s is
-                    # the opening set of s+1, so evaluating exactly these
-                    # rows keeps every kick on fresh forces; the substep
-                    # is timed under its shallowest closing rung
-                    a_sub = a + (s + 1) * dt_fine
-                    closing = active_mask(rungs, s + 1, depth)
-                    sinks = None
-                    if cfg.active_set and not closing.all():
-                        sinks = np.nonzero(closing)[0]
-                    dv_s, du_s, _ = timed(
-                        "rung/%d" % closing_rung(s, depth),
-                        short_forces, a_sub, sinks, last,
-                    )
-                    if sinks is None:
-                        dv_da, du_da = dv_s, du_s
-                    else:
-                        dv_da[sinks] = dv_s[sinks]
-                        du_da[sinks] = du_s[sinks]
-                    my["vel"][closing] += (
-                        0.5 * dts[closing, None] * dv_da[closing]
-                    )
-                    my["u"][closing] = np.maximum(
-                        my["u"][closing]
-                        + 0.5 * dts[closing] * du_da[closing], 0.0
-                    )
-                    n_act += int(closing.sum())
-                    n_evals += 1
-
-                # closing long-range solve: the step's one fresh FFT
-                lr = timed("long_range", long_range_dvda, a + da)
-                my["vel"] += 0.5 * da * lr
-                if nsan is not None:
-                    nsan.check_finite(istep, "closing half-kick",
-                                      pos=my["pos"], vel=my["vel"],
-                                      u=my["u"])
-                if overlap:
-                    timed("migration", post_payload)
-                else:
-                    my["pos"], payload = timed("migration", do_migrate)
-                    my.update(payload)
-                    state["drift_req"] = None
-                    state["drift_max"] = 0.0
-                    state["disp_accum"] = 0.0
-
-                # global schedule bookkeeping in one sum-reduce: active
-                # totals, pair rows, particle count, rung histogram (the
-                # substep schedule is a pure function of the histogram,
-                # which is what makes StepRecord honesty testable)
-                hist = np.bincount(rungs.astype(np.int64),
-                                   minlength=cfg.max_rung + 1)
-                tot = comm.allreduce(np.concatenate((
-                    [float(n_act), float(state["n_pairs"]),
-                     float(len(my["pos"]))],
-                    hist.astype(np.float64),
-                )))
-                return SubcycleStats(
-                    n_substeps=nsub, n_force_evaluations=n_evals,
-                    n_active_total=int(round(tot[0])), deepest_rung=depth,
-                    n_particles=int(round(tot[2])),
-                    n_pairs=int(round(tot[1])),
-                    rung_counts=tuple(int(round(x)) for x in tot[3:]),
-                )
-
-            da = (cfg.a_final - cfg.a_init) / cfg.n_pm_steps
-            a = cfg.a_init
-            try:
-                for istep in range(cfg.n_pm_steps):
-                    state["istep"] = istep
-                    step_scope = (
-                        f"{run_scope}/rank{comm.rank}/step{istep:05d}"
-                    )
-                    groups["timers"] = self.observe.timer_group(
-                        step_scope, keys=DISTRIBUTED_PHASES
-                    )
-                    groups["cwait"] = self.observe.timer_group(
-                        f"{step_scope}/wait", keys=DISTRIBUTED_PHASES
-                    )
-                    state["n_pairs"] = 0
-                    fft0 = self.pm_eval_counts[comm.rank]
-
-                    # settle the previous step's migration: wave 1 matured
-                    # behind its closing evaluation and FFT
-                    if mig["flight"] is not None:
-                        timed("migration", settle_migration)
-
-                    # opening forces.  A posted-ahead rho reduction is
-                    # only wanted when no cached (or in-flight migrating)
-                    # acc_long will serve the opening long-range solve —
-                    # in steady state that is never, the closing solve of
-                    # the previous step rides through migration
-                    open_rho = (my["acc_long"] is None
-                                and mig["flight"] is None)
-                    dv_da, du_da, vsig = timed(
-                        "short_range", short_forces, a, None, open_rho
-                    )
-                    if mig["flight"] is not None:
-                        # gravity-only: vel/acc_long were not needed until
-                        # now — wave 2 matured behind the opening work
-                        timed("migration", finish_payload)
-                    lr = timed("long_range", long_range_dvda, a)
-
-                    if cfg.subcycle:
-                        stats = subcycled_step(
-                            istep, a, da, dv_da, du_da, vsig, lr
-                        )
-                        stats.n_fft = int(
-                            self.pm_eval_counts[comm.rank] - fft0
-                        )
-                        nsub, depth_step = stats.n_substeps, \
-                            stats.deepest_rung
-                    else:
-                        flat_step(istep, a, da, dv_da, du_da, lr)
-                        stats = None
-                        nsub, depth_step = 1, 0
-                    a = a + da
-
-                    if nsan is not None:
-                        nsan.check_finite(istep, "migration",
-                                          pos=my["pos"], vel=my["vel"],
-                                          u=my["u"])
-                        # global (not per-rank) energy: migration moves
-                        # particles between ranks, so only the reduced
-                        # total is step-to-step comparable
-                        nsan.check_energy(istep, comm.allreduce(
-                            kinetic_internal_energy(
-                                my["mass"], my["vel"], my["u"]
-                            )
-                        ))
-                    records.append(StepRecord(
-                        step=istep, a=a, timers=groups["timers"],
-                        n_substeps=nsub, deepest_rung=depth_step,
-                        n_particles=len(my["pos"]),
-                        subcycle=stats,
-                        n_fft=int(self.pm_eval_counts[comm.rank] - fft0),
-                        comm_wait=groups["cwait"], comm_mode=cfg.comm_mode,
-                        backend=self.backend,
-                    ))
-                    # end-of-step hooks (checkpointers): the closing kick
-                    # has landed everywhere and migration only re-homes
-                    # rows, so the union of owned arrays is the complete
-                    # global state at scale factor ``a``
-                    for hook in self.step_hooks:
-                        hook(comm, istep, a, my)
-                # the final step's migration is still in flight: settle it
-                # under that step's migration timer (the record's timer
-                # views are live, so the wait lands in the right phase)
-                if mig["flight"] is not None:
-                    timed("migration", settle_migration)
-                    timed("migration", finish_payload)
-            except BaseException:
-                # any mid-step failure (peer abort, numerics tripwire)
-                # can strand the posted-ahead drift/rho reductions and
-                # the in-flight migration waves
-                cancel_state_reqs()
-                cancel_migration()
-                raise
-
-            return my["pos"], my["vel"], my["u"], my["ids"], records
-
+        pos = np.mod(np.asarray(pos, dtype=np.float64), cfg.box)
+        n = len(pos)
+        particles = {
+            "pos": pos,
+            "vel": np.asarray(vel),
+            "mass": np.asarray(mass, dtype=np.float64),
+            "u": (np.asarray(u, dtype=np.float64) if u is not None
+                  else np.zeros(n)),
+            "ids": np.arange(n),
+            "gas": (np.asarray(gas, dtype=bool) if gas is not None
+                    else np.ones(n, dtype=bool)),
+        }
         world = World(self.n_ranks, latency_s=cfg.net_latency_s,
                       gb_per_s=cfg.net_gb_per_s,
                       tracer=self.observe.tracer, sanitize=cfg.sanitize,
@@ -1034,101 +919,22 @@ class DistributedSimulation:
         #: kept for post-run inspection (traffic stats, sanitizer findings)
         self.world = world
         with use_backend(self.backend):
-            results = world.run(rank_fn, timeout=cfg.comm_timeout_s)
-        self.step_records = results[0][4]
+            ranks = world.run(
+                _run_rank, self, particles,
+                self.decomp.rank_of_positions(pos),
+                self.observe.scope("dist"), timeout=cfg.comm_timeout_s,
+            )
+        self.step_records = ranks[0].records
         self.traffic = world.stats
+        self.pm_eval_counts += [r.pm_evals for r in ranks]
         self.observe.registry.absorb_traffic(world.stats)
         for rec in self.step_records:
-            if rec.subcycle is not None:
-                self.observe.registry.absorb_subcycle(rec.subcycle)
-        out_pos = np.vstack([r[0] for r in results])
-        out_vel = np.vstack([r[1] for r in results])
-        out_u = np.concatenate([r[2] for r in results])
-        out_ids = np.concatenate([r[3] for r in results])
-        order = np.argsort(out_ids)
+            self.observe.registry.absorb_subcycle(rec.subcycle)
+        ids = np.concatenate([r.ids for r in ranks])
+        order = np.argsort(ids)
+        out_pos = np.vstack([r.pos for r in ranks])[order]
+        out_vel = np.vstack([r.vel for r in ranks])[order]
         if cfg.hydro:
-            return (out_pos[order], out_vel[order], out_u[order],
-                    out_ids[order])
-        return out_pos[order], out_vel[order], out_ids[order]
-
-
-def _exchange_with_mass(comm, pos_local, mass_local, ids_local, decomp, width):
-    """Ghost exchange shipping (position, mass) pairs, images included."""
-    ghost_pos, fields = _exchange_fields(
-        comm, pos_local, {"mass": mass_local}, decomp, width
-    )
-    return ghost_pos, fields["mass"]
-
-
-def _exchange_fields(comm, pos_local, fields: dict, decomp, width):
-    """Blocking ghost exchange of positions plus per-particle fields."""
-    return _wait_exchange_fields(
-        _post_exchange_fields(comm, pos_local, fields, decomp, width)
-    )
-
-
-def _post_exchange_fields(comm, pos_local, fields: dict, decomp, width):
-    """Post the ghost exchange; returns request handles keyed by field.
-
-    Ships every periodic image landing in each destination's overloaded
-    region (including this rank's own wrap images).  The per-field
-    ``ialltoallv`` posts happen in deterministic dict order on every rank,
-    which is what matches them across ranks.
-    """
-    from .overload import _ghost_images
-
-    pos_local = np.asarray(pos_local, dtype=np.float64)
-    out_pos = []
-    out_fields = {k: [] for k in fields}
-    for dest in range(comm.size):
-        lo, hi = decomp.bounds(dest)
-        idx, shift = _ghost_images(
-            pos_local, lo, hi, width, decomp.box,
-            exclude_unshifted=(dest == comm.rank),
-        )
-        out_pos.append(pos_local[idx] + shift)
-        for k, arr in fields.items():
-            out_fields[k].append(np.asarray(arr)[idx])
-    reqs = {"pos": comm.ialltoallv(out_pos)}
-    for k, chunks in out_fields.items():
-        reqs[k] = comm.ialltoallv(chunks)
-    tr = comm.world.tracer
-    if tr.enabled:
-        # one async slice spanning the whole exchange, post -> wait; under
-        # comm_mode="overlap" the interior-compute span sits inside this
-        # interval, which is the overlap made visible in Perfetto
-        gid = tr.next_id()
-        tr.async_begin("ghost_exchange", gid, cat="async", tid=comm.rank,
-                       fields=sorted(fields))
-        reqs["_trace"] = (tr, gid, comm.rank)
-    return reqs
-
-
-def _wait_exchange_fields(reqs: dict):
-    """Complete a posted ghost exchange: ``(ghost_pos, ghost_fields)``."""
-    trace = reqs.pop("_trace", None)
-    try:
-        ghost_pos = np.concatenate(reqs["pos"].wait())
-        ghost_fields = {
-            k: np.concatenate(r.wait()) for k, r in reqs.items() if k != "pos"
-        }
-    except BaseException:
-        # the first failing wait (abort cascade) must not strand the
-        # remaining per-field requests: settle every handle in the batch
-        _cancel_exchange_fields(reqs)
-        raise
-    if trace is not None:
-        tr, gid, rank = trace
-        tr.async_end("ghost_exchange", gid, cat="async", tid=rank)
-    return ghost_pos, ghost_fields
-
-
-def _cancel_exchange_fields(reqs: dict) -> None:
-    """Settle every request of a posted exchange (error paths only).
-
-    ``cancel`` is idempotent, so handles that already completed (or
-    already observed the abort) are safe to re-settle.
-    """
-    for key, req in reqs.items():
-        if key != "_trace":
-            req.cancel()
+            return (out_pos, out_vel,
+                    np.concatenate([r.u for r in ranks])[order], ids[order])
+        return out_pos, out_vel, ids[order]

@@ -74,22 +74,6 @@ def _ghost_images(pos, lo, hi, width, box, exclude_unshifted=False):
     return np.empty(0, dtype=np.int64), np.empty((0, 3))
 
 
-def _in_expanded_domain(pos, lo, hi, width, box):
-    """Back-compat single-image mask (first matching wrap per particle)."""
-    idx, shift = _ghost_images(pos, lo, hi, width, box)
-    n = len(pos)
-    mask = np.zeros(n, dtype=bool)
-    out_shift = np.zeros((n, 3))
-    # keep the first image per particle (ordering: shift loop order)
-    seen = set()
-    for i, s in zip(idx.tolist(), shift):
-        if i not in seen:
-            seen.add(i)
-            mask[i] = True
-            out_shift[i] = s
-    return mask, out_shift
-
-
 def build_overloaded_domains(
     pos: np.ndarray,
     decomp: CartesianDecomposition,
@@ -130,33 +114,79 @@ def build_overloaded_domains(
     return domains
 
 
-def exchange_overload(comm, pos_local, ids_local, decomp, overload_width):
-    """Communicating ghost exchange (runs inside a SimComm rank function).
+class GhostExchange:
+    """A ghost exchange in flight: positions plus per-particle fields.
 
-    Each rank ships boundary particles to every neighbor whose expanded
-    domain they intersect via ``alltoallv``.  Returns (ghost_pos, ghost_ids)
-    received by this rank, with periodic shifts already applied.
+    Posted in the constructor: every periodic image landing in each
+    destination's overloaded region ships (this rank's own wrap images
+    included).  The per-field ``ialltoallv`` posts happen in deterministic
+    dict order on every rank, which is what matches them across ranks.
+    ``wait()`` completes the exchange; ``cancel()`` settles every request
+    (idempotently) so a failure between post and wait leaves no leaked
+    handles for the comm sanitizer to report.
     """
-    rank = comm.rank
-    pos_local = np.asarray(pos_local, dtype=np.float64)
-    outgoing_pos = []
-    outgoing_ids = []
-    for dest in range(comm.size):
-        lo, hi = decomp.bounds(dest)
-        # to self: only shifted images (periodic-wrap sources); to others:
-        # every image that lands in their overloaded region
-        idx, shift = _ghost_images(
-            pos_local, lo, hi, overload_width, decomp.box,
-            exclude_unshifted=(dest == rank),
-        )
-        outgoing_pos.append(pos_local[idx] + shift)
-        outgoing_ids.append(np.asarray(ids_local)[idx])
 
-    got_pos = comm.alltoallv(outgoing_pos)
-    got_ids = comm.alltoallv(outgoing_ids)
-    ghost_pos = np.concatenate(got_pos) if got_pos else np.empty((0, 3))
-    ghost_ids = np.concatenate(got_ids) if got_ids else np.empty(0, dtype=np.int64)
-    return ghost_pos, ghost_ids
+    def __init__(self, comm, pos_local, fields: dict, decomp, width):
+        pos_local = np.asarray(pos_local, dtype=np.float64)
+        out_pos = []
+        out_fields = {k: [] for k in fields}
+        for dest in range(comm.size):
+            lo, hi = decomp.bounds(dest)
+            # to self: only shifted images (periodic-wrap sources); to
+            # others: every image that lands in their overloaded region
+            idx, shift = _ghost_images(
+                pos_local, lo, hi, width, decomp.box,
+                exclude_unshifted=(dest == comm.rank),
+            )
+            out_pos.append(pos_local[idx] + shift)
+            for k, arr in fields.items():
+                out_fields[k].append(np.asarray(arr)[idx])
+        self._reqs = {"pos": comm.ialltoallv(out_pos)}
+        for k, chunks in out_fields.items():
+            self._reqs[k] = comm.ialltoallv(chunks)
+        self._trace = None
+        tr = comm.world.tracer
+        if tr.enabled:
+            # one async slice spanning the whole exchange, post -> wait;
+            # under comm_mode="overlap" the interior-compute span sits
+            # inside this interval, which is the overlap made visible in
+            # Perfetto
+            gid = tr.next_id()
+            tr.async_begin("ghost_exchange", gid, cat="async", tid=comm.rank,
+                           fields=sorted(fields))
+            self._trace = (tr, gid, comm.rank)
+
+    def wait(self):
+        """Complete the exchange: ``(ghost_pos, ghost_fields)``, periodic
+        shifts already applied."""
+        try:
+            got = {k: np.concatenate(r.wait()) for k, r in self._reqs.items()}
+        except BaseException:
+            # the first failing wait (abort cascade) must not strand the
+            # remaining per-field requests: settle every handle in the batch
+            self.cancel()
+            raise
+        if self._trace is not None:
+            tr, gid, rank = self._trace
+            tr.async_end("ghost_exchange", gid, cat="async", tid=rank)
+        return got.pop("pos"), got
+
+    def cancel(self) -> None:
+        """Settle every request of the exchange (error paths only)."""
+        for req in self._reqs.values():
+            req.cancel()
+
+
+def exchange_overload(comm, pos_local, ids_local, decomp, overload_width):
+    """Blocking ghost exchange (runs inside a SimComm rank function).
+
+    Returns (ghost_pos, ghost_ids) received by this rank, with periodic
+    shifts already applied.
+    """
+    ghost_pos, fields = GhostExchange(
+        comm, pos_local, {"ids": ids_local}, decomp, overload_width
+    ).wait()
+    return ghost_pos, fields["ids"]
 
 
 class MigrationFlight:

@@ -16,14 +16,15 @@ reported at its post site, naming the leaking exit.
 
 **Slot completion.** Escaping into a slot does not settle the protocol —
 it moves the obligation. Every *cell* (a ``self.attr`` slot scoped to
-its class, or a ``name["key"]`` slot of a closure/module dict like the
-driver's ``state``/``mig``) that receives posts must show **wait
-evidence** somewhere in the program: ``cancel()`` alone is an error-path
-release and is reported as incomplete. Evidence flows through derived
-values (``for k, r in self._reqs1.items(): r.wait()``), helper summaries,
-and *carrier classes* — a class whose attributes hold requests
-(``MigrationFlight``): calling one of its completing methods on a value
-derived from a slot credits that slot.
+its class, like the rank domain's ``drift_req``/``flight``) that receives
+posts must show **wait evidence** somewhere in the program: ``cancel()``
+alone is an error-path release and is reported as incomplete. Evidence
+flows through derived values (``for k, r in self._reqs1.items():
+r.wait()``), helper summaries, and *carrier classes* — a class whose
+attributes hold requests (``MigrationFlight``): calling one of its
+completing methods on a value derived from a slot credits that slot.
+Stores into a captured or module-level dict (``state["req"] = ...``) are
+not cells: they count as an ownership transfer, like any opaque store.
 
 Summaries (returns-fresh, settles-param, carrier methods) are computed
 by iterating the whole-program analysis to a fixed point (three rounds
@@ -87,23 +88,9 @@ class CellStore:
         book = self.wait_ev if kind == "wait" else self.cancel_ev
         book.setdefault(key, []).append((rel, line, fn_key))
 
-    @staticmethod
-    def _matches(post_key, ev_key) -> bool:
-        if post_key == ev_key:
-            return True
-        # a "*" subscript (variable key) on the same base credits every
-        # literal slot of that base, and vice versa
-        if (
-            post_key[0] == "var" and ev_key[0] == "var"
-            and post_key[1:3] == ev_key[1:3]
-            and ("*" in (post_key[3], ev_key[3]))
-        ):
-            return True
-        return False
-
     def has_evidence(self, post_key, kind) -> bool:
         book = self.wait_ev if kind == "wait" else self.cancel_ev
-        return any(self._matches(post_key, k) for k in book)
+        return post_key in book
 
 
 class _State:
@@ -156,34 +143,18 @@ class FunctionLifecycle:
     def _is_local(self, state, name: str) -> bool:
         return name in state.vars
 
-    def _cell_key(self, state, node):
-        """Slot key for a store/load target, or None."""
-        if isinstance(node, ast.Attribute):
-            base = node.value
-            if isinstance(base, ast.Name):
-                if base.id == "self" and self.fn.cls is not None:
-                    return ("attr", self.fn.cls.key, node.attr)
-                if not self._is_local(state, base.id):
-                    return ("var", self.mod.name, base.id, "." + node.attr)
-            return None
+    def _cell_key(self, node):
+        """Slot key for a ``self.attr`` / ``self.attr[k]`` store/load
+        target, or None."""
         if isinstance(node, ast.Subscript):
-            base = node.value
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-                and self.fn.cls is not None
-            ):
-                return ("attr", self.fn.cls.key, base.attr)
-            if isinstance(base, ast.Name) and base.id != "self" \
-                    and not self._is_local(state, base.id):
-                key = "*"
-                sl = node.slice
-                if isinstance(sl, ast.Constant) \
-                        and isinstance(sl.value, (str, int)):
-                    key = str(sl.value)
-                return ("var", self.mod.name, base.id, key)
-            return None
+            node = node.value
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and self.fn.cls is not None
+        ):
+            return ("attr", self.fn.cls.key, node.attr)
         return None
 
     # -- resource bookkeeping -------------------------------------------
@@ -212,14 +183,14 @@ class FunctionLifecycle:
             return self._eval_call(state, node)
         if isinstance(node, ast.Attribute):
             rs, cs = self.eval(state, node.value)
-            key = self._cell_key(state, node)
+            key = self._cell_key(node)
             if key is not None:
                 cs = cs | {key}
             return rs, cs
         if isinstance(node, ast.Subscript):
             rs, cs = self.eval(state, node.value)
             self.eval(state, node.slice)
-            key = self._cell_key(state, node)
+            key = self._cell_key(node)
             if key is not None:
                 cs = cs | {key}
             return rs, cs
@@ -426,7 +397,7 @@ class FunctionLifecycle:
             self.eval(state, target.value)
             if isinstance(target, ast.Subscript):
                 self.eval(state, target.slice)
-            key = self._cell_key(state, target)
+            key = self._cell_key(target)
             if key is not None:
                 self._record_posts(state, key, rs, line)
                 self._escape(state, rs)
@@ -625,8 +596,7 @@ def analyze_program(program, rounds: int = 4):
             continue
         posts = sorted(store.posts[key], key=lambda p: (p[0], p[1]))
         rel, line, op = posts[0]
-        slot = (f"{key[1].split(':')[-1]}.{key[2]}" if key[0] == "attr"
-                else f"{key[2]}[{key[3]}]")
+        slot = f"{key[1].split(':')[-1]}.{key[2]}"
         if store.has_evidence(key, "wait"):
             continue
         if store.has_evidence(key, "cancel"):

@@ -2,9 +2,8 @@
 
 The Fig. 2 / Fig. 6 derived metrics and CI trace diffs key off span
 names, so an instrumented module inventing a name silently breaks
-attribution.  This rule (the AST successor of ``scripts/check_spans.py``,
-which is now a thin shim over it) finds every string-literal span name
-passed to a tracer entry point — ``span``, ``complete``, ``instant``,
+attribution.  This rule finds every string-literal span name passed to a
+tracer entry point — ``span``, ``complete``, ``instant``,
 ``async_begin``/``async_end``, ``flow_start``/``flow_end`` — or to a
 ``TimerGroup.time`` phase timer, and flags names missing from
 :mod:`repro.observe.taxonomy`.
@@ -23,12 +22,13 @@ TRACER_METHODS = frozenset(
 )
 
 #: modules whose tracer calls must only use registered span names
-#: (repo-relative posix paths; the historical check_spans.py set)
+#: (repo-relative posix paths)
 INSTRUMENTED = (
     "repro/backend/registry.py",
     "repro/core/simulation.py",
     "repro/parallel/comm.py",
     "repro/parallel/distributed_sim.py",
+    "repro/parallel/overload.py",
     "repro/parallel/swfft.py",
     "repro/gpusim/resident.py",
     "repro/iosim/tiers.py",
@@ -86,24 +86,3 @@ class SpanTaxonomyRule(Rule):
                         "repro/observe/taxonomy.py or rename"
                     ),
                 )
-
-
-def scan_span_files(paths):
-    """Shim backend for ``scripts/check_spans.py``.
-
-    Returns ``(bad, n_literals, n_names)`` where ``bad`` maps each
-    unregistered span name to its ``[(path, line), ...]`` occurrences —
-    the exact shape the historical script reported.
-    """
-    from ...observe.taxonomy import unregistered
-
-    found: dict[str, list] = {}
-    n_literals = 0
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for line, _end, name in span_literal_calls(tree):
-            n_literals += 1
-            found.setdefault(name, []).append((path, line))
-    bad = {name: found[name] for name in unregistered(found)}
-    return bad, n_literals, len(found)

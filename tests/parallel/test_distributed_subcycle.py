@@ -6,13 +6,17 @@ Pins the tentpole invariants of the rung-pipelined distributed driver:
   runs on the same rung schedule (gravity and hydro, with and without
   simulated fabric latency, with the runtime sanitizers armed);
 - distributed ``StepRecord``/``SubcycleStats`` are honest — the claimed
-  schedule matches what the serial :class:`HierarchicalIntegrator`
-  executes for the same rung multiset, and flat runs still report
-  ``n_substeps=1``;
+  schedule matches what :class:`HierarchicalIntegrator` executes for the
+  same rung multiset, and flat runs (depth 0 of the same loop) still
+  report ``n_substeps=1``;
+- a rank is a :class:`RankDomain` object that can be built and stepped
+  without the simulation driver, and step hooks see the owned arrays;
 - the two-wave nonblocking migration hides wire time (overlap migration
   wait shrinks vs blocking under latency) and cancels cleanly on an
   abort path (no leaked requests for the comm sanitizer).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,39 +114,40 @@ def test_subcycled_bit_identical_hydro():
     assert s1.world.sanitizer.findings == []
 
 
-def test_step_record_honesty_vs_serial_integrator():
+def test_step_record_honesty_vs_serial_integrator(toy_domain):
     """The schedule a distributed record claims matches the schedule the
-    serial integrator executes for the same rung multiset.
+    rung loop executes for the same rung multiset.
 
     ``SubcycleStats.rung_counts`` carries the global rung histogram; the
     substep schedule (substep count, evaluation count, active totals) is
     a pure function of that multiset, so rebuilding the rungs and running
-    :class:`HierarchicalIntegrator` over a trivial force must reproduce
-    every bookkeeping number the distributed run reported.
+    :class:`HierarchicalIntegrator` over a force-free toy domain must
+    reproduce every bookkeeping number the distributed run reported —
+    whatever the rank count, particle counts included.
     """
     ics = _clustered_ics()
-    (_, _, _), sim = _run(_config("overlap", True), 4, ics)
     da = (0.34 - 0.3) / 2
-    for rec in sim.step_records:
-        stats = rec.subcycle
-        assert stats is not None
-        assert rec.n_substeps == stats.n_substeps == 2**rec.deepest_rung
-        assert rec.deepest_rung == stats.deepest_rung
-        assert stats.n_particles == len(ics[0])
-        assert sum(stats.rung_counts) == stats.n_particles
+    for n_ranks in (1, 2, 4):
+        (_, _, _), sim = _run(_config("overlap", True), n_ranks, ics)
+        for rec in sim.step_records:
+            stats = rec.subcycle
+            assert stats is not None
+            assert rec.n_substeps == stats.n_substeps == 2**rec.deepest_rung
+            assert rec.deepest_rung == stats.deepest_rung
+            assert rec.n_particles == stats.n_particles == len(ics[0])
+            assert sum(stats.rung_counts) == stats.n_particles
 
-        rungs = np.repeat(
-            np.arange(len(stats.rung_counts)), stats.rung_counts
-        ).astype(np.int16)
-        n = len(rungs)
-        ref = HierarchicalIntegrator(da, max_rung=3).run(
-            np.zeros((n, 3)), np.zeros((n, 3)), rungs,
-            force_fn=lambda p, v, idx: np.zeros_like(p),
-        )
-        assert stats.n_substeps == ref.n_substeps
-        assert stats.n_force_evaluations == ref.n_force_evaluations
-        assert stats.n_active_total == ref.n_active_total
-        assert stats.deepest_rung == ref.deepest_rung
+            rungs = np.repeat(
+                np.arange(len(stats.rung_counts)), stats.rung_counts
+            ).astype(np.int16)
+            n = len(rungs)
+            ref = HierarchicalIntegrator(da).run(
+                toy_domain(np.zeros((n, 3)), np.zeros((n, 3)), rungs), 0.3
+            )
+            assert stats.n_substeps == ref.n_substeps
+            assert stats.n_force_evaluations == ref.n_force_evaluations
+            assert stats.n_active_total == ref.n_active_total
+            assert stats.deepest_rung == ref.deepest_rung
 
 
 def test_flat_mode_reports_single_substep():
@@ -151,7 +156,87 @@ def test_flat_mode_reports_single_substep():
     for rec in sim.step_records:
         assert rec.n_substeps == 1
         assert rec.deepest_rung == 0
-        assert rec.subcycle is None
+        # flat is depth 0 of the one loop: same reduced bookkeeping
+        assert rec.subcycle.n_substeps == 1
+        assert rec.subcycle.n_force_evaluations == 2
+        assert rec.subcycle.n_particles == rec.n_particles == len(ics[0])
+        assert rec.subcycle.rung_counts[0] == len(ics[0])
+
+
+@pytest.mark.parametrize("comm_mode", ["blocking", "overlap"])
+def test_flat_is_depth_zero_of_the_rung_loop(comm_mode):
+    """``subcycle=False`` selects no second step body: it is bitwise the
+    subcycled driver with every rung clipped to 0."""
+    ics = _clustered_ics()
+    (p1, v1, _), flat = _run(_config(comm_mode, True, subcycle=False), 2, ics)
+    (p2, v2, _), deep0 = _run(
+        replace(_config(comm_mode, True), max_rung=0), 2, ics
+    )
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(v1, v2)
+    # the only saving: no depth reduction (one collective per rank-step)
+    assert (deep0.traffic.collective_calls - flat.traffic.collective_calls
+            == 2 * len(flat.step_records))
+
+
+def test_rank_domain_steps_without_the_simulation_driver():
+    """A rank is an object: build one on a 1-rank World and step it by
+    hand; it lands where ``DistributedSimulation.run`` lands."""
+    from repro.parallel.comm import World
+    from repro.parallel.decomposition import make_decomposition
+    from repro.parallel.distributed_sim import RankDomain
+
+    pos, vel, mass = _clustered_ics()
+    cfg = _config("overlap", True)
+    n = len(pos)
+
+    def drive(comm):
+        rank = RankDomain(comm, cfg, make_decomposition(BOX, 1), {
+            "pos": np.mod(pos, BOX), "vel": vel.copy(), "mass": mass.copy(),
+            "u": np.zeros(n), "ids": np.arange(n),
+            "gas": np.ones(n, dtype=bool),
+        })
+        first = rank.step()
+        assert rank.flight is not None  # overlap: migration still in flight
+        rank.step()
+        rank.settle()
+        assert rank.flight is None and rank.istep == 1
+        assert first.subcycle.n_particles == n
+        order = np.argsort(rank.ids)
+        return rank.pos[order], rank.vel[order]
+
+    (by_hand,) = World(1).run(drive)
+    (p, v, _), _sim = _run(cfg, 1, (pos, vel, mass))
+    assert np.array_equal(by_hand[0], p)
+    assert np.array_equal(by_hand[1], v)
+
+
+@pytest.mark.parametrize("subcycle", [False, True])
+def test_step_hook_contract(subcycle):
+    """Hooks get ``(comm, istep, a, my)`` on every rank after each step;
+    ``my`` maps the six owned-array names and the union over ranks is a
+    permutation of the input particles (what the checkpointer relies on).
+    """
+    pos, vel, mass = _clustered_ics()
+    cfg = _config("overlap", True, subcycle=subcycle)
+    sim = DistributedSimulation(cfg, 4)
+    seen = {}
+
+    def hook(comm, istep, a, my):
+        names = ("pos", "vel", "mass", "u", "ids", "gas")
+        assert len({len(my[k]) for k in names}) == 1
+        seen[(istep, comm.rank)] = (a, my["ids"].copy(), my["mass"].copy())
+
+    sim.step_hooks.append(hook)
+    sim.run(pos.copy(), vel.copy(), mass.copy())
+    assert set(seen) == {(i, r) for i in range(2) for r in range(4)}
+    for istep in range(2):
+        a_vals = {seen[(istep, r)][0] for r in range(4)}
+        assert a_vals == {sim.step_records[istep].a}
+        ids = np.concatenate([seen[(istep, r)][1] for r in range(4)])
+        np.testing.assert_array_equal(np.sort(ids), np.arange(len(pos)))
+        m = np.concatenate([seen[(istep, r)][2] for r in range(4)])
+        np.testing.assert_array_equal(m[np.argsort(ids)], mass)
 
 
 def test_nonblocking_migration_hides_wire_time():

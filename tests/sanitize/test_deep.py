@@ -138,6 +138,8 @@ class TestRequestLifecycle:
         assert _by_rule(res, "request-lifecycle") == []
 
     def test_closure_dict_slot_with_wait_elsewhere_is_clean(self, tmp_path):
+        # a store into a captured dict is an ownership transfer, not a
+        # tracked cell: never a false positive
         res = _analyze(tmp_path, """
             def driver(comm, fields):
                 state = {"req": None}
@@ -157,38 +159,61 @@ class TestRequestLifecycle:
 
     def test_slot_with_no_settlement_anywhere_is_flagged(self, tmp_path):
         res = _analyze(tmp_path, """
-            def driver(comm, fields):
-                state = {"req": None}
+            class Rank:
+                def __init__(self, comm):
+                    self.comm = comm
+                    self.req = None
 
-                def post():
-                    state["req"] = comm.iallreduce(fields)
-
-                post()
+                def post(self, fields):
+                    self.req = self.comm.iallreduce(fields)
         """)
         (f,) = _by_rule(res, "request-lifecycle")
-        assert f.line == 5 and "never settled" in f.message
+        assert f.line == 7 and "never settled" in f.message
+        assert "Rank.req" in f.message
 
     def test_cancel_only_slot_is_flagged_as_incomplete(self, tmp_path):
         res = _analyze(tmp_path, """
-            def driver(comm, fields):
-                state = {"req": None}
+            class Rank:
+                def __init__(self, comm):
+                    self.comm = comm
+                    self.req = None
 
-                def post():
-                    state["req"] = comm.iallreduce(fields)
+                def post(self, fields):
+                    self.req = self.comm.iallreduce(fields)
 
-                def teardown():
-                    state["req"].cancel()
-
-                post()
-                teardown()
+                def teardown(self):
+                    self.req.cancel()
         """)
         (f,) = _by_rule(res, "request-lifecycle")
-        assert f.line == 5 and "only ever cancelled" in f.message
+        assert f.line == 7 and "only ever cancelled" in f.message
+
+    def test_attr_slot_with_wait_in_another_method_is_clean(self, tmp_path):
+        """The rank-domain shape: a request posted into ``self.req`` by
+        one method, completed by another, cancelled on the error path."""
+        res = _analyze(tmp_path, """
+            class Rank:
+                def __init__(self, comm):
+                    self.comm = comm
+                    self.req = None
+
+                def post(self, fields):
+                    self.req = self.comm.iallreduce(fields)
+
+                def settle(self):
+                    got = self.req.wait()
+                    self.req = None
+                    return got
+
+                def teardown(self):
+                    if self.req is not None:
+                        self.req.cancel()
+        """)
+        assert _by_rule(res, "request-lifecycle") == []
 
     def test_carrier_class_settled_through_helper_return(self, tmp_path):
         """The MigrationFlight shape: posts live on instance attrs, the
-        instance travels through a helper return into a dict slot, and a
-        completing method settles it — no findings on any layer."""
+        instance travels through a helper return into an attribute slot of
+        the rank object, and a completing method settles it — no findings on any layer."""
         res = _analyze(tmp_path, """
             class Flight:
                 def __init__(self, comm, parts):
@@ -204,23 +229,27 @@ class TestRequestLifecycle:
             def post_flight(comm, parts):
                 return Flight(comm, parts)
 
+            class Rank:
+                def __init__(self, comm):
+                    self.comm = comm
+                    self.flight = None
+
+                def post(self, parts):
+                    self.flight = post_flight(self.comm, parts)
+
+                def settle(self):
+                    return self.flight.settle()
+
+                def abort(self):
+                    self.flight.cancel()
+
             def driver(comm, parts):
-                mig = {"flight": None}
-
-                def post():
-                    mig["flight"] = post_flight(comm, parts)
-
-                def settle():
-                    return mig["flight"].settle()
-
-                def abort():
-                    mig["flight"].cancel()
-
-                post()
+                rank = Rank(comm)
+                rank.post(parts)
                 try:
-                    return settle()
+                    return rank.settle()
                 except BaseException:
-                    abort()
+                    rank.abort()
                     raise
         """)
         assert _by_rule(res, "request-lifecycle") == []
