@@ -80,10 +80,13 @@ def xi_from_power(r, power: LinearPower, a: float = 1.0) -> np.ndarray:
     """Analytic xi(r) = (1/2 pi^2) int k^2 P(k) sinc(kr) dk."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     out = np.empty_like(r)
+    # the growth factor is itself a quadrature: once, not per evaluation
+    growth2 = power.cosmo.growth_factor(a) ** 2
     for i, ri in enumerate(r):
         def integrand(lnk):
             k = np.exp(lnk)
-            return k**3 * power(k, a) * np.sinc(k * ri / np.pi) / (2.0 * np.pi**2)
+            pk = power._at_unit_growth(k) * growth2
+            return k**3 * pk * np.sinc(k * ri / np.pi) / (2.0 * np.pi**2)
 
         val, _ = integrate.quad(
             integrand, np.log(1e-4), np.log(50.0), limit=400

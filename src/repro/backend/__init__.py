@@ -1,69 +1,20 @@
-"""repro.backend: kernel-dispatch registry for compiled hot kernels.
+"""repro.backend: provenance stubs for the end-to-end benchmark.
 
-Every prior speedup (pair engine, active-set subcycling, comm overlap,
-distributed rungs) reduced *how much* work the hot kernels do; this
-package makes the kernels themselves faster.  Each hot kernel — the
-sorted-CSR segment reductions, the CIC deposit/gather stencils, the
-short-range pair force, the CRKSPH moment/pair-derivative inner loops,
-the gpusim lane accumulator — is registered under a stable name with a
-NumPy reference implementation and, when numba is importable, an
-``@njit``-compiled equivalent.  Call sites in ``core/`` fetch the active
-implementation through :func:`get_kernel` and never import numba
-directly (enforced by the ``backend-discipline`` lint rule).
-
-Backend selection (highest precedence first):
-
-1. the ``REPRO_BACKEND`` environment variable (``numpy`` | ``jit``);
-2. the driver config (``SimulationConfig.backend`` /
-   ``DistributedConfig.backend``), scoped around the run via
-   :func:`use_backend`;
-3. the process default (``numpy``).
-
-Requesting ``jit`` without numba installed falls back to ``numpy`` with
-a one-time :class:`BackendFallbackWarning` — the full suite passes
-unchanged on the reference backend.
-
-Every kernel declares a parity contract against its NumPy reference
-(see :class:`~repro.backend.registry.KernelSpec`): ``bit-identical``
-(``np.array_equal``) where the reference accumulates sequentially
-(bincount / ``np.add.at`` order), or ``roundoff`` with a documented
-bound where the reference uses SIMD partial sums (``np.add.reduceat``)
-or different libm transcendentals.  Tier-1 asserts the contracts on
-serial, subcycled, and 4-rank overlap runs (``tests/backend/``).
+There is one kernel implementation (NumPy) and nothing to select; see
+DESIGN.md "Kernels".  ``benchmarks/e2e/e2e_protocol.py`` imports these
+two names for its provenance stamp and a PR may not edit the benchmark,
+so they stay until the next ``benchmark`` PR removes the import and this
+module with it.
 """
 
 from __future__ import annotations
 
-from .registry import (
-    BACKENDS,
-    BackendFallbackWarning,
-    KernelSpec,
-    active_backend,
-    get_kernel,
-    kernel_names,
-    kernel_spec,
-    numba_available,
-    register_kernel,
-    resolve_backend,
-    select_backend,
-    set_backend,
-    use_backend,
-    warm_up,
-)
+__all__ = ["numba_available", "resolve_backend"]
 
-__all__ = [
-    "BACKENDS",
-    "BackendFallbackWarning",
-    "KernelSpec",
-    "active_backend",
-    "get_kernel",
-    "kernel_names",
-    "kernel_spec",
-    "numba_available",
-    "register_kernel",
-    "resolve_backend",
-    "select_backend",
-    "set_backend",
-    "use_backend",
-    "warm_up",
-]
+
+def numba_available() -> bool:
+    return False
+
+
+def resolve_backend(requested: str | None = None) -> str:
+    return "numpy"

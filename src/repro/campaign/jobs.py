@@ -65,7 +65,6 @@ class SimJob:
     u_init: float = 20.0
     max_rung: int = 2
     ranks: int = 0
-    backend: str = "numpy"
     #: wall-clock budget for one run of this job (seconds; 0 = none).
     #: A running job past its deadline is cancelled at the next step
     #: boundary and lands in the ``cancelled`` terminal state — distinct

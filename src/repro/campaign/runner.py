@@ -90,6 +90,12 @@ def _pm_solver(cfg: SimulationConfig, cache: ArtifactCache | None):
     solver in the process); routing the fetch through the artifact cache
     as well makes campaign cache counters see greens hits/misses and
     subjects the entry to the campaign LRU byte budget.
+
+    This double-books the memo on purpose for now: the end-to-end
+    benchmark's ``campaign_sweep`` reference pins the artifact cache's
+    hit/miss counts with the "greens" lookups included, so dropping the
+    lookup here is a benchmark change (ROADMAP subtraction audit (c),
+    cache-owner half).
     """
     n = cfg.pm_grid
     box = float(cfg.box_array[0])
@@ -131,7 +137,7 @@ def build_simulation(job: SimJob, cache: ArtifactCache | None = None,
             box=job.box, pm_grid=job.pm_grid, a_init=job.a_init,
             a_final=job.a_final, n_pm_steps=job.n_pm_steps,
             cosmo=job.cosmo, hydro=job.hydro, subgrid=job.subgrid,
-            max_rung=job.max_rung, seed=job.seed, backend=job.backend,
+            max_rung=job.max_rung, seed=job.seed,
         )
         pm = _pm_solver(cfg, cache) if cfg.gravity else None
         return Simulation(cfg, parts, observe=observe, pm=pm)
@@ -179,7 +185,7 @@ def _run_distributed(job: SimJob, cache, observe, check=None
     cfg = DistributedConfig(
         box=job.box, pm_grid=job.pm_grid, a_init=job.a_init,
         a_final=job.a_final, n_pm_steps=job.n_pm_steps, cosmo=job.cosmo,
-        hydro=False, r_split_cells=1.0, backend=job.backend,
+        hydro=False, r_split_cells=1.0,
     )
     sim = DistributedSimulation(cfg, n_ranks=job.ranks, observe=observe)
     if check is not None:

@@ -22,27 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...backend import get_kernel, register_kernel
 from ..scatter import segment_sum
 
 
 def cic_deposit(pos: np.ndarray, mass: np.ndarray, n: int, box: float) -> np.ndarray:
     """Cloud-in-cell mass deposit onto an n^3 periodic grid.
 
-    Returns the density grid in units of mass per cell volume.  Dispatches
-    through :mod:`repro.backend` (``pm.cic_deposit``); both backends are
-    bit-identical because both accumulate in particle order per stencil
-    offset.
+    Returns the density grid in units of mass per cell volume.
     """
-    return get_kernel("pm.cic_deposit")(pos, mass, n, box)
-
-
-@register_kernel(
-    "pm.cic_deposit", contract="bit-identical",
-    note="bincount accumulates sequentially in particle order per stencil "
-         "offset; the compiled loop mirrors offset-major order exactly",
-)
-def _cic_deposit_numpy(pos, mass, n: int, box: float) -> np.ndarray:
     # the eight stencil deposits accumulate through flat-index segment
     # sums (bincount) rather than buffered np.add.at scatters
     pos = np.asarray(pos, dtype=np.float64)
@@ -67,20 +54,7 @@ def _cic_deposit_numpy(pos, mass, n: int, box: float) -> np.ndarray:
 
 
 def cic_interpolate(field: np.ndarray, pos: np.ndarray, box: float) -> np.ndarray:
-    """Interpolate a grid field (n^3 or n^3 x C) back to particle positions.
-
-    Dispatches through :mod:`repro.backend` (``pm.cic_gather``);
-    bit-identical across backends (pure elementwise gather, fixed offset
-    order).
-    """
-    return get_kernel("pm.cic_gather")(field, pos, box)
-
-
-@register_kernel(
-    "pm.cic_gather", contract="bit-identical",
-    note="pure per-particle gather in fixed stencil-offset order",
-)
-def _cic_gather_numpy(field, pos, box: float) -> np.ndarray:
+    """Interpolate a grid field (n^3 or n^3 x C) back to particle positions."""
     n = field.shape[0]
     cell = box / n
     x = np.asarray(pos, dtype=np.float64) / cell - 0.5
@@ -133,14 +107,26 @@ def green_tables_nbytes(n: int) -> int:
     return 2 * n * n * (n // 2 + 1) * 8
 
 
-def _build_green_tables(n: int, box: float, r_split: float,
-                        deconvolve_cic: bool):
+def build_green_tables(n: int, box: float, r_split: float = 0.0,
+                       deconvolve_cic: bool = True, *, half_z: bool = True,
+                       y_slab: tuple | None = None):
+    """The ``(kx, ky, kz, k2, green)`` spectral tables of one grid layout.
+
+    ``green`` is ``-1/k^2`` (zero at k=0) times the Gaussian long-range
+    filter ``exp(-k^2 r_split^2)``, divided by the squared CIC window when
+    ``deconvolve_cic``.  ``half_z`` selects the z layout: the ``n//2 + 1``
+    non-negative frequencies of an rfft (serial :class:`PMSolver`) or all
+    ``n`` of a complex FFT (the slab-decomposed rank solve).  ``y_slab``
+    ``(start, stop)`` restricts the y axis to one rank's slab.  The wave
+    vectors broadcast against ``k2``; every table is frozen read-only.
+    """
+    ys = slice(None) if y_slab is None else slice(*y_slab)
+    zfreq = np.fft.rfftfreq if half_z else np.fft.fftfreq
     dk = 2.0 * np.pi / box
     k1 = np.fft.fftfreq(n, d=1.0 / n) * dk
-    kzf = np.fft.rfftfreq(n, d=1.0 / n) * dk
     kx = k1[:, None, None]
-    ky = k1[None, :, None]
-    kz = kzf[None, None, :]
+    ky = k1[ys][None, :, None]
+    kz = (zfreq(n, d=1.0 / n) * dk)[None, None, :]
     k2 = kx**2 + ky**2 + kz**2
     green = np.zeros_like(k2)
     nz = k2 > 0
@@ -148,8 +134,13 @@ def _build_green_tables(n: int, box: float, r_split: float,
     if r_split > 0:
         green = green * np.exp(-k2 * r_split**2)
     if deconvolve_cic:
-        wsq = cic_window_sq(n)
-        green = green / np.maximum(wsq, 1e-12)
+        # np.sinc includes the pi factor; W_cic = sinc^2 per axis (the
+        # square of the NGP window), and deposit + interpolation apply it
+        # twice
+        f1 = np.fft.fftfreq(n)  # cycles per cell
+        w = (np.sinc(f1)[:, None, None] * np.sinc(f1[ys])[None, :, None]
+             * np.sinc(zfreq(n))[None, None, :])
+        green = green / np.maximum((w**2) ** 2, 1e-12)
     tables = (kx, ky, kz, k2, green)
     for arr in tables:
         arr.flags.writeable = False
@@ -176,7 +167,7 @@ def shared_green_tables(n: int, box: float, r_split: float = 0.0,
             hit = True
     if tables is None:
         hit = False
-        tables = _build_green_tables(*key)
+        tables = build_green_tables(*key)
         with _GREEN_LOCK:
             _GREEN_STATS["built"] += 1
             _GREEN_CACHE[key] = tables
@@ -187,17 +178,6 @@ def shared_green_tables(n: int, box: float, r_split: float = 0.0,
     registry = default_observatory().registry
     registry.counter("pm/green_reuses" if hit else "pm/green_builds").add(1)
     return tables
-
-
-def cic_window_sq(n: int):
-    """Squared CIC assignment window W^2(k) on the rfft grid (for deconvolution)."""
-    kx = np.fft.fftfreq(n)[:, None, None]
-    ky = np.fft.fftfreq(n)[None, :, None]
-    kz = np.fft.rfftfreq(n)[None, None, :]
-    w = (
-        np.sinc(kx) * np.sinc(ky) * np.sinc(kz)
-    )  # np.sinc includes the pi factor
-    return (w**2) ** 2  # CIC = square of NGP window -> W_cic = sinc^2
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...backend import get_kernel, register_kernel
 from ...constants import G_COSMO
 from ..geometry import pair_displacements
 from ..scatter import segment_sum
@@ -48,18 +47,6 @@ def short_range_accelerations(
     pi = pi[keep]
     pj = pj[keep]
     rows = pi if sink_index is None else np.asarray(sink_index)[keep]
-    return get_kernel("gravity.short_range_pairs")(
-        pos, mass, pi, pj, rows, n, r_split, softening, box, g_newton
-    )
-
-
-@register_kernel(
-    "gravity.short_range_pairs", contract="roundoff", rtol=1e-9, atol=1e-12,
-    note="scipy erfc vs libm erfc, einsum-vs-sequential r^2, and "
-         "division-vs-unit-vector ordering differ in the last bits",
-)
-def _short_range_pairs_numpy(pos, mass, pi, pj, rows, n, r_split, softening,
-                             box, g_newton) -> np.ndarray:
     accel = np.zeros((n, 3))
     # chunk the pair list so peak memory stays bounded regardless of how
     # dense the interaction lists get (each pair costs ~10 temporaries)

@@ -16,20 +16,13 @@ evaluation — and of every force evaluation reusing a cached pair list — pay
 the sort at most once.  Pair lists stored sorted by ``pi`` (as
 ``tree.pair_cache.PairCache`` and ``sph.pair_batch.PairBatch`` keep them)
 skip the sort entirely.
-
-The per-plan reductions dispatch through :mod:`repro.backend`: the bodies
-below are the registered NumPy references, and ``backend="jit"`` swaps in
-compiled sequential loops over the same CSR plan
-(:mod:`repro.backend.jit_kernels`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_kernel, register_kernel
-
-__all__ = ["SegmentReducer", "segment_sum", "segment_max"]
+__all__ = ["SegmentReducer", "segment_sum", "segment_max", "segment_sum_csr"]
 
 
 def _ids_sorted(ids: np.ndarray) -> bool:
@@ -70,16 +63,9 @@ class SegmentReducer:
         else:
             self.order = np.argsort(ids, kind="stable")
             ids = ids[self.order]
-        self.counts = np.ascontiguousarray(
-            np.bincount(ids, minlength=self.num_segments), dtype=np.int64
-        )
-        starts = np.concatenate(
-            [[0], np.cumsum(self.counts)]
-        )[: self.num_segments]
-        #: per-segment start offsets into the sorted order (all segments,
-        #: empty ones included) — the layout the compiled loops walk
-        self.starts = np.ascontiguousarray(starts, dtype=np.int64)
-        self.nonempty = self.counts > 0
+        counts = np.bincount(ids, minlength=self.num_segments)
+        starts = np.concatenate([[0], np.cumsum(counts)])[: self.num_segments]
+        self.nonempty = counts > 0
         # reduceat over only the non-empty starts: consecutive non-empty
         # starts bracket exactly one segment's elements (empty segments
         # contribute no elements in between), sidestepping reduceat's
@@ -92,7 +78,7 @@ class SegmentReducer:
 
     def sum(self, values) -> np.ndarray:
         """Per-segment sum; accumulates in the dtype of ``values``."""
-        return get_kernel("scatter.segment_sum_csr")(self, values)
+        return segment_sum_csr(self, values)
 
     def max(self, values, initial: float = 0.0) -> np.ndarray:
         """Per-segment max; empty segments yield ``initial`` and non-empty
@@ -105,35 +91,25 @@ class SegmentReducer:
         values it maps safely to the dtype's minimum instead of
         overflowing.
         """
-        v = np.asarray(values)
+        v = self._permuted(values)
         fill = _max_fill(v.dtype, initial)
-        return get_kernel("scatter.segment_max_csr")(self, v, fill)
+        out = np.full((self.num_segments,) + v.shape[1:], fill, dtype=v.dtype)
+        if len(self._starts_ne):
+            out[self.nonempty] = np.maximum(
+                np.maximum.reduceat(v, self._starts_ne, axis=0), fill
+            )
+        return out
 
 
-@register_kernel(
-    "scatter.segment_sum_csr", contract="roundoff", rtol=1e-9, atol=1e-12,
-    note="np.add.reduceat uses SIMD partial sums; a sequential compiled "
-         "loop cannot reproduce its grouping, so parity is roundoff-bounded",
-)
-def _segment_sum_csr_numpy(red: SegmentReducer, values) -> np.ndarray:
-    v = red._permuted(values)
-    out = np.zeros((red.num_segments,) + v.shape[1:], dtype=v.dtype)
-    if len(red._starts_ne):
-        out[red.nonempty] = np.add.reduceat(v, red._starts_ne, axis=0)
-    return out
-
-
-@register_kernel(
-    "scatter.segment_max_csr", contract="bit-identical",
-    note="max is reduction-order-insensitive (NaN propagates either way)",
-)
-def _segment_max_csr_numpy(red: SegmentReducer, values, fill) -> np.ndarray:
-    v = red._permuted(values)
-    out = np.full((red.num_segments,) + v.shape[1:], fill, dtype=v.dtype)
-    if len(red._starts_ne):
-        out[red.nonempty] = np.maximum(
-            np.maximum.reduceat(v, red._starts_ne, axis=0), fill
-        )
+def segment_sum_csr(plan: SegmentReducer, values) -> np.ndarray:
+    """``plan.sum(values)`` as a plain function: the body of
+    :meth:`SegmentReducer.sum`, for a fused kernel (the CRK moments) whose
+    internal reductions are part of one kernel call, not reducer calls of
+    their own."""
+    v = plan._permuted(values)
+    out = np.zeros((plan.num_segments,) + v.shape[1:], dtype=v.dtype)
+    if len(plan._starts_ne):
+        out[plan.nonempty] = np.add.reduceat(v, plan._starts_ne, axis=0)
     return out
 
 

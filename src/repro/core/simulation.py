@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import select_backend, use_backend
 from ..constants import G_COSMO, GAMMA_IDEAL, GYR_S
 from ..cosmology.background import Cosmology
 from ..observe import Observatory
@@ -95,28 +94,17 @@ class SimulationConfig:
     rung_margin: int = 1
     #: freeze smoothing lengths at their initial values (test/ablation use)
     fixed_h: bool = False
-    #: Verlet skin fraction for cached pair lists: search radii are inflated
-    #: to h*(1+skin) at build and the list survives per-particle drifts up
-    #: to skin*h/2 before an automatic rebuild (paper Section IV-B1)
-    pair_skin: float = 0.25
     #: evaluate subcycle forces only for the particles closing a substep
     #: (active sinks; inactive particles stay gather-only sources).  Off,
     #: every substep recomputes all rows — same trajectories to round-off,
     #: used as the reference in equivalence tests and benchmarks
     active_set: bool = True
     seed: int = 1234
-    viscosity_alpha: float = 1.0
-    viscosity_beta: float = 2.0
     #: numerics sanitizer: check particle state for NaN/Inf and total
     #: energy for blowups at every PM-step phase boundary, raising
     #: :class:`~repro.sanitize.numerics.NumericsError` naming the step,
     #: phase, and first bad index.  Off by default (zero cost when off).
     sanitize: bool = False
-    #: kernel backend the hot loops dispatch to: "numpy" (reference) or
-    #: "jit" (numba-compiled, parity-gated; falls back to numpy with a
-    #: one-time warning when numba is absent).  The ``REPRO_BACKEND`` env
-    #: var overrides this.  See :mod:`repro.backend`.
-    backend: str = "numpy"
 
     @property
     def box_array(self) -> np.ndarray:
@@ -177,9 +165,6 @@ class StepRecord:
     comm_wait: dict | None = None
     #: communication mode the step ran under ("blocking"/"overlap")
     comm_mode: str | None = None
-    #: kernel backend the step's hot loops actually ran on ("numpy"/"jit",
-    #: post-fallback), so benches and traces attribute numbers correctly
-    backend: str | None = None
 
 
 class Simulation:
@@ -195,15 +180,10 @@ class Simulation:
         # run pays only empty context managers (asserted <2% in tier-1).
         self.observe = observe if observe is not None else Observatory()
         self._obs_scope = self.observe.scope("sim")
-        # resolve the kernel backend once (env override + numba fallback)
-        # and warm JIT compilation here, not inside the first step's timers
-        self.backend = select_backend(config.backend, observe=self.observe)
         self.cosmo = config.cosmo
         self.kernel = get_kernel(config.kernel)
         self.eos = IdealGasEOS()
-        self.viscosity = MonaghanViscosity(
-            alpha=config.viscosity_alpha, beta=config.viscosity_beta
-        )
+        self.viscosity = MonaghanViscosity()
         if config.gravity and not config.is_cubic:
             raise ValueError("gravity (PM solver) requires a cubic box")
         # cache-aware construction: a caller that already holds a solver
@@ -264,8 +244,8 @@ class Simulation:
         # The gravity cache even survives across PM steps while drift stays
         # inside the skin; the hydro cache additionally tracks the gas
         # subset (star formation shrinks it) via ids.
-        self._grav_cache = PairCache(skin=config.pair_skin, box=config.box)
-        self._hydro_cache = PairCache(skin=config.pair_skin, box=config.box)
+        self._grav_cache = PairCache(box=config.box)
+        self._hydro_cache = PairCache(box=config.box)
         # kick-split long-range cache: the PM acceleration depends on
         # positions only, so the closing evaluation of one PM step (at
         # unit coefficient) is reused as the next step's opening — one FFT
@@ -527,8 +507,7 @@ class Simulation:
         """
         with self.observe.tracer.span("step", cat="driver",
                                       step=self.step_index, a=self.a):
-            with use_backend(self.backend):
-                return self._pm_step_body()
+            return self._pm_step_body()
 
     def _pm_step_body(self) -> StepRecord:
         cfg = self.config
@@ -578,7 +557,6 @@ class Simulation:
             n_particles=len(p),
             subcycle=stats,
             n_fft=stats.n_fft,
-            backend=self.backend,
         )
 
         # -- subgrid physics ---------------------------------------------------

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...backend import get_kernel, register_kernel
-from ..scatter import segment_sum
+from ..scatter import segment_sum, segment_sum_csr
 from .kernels import Kernel
 
 
@@ -92,12 +91,10 @@ def compute_moments(
     """
     n = pos.shape[0]
     if batch is not None:
-        # fused moment accumulation over the shared CSR plan; the jit
-        # backend collapses the (P, 3, 3, 3) temporaries into one loop
+        # moment accumulation over the batch's shared CSR plan
         w, gw = batch.kernel_i()
-        return get_kernel("crk.moments")(
-            vol[batch.pj], batch.dx, w, gw, batch.seg
-        )
+        acc = lambda values: segment_sum_csr(batch.seg, values)  # noqa: E731
+        return _moments_body(vol[batch.pj], batch.dx, w, gw, acc)
     if dx_pairs is None:
         dx_pairs = pos[pi] - pos[pj]
     dx = dx_pairs  # x_i - x_j, shape (P, 3)
@@ -114,18 +111,6 @@ def compute_moments(
         )
     acc = lambda values: segment_sum(values, pi, n)  # noqa: E731
     return _moments_body(vol[pj], dx, w, gw, acc)
-
-
-@register_kernel(
-    "crk.moments", contract="roundoff", rtol=1e-9, atol=1e-12,
-    note="reference reduces per-segment via np.add.reduceat (SIMD partial "
-         "sums); the fused compiled loop accumulates sequentially",
-)
-def _crk_moments_numpy(vj, dx, w, gw, red):
-    acc = lambda values: get_kernel(  # noqa: E731
-        "scatter.segment_sum_csr", backend="numpy"
-    )(red, values)
-    return _moments_body(vj, dx, w, gw, acc)
 
 
 def _moments_body(vj, dx, w, gw, acc):
@@ -231,22 +216,10 @@ def corrected_kernel_pairs(
                 0.0,
             )
 
-    return get_kernel("crk.corrected_pairs")(
-        corrections.a, corrections.b, corrections.grad_a,
-        corrections.grad_b, pi, dx, w, gw,
-    )
-
-
-@register_kernel(
-    "crk.corrected_pairs", contract="roundoff", rtol=1e-9, atol=1e-12,
-    note="einsum contractions vs sequential dot products differ in the "
-         "last bits",
-)
-def _corrected_pairs_numpy(ca, cb, cga, cgb, pi, dx, w, gw):
-    a = ca[pi]
-    b = cb[pi]
-    ga = cga[pi]
-    gb = cgb[pi]
+    a = corrections.a[pi]
+    b = corrections.b[pi]
+    ga = corrections.grad_a[pi]
+    gb = corrections.grad_b[pi]
 
     lin = 1.0 + np.einsum("pa,pa->p", b, dx)
     wr = a * lin * w

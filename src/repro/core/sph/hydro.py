@@ -145,7 +145,6 @@ def crksph_derivatives(
     eos: IdealGasEOS | None = None,
     viscosity: MonaghanViscosity | None = None,
     box: float | None = None,
-    use_balsara: bool = True,
     batch: PairBatch | None = None,
 ) -> HydroDerivatives:
     """Evaluate CRKSPH accelerations and energy derivatives.
@@ -186,13 +185,11 @@ def crksph_derivatives(
     c_ij = 0.5 * (cs[pi] + cs[pj])
     rho_ij = 0.5 * (rho[pi] + rho[pj])
 
-    limiter = None
-    if use_balsara:
-        div_v, curl_v = velocity_divergence_curl(
-            pos, vel, vol, h, pi, pj, kernel, batch=batch
-        )
-        f = balsara_switch(div_v, curl_v, cs, h)
-        limiter = 0.5 * (f[pi] + f[pj])
+    div_v, curl_v = velocity_divergence_curl(
+        pos, vel, vol, h, pi, pj, kernel, batch=batch
+    )
+    f = balsara_switch(div_v, curl_v, cs, h)
+    limiter = 0.5 * (f[pi] + f[pj])
 
     # viscous pseudo-pressure, symmetric in (i, j).  The 0.25 factor keeps
     # the classic Monaghan strength: G_ij carries twice the one-sided
@@ -260,7 +257,6 @@ def crksph_derivatives_active(
     eos: IdealGasEOS | None = None,
     viscosity: MonaghanViscosity | None = None,
     box: float | None = None,
-    use_balsara: bool = True,
 ) -> ActiveHydroDerivatives:
     """CRKSPH derivatives for the active sinks of an ``ActivePairSlices``.
 
@@ -335,14 +331,11 @@ def crksph_derivatives_active(
     cs_full = np.zeros(n)
     cs_full[sl.tier1] = cs1
 
-    f_full = None
-    if use_balsara:
-        div1, curl1 = velocity_divergence_curl(
-            pos, vel, vol_full, h, sl.pi1, sl.pj1, kernel, batch=b1
-        )
-        f1 = balsara_switch(div1, curl1, cs1, h[sl.tier1])
-        f_full = np.zeros(n)
-        f_full[sl.tier1] = f1
+    div1, curl1 = velocity_divergence_curl(
+        pos, vel, vol_full, h, sl.pi1, sl.pj1, kernel, batch=b1
+    )
+    f_full = np.zeros(n)
+    f_full[sl.tier1] = balsara_switch(div1, curl1, cs1, h[sl.tier1])
 
     # -- sink pairs: antisymmetrized force assembly --------------------------
     m0 = sl.mask0
@@ -366,9 +359,7 @@ def crksph_derivatives_active(
     h_ij0 = 0.5 * (h[pi0] + h[pj0])
     c_ij0 = 0.5 * (cs_full[pi0] + cs_full[pj0])
     rho_ij0 = 0.5 * (rho_full[pi0] + rho_full[pj0])
-    limiter0 = None
-    if use_balsara:
-        limiter0 = 0.5 * (f_full[pi0] + f_full[pj0])
+    limiter0 = 0.5 * (f_full[pi0] + f_full[pj0])
 
     pi_visc0 = viscosity.pi_pair(dx0, dv0, h_ij0, c_ij0, rho_ij0,
                                  limiter=limiter0)

@@ -22,22 +22,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..backend import get_kernel, register_kernel
 from .counters import OpCounters
 from .device import GPUSpec
 
 
-@register_kernel(
-    "gpusim.lane_scatter_add", contract="bit-identical",
-    note="np.add.at applies duplicate-index updates sequentially in lane "
-         "order — exactly the deterministic atomic model; the compiled "
-         "loop is the same sequential order",
-)
-def _lane_scatter_add_numpy(out, idx, vals):
-    # deliberate atomic model: lane-order accumulation is what makes the
-    # warp pass bit-reproducible
+def _lane_scatter_add(out, idx, vals):
+    # deliberate atomic model: np.add.at applies duplicate-index updates
+    # sequentially in lane order, which is what makes the warp pass
+    # bit-reproducible
     np.add.at(out, idx, vals)  # sanitize: allow-scatter
-    return out
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,6 @@ def execute_leaf_pair_warpsplit(
     rows are exactly zero in both modes.
     """
     counters = counters if counters is not None else OpCounters()
-    lane_add = get_kernel("gpusim.lane_scatter_add")
     if active_i is not None and compact:
         sel = np.nonzero(np.asarray(active_i, dtype=bool))[0]
         sub_state = {k: np.asarray(state_i[k])[sel] for k in kernel.fields_i}
@@ -205,17 +197,17 @@ def execute_leaf_pair_warpsplit(
                 phi = np.where(pair_ok, phi, 0.0)
                 acc_i += phi
                 if kernel.reaction:
-                    lane_add(acc_j, partner, kernel.reaction * phi)
+                    _lane_scatter_add(acc_j, partner, kernel.reaction * phi)
                 counters.fp32_add += half  # accumulation add
 
             if kernel.reaction:
                 counters.atomics += int(j_valid.sum())
                 counters.global_store_bytes += int(j_valid.sum()) * 4
-                lane_add(phi_j, j_idx, acc_j[: len(j_idx)])
+                _lane_scatter_add(phi_j, j_idx, acc_j[: len(j_idx)])
 
         counters.atomics += int(i_live.sum())
         counters.global_store_bytes += int(i_live.sum()) * 4
-        lane_add(phi_i, i_idx, acc_i[: len(i_idx)])
+        _lane_scatter_add(phi_i, i_idx, acc_i[: len(i_idx)])
 
     return phi_i, phi_j, counters
 

@@ -82,11 +82,6 @@ IO_SPANS = (
     "io/checkpoint",
 )
 
-#: kernel-backend lifecycle (one-shot JIT warm-up compilation)
-BACKEND_SPANS = (
-    "backend/compile",
-)
-
 #: campaign execution engine: the ``campaign/queued`` async slice spans
 #: admission -> dispatch; ``campaign/job`` wraps a whole run on a worker
 #: track; power/ics/build are the cache-aware artifact stages; run is the
@@ -128,7 +123,7 @@ ASYNC_SPANS = frozenset(
 SPAN_NAMES = frozenset(
     SERIAL_PHASES + DISTRIBUTED_PHASES + RUNG_PHASES + MIGRATION_SPANS
     + DRIVER_SPANS + COMM_SPANS + FFT_SPANS + GPU_SPANS + IO_SPANS
-    + BACKEND_SPANS + CAMPAIGN_SPANS + RESILIENCE_SPANS
+    + CAMPAIGN_SPANS + RESILIENCE_SPANS
 )
 
 #: Fig. 2 component attribution: span name -> reported component.  The

@@ -52,11 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import select_backend, use_backend
 from ..constants import G_COSMO, GAMMA_IDEAL
 from ..cosmology.background import Cosmology
 from ..core.gravity.force_split import recommended_cutoff
-from ..core.gravity.pm import cic_deposit, cic_interpolate
+from ..core.gravity.pm import (
+    build_green_tables,
+    cic_deposit,
+    cic_interpolate,
+)
 from ..core.gravity.short_range import short_range_accelerations
 from ..core.simulation import StepRecord
 from ..core.sph.hydro import crksph_derivatives_active
@@ -97,16 +100,10 @@ class DistributedConfig:
     #: the overload width is known a priori (serial analog: fixed_h=True)
     sph_h: float = 0.0
     kernel: str = "wendland_c4"
-    #: Verlet skin fraction for the per-rank cached pair lists; the second
-    #: force evaluation of each kick-drift-kick step reuses the first
-    #: evaluation's list whenever intra-step drift stays within skin*h/2
-    pair_skin: float = 0.25
     #: "blocking" serializes exchange -> solve; "overlap" computes the
     #: interior rows while the ghost exchange and FFT transposes are in
     #: flight.  The two modes are bit-identical (asserted in tests).
     comm_mode: str = "blocking"
-    #: pipeline depth (z-chunks) of the overlap-mode FFT transposes
-    fft_stages: int = 2
     #: simulated fabric cost (see :class:`~repro.parallel.World`): per-
     #: message latency in seconds plus payload time at ``net_gb_per_s``
     #: GB/s (0 = ideal wire).  Values are unchanged — transfers just take
@@ -140,11 +137,6 @@ class DistributedConfig:
     cfl: float = 0.25
     #: acceleration-criterion prefactor of the timestep criterion
     eta_accel: float = 0.05
-    #: kernel backend the hot loops dispatch to: "numpy" (reference) or
-    #: "jit" (numba-compiled, parity-gated; falls back to numpy with a
-    #: one-time warning when numba is absent).  The ``REPRO_BACKEND`` env
-    #: var overrides this.  See :mod:`repro.backend`.
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.cosmo is None:
@@ -206,14 +198,13 @@ class RankDomain:
 
     def __init__(self, comm, config: DistributedConfig, decomp, owned: dict,
                  observe: Observatory | None = None, scope: str = "dist",
-                 fault_plan=None, backend: str | None = None):
+                 fault_plan=None):
         self.comm = comm
         self.cfg = cfg = config
         self.decomp = decomp
         self.observe = observe if observe is not None else Observatory()
         self.scope = scope
         self.fault_plan = fault_plan
-        self.backend = backend
         self.tracer = comm.world.tracer
         self.tracer.set_track(comm.rank, f"rank {comm.rank}")
         self.overlap = cfg.comm_mode == "overlap"
@@ -224,8 +215,7 @@ class RankDomain:
         #: so the collective FFT solve is entered by all ranks together.
         self.acc_long = None
         self.fft = (
-            DistributedFFT(comm, cfg.pm_grid, mode=cfg.comm_mode,
-                           n_stages=cfg.fft_stages)
+            DistributedFFT(comm, cfg.pm_grid, mode=cfg.comm_mode)
             if cfg.gravity
             else None
         )
@@ -236,10 +226,10 @@ class RankDomain:
         # serve the boundary rows.  Ghost ids ride along in the exchange so
         # the caches can tell "same neighborhood, small drift" (reuse) from
         # "membership changed" (rebuild).
-        self.grav_cache = PairCache(skin=cfg.pair_skin, box=None)
-        self.grav_cache_own = PairCache(skin=cfg.pair_skin, box=None)
-        self.hydro_cache = PairCache(skin=cfg.pair_skin, box=None)
-        self.hydro_cache_own = PairCache(skin=cfg.pair_skin, box=None)
+        self.grav_cache = PairCache(box=None)
+        self.grav_cache_own = PairCache(box=None)
+        self.hydro_cache = PairCache(box=None)
+        self.hydro_cache_own = PairCache(box=None)
         self.lo, self.hi = decomp.bounds(comm.rank)
         # max displacement of ANY particle since the last migration
         # (globally reduced): bounds how far a ghost can have drifted into
@@ -336,7 +326,6 @@ class RankDomain:
             n_substeps=stats.n_substeps, deepest_rung=stats.deepest_rung,
             n_particles=stats.n_particles, subcycle=stats, n_fft=stats.n_fft,
             comm_wait=self.cwait, comm_mode=cfg.comm_mode,
-            backend=self.backend,
         )
         self.records.append(record)
         # end-of-step hooks (checkpointers): the closing kick has landed
@@ -519,31 +508,11 @@ class RankDomain:
         if self._green is None:
             cfg = self.cfg
             n = cfg.pm_grid
-            dk = 2.0 * np.pi / cfg.box
-            k1 = np.fft.fftfreq(n, d=1.0 / n) * dk
-            ys, ye = slab_bounds(n, self.comm.size, self.comm.rank)
-            k2 = (
-                k1[:, None, None] ** 2
-                + k1[ys:ye][None, :, None] ** 2
-                + k1[None, None, :] ** 2
+            *kvecs, _, green = build_green_tables(
+                n, cfg.box, cfg.r_split, half_z=False,
+                y_slab=slab_bounds(n, self.comm.size, self.comm.rank),
             )
-            green = np.zeros_like(k2)
-            nz = k2 > 0
-            green[nz] = -1.0 / k2[nz]
-            if cfg.r_split > 0:
-                green *= np.exp(-k2 * cfg.r_split**2)
-            # CIC deconvolution (full-complex layout)
-            f1 = np.fft.fftfreq(n)
-            w = (
-                np.sinc(f1)[:, None, None]
-                * np.sinc(f1[ys:ye])[None, :, None]
-                * np.sinc(f1)[None, None, :]
-            ) ** 2
-            green /= np.maximum(w**2, 1e-12)  # divide by W_CIC^2 (sinc^4/axis)
-            kx = k1[:, None, None] * np.ones_like(k2)
-            ky = k1[ys:ye][None, :, None] * np.ones_like(k2)
-            kz = k1[None, None, :] * np.ones_like(k2)
-            self._green = (green, (kx, ky, kz))
+            self._green = (green, kvecs)
         return self._green
 
     def _solve_long_range(self, rho=None) -> np.ndarray:
@@ -844,7 +813,6 @@ def _run_rank(comm, sim: DistributedSimulation, particles: dict,
         comm, sim.config, sim.decomp,
         {name: rows[mine].copy() for name, rows in particles.items()},
         observe=sim.observe, scope=scope, fault_plan=sim.fault_plan,
-        backend=sim.backend,
     )
     rank.run(sim.step_hooks)
     return rank
@@ -869,9 +837,6 @@ class DistributedSimulation:
         # observability: one tracer serves all simulated ranks (one trace
         # track per rank); phase timers and comm-wait live in the registry
         self.observe = observe if observe is not None else Observatory()
-        # resolve the kernel backend once (env override + numba fallback)
-        # and warm JIT compilation outside the per-step timers
-        self.backend = select_backend(config.backend, observe=self.observe)
         self.decomp = make_decomposition(config.box, n_ranks)
         if 2.0 * config.overload_width >= self.decomp.widths.min():
             raise ValueError(
@@ -918,12 +883,11 @@ class DistributedSimulation:
                       fault_plan=self.fault_plan)
         #: kept for post-run inspection (traffic stats, sanitizer findings)
         self.world = world
-        with use_backend(self.backend):
-            ranks = world.run(
-                _run_rank, self, particles,
-                self.decomp.rank_of_positions(pos),
-                self.observe.scope("dist"), timeout=cfg.comm_timeout_s,
-            )
+        ranks = world.run(
+            _run_rank, self, particles,
+            self.decomp.rank_of_positions(pos),
+            self.observe.scope("dist"), timeout=cfg.comm_timeout_s,
+        )
         self.step_records = ranks[0].records
         self.traffic = world.stats
         self.pm_eval_counts += [r.pm_evals for r in ranks]

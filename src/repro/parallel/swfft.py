@@ -227,25 +227,3 @@ class DistributedFFT:
                 _cancel_requests(r for per in reqs for r in per)
                 raise
             return out
-
-    def poisson_greens(self, spec_y: np.ndarray, box: float, coeff: float):
-        """Apply the -coeff/k^2 Green's function to a forward spectrum.
-
-        Works on the rank's y-slab layout; the k=0 mode is zeroed (mean
-        subtraction), matching the PMSolver convention.
-        """
-        n, comm = self.n, self.comm
-        dk = 2.0 * np.pi / box
-        kx = np.fft.fftfreq(n, d=1.0 / n) * dk
-        ys, ye = slab_bounds(n, comm.size, comm.rank)
-        ky = (np.fft.fftfreq(n, d=1.0 / n) * dk)[ys:ye]
-        kz = np.fft.fftfreq(n, d=1.0 / n) * dk
-        k2 = (
-            kx[:, None, None] ** 2
-            + ky[None, :, None] ** 2
-            + kz[None, None, :] ** 2
-        )
-        green = np.zeros_like(k2)
-        nz = k2 > 0
-        green[nz] = -coeff / k2[nz]
-        return spec_y * green

@@ -8,7 +8,6 @@ subset by name for ``python -m repro lint --rules``.
 
 from __future__ import annotations
 
-from .backend import BackendDisciplineRule
 from .clocks import ClockDisciplineRule
 from .determinism import DeterminismRule
 from .dtypes import DtypeDisciplineRule
@@ -21,7 +20,6 @@ _RULE_CLASSES = (
     ClockDisciplineRule,
     DeterminismRule,
     DtypeDisciplineRule,
-    BackendDisciplineRule,
 )
 
 
@@ -49,7 +47,6 @@ def get_rules(names=None) -> list:
 
 
 __all__ = [
-    "BackendDisciplineRule",
     "ClockDisciplineRule",
     "DeterminismRule",
     "DtypeDisciplineRule",

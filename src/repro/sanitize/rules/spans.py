@@ -24,7 +24,6 @@ TRACER_METHODS = frozenset(
 #: modules whose tracer calls must only use registered span names
 #: (repo-relative posix paths)
 INSTRUMENTED = (
-    "repro/backend/registry.py",
     "repro/core/simulation.py",
     "repro/parallel/comm.py",
     "repro/parallel/distributed_sim.py",

@@ -75,6 +75,13 @@ class ActivePairSlices:
         return len(self.pi1) + len(self.pi2) + int(self.mask0.sum())
 
 
+#: Verlet skin fraction both drivers build their pair caches with: search
+#: radii are inflated to h*(1+skin) at build and the list survives
+#: per-particle drifts up to skin*h/2 before an automatic rebuild (paper
+#: Section IV-B1)
+PAIR_SKIN = 0.25
+
+
 class PairCache:
     """Cached symmetric neighbor pair lists with skin-radius reuse.
 
@@ -91,7 +98,8 @@ class PairCache:
     test.
     """
 
-    def __init__(self, skin: float = 0.25, box=None, include_self: bool = True):
+    def __init__(self, skin: float = PAIR_SKIN, box=None,
+                 include_self: bool = True):
         if skin < 0:
             raise ValueError("skin must be non-negative")
         self.skin = float(skin)

@@ -89,6 +89,21 @@ class TestAnalyticTransform:
         xi8 = xi_from_power(np.array([8.0]), power)[0]
         assert 0.3 < xi8 < 2.0
 
+    def test_growth_factor_evaluated_once(self, monkeypatch):
+        """The growth factor is a quadrature of its own: one evaluation per
+        transform, not one per integrand sample."""
+        power = LinearPower(PLANCK18)
+        calls = []
+        growth = type(PLANCK18).growth_factor
+
+        def counting(self, a, *args, **kwargs):
+            calls.append(a)
+            return growth(self, a, *args, **kwargs)
+
+        monkeypatch.setattr(type(PLANCK18), "growth_factor", counting)
+        xi_from_power(np.array([5.0, 10.0]), power, a=0.5)
+        assert calls == [0.5]
+
     def test_growth_scaling(self):
         power = LinearPower(PLANCK18)
         r = np.array([10.0])

@@ -121,8 +121,10 @@ class TestSpec:
         assert len({j.name for j in jobs}) == 6  # auto-named uniquely
 
     def test_unknown_field_raises(self):
-        with pytest.raises(ValueError, match="unknown job field"):
-            expand_sweep({"n_per_dmi": 4}, None)
+        # a misspelt field, and an option that no longer exists
+        for base in ({"n_per_dmi": 4}, {"backend": "jit"}):
+            with pytest.raises(ValueError, match="unknown job field"):
+                expand_sweep(base, None)
 
     def test_spec_file_roundtrip(self, tmp_path):
         spec_path = tmp_path / "spec.json"

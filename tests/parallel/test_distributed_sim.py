@@ -92,3 +92,32 @@ class TestValidation:
         # 64 ranks on a 100 box -> 25-wide domains < 2x cutoff (~41)
         with pytest.raises(ValueError, match="cutoff"):
             DistributedSimulation(cfg, 64)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_rank_green_tables_are_the_serial_ones_on_the_half_grid(n_ranks):
+    """The serial PM solve (rfft layout) and the rank solve (full-complex
+    y-slabs) filter with the same Green's function: on the non-negative
+    z frequencies both layouts hold, the tables agree bitwise."""
+    from repro.core.gravity.pm import PMSolver
+    from repro.parallel import World, slab_bounds
+    from repro.parallel.decomposition import make_decomposition
+    from repro.parallel.distributed_sim import RankDomain
+
+    cfg = make_config(120.0)
+    n = cfg.pm_grid
+    serial = PMSolver(n=n, box=cfg.box, r_split=cfg.r_split)._green
+
+    def rank_green(comm):
+        rank = RankDomain(comm, cfg, make_decomposition(cfg.box, n_ranks), {
+            "pos": np.zeros((0, 3)), "vel": np.zeros((0, 3)),
+            "mass": np.zeros(0), "u": np.zeros(0),
+            "ids": np.zeros(0, dtype=np.int64),
+            "gas": np.zeros(0, dtype=bool),
+        })
+        return rank._green_tables()[0]
+
+    for r, green in enumerate(World(n_ranks).run(rank_green)):
+        ys, ye = slab_bounds(n, n_ranks, r)
+        assert green.shape == (n, ye - ys, n)
+        assert np.array_equal(green[..., : n // 2 + 1], serial[:, ys:ye])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.gravity.pm import build_green_tables
 from repro.parallel import (
     DistributedFFT,
     World,
@@ -90,8 +91,11 @@ class TestDistributedFFT:
         def fn(comm):
             fft = DistributedFFT(comm, n)
             spec = fft.forward(slabs[comm.rank])
-            spec = fft.poisson_greens(spec, box, coeff)
-            return fft.inverse(spec)
+            green = build_green_tables(
+                n, box, deconvolve_cic=False, half_z=False,
+                y_slab=slab_bounds(n, comm.size, comm.rank),
+            )[-1]
+            return fft.inverse(coeff * green * spec)
 
         world = World(n_ranks)
         phi = np.concatenate(world.run(fn), axis=0).real

@@ -30,7 +30,7 @@ def test_rule_catalog_is_active():
     names = {r.name for r in default_rules()}
     assert names >= {
         "scatter", "span-taxonomy", "clock-discipline",
-        "determinism", "dtype-discipline", "backend-discipline",
+        "determinism", "dtype-discipline",
     }
 
 
