@@ -4,7 +4,8 @@ Measures the three legs of the pair-engine optimization against their
 naive counterparts on a realistic clustered particle set:
 
 * Verlet-cached pair-list query vs a fresh ``neighbor_pairs`` build — the
-  per-subcycle saving from reusing one list across a PM step;
+  per-subcycle saving from reusing one list across a PM step — and the
+  query's own time and kept rows per second;
 * sorted-CSR ``segment_sum`` vs buffered ``np.add.at`` — the per-pair
   scatter cost on the force hot path;
 * one full ``crksph_derivatives`` evaluation — the end-to-end number the
@@ -90,9 +91,12 @@ def test_x6_pair_engine(benchmark):
         out["fresh_build_s"] = fresh
         out["cached_query_s"] = cached
         out["cache_speedup"] = fresh / cached
+        # the query's own throughput: rows it hands on (with their dx, r2)
+        # per second, comparable across commits where the ratio is not
+        out["kept_rows_per_s"] = len(cache.get(moved, h).pi) / cached
 
         # --- leg 2: np.add.at vs segment_sum on the pair scatter ----------
-        pi, pj = cache.get(pos, h)
+        pi, pj = cache.get(pos, h)[:2]
         out["n_pairs"] = len(pi)
         vals = rng.normal(size=(len(pi), 3))
 
@@ -126,6 +130,8 @@ def test_x6_pair_engine(benchmark):
         [
             ("pair list (fresh vs cached)", f"{r['fresh_build_s']:.4f}",
              f"{r['cached_query_s']:.4f}", f"{r['cache_speedup']:.1f}x"),
+            ("cached query, kept rows/s", "",
+             f"{r['kept_rows_per_s']:.3e}", ""),
             ("pair scatter (add.at vs segment)", f"{r['add_at_s']:.5f}",
              f"{r['segment_sum_s']:.5f}", f"{r['scatter_speedup']:.1f}x"),
             ("crksph_derivatives (1 eval)", "", f"{r['hydro_deriv_s']:.4f}",

@@ -13,6 +13,7 @@ short-range solver node-local (paper Sections IV-A and VII).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
@@ -32,8 +33,11 @@ def long_range_shape(r, r_split: float):
     return 1.0 - short_range_shape(r, r_split)
 
 
+@lru_cache
 def recommended_cutoff(r_split: float, tol: float = 1.0e-4) -> float:
-    """Radius beyond which S(r) < tol (bisection on the monotone tail)."""
+    """Radius beyond which S(r) < tol (bisection on the monotone tail;
+    memoised, since the config properties over it are read per force
+    evaluation)."""
     if r_split <= 0:
         return 0.0
     lo, hi = r_split, 20.0 * r_split

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...constants import G_COSMO
-from ..geometry import pair_displacements
+from ..geometry import pair_geometry
 from ..scatter import segment_sum
 from .force_split import newtonian_pair_kernel, short_range_shape
 
@@ -27,12 +27,18 @@ def short_range_accelerations(
     g_newton: float = G_COSMO,
     sink_index: np.ndarray | None = None,
     n_out: int | None = None,
+    dx: np.ndarray | None = None,
+    r2: np.ndarray | None = None,
 ) -> np.ndarray:
     """Acceleration on each particle from short-range pair forces.
 
-    ``pi, pj`` is an ordered pair list (self pairs are ignored).  With
+    ``pi, pj`` is an ordered pair list; rows at zero separation (self
+    pairs, coincident particles) contribute exact zeros.  With
     ``r_split=0`` the full Newtonian force is returned (direct summation
     mode, used by force-completeness tests).
+
+    ``dx, r2`` are the rows' geometry as a ``PairCache`` query carries it
+    (``core.geometry.pair_geometry``); without them it is formed here.
 
     ``sink_index``/``n_out`` switch on compact active-row assembly: forces
     accumulate into row ``sink_index[p]`` of an ``(n_out, 3)`` output
@@ -41,31 +47,29 @@ def short_range_accelerations(
     gather-only sources (paper Section IV-A active-rung evaluation).
     """
     n = pos.shape[0] if n_out is None else int(n_out)
-    if len(pi) == 0:
-        return np.zeros((n, 3))
-    keep = pi != pj
-    pi = pi[keep]
-    pj = pj[keep]
-    rows = pi if sink_index is None else np.asarray(sink_index)[keep]
+    rows = pi if sink_index is None else np.asarray(sink_index)
     accel = np.zeros((n, 3))
     # chunk the pair list so peak memory stays bounded regardless of how
     # dense the interaction lists get (each pair costs ~10 temporaries)
     chunk = 2_000_000
     for s in range(0, len(pi), chunk):
-        ci = pi[s : s + chunk]
-        cj = pj[s : s + chunk]
-        crows = rows[s : s + chunk]
-        dx = pair_displacements(pos, ci, cj, box)  # x_i - x_j
-        r = np.sqrt(np.einsum("pa,pa->p", dx, dx))
-        kern = newtonian_pair_kernel(r, softening)
-        if r_split > 0:
-            kern = kern * short_range_shape(r, r_split)
+        c = slice(s, s + chunk)
+        if dx is None:
+            cdx, cr2 = pair_geometry(pos, pi[c], pj[c], box)  # x_i - x_j
+        else:
+            cdx, cr2 = dx[c], r2[c]
+        r = np.sqrt(cr2)
+        # 0/0 at r == 0 (unsoftened kernel, unit vector): masked just below
         with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(
-                r[:, None] > 0, dx / np.maximum(r, 1e-300)[:, None], 0.0
+            kern = newtonian_pair_kernel(r, softening)
+            if r_split > 0:
+                kern = kern * short_range_shape(r, r_split)
+            contrib = np.where(
+                cr2[:, None] > 0,
+                -g_newton * (mass[pj[c]] * kern)[:, None] * (cdx / r[:, None]),
+                0.0,
             )
-        contrib = -g_newton * (mass[cj] * kern)[:, None] * unit
-        accel += segment_sum(contrib, crows, n)
+        accel += segment_sum(contrib, rows[c], n)
     return accel
 
 

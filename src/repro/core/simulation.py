@@ -281,9 +281,9 @@ class Simulation:
             return
         gpos = p.pos[gas]
         gh = p.h[gas]
-        pi, pj = self._hydro_cache.get(gpos, gh, ids=gas)
-        _, vol = compute_number_density(gpos, gh, pi, pj, self.kernel,
-                                        box=self.config.box)
+        rows = self._hydro_cache.get(gpos, gh, ids=gas)
+        _, vol = compute_number_density(gpos, gh, rows.pi, rows.pj,
+                                        self.kernel, dx_pairs=rows.dx)
         p.h[gas] = update_smoothing_lengths(
             vol,
             n_target=self.config.n_neighbors,
@@ -375,24 +375,27 @@ class Simulation:
 
         if cfg.gravity:
             with timers.time("short_range"):
-                h_cut = np.full(n, cfg.cutoff)
                 if sinks is None:
-                    pi, pj = self._grav_cache.get(p.pos, h_cut)
+                    rows = self._grav_cache.get(p.pos, cfg.cutoff)
                     accel += short_range_accelerations(
-                        p.pos, p.mass, pi, pj,
+                        p.pos, p.mass, rows.pi, rows.pj,
                         r_split=cfg.r_split, softening=cfg.softening,
                         box=cfg.box, g_newton=G_COSMO / a_eff,
+                        dx=rows.dx, r2=rows.r2,
                     )
                 else:
-                    pi, pj = self._grav_cache.get_for_sinks(p.pos, h_cut, sinks)
+                    rows = self._grav_cache.get_for_sinks(
+                        p.pos, cfg.cutoff, sinks
+                    )
                     accel[sinks] += short_range_accelerations(
-                        p.pos, p.mass, pi, pj,
+                        p.pos, p.mass, rows.pi, rows.pj,
                         r_split=cfg.r_split, softening=cfg.softening,
                         box=cfg.box, g_newton=G_COSMO / a_eff,
-                        sink_index=np.searchsorted(sinks, pi),
+                        dx=rows.dx, r2=rows.r2,
+                        sink_index=np.searchsorted(sinks, rows.pi),
                         n_out=len(sinks),
                     )
-                self._n_pairs += len(pi)
+                self._n_pairs += len(rows.pi)
 
         gas = np.nonzero(p.gas)[0]
         if cfg.hydro and len(gas) > 0:
@@ -402,17 +405,18 @@ class Simulation:
                 # peculiar velocity v = p_mom / a in comoving dynamics
                 gvel = p.vel[gas] / a_eff
                 if sinks is None:
-                    pi, pj = self._hydro_cache.get(gpos, gh, ids=gas)
+                    rows = self._hydro_cache.get(gpos, gh, ids=gas)
                     d = crksph_derivatives(
-                        gpos, gvel, p.mass[gas], p.u[gas], gh, pi, pj,
-                        self.kernel, eos=self.eos, viscosity=self.viscosity,
-                        box=cfg.box,
+                        gpos, gvel, p.mass[gas], p.u[gas], gh,
+                        rows.pi, rows.pj, self.kernel, eos=self.eos,
+                        viscosity=self.viscosity, box=cfg.box,
+                        dx_pairs=rows.dx, r2_pairs=rows.r2,
                     )
                     accel[gas] += d.accel
                     du_da[gas] = d.du_dt
                     vsig[gas] = d.max_signal_speed
                     p.rho[gas] = d.rho
-                    self._n_pairs += len(pi)
+                    self._n_pairs += len(rows.pi)
                 else:
                     # map active sinks into the gas-local frame
                     gas_sinks = np.searchsorted(gas, sinks[p.gas[sinks]])
@@ -533,7 +537,7 @@ class Simulation:
                 # lands in the tree-build timer; subcycle force calls reuse
                 # it, and the Verlet skin lets it survive whole PM steps
                 # under slow drift (paper IV-B1)
-                self._grav_cache.ensure(p.pos, np.full(len(p), cfg.cutoff))
+                self._grav_cache.ensure(p.pos, cfg.cutoff)
 
         # -- opening forces, rungs, subcycled KDK, closing long-range kick
         # (the step's one fresh FFT; the unit-coefficient solve is cached

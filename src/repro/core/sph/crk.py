@@ -113,32 +113,48 @@ def compute_moments(
     return _moments_body(vol[pj], dx, w, gw, acc)
 
 
+#: rows of the per-pair moment buffer: m0 | m1 (3) | m2 upper triangle (6)
+#: | dm0 (3) | dm1 sums (3x3) | dm2 sums (3 x 6 upper-triangle) = 40
+_SYM_B = np.array([0, 0, 0, 1, 1, 2])
+_SYM_C = np.array([0, 1, 2, 1, 2, 2])
+#: (b, c) -> upper-triangle index
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
 def _moments_body(vj, dx, w, gw, acc):
-    m0 = acc(vj * w)
+    """All six moment sums in one ``acc`` over a ``(P, 40)`` buffer (filled
+    as its ``(40, P)`` transpose, so every write is contiguous).
 
-    # m1_b = sum_j V_j (x_j - x_i)_b W = sum_j V_j (-dx_b) W
-    m1 = acc(vj[:, None] * (-dx) * w[:, None])
+    Only the parts that differ pair to pair are reduced; the delta terms of
+    the gradients are per-*particle* because ``sum_j V_j W = m0`` and
+    ``sum_j V_j dx_c W = -m1_c`` (``dx = x_i - x_j``):
 
-    # m2_bc = sum_j V_j dx_b dx_c W  (sign squared: (x_j-x_i)(x_j-x_i))
-    outer = dx[:, :, None] * dx[:, None, :]
-    m2 = acc(vj[:, None, None] * outer * w[:, None, None])
+        dm1[a, b]    = sum_j V_j (-dx_b) gw_a - delta_ab m0
+        dm2[a, b, c] = sum_j V_j dx_b dx_c gw_a - delta_ab m1_c - delta_ac m1_b
+    """
+    p = len(vj)
+    dxt = dx.T
+    vw = vj * w
+    sym = dxt[_SYM_B] * dxt[_SYM_C]  # dx_b dx_c, b <= c
+    buf = np.empty((40, p))
+    buf[0] = vw
+    np.multiply(dxt, -vw, out=buf[1:4])
+    np.multiply(sym, vw, out=buf[4:10])
+    vgw = np.multiply(gw.T, vj, out=buf[10:13])
+    np.multiply(vgw[:, None], -dxt, out=buf[13:22].reshape(3, 3, p))
+    np.multiply(vgw[:, None], sym, out=buf[22:40].reshape(3, 6, p))
+    tot = acc(buf.T)
 
-    # gradients w.r.t. x_i
-    dm0 = acc(vj[:, None] * gw)
-
-    # d/dx_a [ (x_j - x_i)_b W ] = -delta_ab W + (x_j - x_i)_b gw_a
-    term = (-dx)[:, None, :] * gw[:, :, None]  # (P, a, b)
+    n = len(tot)
     eye = np.eye(3)
-    term = term - eye[None, :, :] * w[:, None, None]
-    dm1 = acc(vj[:, None, None] * term)
-
-    # d/dx_a [ dx_b dx_c W ] with dx = x_i - x_j:
-    #   = delta_ab dx_c W + delta_ac dx_b W + dx_b dx_c gw_a
-    t1 = eye[None, :, :, None] * dx[:, None, None, :] * w[:, None, None, None]
-    t2 = eye[None, :, None, :] * dx[:, None, :, None] * w[:, None, None, None]
-    t3 = outer[:, None, :, :] * gw[:, :, None, None]
-    dm2 = acc(vj[:, None, None, None] * (t1 + t2 + t3))
-
+    m0 = tot[:, 0]
+    m1 = tot[:, 1:4]
+    m2 = tot[:, 4:10][:, _SYM]
+    dm0 = tot[:, 10:13]
+    dm1 = tot[:, 13:22].reshape(n, 3, 3) - eye * m0[:, None, None]
+    dm2 = tot[:, 22:40].reshape(n, 3, 6)[:, :, _SYM]
+    dm2 -= eye[:, :, None] * m1[:, None, None, :]
+    dm2 -= eye[:, None, :] * m1[:, None, :, None]
     return m0, m1, m2, dm0, dm1, dm2
 
 
@@ -217,9 +233,9 @@ def corrected_kernel_pairs(
             )
 
     a = corrections.a[pi]
-    b = corrections.b[pi]
-    ga = corrections.grad_a[pi]
-    gb = corrections.grad_b[pi]
+    b = np.take(corrections.b, pi, axis=0)
+    ga = np.take(corrections.grad_a, pi, axis=0)
+    gb = np.take(corrections.grad_b, pi, axis=0)
 
     lin = 1.0 + np.einsum("pa,pa->p", b, dx)
     wr = a * lin * w

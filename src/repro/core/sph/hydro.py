@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import pair_displacements
+from ..geometry import pair_differences, pair_displacements
 from ..scatter import SegmentReducer, segment_sum
 from .crk import CRKCorrections, compute_corrections, corrected_kernel_pairs
 from .eos import IdealGasEOS
@@ -146,20 +146,24 @@ def crksph_derivatives(
     viscosity: MonaghanViscosity | None = None,
     box: float | None = None,
     batch: PairBatch | None = None,
+    dx_pairs: np.ndarray | None = None,
+    r2_pairs: np.ndarray | None = None,
 ) -> HydroDerivatives:
     """Evaluate CRKSPH accelerations and energy derivatives.
 
     ``pi, pj`` must be a symmetric pair list (both orderings present) that
     includes self pairs; conservation tests enforce this contract.  Pair
-    geometry, base kernels, and the CSR reduction plan are computed once in
-    a ``PairBatch`` (or accepted prebuilt via ``batch``) and shared by
-    every stage.
+    geometry (taken from ``dx_pairs``/``r2_pairs`` when a ``PairCache``
+    query carried it), base kernels, and the CSR reduction plan are
+    computed once in a ``PairBatch`` (or accepted prebuilt via ``batch``)
+    and shared by every stage.
     """
     eos = eos or IdealGasEOS()
     viscosity = viscosity or MonaghanViscosity()
 
     if batch is None:
-        batch = make_pair_batch(pos, h, pi, pj, kernel, box=box)
+        batch = make_pair_batch(pos, h, pi, pj, kernel, box=box,
+                                dx_pairs=dx_pairs, r2_pairs=r2_pairs)
     pi, pj, dx = batch.pi, batch.pj, batch.dx
 
     _, vol = compute_number_density(pos, h, pi, pj, kernel, batch=batch)
@@ -180,7 +184,7 @@ def crksph_derivatives(
     )
     g_pair = g_ij - g_ji
 
-    dv = vel[pi] - vel[pj]
+    dv = pair_differences(vel, pi, pj)
     h_ij = 0.5 * (h[pi] + h[pj])
     c_ij = 0.5 * (cs[pi] + cs[pj])
     rho_ij = 0.5 * (rho[pi] + rho[pj])
@@ -295,7 +299,8 @@ def crksph_derivatives_active(
     # -- tier2: volumes (only the base kernel sum) ---------------------------
     sink2 = np.searchsorted(sl.tier2, sl.pi2)
     b2 = make_pair_batch(pos, h, sl.pi2, sl.pj2, kernel, box=box,
-                         sink_ids=sink2, n_sinks=len(sl.tier2))
+                         dx_pairs=sl.dx2, sink_ids=sink2,
+                         n_sinks=len(sl.tier2))
     _, vol2 = compute_number_density(pos, h, sl.pi2, sl.pj2, kernel, batch=b2)
     # full-length staging arrays: later stages gather neighbor values with
     # global indices; rows outside the closure are never read
@@ -305,7 +310,8 @@ def crksph_derivatives_active(
     # -- tier1: corrections, density, pressure, limiter ----------------------
     sink1 = np.searchsorted(sl.tier1, sl.pi1)
     b1 = make_pair_batch(pos, h, sl.pi1, sl.pj1, kernel, box=box,
-                         sink_ids=sink1, n_sinks=len(sl.tier1))
+                         dx_pairs=sl.dx1, sink_ids=sink1,
+                         n_sinks=len(sl.tier1))
     corr1 = compute_corrections(pos, vol_full, h, sl.pi1, sl.pj1, kernel,
                                 batch=b1)
     corr_full = CRKCorrections(
@@ -338,13 +344,13 @@ def crksph_derivatives_active(
     f_full[sl.tier1] = balsara_switch(div1, curl1, cs1, h[sl.tier1])
 
     # -- sink pairs: antisymmetrized force assembly --------------------------
-    m0 = sl.mask0
+    m0 = np.flatnonzero(sl.mask0)
     pi0 = sl.pi1[m0]
     pj0 = sl.pj1[m0]
-    dx0 = b1.dx[m0]
+    dx0 = np.take(b1.dx, m0, axis=0)
     r0 = b1.r[m0]
-    unit0 = b1.unit[m0]
-    g_ij0 = g_ij1[m0]
+    unit0 = np.take(b1.unit, m0, axis=0)
+    g_ij0 = np.take(g_ij1, m0, axis=0)
 
     # mirrored orientation (support h_j, gradient w.r.t. x_j), sink rows only
     hj0 = h[pj0]
@@ -355,7 +361,7 @@ def crksph_derivatives_active(
     )
     g_pair0 = g_ij0 - g_ji0
 
-    dv0 = vel[pi0] - vel[pj0]
+    dv0 = pair_differences(vel, pi0, pj0)
     h_ij0 = 0.5 * (h[pi0] + h[pj0])
     c_ij0 = 0.5 * (cs_full[pi0] + cs_full[pj0])
     rho_ij0 = 0.5 * (rho_full[pi0] + rho_full[pj0])

@@ -16,11 +16,12 @@ a buffered ``np.add.at`` scatter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..geometry import pair_displacements
+from ..geometry import pair_geometry
 from ..scatter import SegmentReducer
 from .kernels import Kernel
 
@@ -33,46 +34,63 @@ class PairBatch:
 
     ``w_i``/``gw_i`` evaluate the base kernel at the *gather* support
     ``h_i`` with the gradient taken with respect to ``x_i`` — what every
-    gather-side stage consumes.  The mirrored orientation (support ``h_j``,
-    gradient with respect to ``x_j``) is computed lazily since only the
-    symmetrized-gradient stage needs it.
+    gather-side stage consumes.  Only ``w_i`` is built up front: ``unit``
+    and ``gw_i`` are computed on first read (the volume pass of an active
+    evaluation never reads them), and so is the mirrored orientation
+    (support ``h_j``, gradient with respect to ``x_j``), which only the
+    symmetrized-gradient stage needs.
     """
 
     pi: np.ndarray
     pj: np.ndarray
     dx: np.ndarray  # x_i - x_j, periodic-wrapped, (P, 3)
     r: np.ndarray  # (P,)
-    unit: np.ndarray  # dx / r (zero for self pairs), (P, 3)
     n: int
     kernel: Kernel
     h: np.ndarray
     seg: SegmentReducer  # over pi
     w_i: np.ndarray
-    gw_i: np.ndarray  # grad_i W(r, h_i)
-    _w_j: np.ndarray | None = field(default=None, repr=False)
-    _gw_j: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """dx / r (zero for self pairs), (P, 3)."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(
+                self.r[:, None] > 0.0,
+                self.dx / np.maximum(self.r, 1e-300)[:, None], 0.0,
+            )
+
+    @cached_property
+    def gw_i(self) -> np.ndarray:
+        """grad_i W(r, h_i), (P, 3)."""
+        return self.kernel.dw_dr(self.r, self.h[self.pi])[:, None] * self.unit
 
     def kernel_i(self):
         """(W_ij, grad_i W_ij) at support h_i."""
         return self.w_i, self.gw_i
 
+    @cached_property
+    def _kernel_j(self):
+        hj = self.h[self.pj]
+        return (self.kernel.w(self.r, hj),
+                -self.kernel.dw_dr(self.r, hj)[:, None] * self.unit)
+
     def kernel_j(self):
         """(W_ji, grad_j W_ji) at support h_j (the mirrored orientation:
         separation x_j - x_i, gradient with respect to x_j)."""
-        if self._w_j is None:
-            hj = self.h[self.pj]
-            self._w_j = self.kernel.w(self.r, hj)
-            self._gw_j = -self.kernel.dw_dr(self.r, hj)[:, None] * self.unit
-        return self._w_j, self._gw_j
+        return self._kernel_j
 
 
 def make_pair_batch(pos, h, pi, pj, kernel: Kernel, box=None,
-                    dx_pairs=None, sink_ids=None, n_sinks=None) -> PairBatch:
+                    dx_pairs=None, sink_ids=None, n_sinks=None,
+                    r2_pairs=None) -> PairBatch:
     """Build the shared pair state for ``(pi, pj)``.
 
     Pairs are re-sorted by ``pi`` when necessary (lists from
     ``tree.neighbor_pairs`` and ``tree.pair_cache.PairCache`` arrive
-    ``(pi, pj)``-ascending and skip this).
+    ``(pi, pj)``-ascending and skip this).  ``dx_pairs``/``r2_pairs`` accept
+    the geometry a ``PairCache`` query carries; what is missing is formed
+    here.
 
     ``sink_ids``/``n_sinks`` switch the segment-reduction plan to compact
     active rows: per-particle accumulations land in row ``sink_ids[p]`` of
@@ -91,15 +109,13 @@ def make_pair_batch(pos, h, pi, pj, kernel: Kernel, box=None,
         pj = pj[order]
         if dx_pairs is not None:
             dx_pairs = np.asarray(dx_pairs)[order]
-    dx = pair_displacements(pos, pi, pj, box) if dx_pairs is None else dx_pairs
-    r = np.sqrt(np.einsum("pa,pa->p", dx, dx))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(
-            r[:, None] > 0.0, dx / np.maximum(r, 1e-300)[:, None], 0.0
-        )
-    hi = h[pi]
-    w_i = kernel.w(r, hi)
-    gw_i = kernel.dw_dr(r, hi)[:, None] * unit
+        if r2_pairs is not None:
+            r2_pairs = np.asarray(r2_pairs)[order]
+    if dx_pairs is None:
+        dx_pairs, r2_pairs = pair_geometry(pos, pi, pj, box)
+    elif r2_pairs is None:
+        r2_pairs = np.einsum("pa,pa->p", dx_pairs, dx_pairs)
+    r = np.sqrt(r2_pairs)
     if sink_ids is None:
         seg = SegmentReducer(pi, pos.shape[0], assume_sorted=True)
         n_seg = pos.shape[0]
@@ -107,6 +123,6 @@ def make_pair_batch(pos, h, pi, pj, kernel: Kernel, box=None,
         n_seg = int(n_sinks)
         seg = SegmentReducer(np.asarray(sink_ids), n_seg, assume_sorted=True)
     return PairBatch(
-        pi=pi, pj=pj, dx=dx, r=r, unit=unit, n=n_seg, kernel=kernel,
-        h=np.asarray(h), seg=seg, w_i=w_i, gw_i=gw_i,
+        pi=pi, pj=pj, dx=dx_pairs, r=r, n=n_seg, kernel=kernel,
+        h=np.asarray(h), seg=seg, w_i=kernel.w(r, h[pi]),
     )

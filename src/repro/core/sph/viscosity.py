@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geometry import pair_differences
 from ..scatter import segment_sum
 
 
@@ -83,7 +84,7 @@ def velocity_divergence_curl(pos, vel, vol, h, pi, pj, kernel, dx_pairs=None,
                 0.0,
             )
         acc = lambda values: segment_sum(values, pi, n)  # noqa: E731
-    dv = vel[pj] - vel[pi]
+    dv = pair_differences(vel, pj, pi)
     vj = vol[pj]
 
     div = acc(vj * np.einsum("pa,pa->p", dv, gw))

@@ -710,16 +710,14 @@ class RankDomain:
         if not len(rows):
             return
         cfg = self.cfg
-        pi, pj = cache.get_for_sinks(
-            pos, np.full(len(pos), cfg.cutoff), rows, ids=ids
-        )
+        pairs = cache.get_for_sinks(pos, cfg.cutoff, rows, ids=ids)
         accel[rows] += short_range_accelerations(
-            pos, mass, pi, pj,
+            pos, mass, pairs.pi, pairs.pj,
             r_split=cfg.r_split, softening=cfg.softening, box=None,
-            g_newton=G_COSMO / a_eff,
-            sink_index=np.searchsorted(rows, pi), n_out=len(rows),
+            g_newton=G_COSMO / a_eff, dx=pairs.dx, r2=pairs.r2,
+            sink_index=np.searchsorted(rows, pairs.pi), n_out=len(rows),
         )
-        self.n_pairs += len(pi)
+        self.n_pairs += len(pairs.pi)
 
     def _hydro_rows(self, out, rows, sinks_g, cache, gpos, gvel, gmass, gu,
                     gids, a_eff):

@@ -9,7 +9,7 @@ from .interaction_lists import (
     expand_to_particle_pairs,
 )
 from .kdtree import LeafSet, build_leaf_set
-from .pair_cache import ActivePairSlices, PairCache
+from .pair_cache import ActivePairSlices, PairCache, PairRows
 
 __all__ = [
     "ActivePairSlices",
@@ -17,6 +17,7 @@ __all__ = [
     "InteractionList",
     "LeafSet",
     "PairCache",
+    "PairRows",
     "aabb_of",
     "active_leaf_mask",
     "build_chaining_mesh",

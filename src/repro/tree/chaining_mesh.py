@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ..core.geometry import pair_geometry
+
 
 @dataclass
 class ChainingMesh:
@@ -166,9 +168,10 @@ def neighbor_pairs(
 
     A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` yields the
     ``i < j`` candidates; membership is then decided by the minimum-image
-    arithmetic below on the caller's positions, so the tree (built on a
-    wrapped copy when periodic) only has to return a superset.  Positions
-    need not lie inside ``[0, box)`` but must be finite (``ValueError``).
+    arithmetic of ``pair_geometry`` on the caller's positions, so the tree
+    (built on a wrapped copy when periodic) only has to return a superset.
+    Positions need not lie inside ``[0, box)`` but must be finite
+    (``ValueError``).
     """
     pos = np.asarray(pos, dtype=np.float64)
     n = pos.shape[0]
@@ -196,10 +199,7 @@ def neighbor_pairs(
 
     # exact criterion; dx -> -dx leaves r2 bitwise unchanged, so deciding the
     # i < j orientation decides both
-    dx = pos[a] - pos[b]
-    if box is not None:
-        dx -= box * np.round(dx / box)
-    r2 = np.einsum("pa,pa->p", dx, dx)
+    _, r2 = pair_geometry(pos, a, b, box)
     rmax = np.maximum(h[a], h[b])
     keep = r2 < rmax * rmax
     a, b = a[keep], b[keep]

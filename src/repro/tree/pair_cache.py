@@ -15,7 +15,9 @@ idea for the ``neighbor_pairs`` search:
   cheap vectorized pass that keeps row order — so consumers see precisely
   the arrays a fresh ``neighbor_pairs`` call would produce, whenever the
   list was last rebuilt, and the symmetric-pair-list contract of the
-  conservative CRKSPH pairing is preserved.
+  conservative CRKSPH pairing is preserved.  The displacement the filter
+  measured travels with each surviving row (:class:`PairRows`), so the
+  force kernels never form it again.
 * **Rebuild** only when reuse could miss a pair: some particle drifted more
   than half its skin (``|x - x_build| > skin * h_build / 2``), a support
   radius grew beyond its build value, or the particle set itself changed.
@@ -30,12 +32,25 @@ cached superset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ..core.geometry import minimum_image, pair_geometry
 from .chaining_mesh import neighbor_pairs
 
-__all__ = ["ActivePairSlices", "PairCache"]
+__all__ = ["ActivePairSlices", "PairCache", "PairRows"]
+
+
+class PairRows(NamedTuple):
+    """Filtered pair rows with the geometry the filter measured:
+    ``dx = x_i - x_j`` (periodic-wrapped, ``(P, 3)``) and ``r2 = |dx|^2``.
+    ``rows[:2]`` is the bare ``(pi, pj)`` list."""
+
+    pi: np.ndarray
+    pj: np.ndarray
+    dx: np.ndarray
+    r2: np.ndarray
 
 
 @dataclass
@@ -56,8 +71,9 @@ class ActivePairSlices:
     ``pairs1 = (pi1, pj1)`` lists every pair whose sink is in ``tier1``
     (CSR order, sinks ascending); ``mask0`` selects the rows whose sink is
     in ``sinks`` — the pairs the final force assembly streams.  ``pairs2``
-    covers tier2 sinks and only feeds the volume pass.  All index arrays
-    are in the coordinate frame the cache was queried with.
+    covers tier2 sinks and only feeds the volume pass.  ``dx1``/``dx2`` are
+    the rows' displacements.  All index arrays are in the coordinate frame
+    the cache was queried with.
     """
 
     sinks: np.ndarray
@@ -65,9 +81,11 @@ class ActivePairSlices:
     tier2: np.ndarray
     pi1: np.ndarray
     pj1: np.ndarray
+    dx1: np.ndarray
     mask0: np.ndarray
     pi2: np.ndarray
     pj2: np.ndarray
+    dx2: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -122,12 +140,6 @@ class PairCache:
         self._ref_h = None
         self._ref_ids = None
 
-    def _minimum_image(self, d: np.ndarray) -> np.ndarray:
-        if self.box is None:
-            return d
-        box = np.asarray(self.box, dtype=np.float64)
-        return d - box * np.round(d / box)
-
     def _why_invalid(self, pos, h, ids) -> str | None:
         """Reason the cached list cannot serve this query, or None."""
         if self._pi is None:
@@ -140,7 +152,7 @@ class PairCache:
         # support growth beyond the build radii voids the superset guarantee
         if np.any(h > self._ref_h * (1.0 + 1e-12)):
             return "h"
-        drift = self._minimum_image(pos - self._ref_pos)
+        drift = minimum_image(pos - self._ref_pos, self.box)
         drift2 = np.einsum("na,na->n", drift, drift)
         allowed = 0.5 * self.skin * self._ref_h
         if np.any(drift2 > allowed * allowed):
@@ -170,7 +182,7 @@ class PairCache:
         attribute build time to a tree-build timer use this at PM-step
         boundaries."""
         pos = np.asarray(pos, dtype=np.float64)
-        h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(pos),))
+        h = np.asarray(h, dtype=np.float64)
         reason = self._why_invalid(pos, h, ids)
         if reason is None:
             return False
@@ -183,32 +195,39 @@ class PairCache:
         self._build(pos, h, ids)
         return True
 
-    def get(self, pos, h, ids=None):
-        """Pair lists ``(pi, pj)`` for the current positions and supports.
+    def get(self, pos, h, ids=None) -> PairRows:
+        """Pair rows ``(pi, pj, dx, r2)`` for the current positions and
+        supports (``h`` per particle, or a scalar for uniform support).
 
-        ``array_equal`` to ``neighbor_pairs(pos, h, box=box)`` — rows in
-        ``(pi, pj)``-ascending order — reusing the cached skin-radius
-        superset whenever the Verlet criterion allows.
+        ``(pi, pj)`` is ``array_equal`` to ``neighbor_pairs(pos, h,
+        box=box)`` — rows in ``(pi, pj)``-ascending order — reusing the
+        cached skin-radius superset whenever the Verlet criterion allows.
+        The returned arrays are the caller's own.
         """
         self.n_queries += 1
-        pos = np.asarray(pos, dtype=np.float64)
-        h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(pos),))
-        self.ensure(pos, h, ids=ids)
-        pi, pj = self._pi, self._pj
-        if len(pi) == 0:
-            return pi, pj
-        keep = self._fresh_mask(pos, h, pi, pj)
-        return pi[keep], pj[keep]
+        pos, h = self._current(pos, h, ids)
+        return self._filtered(pos, h, self._pi, self._pj)
 
-    def _fresh_mask(self, pos, h, pi, pj) -> np.ndarray:
-        """Exact fresh-list criterion over cached superset rows."""
-        dx = self._minimum_image(pos[pi] - pos[pj])
-        r2 = np.einsum("pa,pa->p", dx, dx)
-        rmax = np.maximum(h[pi], h[pj])
-        keep = r2 < rmax * rmax
+    def _current(self, pos, h, ids):
+        """``(pos, h)`` as float arrays, with the cached list valid for them."""
+        pos = np.asarray(pos, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64)
+        self.ensure(pos, h, ids=ids)
+        return pos, h
+
+    def _filtered(self, pos, h, pi, pj) -> PairRows:
+        """The superset rows ``(pi, pj)`` that meet the exact fresh-list
+        criterion, with the geometry that decided it."""
+        dx, r2 = pair_geometry(pos, pi, pj, self.box)
+        if h.ndim == 0:
+            keep = r2 < h * h
+        else:
+            rmax = np.maximum(h[pi], h[pj])
+            keep = r2 < rmax * rmax
         if not self.include_self:
             keep &= pi != pj
-        return keep
+        kept = np.flatnonzero(keep)
+        return PairRows(pi[kept], pj[kept], np.take(dx, kept, axis=0), r2[kept])
 
     def _rows_for_sinks(self, sinks: np.ndarray) -> np.ndarray:
         """Cached-list row indices whose sink is in ``sinks`` (CSR gather).
@@ -228,8 +247,8 @@ class PairCache:
             + np.repeat(starts[sinks], counts)
         )
 
-    def get_for_sinks(self, pos, h, sinks, ids=None):
-        """Pair lists restricted to rows whose *sink* is in ``sinks``.
+    def get_for_sinks(self, pos, h, sinks, ids=None) -> PairRows:
+        """Pair rows restricted to those whose *sink* is in ``sinks``.
 
         Equivalent to masking :meth:`get` output with
         ``np.isin(pi, sinks)`` — inactive particles still appear as
@@ -238,16 +257,12 @@ class PairCache:
         arrays keep CSR (pi-ascending) order.
         """
         self.n_queries += 1
-        pos = np.asarray(pos, dtype=np.float64)
-        h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(pos),))
-        self.ensure(pos, h, ids=ids)
-        sinks = np.asarray(sinks, dtype=np.intp)
+        pos, h = self._current(pos, h, ids)
+        return self._sink_rows(pos, h, np.asarray(sinks, dtype=np.intp))
+
+    def _sink_rows(self, pos, h, sinks) -> PairRows:
         rows = self._rows_for_sinks(sinks)
-        pi, pj = self._pi[rows], self._pj[rows]
-        if len(pi) == 0:
-            return pi, pj
-        keep = self._fresh_mask(pos, h, pi, pj)
-        return pi[keep], pj[keep]
+        return self._filtered(pos, h, self._pi[rows], self._pj[rows])
 
     def hop_closure(self, pos, h, seeds, hops: int, ids=None) -> np.ndarray:
         """Boolean mask of particles within ``hops`` pair-list hops of
@@ -260,9 +275,7 @@ class PairCache:
         provably never touch ghost data and can be evaluated while the
         exchange is still in flight.
         """
-        pos = np.asarray(pos, dtype=np.float64)
-        h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(pos),))
-        self.ensure(pos, h, ids=ids)
+        pos, h = self._current(pos, h, ids)
         member = np.zeros(len(pos), dtype=bool)
         member[np.asarray(seeds)] = True
         for _ in range(hops):
@@ -285,37 +298,27 @@ class PairCache:
         ``sinks`` must be sorted ascending.
         """
         self.n_queries += 1
-        pos = np.asarray(pos, dtype=np.float64)
-        h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(pos),))
-        self.ensure(pos, h, ids=ids)
+        pos, h = self._current(pos, h, ids)
         sinks = np.asarray(sinks, dtype=np.intp)
-
-        def _filtered_rows(tier):
-            rows = self._rows_for_sinks(tier)
-            pi, pj = self._pi[rows], self._pj[rows]
-            if len(pi):
-                keep = self._fresh_mask(pos, h, pi, pj)
-                pi, pj = pi[keep], pj[keep]
-            return pi, pj
 
         n = len(pos)
         member = np.zeros(n, dtype=bool)
         member[sinks] = True
 
-        _, pj0 = _filtered_rows(sinks)
         tier1_mask = member.copy()
-        tier1_mask[pj0] = True
+        tier1_mask[self._sink_rows(pos, h, sinks).pj] = True
         tier1 = np.nonzero(tier1_mask)[0]
 
-        pi1, pj1 = _filtered_rows(tier1)
+        pi1, pj1, dx1, _ = self._sink_rows(pos, h, tier1)
         mask0 = member[pi1]
 
         tier2_mask = tier1_mask.copy()
         tier2_mask[pj1] = True
         tier2 = np.nonzero(tier2_mask)[0]
 
-        pi2, pj2 = _filtered_rows(tier2)
+        pi2, pj2, dx2, _ = self._sink_rows(pos, h, tier2)
         return ActivePairSlices(
             sinks=sinks, tier1=tier1, tier2=tier2,
-            pi1=pi1, pj1=pj1, mask0=mask0, pi2=pi2, pj2=pj2,
+            pi1=pi1, pj1=pj1, dx1=dx1, mask0=mask0,
+            pi2=pi2, pj2=pj2, dx2=dx2,
         )

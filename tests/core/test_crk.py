@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.scatter import segment_sum
 from repro.core.sph.crk import (
+    _moments_body,
     compute_corrections,
     compute_moments,
     corrected_kernel_pairs,
@@ -183,3 +185,58 @@ def test_constant_reproduction_random_configs(seed):
     interp = np.zeros(n)
     np.add.at(interp, pi, vol[pj] * wr)
     np.testing.assert_allclose(interp, 1.0, atol=1e-7)
+
+
+def _moments_oracle(vj, dx, w, gw, acc):
+    """The six-reduction body ``_moments_body`` replaced, kept as written:
+    every delta term materialised per pair."""
+    m0 = acc(vj * w)
+    m1 = acc(vj[:, None] * (-dx) * w[:, None])
+    outer = dx[:, :, None] * dx[:, None, :]
+    m2 = acc(vj[:, None, None] * outer * w[:, None, None])
+    dm0 = acc(vj[:, None] * gw)
+    term = (-dx)[:, None, :] * gw[:, :, None]  # (P, a, b)
+    eye = np.eye(3)
+    term = term - eye[None, :, :] * w[:, None, None]
+    dm1 = acc(vj[:, None, None] * term)
+    t1 = eye[None, :, :, None] * dx[:, None, None, :] * w[:, None, None, None]
+    t2 = eye[None, :, None, :] * dx[:, None, :, None] * w[:, None, None, None]
+    t3 = outer[:, None, :, :] * gw[:, :, None, None]
+    dm2 = acc(vj[:, None, None, None] * (t1 + t2 + t3))
+    return m0, m1, m2, dm0, dm1, dm2
+
+
+class TestOnePassMoments:
+    SHAPES = [(), (3,), (3, 3), (3,), (3, 3), (3, 3, 3)]
+
+    @staticmethod
+    def _pairs(n, p, seed):
+        rng = np.random.default_rng(seed)
+        pi = np.sort(rng.integers(0, n, p))
+        acc = lambda values: segment_sum(values, pi, n)  # noqa: E731
+        return (rng.uniform(0.5, 1.5, p), rng.normal(size=(p, 3)),
+                rng.uniform(0.0, 1.0, p), rng.normal(size=(p, 3)), acc)
+
+    @pytest.mark.parametrize("n, p", [(50, 1500), (1, 7), (1, 1), (6, 0)])
+    def test_matches_six_reduction_body(self, n, p):
+        args = self._pairs(n, p, seed=n + p)
+        got = _moments_body(*args)
+        want = _moments_oracle(*args)
+        for g, w, shape in zip(got, want, self.SHAPES):
+            assert g.shape == w.shape == (n,) + shape
+            scale = np.max(np.abs(w)) if w.size else 0.0
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_compute_moments_paths_agree(self, lattice_setup):
+        """Batch (CSR plan) and bare pair-list entry points reduce the same
+        buffer."""
+        from repro.core.sph.pair_batch import make_pair_batch
+
+        pos, h, pi, pj, kernel, box = lattice_setup
+        vol = _volumes(pos, h, pi, pj, kernel, box)
+        bare = compute_moments(pos, vol, h, pi, pj, kernel,
+                               dx_pairs=_wrapped_dx(pos, pi, pj, box))
+        batch = make_pair_batch(pos, h, pi, pj, kernel, box=box)
+        for a, b in zip(bare, compute_moments(pos, vol, h, pi, pj, kernel,
+                                              batch=batch)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)

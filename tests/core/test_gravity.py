@@ -14,6 +14,7 @@ from repro.core.gravity import (
     short_range_accelerations,
     short_range_shape,
 )
+from repro.core.geometry import pair_geometry
 from repro.tree import neighbor_pairs
 
 
@@ -201,3 +202,59 @@ class TestSplitCompleteness:
             pos, mass, np.array([0]), np.array([0]), 1.0, 0.1
         )
         np.testing.assert_allclose(acc, 0.0)
+
+
+class TestCarriedGeometry:
+    """``short_range_accelerations`` consumes the ``(dx, r2)`` a cache query
+    carries; the forces are bitwise those it computes from positions."""
+
+    @staticmethod
+    def _setup(box):
+        rng = np.random.default_rng(23)
+        n = 140
+        pos = rng.uniform(0, 9.0, (n, 3))
+        pos[17] = pos[4]  # two coincident particles, listed as a pair
+        mass = rng.uniform(0.5, 2.0, n)
+        pi, pj = neighbor_pairs(pos, 1.6, box=box)  # self pairs included
+        assert np.any(pi == pj)
+        assert np.any((pi == 4) & (pj == 17))
+        return pos, mass, pi, pj
+
+    @pytest.mark.parametrize("box", [9.0, None])
+    def test_supplied_geometry_gives_the_same_forces(self, box):
+        pos, mass, pi, pj = self._setup(box)
+        dx, r2 = pair_geometry(pos, pi, pj, box)
+        kw = dict(r_split=0.6, softening=0.05, box=box)
+        full = short_range_accelerations(pos, mass, pi, pj, **kw)
+        assert np.all(np.isfinite(full))
+        assert np.array_equal(
+            short_range_accelerations(pos, mass, pi, pj, dx=dx, r2=r2, **kw),
+            full,
+        )
+        sinks = np.arange(3, len(pos), 4)
+        m = np.isin(pi, sinks)
+        rows = dict(sink_index=np.searchsorted(sinks, pi[m]),
+                    n_out=len(sinks))
+        compact = short_range_accelerations(
+            pos, mass, pi[m], pj[m], **rows, **kw)
+        assert np.array_equal(compact, full[sinks])
+        assert np.array_equal(
+            short_range_accelerations(pos, mass, pi[m], pj[m],
+                                      dx=dx[m], r2=r2[m], **rows, **kw),
+            compact,
+        )
+
+    def test_zero_separation_rows_add_nothing(self):
+        """Dropping the r == 0 rows (what the kernel used to do for self
+        pairs) leaves every force bitwise unchanged, also unsoftened."""
+        pos, mass, pi, pj = self._setup(9.0)
+        _, r2 = pair_geometry(pos, pi, pj, 9.0)
+        for softening in (0.05, 0.0):
+            kw = dict(r_split=0.6, softening=softening, box=9.0)
+            with_zero = short_range_accelerations(pos, mass, pi, pj, **kw)
+            assert np.all(np.isfinite(with_zero))
+            m = r2 > 0
+            assert np.array_equal(
+                short_range_accelerations(pos, mass, pi[m], pj[m], **kw),
+                with_zero,
+            )

@@ -83,3 +83,57 @@ class TestHydroTimerKey:
         # gravity off: hydro work must not leak into the gravity timer
         assert rec.timers["short_range"] == 0.0
         assert "hydro" in sim.timing_fractions()
+
+
+class TestEachPairRowIsMeasuredOnce:
+    @staticmethod
+    def _gravity_sim(n_pm_steps):
+        box = 12.0
+        rng = np.random.default_rng(11)
+        n = 160
+        parts = Particles(
+            pos=rng.uniform(0, box, size=(n, 3)),
+            vel=np.zeros((n, 3)),
+            mass=np.full(n, 5.0),
+            species=np.zeros(n, dtype=np.int8),
+        )
+        cfg = SimulationConfig(
+            box=box, pm_grid=8, a_init=0.3, a_final=0.4,
+            n_pm_steps=n_pm_steps, static=True,
+        )
+        return Simulation(cfg, parts)
+
+    @staticmethod
+    def _counted(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_geometry_formed_at_the_query_only(self, monkeypatch):
+        from repro.core.gravity import short_range
+        from repro.tree import pair_cache
+
+        in_query = self._counted(monkeypatch, pair_cache, "pair_geometry")
+        in_kernel = self._counted(monkeypatch, short_range, "pair_geometry")
+        sim = self._gravity_sim(n_pm_steps=1)
+        rec = sim.pm_step()
+        assert rec.subcycle.n_pairs > 0
+        assert len(in_query) == sim._grav_cache.n_queries > 0
+        assert in_kernel == []
+
+    def test_cutoff_bisection_runs_once_per_r_split(self, monkeypatch):
+        from repro.core.gravity import force_split
+
+        force_split.recommended_cutoff.cache_clear()
+        calls = self._counted(monkeypatch, force_split, "short_range_shape")
+        sim = self._gravity_sim(n_pm_steps=2)
+        sim.run()
+        scalar = [a for a in calls if np.ndim(a[0]) == 0]
+        assert 0 < len(scalar) <= 80
+        assert {a[1] for a in scalar} == {sim.config.r_split}

@@ -22,7 +22,7 @@ class TestCachedListMatchesFresh:
     def test_first_query_equals_fresh_list(self):
         _, pos, h, box = _random_setup()
         cache = PairCache(skin=0.3, box=box)
-        pi, pj = cache.get(pos, h)
+        pi, pj = cache.get(pos, h)[:2]
         fi, fj = neighbor_pairs(pos, h, box=box)
         assert _pair_set(pi, pj) == _pair_set(fi, fj)
         assert cache.n_builds == 1
@@ -35,7 +35,7 @@ class TestCachedListMatchesFresh:
         drift = rng.normal(size=pos.shape)
         drift *= (0.25 * 0.3 * h / np.linalg.norm(drift, axis=1))[:, None]
         moved = np.mod(pos + drift, box)
-        pi, pj = cache.get(moved, h)
+        pi, pj = cache.get(moved, h)[:2]
         assert cache.n_builds == 1  # reused
         fi, fj = neighbor_pairs(moved, h, box=box)
         assert _pair_set(pi, pj) == _pair_set(fi, fj)
@@ -45,7 +45,7 @@ class TestCachedListMatchesFresh:
         pos = rng.uniform(0, 5, size=(100, 3))
         h = np.full(100, 0.8)
         cache = PairCache(skin=0.25, box=None)
-        pi, pj = cache.get(pos + 0.0, h)
+        pi, pj = cache.get(pos + 0.0, h)[:2]
         fi, fj = neighbor_pairs(pos, h, box=None)
         assert _pair_set(pi, pj) == _pair_set(fi, fj)
 
@@ -56,7 +56,7 @@ class TestCachedQueryIsTheFreshArrays:
 
     @staticmethod
     def _assert_same_arrays(cache, pos, h, box):
-        pi, pj = cache.get(pos, h)
+        pi, pj = cache.get(pos, h)[:2]
         fi, fj = neighbor_pairs(pos, h, box=box)
         assert np.array_equal(pi, fi)
         assert np.array_equal(pj, fj)
@@ -94,7 +94,7 @@ class TestRebuildTriggers:
         cache.get(pos, h)
         kick = np.zeros_like(pos)
         kick[7] = 1.1 * 0.5 * 0.2 * h[7]  # one particle past skin/2
-        pi, pj = cache.get(np.mod(pos + kick, box), h)
+        pi, pj = cache.get(np.mod(pos + kick, box), h)[:2]
         assert cache.n_builds == 2
         assert cache.n_rebuilds_drift == 1
         fi, fj = neighbor_pairs(np.mod(pos + kick, box), h, box=box)
@@ -106,7 +106,7 @@ class TestRebuildTriggers:
         cache.get(pos, h)
         grown = h.copy()
         grown[3] *= 1.3
-        pi, pj = cache.get(pos, grown)
+        pi, pj = cache.get(pos, grown)[:2]
         assert cache.n_rebuilds_h == 1
         fi, fj = neighbor_pairs(pos, grown, box=box)
         assert _pair_set(pi, pj) == _pair_set(fi, fj)
@@ -115,7 +115,7 @@ class TestRebuildTriggers:
         _, pos, h, box = _random_setup()
         cache = PairCache(skin=0.25, box=box)
         cache.get(pos, h)
-        pi, pj = cache.get(pos, 0.8 * h)
+        pi, pj = cache.get(pos, 0.8 * h)[:2]
         assert cache.n_builds == 1
         fi, fj = neighbor_pairs(pos, 0.8 * h, box=box)
         assert _pair_set(pi, pj) == _pair_set(fi, fj)
@@ -184,7 +184,7 @@ class TestForcesThroughCache:
         drift *= (0.3 * 0.3 * h / np.linalg.norm(drift, axis=1))[:, None]
         moved = np.mod(pos + drift, box)
 
-        pi_c, pj_c = cache.get(moved, h)
+        pi_c, pj_c = cache.get(moved, h)[:2]
         assert cache.n_builds == 1
         d_cached = crksph_derivatives(
             moved, vel, mass, u, h, pi_c, pj_c, kernel, box=box
@@ -215,7 +215,7 @@ class TestForcesThroughCache:
         cache.get(pos, h)
         drift = rng.normal(scale=0.01 * h.min(), size=pos.shape)
         moved = np.mod(pos + drift, box)
-        pi, pj = cache.get(moved, h)
+        pi, pj = cache.get(moved, h)[:2]
         assert cache.n_builds == 1
 
         d = crksph_derivatives(moved, vel, mass, u, h, pi, pj, kernel, box=box)
@@ -239,9 +239,9 @@ class TestActiveSubsetQueries:
     def test_get_for_sinks_equals_masked_get(self):
         _, pos, h, box = _random_setup()
         cache = PairCache(skin=0.3, box=box)
-        pi, pj = cache.get(pos, h)
+        pi, pj = cache.get(pos, h)[:2]
         sinks = self._sinks(len(pos))
-        api, apj = cache.get_for_sinks(pos, h, sinks)
+        api, apj = cache.get_for_sinks(pos, h, sinks)[:2]
         m = np.isin(pi, sinks)
         # exact row-for-row (and order-for-order: CSR) agreement
         np.testing.assert_array_equal(api, pi[m])
@@ -255,7 +255,7 @@ class TestActiveSubsetQueries:
         drift *= (0.25 * 0.3 * h / np.linalg.norm(drift, axis=1))[:, None]
         moved = np.mod(pos + drift, box)
         sinks = self._sinks(len(pos), seed=3)
-        api, apj = cache.get_for_sinks(moved, h, sinks)
+        api, apj = cache.get_for_sinks(moved, h, sinks)[:2]
         assert cache.n_builds == 1  # reused across the drift
         fi, fj = neighbor_pairs(moved, h, box=box)
         m = np.isin(fi, sinks)
@@ -264,7 +264,7 @@ class TestActiveSubsetQueries:
     def test_active_slices_tiers_and_pairs(self):
         _, pos, h, box = _random_setup()
         cache = PairCache(skin=0.3, box=box)
-        pi, pj = cache.get(pos, h)
+        pi, pj = cache.get(pos, h)[:2]
         sinks = self._sinks(len(pos), k=25, seed=5)
         sl = cache.active_slices(pos, h, sinks)
 
@@ -303,7 +303,7 @@ class TestActiveSubsetQueries:
         visc = MonaghanViscosity()
 
         cache = PairCache(skin=0.25, box=box)
-        pi, pj = cache.get(pos, h)
+        pi, pj = cache.get(pos, h)[:2]
         full = crksph_derivatives(pos, vel, mass, u, h, pi, pj, kernel,
                                   eos=eos, viscosity=visc, box=box)
         sinks = self._sinks(len(pos), k=30, seed=2)
@@ -373,11 +373,11 @@ class TestActiveSubsetQueries:
         mass = rng.uniform(0.5, 1.5, size=len(pos))
         cache = PairCache(skin=0.25, box=box, include_self=False)
         cutoff = np.full(len(pos), 1.2)
-        pi, pj = cache.get(pos, cutoff)
+        pi, pj = cache.get(pos, cutoff)[:2]
         full = short_range_accelerations(pos, mass, pi, pj, r_split=0.5,
                                          softening=0.02, box=box)
         sinks = self._sinks(len(pos), k=35, seed=9)
-        api, apj = cache.get_for_sinks(pos, cutoff, sinks)
+        api, apj = cache.get_for_sinks(pos, cutoff, sinks)[:2]
         compact = short_range_accelerations(
             pos, mass, api, apj, r_split=0.5, softening=0.02, box=box,
             sink_index=np.searchsorted(sinks, api), n_out=len(sinks),
