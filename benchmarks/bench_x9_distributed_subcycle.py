@@ -26,7 +26,9 @@ Full-mode acceptance: sub_overlap is >= 2x faster per PM interval than
 flat_overlap, its migration wait share sits below 0.5 (from ~0.83 for
 the blocking-migration overlap driver in BENCH_comm_overlap.json), it is
 bit-identical to sub_blocking, and the armed sanitizers report zero
-findings.  Each full run appends to ``BENCH_distributed_subcycle.json``.
+findings.  Each full run appends to ``BENCH_distributed_subcycle.json``,
+with ``ghost_post_ms`` — the host-side cost of posting one ghost exchange
+at these sizes, which the 0.15 s fabric latency otherwise buries.
 """
 
 import time
@@ -35,10 +37,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.cosmology import PLANCK18
+from repro.parallel import World, make_decomposition
 from repro.parallel.distributed_sim import (
     DistributedConfig,
     DistributedSimulation,
 )
+from repro.parallel.overload import GhostExchange
 
 from conftest import FULL, print_table, record_trajectory, scaled
 
@@ -99,6 +103,29 @@ def _run(cfg, ics):
     }
 
 
+def _ghost_post_ms(cfg, ics, reps=20):
+    """Mean wall of one ``GhostExchange`` construction (send-list
+    selection + the per-field posts) over the bench's own rows, on an
+    ideal wire so only the host-side set-up is timed."""
+    pos, _, mass = ics
+    decomp = make_decomposition(cfg.box, N_RANKS)
+    owner = decomp.rank_of_positions(pos)
+
+    def fn(comm):
+        mine = owner == comm.rank
+        fields = {"mass": mass[mine], "ids": np.nonzero(mine)[0]}
+        spent = 0.0
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            exchange = GhostExchange(comm, pos[mine], fields, decomp,
+                                     cfg.overload_width)
+            spent += time.perf_counter() - t0
+            exchange.wait()
+        return spent / reps
+
+    return 1e3 * float(np.mean(World(N_RANKS).run(fn)))
+
+
 def test_x9_distributed_subcycle(benchmark):
     n_pm_steps = scaled(2, 1)
     latency = scaled(0.15, 0.02)
@@ -143,6 +170,7 @@ def test_x9_distributed_subcycle(benchmark):
         "flat_overlap": res["flat_overlap"]["wall"] / n_pm_steps,
     }
     speedup = step_s["flat_overlap"] / step_s["sub_overlap"]
+    ghost_post_ms = _ghost_post_ms(_config(n_pm_steps, latency), ics)
 
     print_table(
         f"X9: distributed subcycling ({len(ics[0])} particles, "
@@ -155,12 +183,14 @@ def test_x9_distributed_subcycle(benchmark):
             for m in ("flat_overlap", "sub_blocking", "sub_overlap")
         ],
     )
-    print(f"sub_overlap vs flat_overlap: {speedup:.2f}x per PM interval")
+    print(f"sub_overlap vs flat_overlap: {speedup:.2f}x per PM interval; "
+          f"one ghost-exchange post {ghost_post_ms:.2f} ms")
     benchmark.extra_info.update({
         "depth": depth, "n_substeps": nsub, "speedup": speedup,
         "step_s": step_s,
         "migration_wait_share": sub["migration_wait_share"],
         "wait_fraction": sub["wait_fraction"],
+        "ghost_post_ms": ghost_post_ms,
     })
 
     # bit-identity: active-set overlap == full-evaluation blocking on the
@@ -192,4 +222,6 @@ def test_x9_distributed_subcycle(benchmark):
             "wait_fraction": sub["wait_fraction"],
             "migration_wait_share": sub["migration_wait_share"],
             "flat_wait_fraction": res["flat_overlap"]["wait_fraction"],
+            "ghost_post_ms": ghost_post_ms,
+            "numpy": np.__version__,
         })

@@ -46,6 +46,7 @@ DRIVER_SPANS = (
     "short_range/interior",
     "short_range/boundary",
     "ghost_exchange",
+    "ghost_exchange/post",
 )
 
 #: communication-layer spans and async slices (SimComm / Request)

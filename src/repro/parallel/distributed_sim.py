@@ -582,8 +582,9 @@ class RankDomain:
         fields = {"mass": self.mass, "ids": self.ids}
         if cfg.hydro:
             fields.update(vel=self.vel, u=self.u, gas=self.gas)
-        exchange = GhostExchange(self.comm, self.pos, fields, self.decomp,
-                                 cfg.overload_width)
+        with self.tracer.span("ghost_exchange/post", cat="driver"):
+            exchange = GhostExchange(self.comm, self.pos, fields,
+                                     self.decomp, cfg.overload_width)
         try:
             return self._short_forces_posted(a, exchange, sinks, rho_ahead)
         except BaseException:

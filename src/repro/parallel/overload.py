@@ -1,10 +1,15 @@
 """Particle overloading: ghost replication across rank boundaries.
 
 Every rank holds its owned particles plus copies of all particles within
-``overload_width`` of its domain (periodic-aware), so short-range forces
-never need communication during a PM step — the defining CRK-HACC design
-choice (paper Section IV-A).  After the step, refreshed ghosts are
-re-exchanged and particles that drifted across boundaries migrate owners.
+``overload_width`` of its domain (periodic-aware), so a short-range
+evaluation reads only rank-local arrays — the defining CRK-HACC design
+choice (paper Section IV-A).  The driver re-exchanges the ghosts at
+*every* substep, not once per PM step: fresh ghosts are what keep
+1/2/4-rank, overlap/blocking and active/full runs bit-identical.  HACC's
+alternative — evolve the ghosts locally between PM steps — saves those
+exchanges but gives up that bit-identity contract (ROADMAP aim 3), so it
+is not taken.  After the PM step, particles that drifted across
+boundaries migrate owners.
 """
 
 from __future__ import annotations
@@ -44,8 +49,13 @@ def _ghost_images(pos, lo, hi, width, box, exclude_unshifted=False):
     """All (index, shift) pairs whose shifted copy lies in the expanded
     domain [lo - width, hi + width).
 
-    Enumerates the 27 periodic images explicitly: a particle can enter a
-    rank's overloaded region through several wraps at once when the domain
+    Membership of a shifted copy is separable by axis, so one (axis,
+    shift, n) table answers all 27 periodic images.  The single
+    ``nonzero`` over the combined (3, 3, 3, n) mask emits in C order — sx,
+    sy, sz, then ascending index — and that ghost order fixes pair-row
+    order and every downstream summation, so it must not change.
+
+    A particle can enter through several wraps at once when the domain
     spans (nearly) the whole box in some dimension — including a rank's
     *own* particles, whose nonzero-shift images act as short-range sources
     across the periodic boundary.  ``exclude_unshifted`` drops the
@@ -53,25 +63,15 @@ def _ghost_images(pos, lo, hi, width, box, exclude_unshifted=False):
     particles themselves).
     """
     pos = np.asarray(pos, dtype=np.float64)
-    idx_chunks = []
-    shift_chunks = []
-    lo_e = lo - width
-    hi_e = hi + width
-    for sx in (-box, 0.0, box):
-        for sy in (-box, 0.0, box):
-            for sz in (-box, 0.0, box):
-                shift = np.array([sx, sy, sz])
-                if exclude_unshifted and sx == sy == sz == 0.0:
-                    continue
-                shifted = pos + shift
-                mask = np.all((shifted >= lo_e) & (shifted < hi_e), axis=1)
-                if mask.any():
-                    sel = np.nonzero(mask)[0]
-                    idx_chunks.append(sel)
-                    shift_chunks.append(np.broadcast_to(shift, (len(sel), 3)))
-    if idx_chunks:
-        return np.concatenate(idx_chunks), np.vstack(shift_chunks)
-    return np.empty(0, dtype=np.int64), np.empty((0, 3))
+    shifts = np.array([-box, 0.0, box])
+    shifted = pos.T[:, None, :] + shifts[None, :, None]
+    inx, iny, inz = ((shifted >= (lo - width)[:, None, None])
+                     & (shifted < (hi + width)[:, None, None]))
+    mask = inx[:, None, None] & iny[None, :, None] & inz[None, None, :]
+    if exclude_unshifted:
+        mask[1, 1, 1] = False
+    *image, idx = np.nonzero(mask)
+    return idx, shifts[np.stack(image, axis=1)]
 
 
 def build_overloaded_domains(

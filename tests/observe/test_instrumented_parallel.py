@@ -93,6 +93,21 @@ class TestOverlapAcceptance:
             for b0, _ in boundaries[track]:
                 assert b0 >= first_post
 
+    def test_every_exchange_is_posted_inside_a_post_span(self, overlap_run):
+        """The exchange's set-up (send-list selection + posts) is its own
+        span, so its cost shows by name instead of as driver self time:
+        one ``ghost_exchange/post`` per exchange, and every exchange's
+        async slice begins inside one."""
+        obs, _ = overlap_run
+        doc = obs.export_chrome_trace()
+        ghosts = slice_intervals(doc, "ghost_exchange", ph="b")
+        posts = slice_intervals(doc, "ghost_exchange/post")
+        for rank in range(N_RANKS):
+            track = (WALL_PID, rank)
+            assert len(posts[track]) == len(ghosts[track]) > 0
+            for g0, _ in ghosts[track]:
+                assert any(p0 <= g0 <= p1 for p0, p1 in posts[track])
+
     def test_nonblocking_collectives_have_flow_arrows(self, overlap_run):
         obs, _ = overlap_run
         starts = {e.id for e in obs.tracer.events if e.ph == "s"}
