@@ -3,7 +3,7 @@
 Evolves a mixed dark-matter + gas particle set through global PM steps.
 Each PM step performs (paper Fig. 2):
 
-  1. tree build    — chaining mesh + coarse-leaf k-d tree (once per step)
+  1. tree build    — validate/rebuild the cached gravity pair list
   2. long-range    — spectrally filtered PM gravity on the global grid
   3. short-range   — tree-driven pair gravity + CRKSPH hydro, subcycled on
                      power-of-two rungs
@@ -31,7 +31,7 @@ from ..constants import G_COSMO, GAMMA_IDEAL, GYR_S
 from ..cosmology.background import Cosmology
 from ..observe import Observatory
 from ..observe.taxonomy import SERIAL_PHASES
-from ..tree import PairCache, build_chaining_mesh, build_leaf_set
+from ..tree import PairCache
 from .geometry import wrap_positions
 from .gravity.force_split import recommended_cutoff
 from .gravity.pm import PMSolver
@@ -486,10 +486,6 @@ class Simulation:
         a_eff = 1.0 if cfg.static else a_mid
         p.pos += p.vel * (dt / (a_eff * a_hubble(cfg, a_mid)))
         p.pos = wrap_positions(p.pos, cfg.box_array)
-        # grow leaf boxes to cover drifted particles (no rebuild)
-        if s % max(nsub // 4, 1) == 0:
-            with self._timers.time("tree_build"):
-                self.leaves.recompute_boxes(p.pos, grow=True)
 
     def reduce_stats(self, stats: SubcycleStats, rungs) -> SubcycleStats:
         self.particles.rung[:] = rungs
@@ -524,14 +520,8 @@ class Simulation:
         self._n_pairs = 0
         fft0 = self.pm.n_evaluations if self.pm is not None else 0
 
-        # -- tree build (once per PM step; boxes grow during subcycles) ----
+        # -- tree build (once per PM step) -------------------------------
         with timers.time("tree_build"):
-            mesh = build_chaining_mesh(
-                p.pos,
-                max(cfg.cutoff, p.h.max() if p.gas.any() else cfg.cutoff),
-                origin=0.0, extent=cfg.box_array, periodic=True,
-            )
-            self.leaves = build_leaf_set(p.pos, mesh, max_leaf=128)
             if cfg.gravity:
                 # validate/build the cached gravity list here so its cost
                 # lands in the tree-build timer; subcycle force calls reuse

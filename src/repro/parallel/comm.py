@@ -1,19 +1,23 @@
 """Simulated MPI: an in-process, thread-based SPMD communicator.
 
-Each simulated rank runs the same function on its own thread; collectives
-synchronize through barriers and shared slots, giving true MPI semantics
-(blocking collectives, rank-private control flow) without an MPI runtime.
-The API mirrors the mpi4py lowercase conventions (``bcast``, ``allreduce``,
+Each simulated rank runs the same function on its own thread, giving true
+MPI semantics (rank-private control flow) without an MPI runtime.  The API
+mirrors the mpi4py lowercase conventions (``bcast``, ``allreduce``,
 ``alltoallv``, ...) so the code reads like the real thing.
 
-On top of the blocking layer sits a nonblocking request model
-(``isend``/``irecv``/``ialltoallv``/``iallreduce`` returning :class:`Request`
-handles with ``wait()``/``test()``).  Nonblocking collectives match across
-ranks by per-rank posting order — the MPI ordering rule — through
-sequence-numbered deposit buffers guarded by a condition variable, so a rank
-that has deposited its contribution proceeds immediately instead of paying
-two barrier crossings.  Because NumPy releases the GIL, overlapping compute
-with an in-flight exchange yields real wall-clock wins here.
+There is one collective engine.  Every collective — blocking or not,
+``barrier`` included — is a deposit into a sequence-numbered buffer guarded
+by one condition variable, matched across ranks by per-rank posting order
+(the MPI ordering rule); the first deposit of a sequence number records the
+collective's kind and a later one that disagrees raises.  A blocking
+collective waits where it deposits; ``ialltoallv``/``iallgather``/
+``iallreduce`` (and ``isend``/``irecv``) return :class:`Request` handles
+(``wait()``/``test()``/``complete()``) so the caller chooses where.  The
+comm *mode* is that choice made once, on the :class:`World`: consumers post
+their nonblocking schedule unconditionally and call :meth:`SimComm.fence`
+after each posting group, which a ``blocking`` world completes on the spot.
+Because NumPy releases the GIL, overlapping compute with an in-flight
+exchange yields real wall-clock wins here.
 
 This substitutes for the Slingshot/MPI transport of the paper's runs; the
 algorithms layered on top (overloading, pencil FFT redistribution) are the
@@ -49,7 +53,7 @@ class CommAborted(CommError):
     """An in-flight request observed a peer rank's abort.
 
     A cascade symptom, not a root cause — ``World.run`` filters these out
-    of its failure report the same way it filters BrokenBarrierError.
+    of its failure report.
     """
 
 
@@ -107,9 +111,9 @@ def _caller_site() -> str:
 class TrafficStats:
     """Bytes moved through the simulated fabric (for the perf model).
 
-    Aggregate counters mirror the original blocking layer; the per-rank
-    dicts attribute blocking-wait time and shipped bytes to individual
-    ranks so overlap (reduced wait with identical traffic) is observable.
+    The per-rank dicts attribute blocked time and shipped bytes to
+    individual ranks so overlap (reduced wait with identical traffic) is
+    observable.
     """
 
     p2p_messages: int = 0
@@ -158,11 +162,15 @@ class _Mailbox:
 
 
 class _CollectiveBuffer:
-    """One in-flight nonblocking collective: per-rank deposit slots."""
+    """One in-flight collective: per-rank deposit slots."""
 
-    __slots__ = ("values", "count", "taken", "ready")
+    __slots__ = ("kind", "first", "values", "count", "taken", "ready")
 
-    def __init__(self, n_ranks: int):
+    def __init__(self, n_ranks: int, kind: str, first: int):
+        #: what the first depositor (rank ``first``) posted, e.g.
+        #: ``"allreduce:sum"``; every later deposit must agree
+        self.kind = kind
+        self.first = first
         self.values: list = [None] * n_ranks
         self.count = 0
         self.taken = 0
@@ -175,21 +183,24 @@ class World:
 
     ``latency_s``/``gb_per_s`` give the simulated fabric a transfer cost
     (per-message latency plus payload/bandwidth) — the quantity the async
-    engine hides behind compute.  Blocking calls pay it idle before
-    returning; nonblocking requests simply do not complete until it has
-    elapsed, so a rank with interior work in flight never notices.  The
-    default (0, 0) is an ideal zero-latency wire.
+    engine hides behind compute.  A collective does not complete until it
+    has elapsed: a blocking call pays it idle, a rank with interior work
+    in flight never notices.  The default (0, 0) is an ideal zero-latency
+    wire.  ``blocking`` is the comm mode: where :meth:`SimComm.fence`
+    puts the waits (at the posts — the default, as
+    ``DistributedConfig.comm_mode`` — or wherever the consumer waits).
     """
 
     def __init__(self, n_ranks: int, latency_s: float = 0.0,
                  gb_per_s: float = 0.0, tracer=None, sanitize: bool = False,
-                 fault_plan=None):
+                 fault_plan=None, blocking: bool = True):
         if n_ranks < 1:
             raise ValueError("need at least one rank")
         self.n_ranks = n_ranks
+        self.blocking = blocking
         #: optional :class:`~repro.resilience.faults.FaultPlan`; when set,
-        #: the comm layer gives it a kill point inside every blocking and
-        #: nonblocking collective post (``phase="comm"`` injections), and
+        #: the comm layer gives it a kill point inside every collective
+        #: post (``phase="comm"`` injections), and
         #: the drivers call :meth:`note_phase` so a dying rank's exception
         #: carries the phase it died in
         self.fault_plan = fault_plan
@@ -210,8 +221,6 @@ class World:
         #: span tracer shared by every rank (observe.Tracer when tracing;
         #: the default NullTracer makes every recording call a no-op)
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.barrier = threading.Barrier(n_ranks)
-        self.slots: list = [None] * n_ranks
         self.mailboxes = {
             (s, d): _Mailbox() for s in range(n_ranks) for d in range(n_ranks)
         }
@@ -219,9 +228,9 @@ class World:
         self._stats_lock = threading.Lock()
         #: set when any rank fails; in-flight requests observe it and raise
         self.abort_event = threading.Event()
-        # nonblocking-collective matching state: each rank's k-th posted
-        # nonblocking collective pairs with every other rank's k-th (MPI
-        # ordering semantics), via sequence-numbered deposit buffers
+        # collective matching state: each rank's k-th posted collective
+        # pairs with every other rank's k-th (MPI ordering semantics), via
+        # sequence-numbered deposit buffers
         self._icoll_cond = threading.Condition()
         self._icoll_seq = [0] * n_ranks
         self._icoll_bufs: dict[int, _CollectiveBuffer] = {}
@@ -247,19 +256,31 @@ class World:
             d += nbytes / (self.gb_per_s * 1e9)
         return d
 
-    def _icoll_post(self, rank: int, value) -> int:
+    def _icoll_post(self, rank: int, value, kind: str,
+                    wire: bool = True) -> int:
+        """Deposit ``rank``'s contribution to its next collective; returns
+        the sequence number.  ``wire=False`` (barrier) ships nothing."""
         self._fault_check(rank)
         with self._icoll_cond:
             seq = self._icoll_seq[rank]
             self._icoll_seq[rank] += 1
             buf = self._icoll_bufs.get(seq)
             if buf is None:
-                buf = self._icoll_bufs[seq] = _CollectiveBuffer(self.n_ranks)
+                buf = self._icoll_bufs[seq] = _CollectiveBuffer(
+                    self.n_ranks, kind, rank
+                )
+            elif buf.kind != kind:
+                raise CommError(
+                    f"collective mismatch: rank {rank} posted {kind!r} as "
+                    f"its collective #{seq}, rank {buf.first} posted "
+                    f"{buf.kind!r}"
+                )
             buf.values[rank] = value
             buf.count += 1
-            ready = time.perf_counter() + self._xfer_delay(_nbytes(value))
-            if ready > buf.ready:
-                buf.ready = ready
+            if wire:
+                ready = time.perf_counter() + self._xfer_delay(_nbytes(value))
+                if ready > buf.ready:
+                    buf.ready = ready
             self._icoll_cond.notify_all()
         return seq
 
@@ -269,9 +290,11 @@ class World:
             return (buf is not None and buf.count == self.n_ranks
                     and buf.ready <= time.perf_counter())
 
-    def _icoll_collect(self, seq: int, rank: int, timeout: float) -> list:
+    def _icoll_collect(self, seq: int, rank: int,
+                       timeout: float = float("inf")) -> list:
         """Block until all ranks deposited for ``seq`` and the simulated
-        transfer completed; return the slots."""
+        transfer completed; return the slots.  Without a timeout only an
+        abort ends the wait (``World.run`` bounds the job as a whole)."""
         deadline = time.perf_counter() + timeout
         with self._icoll_cond:
             while True:
@@ -300,6 +323,16 @@ class World:
                 del self._icoll_bufs[seq]
         return vals
 
+    def _abort(self) -> None:
+        """Fail the job: raise the abort flag and wake every waiter, so the
+        ``CommAborted`` cascade is immediate, not one poll tick away."""
+        self.abort_event.set()
+        conds = [self._icoll_cond]
+        conds += [box.cond for box in self.mailboxes.values()]
+        for cond in conds:
+            with cond:
+                cond.notify_all()
+
     def run(self, fn, *args, timeout: float = 600.0):
         """Execute ``fn(comm, *args)`` on every rank; return per-rank results.
 
@@ -325,8 +358,7 @@ class World:
                 results[r] = fn(self.comm(r), *args)
             except BaseException as exc:  # noqa: BLE001 - must not hang peers
                 errors[r] = exc
-                self.abort_event.set()
-                self.barrier.abort()
+                self._abort()
 
         threads = [
             threading.Thread(target=runner, args=(r,), daemon=True)
@@ -340,20 +372,18 @@ class World:
         hung = [r for r, t in enumerate(threads) if t.is_alive()]
         if hung:
             # unblock whoever can still be unblocked before reporting
-            self.abort_event.set()
-            self.barrier.abort()
+            self._abort()
             step, phase = self._last_phase.get(hung[0], (None, None))
             raise RankFailure(
                 hung[0], step=step, phase=phase,
                 reason=f"no progress within {timeout}s (hung-rank timeout)",
             )
-        # report the root-cause failure, not the BrokenBarrierError cascade
-        # it triggers on the surviving ranks
+        # report the root-cause failure, not the CommAborted cascade it
+        # triggers on the surviving ranks
         primary = [
             (r, e)
             for r, e in enumerate(errors)
-            if e is not None
-            and not isinstance(e, (threading.BrokenBarrierError, CommAborted))
+            if e is not None and not isinstance(e, CommAborted)
         ]
         cascade = [(r, e) for r, e in enumerate(errors) if e is not None]
         if primary:
@@ -383,10 +413,14 @@ def _nbytes(obj) -> int:
 class Request:
     """Handle for an in-flight nonblocking operation.
 
-    ``wait()`` blocks until completion and returns the operation's result
-    (None for sends); ``test()`` polls without blocking and returns True
-    once the operation can complete locally.  Time spent blocked inside
-    ``wait()`` is charged to the owning rank's ``TrafficStats.wait_seconds``.
+    ``complete()`` blocks until the operation is done without consuming
+    it (idempotent); ``wait()`` completes it and returns its result (None
+    for sends); ``test()`` polls without blocking and returns True once
+    the operation can complete locally.  Blocked time is charged to the
+    owning rank's ``TrafficStats.wait_seconds``.  Only ``wait``, a true
+    ``test`` and ``cancel`` settle the handle for the comm sanitizer: a
+    request that was merely completed (fenced) and then dropped still
+    reads as leaked, in either comm mode.
 
     Every request supports ``cancel()``: an idempotent local release for
     error paths, so an exchange torn down mid-flight does not read as a
@@ -395,9 +429,16 @@ class Request:
 
     #: lifecycle record attached by the comm sanitizer (None when off)
     _sanrec = None
+    _done = False
+    _result = None
+
+    def complete(self, timeout: float = 60.0) -> None:
+        raise NotImplementedError
 
     def wait(self, timeout: float = 60.0):
-        raise NotImplementedError
+        self.complete(timeout)
+        self._san_waited()
+        return self._result
 
     def test(self) -> bool:
         raise NotImplementedError
@@ -424,12 +465,8 @@ class Request:
 class CompletedRequest(Request):
     """A request that completed at post time (e.g. buffered isend)."""
 
-    def __init__(self, result=None):
-        self._result = result
-
-    def wait(self, timeout: float = 60.0):
-        self._san_waited()
-        return self._result
+    def complete(self, timeout: float = 60.0) -> None:
+        pass
 
     def test(self) -> bool:
         self._san_settled()
@@ -444,23 +481,17 @@ class RecvRequest(Request):
         self._box = comm.world.mailboxes[(source, comm.rank)]
         self._source = source
         self._tag = tag
-        self._done = False
-        self._value = None
 
     def test(self) -> bool:
+        if not self._done:
+            self._done, self._result = self._box.try_get(self._tag)
         if self._done:
-            return True
-        ok, value = self._box.try_get(self._tag)
-        if ok:
-            self._value = value
-            self._done = True
             self._san_settled()
         return self._done
 
-    def wait(self, timeout: float = 60.0):
+    def complete(self, timeout: float = 60.0) -> None:
         if self._done:
-            self._san_waited()
-            return self._value
+            return
         comm = self._comm
         san = comm.world.sanitizer
         t0 = time.perf_counter()
@@ -473,17 +504,15 @@ class RecvRequest(Request):
                     now = time.perf_counter()
                     q = self._box.by_tag.get(self._tag)
                     if q and q[0][0] <= now:
-                        self._value = q.popleft()[1]
+                        self._result = q.popleft()[1]
                         self._done = True
                         break
                     if comm.world.abort_event.is_set():
-                        self._san_settled()
                         raise CommAborted(
                             f"rank {comm.rank}: aborted while receiving from "
                             f"{self._source} (tag {self._tag})"
                         )
                     if now > deadline:
-                        self._san_settled()
                         raise CommError(
                             f"rank {comm.rank}: recv from {self._source} "
                             f"(tag {self._tag}) timed out"
@@ -493,7 +522,6 @@ class RecvRequest(Request):
                             comm.rank, comm.world.mailboxes
                         )
                         if cycle is not None:
-                            self._san_settled()
                             raise CommError(cycle)
                     # a queued message only lacks wire time: sleep exactly
                     # that
@@ -501,12 +529,14 @@ class RecvRequest(Request):
                     if q:
                         delay = min(delay, max(q[0][0] - now, 1e-4))
                     self._box.cond.wait(delay)
+        except BaseException:
+            # dead (abort, timeout, deadlock): nothing left to wait for
+            self._san_settled()
+            raise
         finally:
             if san is not None:
                 san.leave_recv_wait(comm.rank)
         comm._charge_wait(time.perf_counter() - t0)
-        self._san_waited()
-        return self._value
 
 
 class CollectiveRequest(Request):
@@ -517,24 +547,24 @@ class CollectiveRequest(Request):
     in-flight collectives with compute is directly visible in Perfetto.
     """
 
-    def __init__(self, comm: "SimComm", seq: int, finish,
-                 name: str = "comm/icollective", trace_id: str | None = None):
+    def __init__(self, comm: "SimComm", seq: int, finish, name: str,
+                 trace_id: str | None = None):
         self._comm = comm
         self._seq = seq
         self._finish = finish
         self._name = name
         self._trace_id = trace_id
-        self._done = False
-        self._result = None
 
     def test(self) -> bool:
+        if not self._done and self._comm.world._icoll_done(self._seq):
+            self.complete(timeout=1.0)
         if self._done:
-            return True
-        if self._comm.world._icoll_done(self._seq):
-            self._complete(timeout=1.0)
+            self._san_settled()
         return self._done
 
-    def _complete(self, timeout: float) -> None:
+    def complete(self, timeout: float = 60.0) -> None:
+        if self._done:
+            return
         comm = self._comm
         t0 = time.perf_counter()
         try:
@@ -552,13 +582,6 @@ class CollectiveRequest(Request):
             tr.flow_end(self._name, self._trace_id, tid=comm.rank)
         self._result = self._finish(vals)
         self._done = True
-        self._san_settled()
-
-    def wait(self, timeout: float = 60.0):
-        if not self._done:
-            self._complete(timeout)
-        self._san_waited()
-        return self._result
 
 
 class SimComm:
@@ -595,133 +618,136 @@ class SimComm:
                         source=source, tag=tag)
         return req
 
-    # -- core synchronization ------------------------------------------------
-    def barrier(self) -> None:
-        t0 = time.perf_counter()
-        self.world.barrier.wait()
-        self._charge_wait(time.perf_counter() - t0, name="comm/barrier")
-
-    def _exchange(self, value):
-        """All-to-all slot exchange: the primitive under every collective.
-
-        With a simulated fabric cost configured, every rank pays the wire
-        time of the largest contribution idle before returning — this is
-        exactly the latency the nonblocking path lets callers hide."""
-        self.world._fault_check(self.rank)
-        t0 = time.perf_counter()
-        self.world.slots[self.rank] = value
-        self.world.barrier.wait()
-        vals = list(self.world.slots)
-        self.world.barrier.wait()
-        if self.world.latency_s > 0.0 or self.world.gb_per_s > 0.0:
-            time.sleep(max(self.world._xfer_delay(_nbytes(v)) for v in vals))
+    # -- the collective engine -----------------------------------------------
+    def _deposit(self, value, kind: str) -> tuple[int, int]:
+        """Count and deposit this rank's contribution to its next
+        collective; returns ``(seq, nbytes)``."""
+        nbytes = _nbytes(value)
         with self.world._stats_lock:
             self.world.stats.collective_calls += 1
-            self.world.stats.collective_bytes += _nbytes(value)
-            self.world.stats.add_bytes(self.rank, _nbytes(value))
+            self.world.stats.collective_bytes += nbytes
+            self.world.stats.add_bytes(self.rank, nbytes)
+        return self.world._icoll_post(self.rank, value, kind), nbytes
+
+    def _exchange(self, value, kind: str) -> list:
+        """All-to-all slot exchange waited where it is posted: the
+        primitive under every blocking collective.  The caller idles out
+        the wire time of the largest contribution — exactly the latency a
+        request lets it hide."""
+        t0 = time.perf_counter()
+        seq, _ = self._deposit(value, kind)
+        vals = self.world._icoll_collect(seq, self.rank)
         self._charge_wait(time.perf_counter() - t0, name="comm/exchange")
         return vals
 
+    def _ipost(self, value, kind: str, finish) -> Request:
+        """Post a collective of ``kind``; ``wait()`` returns
+        ``finish(slots)``."""
+        seq, nbytes = self._deposit(value, kind)
+        op = "i" + kind.partition(":")[0]
+        name = "comm/" + op
+        tr = self.world.tracer
+        trace_id = None
+        if tr.enabled:
+            # async slice + flow arrow, closed by the completing wait
+            trace_id = tr.next_id()
+            tr.async_begin(name, trace_id, cat="comm", tid=self.rank,
+                           bytes=nbytes)
+            tr.flow_start(name, trace_id, tid=self.rank)
+        return self._san_post(
+            CollectiveRequest(self, seq, finish, name, trace_id),
+            op, f"{kind}, {nbytes} B, seq {seq}",
+        )
+
+    def fence(self, reqs) -> None:
+        """Mark the end of a posting group.
+
+        This is where the comm mode lives: a blocking world completes the
+        group here (its posts share one wire time); an overlapping world
+        goes on computing and pays only where the consumer waits.  Like
+        the blocking collectives, the completion has no time limit of its
+        own (an abort ends it; ``World.run`` bounds the job).  A fence can
+        raise before its caller has bound the group to anything it could
+        cancel, so on failure it cancels the whole group itself.
+        """
+        if not self.world.blocking:
+            return
+        reqs = list(reqs)
+        try:
+            for req in reqs:
+                req.complete(timeout=float("inf"))
+        except BaseException:
+            for req in reqs:
+                req.cancel()
+            raise
+
+    def barrier(self) -> None:
+        t0 = time.perf_counter()
+        seq = self.world._icoll_post(self.rank, None, "barrier", wire=False)
+        self.world._icoll_collect(seq, self.rank)
+        self._charge_wait(time.perf_counter() - t0, name="comm/barrier")
+
     # -- collectives ---------------------------------------------------------
     def bcast(self, value, root: int = 0):
-        vals = self._exchange(value if self.rank == root else None)
+        vals = self._exchange(value if self.rank == root else None,
+                              f"bcast:{root}")
         return vals[root]
 
     def gather(self, value, root: int = 0):
-        vals = self._exchange(value)
+        vals = self._exchange(value, f"gather:{root}")
         return vals if self.rank == root else None
 
     def allgather(self, value):
-        return self._exchange(value)
+        return self._exchange(value, "allgather")
 
     def scatter(self, values, root: int = 0):
         if self.rank == root and (values is None or len(values) != self.size):
             raise ValueError("scatter needs one value per rank at the root")
-        vals = self._exchange(values if self.rank == root else None)
+        vals = self._exchange(values if self.rank == root else None,
+                              f"scatter:{root}")
         return vals[root][self.rank]
 
     def allreduce(self, value, op: str = "sum"):
-        vals = self._exchange(value)
-        return _reduce_vals(vals, op)
+        return _reduce_vals(self._exchange(value, f"allreduce:{op}"), op)
 
     def reduce(self, value, op: str = "sum", root: int = 0):
         out = self.allreduce(value, op=op)
         return out if self.rank == root else None
 
+    def _addressed_to_me(self, mat: list) -> list:
+        """Column ``rank`` of the (source, destination) deposit matrix."""
+        return [mat[src][self.rank] for src in range(self.size)]
+
     def alltoall(self, values):
         """values[d] goes to rank d; returns list indexed by source."""
         if len(values) != self.size:
             raise ValueError("alltoall needs one entry per destination")
-        mat = self._exchange(values)
-        return [mat[src][self.rank] for src in range(self.size)]
+        return self._addressed_to_me(self._exchange(values, "alltoall"))
 
     def alltoallv(self, arrays: list[np.ndarray]) -> list[np.ndarray]:
         """Variable-size numpy all-to-all (arrays[d] shipped to rank d)."""
-        return self.alltoall(arrays)
-
-    def _trace_post(self, name: str, nbytes: int) -> str | None:
-        """Open the async slice + flow arrow for a nonblocking post."""
-        tr = self.world.tracer
-        if not tr.enabled:
-            return None
-        trace_id = tr.next_id()
-        tr.async_begin(name, trace_id, cat="comm", tid=self.rank,
-                       bytes=nbytes)
-        tr.flow_start(name, trace_id, tid=self.rank)
-        return trace_id
+        if len(arrays) != self.size:
+            raise ValueError("alltoallv needs one entry per destination")
+        return self._addressed_to_me(self._exchange(arrays, "alltoallv"))
 
     # -- nonblocking collectives ---------------------------------------------
     def ialltoallv(self, arrays: list[np.ndarray]) -> Request:
-        """Post a variable-size all-to-all; returns a Request.
-
-        ``wait()`` returns the received arrays indexed by source rank.
-        Unlike the blocking ``alltoallv`` (two barrier crossings), the
-        posting rank deposits its contribution and continues immediately.
-        """
+        """Post a variable-size all-to-all; ``wait()`` returns the received
+        arrays indexed by source rank."""
         if len(arrays) != self.size:
             raise ValueError("ialltoallv needs one entry per destination")
-        nbytes = _nbytes(arrays)
-        with self.world._stats_lock:
-            self.world.stats.collective_calls += 1
-            self.world.stats.collective_bytes += nbytes
-            self.world.stats.add_bytes(self.rank, nbytes)
-        seq = self.world._icoll_post(self.rank, arrays)
-        me = self.rank
-        n = self.size
-        return self._san_post(CollectiveRequest(
-            self, seq, lambda mat: [mat[src][me] for src in range(n)],
-            name="comm/ialltoallv",
-            trace_id=self._trace_post("comm/ialltoallv", nbytes),
-        ), "ialltoallv", f"{nbytes} B, seq {seq}")
+        return self._ipost(arrays, "alltoallv", self._addressed_to_me)
 
     def iallgather(self, value) -> Request:
         """Post an allgather; ``wait()`` returns the per-rank value list."""
-        nbytes = _nbytes(value)
-        with self.world._stats_lock:
-            self.world.stats.collective_calls += 1
-            self.world.stats.collective_bytes += nbytes
-            self.world.stats.add_bytes(self.rank, nbytes)
-        seq = self.world._icoll_post(self.rank, value)
-        return self._san_post(CollectiveRequest(
-            self, seq, list, name="comm/iallgather",
-            trace_id=self._trace_post("comm/iallgather", nbytes),
-        ), "iallgather", f"{nbytes} B, seq {seq}")
+        return self._ipost(value, "allgather", list)
 
     def iallreduce(self, value, op: str = "sum") -> Request:
         """Post an allreduce; ``wait()`` returns the reduced value."""
         if op not in ("sum", "min", "max"):
             raise ValueError(f"unknown reduction {op!r}")
-        nbytes = _nbytes(value)
-        with self.world._stats_lock:
-            self.world.stats.collective_calls += 1
-            self.world.stats.collective_bytes += nbytes
-            self.world.stats.add_bytes(self.rank, nbytes)
-        seq = self.world._icoll_post(self.rank, value)
-        return self._san_post(CollectiveRequest(
-            self, seq, lambda vals: _reduce_vals(vals, op),
-            name="comm/iallreduce",
-            trace_id=self._trace_post("comm/iallreduce", nbytes),
-        ), "iallreduce", f"op {op}, {nbytes} B, seq {seq}")
+        return self._ipost(value, f"allreduce:{op}",
+                           lambda vals: _reduce_vals(vals, op))
 
     # -- point to point --------------------------------------------------------
     def send(self, value, dest: int, tag: int = 0) -> None:

@@ -18,10 +18,16 @@ pair-hops out, so two hops from a seed that may *pair* a ghost bounds the
 contaminated set).  ``drift`` is the globally allreduced maximum
 displacement since the last migration, which bounds how far a ghost can
 have wandered into the domain.  Interior rows depend only on owned data,
-so with ``comm_mode="overlap"`` they are evaluated while the posted ghost
-exchange is still in flight; the boundary rows finish after ``wait()``.
-Both comm modes execute this identical split — only the position of the
-wait differs — so overlap is bit-identical to blocking by construction.
+so they are evaluated between the ghost exchange's post and its
+``wait()``; the boundary rows finish after it.
+
+The driver has one communication schedule: every exchange, reduction and
+migration wave is posted as early as its inputs exist, fenced
+(:meth:`~repro.parallel.comm.SimComm.fence`) and waited where its result
+is first read.  ``comm_mode`` only configures the :class:`World`: a
+blocking world completes each group at its fence, an overlapping one
+leaves it riding the wire behind the work in between — same partition,
+same arithmetic, same bits.
 
 Every rank is a :class:`RankDomain` driven by the one kick-split rung loop
 (:class:`~repro.core.timestep.HierarchicalIntegrator`, shared with the
@@ -32,15 +38,14 @@ the rank-local active-sink pair queries; ``subcycle=False`` is depth 0 of
 the same loop.  Each substep evaluation is timed under its shallowest
 closing rung (``"rung/<r>"`` phase keys, comm-wait alike) and the step's
 :class:`~repro.core.timestep.SubcycleStats` are globally reduced into
-the :class:`~repro.core.simulation.StepRecord`.  Under overlap the
-migration is nonblocking and two-waved: the closing half-kick only
-touches ``vel``/``u``, so positions + kick-invariant fields ship the
-moment the final drift lands (maturing behind the closing evaluation),
-and the post-kick payload (``vel``, ``u``, cached ``acc_long`` rows)
-ships after the closing kick and settles under the next step's opening
-evaluation.  Both waves reuse the blocking exchange's exact chunking,
-so subcycled overlap is bit-identical to subcycled blocking with full
-evaluation — the correctness anchor asserted in tests.
+the :class:`~repro.core.simulation.StepRecord`.  Migration is
+two-waved: the closing half-kick only touches ``vel``/``u``, so positions
++ kick-invariant fields ship the moment the final drift lands (maturing
+behind the closing evaluation), and the post-kick payload (``vel``,
+``u``, cached ``acc_long`` rows) ships after the closing kick and settles
+under the next step's opening evaluation.  Subcycled overlap with the
+active set is bit-identical to subcycled blocking with full evaluation —
+the correctness anchor asserted in tests.
 
 The result is verified (tests) to match the serial ``Simulation`` driver
 to floating-point roundoff.
@@ -77,7 +82,7 @@ from ..sanitize.numerics import NumericsSanitizer, kinetic_internal_energy
 from ..tree import PairCache
 from .comm import World
 from .decomposition import make_decomposition
-from .overload import GhostExchange, migrate_particles, post_migration
+from .overload import GhostExchange, post_migration
 from .swfft import DistributedFFT, slab_bounds
 
 
@@ -100,9 +105,10 @@ class DistributedConfig:
     #: the overload width is known a priori (serial analog: fixed_h=True)
     sph_h: float = 0.0
     kernel: str = "wendland_c4"
-    #: "blocking" serializes exchange -> solve; "overlap" computes the
-    #: interior rows while the ghost exchange and FFT transposes are in
-    #: flight.  The two modes are bit-identical (asserted in tests).
+    #: where the waits sit: "blocking" completes every posted group at
+    #: its fence, "overlap" leaves it in flight behind the work up to the
+    #: consumer's wait.  The two modes are bit-identical (asserted in
+    #: tests).
     comm_mode: str = "blocking"
     #: simulated fabric cost (see :class:`~repro.parallel.World`): per-
     #: message latency in seconds plus payload time at ``net_gb_per_s``
@@ -207,18 +213,13 @@ class RankDomain:
         self.fault_plan = fault_plan
         self.tracer = comm.world.tracer
         self.tracer.set_track(comm.rank, f"rank {comm.rank}")
-        self.overlap = cfg.comm_mode == "overlap"
         self._adopt({name: owned[name] for name in OWNED_FIELDS})
         #: unit-coefficient PM acceleration rows for owned particles;
         #: None marks the field stale (positions moved).  Staleness is a
         #: structural decision (set after the drift on every rank alike)
         #: so the collective FFT solve is entered by all ranks together.
         self.acc_long = None
-        self.fft = (
-            DistributedFFT(comm, cfg.pm_grid, mode=cfg.comm_mode)
-            if cfg.gravity
-            else None
-        )
+        self.fft = DistributedFFT(comm, cfg.pm_grid) if cfg.gravity else None
         self.kernel = get_kernel(cfg.kernel) if cfg.hydro else None
         # per-rank Verlet caches: the *_own caches cover owned particles
         # only and serve the interior rows (available before the ghost
@@ -242,9 +243,9 @@ class RankDomain:
         self.disp_accum = 0.0
         #: PM density reduction posted behind a short-range evaluation
         self.rho_req = None
-        # the in-flight nonblocking migration (overlap mode): wave 1 posted
-        # after the final drift of a step, wave 2 after its closing kick,
-        # settled under the next step's opening work
+        # the in-flight migration: wave 1 posted after the final drift of
+        # a step, wave 2 after its closing kick, settled under the next
+        # step's opening work
         self.flight = None
         self.flight_id = 0
         self.a = cfg.a_init
@@ -292,8 +293,8 @@ class RankDomain:
         return self.records
 
     def step(self, hooks=()) -> StepRecord:
-        """One PM step; under overlap its migration stays in flight until
-        the next step's opening work (or :meth:`settle`)."""
+        """One PM step; its migration stays in flight until the next
+        step's opening work (or :meth:`settle`)."""
         cfg = self.cfg
         da = (cfg.a_final - cfg.a_init) / cfg.n_pm_steps
         self.istep = len(self.records)
@@ -435,7 +436,8 @@ class RankDomain:
         # over substeps)
         self.disp_accum += float(np.sqrt(d2.max())) if len(d2) else 0.0
         self.drift_req = self.comm.iallreduce(self.disp_accum, op="max")
-        if self.overlap and s + 1 == nsub:
+        self.comm.fence((self.drift_req,))
+        if s + 1 == nsub:
             # final destinations are fixed: wave 1 matures behind the
             # full closing evaluation + FFT
             self._timed("migration", self._post_departures)
@@ -458,10 +460,7 @@ class RankDomain:
         if self.nsan is not None:
             self.nsan.check_finite(self.istep, "closing half-kick",
                                    pos=self.pos, vel=self.vel, u=self.u)
-        if self.overlap:
-            self._timed("migration", self._post_payload)
-        else:
-            self._timed("migration", self._migrate_blocking)
+        self._timed("migration", self._post_payload)
         hist = np.bincount(rungs.astype(np.int64),
                            minlength=self.cfg.max_rung + 1)
         tot = self.comm.allreduce(np.concatenate((
@@ -521,11 +520,11 @@ class RankDomain:
         Deposit is a grid allreduce (every rank contributes its owned
         particles); the Poisson solve + spectral gradient runs on
         slab-decomposed FFTs; acceleration slabs are allgathered for the
-        final rank-local CIC interpolation.  Overlap-mode callers may pass
-        a ``rho`` they reduced earlier (hidden behind short-range work);
-        with ``fft.mode == "overlap"`` the three gradient-axis gathers are
-        pipelined — each axis' slab allgather rides the wire while the next
-        axis' inverse FFT computes.
+        final rank-local CIC interpolation.  Callers may pass a ``rho``
+        they reduced earlier (posted behind short-range work).  All three
+        gradient-axis inverse transforms share one posting wave
+        (``inverse_many``), then each slab gather rides the wire while the
+        previous axis' CIC interpolation computes.
         """
         cfg = self.cfg
         comm = self.comm
@@ -541,22 +540,14 @@ class RankDomain:
         green, kvecs = self._green_tables()
         phik = green * spec
         accel = np.empty((len(self.pos), 3))
-        if fft.mode == "overlap":
-            # pipeline the axes: all three inverse transforms share one
-            # posting wave (inverse_many), then each slab gather rides the
-            # wire while the previous axis' CIC interpolation computes
-            comps = fft.inverse_many(
-                [-1j * kvecs[axis] * phik for axis in range(3)]
-            )
-            reqs = [comm.iallgather(c.real) for c in comps]
-            for axis in range(3):
-                comp = np.concatenate(reqs[axis].wait(), axis=0)
-                accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
-        else:
-            for axis in range(3):
-                comp_slab = fft.inverse(-1j * kvecs[axis] * phik).real
-                comp = np.concatenate(comm.allgather(comp_slab), axis=0)
-                accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
+        comps = fft.inverse_many(
+            [-1j * kvecs[axis] * phik for axis in range(3)]
+        )
+        reqs = [comm.iallgather(c.real) for c in comps]
+        comm.fence(reqs)
+        for axis in range(3):
+            comp = np.concatenate(reqs[axis].wait(), axis=0)
+            accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
         return accel
 
     # -- short range ----------------------------------------------------------
@@ -565,10 +556,9 @@ class RankDomain:
 
         Posts the ghost exchange, partitions the sink rows into
         interior/boundary, evaluates the interior rows from owned data
-        (while the exchange is in flight under ``comm_mode="overlap"``),
-        then completes the boundary rows from the overloaded set.
-        Identical arithmetic in both modes — only the wait position
-        differs.  ``sinks`` (sorted owned-row indices) restricts evaluation
+        (the exchange's window to ride the wire), then completes the
+        boundary rows from the overloaded set.  ``sinks`` (sorted
+        owned-row indices) restricts evaluation
         to the active set: per-sink pair rows are identical regardless of
         the sink set, so restricted rows match the full evaluation bitwise.
         ``rho_ahead`` marks evaluations that immediately precede a
@@ -600,8 +590,7 @@ class RankDomain:
         a_eff = 1.0 if cfg.static else a
         ah = a_hubble(cfg, a)
         n_owned = len(self.pos)
-        if rho_ahead and self.overlap and cfg.gravity \
-                and self.acc_long is None:
+        if rho_ahead and cfg.gravity and self.acc_long is None:
             # the PM solve that follows needs the global density at these
             # same positions; post its reduction now so it matures behind
             # the short-range work.  Staleness of acc_long is structural
@@ -610,6 +599,7 @@ class RankDomain:
             self.rho_req = self.comm.iallreduce(cic_deposit(
                 self.pos, self.mass, cfg.pm_grid, cfg.box
             ))
+            self.comm.fence((self.rho_req,))
 
         if self.drift_req is not None:
             self.drift_max = float(self.drift_req.wait())
@@ -643,12 +633,9 @@ class RankDomain:
             else:
                 h_sinks = np.searchsorted(gas_rows, sinks[self.gas[sinks]])
 
-        if not self.overlap:
-            ghost_pos, gfl = exchange.wait()
-
         out = (np.zeros((n_owned, 3)), np.zeros(n_owned), np.zeros(n_owned))
 
-        # -- interior rows: owned data only (overlaps the exchange) ------
+        # -- interior rows: owned data only (the exchange's window) -------
         with self.tracer.span("short_range/interior", cat="driver"):
             if cfg.gravity:
                 self._gravity_rows(
@@ -664,8 +651,7 @@ class RankDomain:
                         self.u[gas_rows], gids, a_eff,
                     )
 
-        if self.overlap:
-            ghost_pos, gfl = exchange.wait()
+        ghost_pos, gfl = exchange.wait()
 
         # -- boundary rows: need the overloaded set ----------------------
         with self.tracer.span("short_range/boundary", cat="driver"):
@@ -735,20 +721,7 @@ class RankDomain:
         vsig[rows] = d.max_signal_speed
         self.n_pairs += d.n_pairs
 
-    # -- migration (blocking + two-wave nonblocking) --------------------------
-    def _migrate_blocking(self) -> None:
-        """Blocking migration: one alltoallv per field, serial."""
-        payload = {"vel": self.vel, "mass": self.mass, "u": self.u,
-                   "ids": self.ids, "gas": self.gas}
-        if self.cfg.gravity:
-            payload["acc_long"] = self.acc_long
-        self.pos, got = migrate_particles(self.comm, self.pos, payload,
-                                          self.decomp)
-        self._adopt(got)
-        self.drift_req = None
-        self.drift_max = 0.0
-        self.disp_accum = 0.0
-
+    # -- migration (two waves) ------------------------------------------------
     def _adopt(self, arrived: dict) -> None:
         """Bind per-particle arrays by name (the constructor's rows, or
         what a migration delivered — ``acc_long`` rides along there)."""
@@ -879,7 +852,8 @@ class DistributedSimulation:
         world = World(self.n_ranks, latency_s=cfg.net_latency_s,
                       gb_per_s=cfg.net_gb_per_s,
                       tracer=self.observe.tracer, sanitize=cfg.sanitize,
-                      fault_plan=self.fault_plan)
+                      fault_plan=self.fault_plan,
+                      blocking=cfg.comm_mode == "blocking")
         #: kept for post-run inspection (traffic stats, sanitizer findings)
         self.world = world
         ranks = world.run(

@@ -144,11 +144,12 @@ class GhostExchange:
         self._reqs = {"pos": comm.ialltoallv(out_pos)}
         for k, chunks in out_fields.items():
             self._reqs[k] = comm.ialltoallv(chunks)
+        comm.fence(self._reqs.values())
         self._trace = None
         tr = comm.world.tracer
         if tr.enabled:
             # one async slice spanning the whole exchange, post -> wait;
-            # under comm_mode="overlap" the interior-compute span sits
+            # on an overlapping world the interior-compute span sits
             # inside this interval, which is the overlap made visible in
             # Perfetto
             gid = tr.next_id()
@@ -178,7 +179,8 @@ class GhostExchange:
 
 
 def exchange_overload(comm, pos_local, ids_local, decomp, overload_width):
-    """Blocking ghost exchange (runs inside a SimComm rank function).
+    """Ghost exchange waited on the spot (runs inside a SimComm rank
+    function).
 
     Returns (ghost_pos, ghost_ids) received by this rank, with periodic
     shifts already applied.
@@ -190,7 +192,7 @@ def exchange_overload(comm, pos_local, ids_local, decomp, overload_width):
 
 
 class MigrationFlight:
-    """A nonblocking particle migration in flight, shipped in two waves.
+    """A particle migration in flight, shipped in two waves.
 
     The closing half-kick of a KDK step only touches ``vel``/``u``, so
     the destination of every particle is fixed the moment the final drift
@@ -200,8 +202,8 @@ class MigrationFlight:
     kick still mutates — velocities, internal energy, and the cached
     ``acc_long`` rows that ride through migration.  Both waves reuse the
     per-destination owner selections computed at wave-1 time and keep
-    source row order, the exact chunking of :func:`migrate_particles`, so
-    the settled arrays are bitwise identical to the blocking exchange.
+    source row order, so what settles does not depend on how the fields
+    were split over the waves.
 
     ``cancel`` settles every posted request (idempotently) so an abort
     cascade between post and settle leaves no leaked handles for the comm
@@ -220,6 +222,7 @@ class MigrationFlight:
             self._reqs1[k] = comm.ialltoallv(
                 [np.asarray(arr)[sel] for sel in self._sels]
             )
+        comm.fence(self._reqs1.values())
         self._reqs2: dict = {}
         self.arrivals_settled = False
 
@@ -229,6 +232,7 @@ class MigrationFlight:
             self._reqs2[k] = self._comm.ialltoallv(
                 [np.asarray(arr)[sel] for sel in self._sels]
             )
+        self._comm.fence(self._reqs2.values())
 
     def settle_arrivals(self) -> dict:
         """Complete wave 1: ``{"pos": ..., <early field>: ...}`` arrays."""
@@ -248,7 +252,7 @@ class MigrationFlight:
 
 
 def post_migration(comm, pos_local, early_fields, decomp) -> MigrationFlight:
-    """Post wave 1 of a nonblocking migration (see MigrationFlight)."""
+    """Post wave 1 of a migration (see MigrationFlight)."""
     return MigrationFlight(comm, pos_local, early_fields, decomp)
 
 
@@ -258,18 +262,7 @@ def migrate_particles(comm, pos_local, payload_local, decomp):
     ``payload_local`` is a dict of per-particle arrays to ship along with
     positions.  Returns (new_pos, new_payload) after the exchange.
     """
-    pos_local = np.mod(np.asarray(pos_local, dtype=np.float64), decomp.box)
-    owner = decomp.rank_of_positions(pos_local)
-    out_pos = []
-    out_payload = {k: [] for k in payload_local}
-    for dest in range(comm.size):
-        sel = owner == dest
-        out_pos.append(pos_local[sel])
-        for k, arr in payload_local.items():
-            out_payload[k].append(np.asarray(arr)[sel])
-    new_pos = np.concatenate(comm.alltoallv(out_pos))
-    new_payload = {
-        k: np.concatenate(comm.alltoallv(chunks))
-        for k, chunks in out_payload.items()
-    }
-    return new_pos, new_payload
+    got = MigrationFlight(
+        comm, pos_local, payload_local, decomp
+    ).settle_arrivals()
+    return got.pop("pos"), got

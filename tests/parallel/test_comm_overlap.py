@@ -1,14 +1,21 @@
 """Overlap mode is bit-identical to blocking: FFT pipeline + full driver."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.cosmology import PLANCK18, zeldovich_ics
 from repro.parallel import DistributedFFT, World, scatter_slabs, slab_bounds
 from repro.parallel.distributed_sim import DistributedConfig, DistributedSimulation
 
 
 class TestPipelinedFFT:
+    """The transpose pipeline gives the same bits for every chunk count on
+    either kind of world (the world, not the FFT, carries the comm mode)."""
+
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
     def test_forward_inverse_bitidentical_to_blocking(self, n_ranks):
         n = 12
@@ -18,28 +25,52 @@ class TestPipelinedFFT:
         )
         slabs = scatter_slabs(field, n_ranks)
 
-        def fn(comm):
-            blk = DistributedFFT(comm, n, mode="blocking")
-            ovl = DistributedFFT(comm, n, mode="overlap", n_stages=3)
-            s_blk = blk.forward(slabs[comm.rank].copy())
-            s_ovl = ovl.forward(slabs[comm.rank].copy())
-            assert np.array_equal(s_blk, s_ovl)
-            r_blk = blk.inverse(s_blk)
-            r_ovl = ovl.inverse(s_ovl)
-            assert np.array_equal(r_blk, r_ovl)
-            return s_ovl, r_ovl
+        def fn(comm, n_stages):
+            fft = DistributedFFT(comm, n, n_stages=n_stages)
+            spec = fft.forward(slabs[comm.rank].copy())
+            recon = fft.inverse(spec)
+            many = fft.inverse_many([spec, 2.0 * spec])
+            assert np.array_equal(many[0], recon)
+            return spec, recon
 
-        results = World(n_ranks).run(fn)
-        spec = np.concatenate([r[0] for r in results], axis=1)
+        runs = {
+            (blocking, k): World(n_ranks, blocking=blocking).run(fn, k)
+            for blocking in (True, False) for k in (1, 2, 3, 9)
+        }
+        ref = runs[True, 1]
+        for key, got in runs.items():
+            for (s_ref, r_ref), (s, r) in zip(ref, got):
+                assert np.array_equal(s_ref, s), key
+                assert np.array_equal(r_ref, r), key
+        spec = np.concatenate([r[0] for r in ref], axis=1)
         np.testing.assert_allclose(spec, np.fft.fftn(field), atol=1e-9)
-        recon = np.concatenate([r[1] for r in results], axis=0)
+        recon = np.concatenate([r[1] for r in ref], axis=0)
         np.testing.assert_allclose(recon, field, atol=1e-12)
+
+    def test_blocking_world_ships_each_transpose_whole(self):
+        """Chunking a transpose that completes at its post only multiplies
+        its latencies, so a blocking world posts one message per transpose
+        whatever ``n_stages`` says; an overlapping world posts one per
+        chunk."""
+        n = 8
+
+        def fn(comm):
+            fft = DistributedFFT(comm, n, n_stages=4)
+            xs, xe = slab_bounds(n, comm.size, comm.rank)
+            fft.inverse(fft.forward(np.ones((xe - xs, n, n), dtype=complex)))
+
+        calls = {}
+        for blocking in (True, False):
+            world = World(2, blocking=blocking)
+            world.run(fn)
+            calls[blocking] = world.stats.collective_calls
+        assert calls == {True: 2 * 2, False: 2 * 2 * 4}
 
     def test_pipeline_deeper_than_grid_clamps(self):
         n = 4
 
         def fn(comm):
-            fft = DistributedFFT(comm, n, mode="overlap", n_stages=9)
+            fft = DistributedFFT(comm, n, n_stages=9)
             f = np.arange(n**3, dtype=complex).reshape(n, n, n)
             xs, xe = slab_bounds(n, comm.size, comm.rank)
             return fft.forward(f[xs:xe])
@@ -145,6 +176,78 @@ class TestOverlapBitIdentity:
         d -= box * np.round(d / box)
         assert np.abs(d).max() < 1e-8
         np.testing.assert_allclose(v1, v2, atol=1e-8)
+
+
+class TestCommModeIsOnePlace:
+    """``comm_mode`` configures the World and nothing else."""
+
+    #: (collective_calls, collective_bytes) of blocking runs, measured on
+    #: the two-engine code before blocking became the fenced overlap
+    #: schedule: the schedule change must not change what is shipped
+    BLOCKING_TRAFFIC = {
+        ("gravity", 2): (108, 10590664),
+        ("gravity", 4): (216, 12276208),
+        ("gravity+crksph", 2): (74, 7351706),
+        ("gravity+crksph", 4): (148, 8581416),
+    }
+
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_blocking_traffic_is_pinned(self, n_ranks):
+        box = 100.0
+        ics = zeldovich_ics(8, box, PLANCK18, a_init=0.2, seed=17)
+        cfg = DistributedConfig(
+            box=box, pm_grid=32, a_init=0.2, a_final=0.3, n_pm_steps=2,
+            cosmo=PLANCK18, r_split_cells=1.0, comm_mode="blocking",
+        )
+        grav = DistributedSimulation(cfg, n_ranks)
+        grav.run(ics.positions, ics.velocities,
+                 np.full(8**3, ics.particle_mass))
+        pos, vel, mass, u, gas = _mixed_ics()
+        crk = DistributedSimulation(_mixed_config(comm_mode="blocking"),
+                                    n_ranks)
+        crk.run(pos, vel, mass, u=u, gas=gas)
+        for name, sim in (("gravity", grav), ("gravity+crksph", crk)):
+            t = sim.traffic
+            assert (t.collective_calls, t.collective_bytes) == \
+                self.BLOCKING_TRAFFIC[name, n_ranks], name
+
+    def test_only_the_world_reads_the_mode(self):
+        """AST guard: in ``repro.parallel``, ``comm_mode`` appears only in
+        ``DistributedConfig`` and as an argument of the ``World(...)`` /
+        ``StepRecord(...)`` constructions, and outside ``comm.py``
+        ``.blocking`` is read only to pick the ``_z_chunks`` count."""
+
+        def reads(tree, attr):
+            """(line, enclosing class names + enclosing call names)."""
+            out = []
+
+            def walk(node, ctx):
+                if isinstance(node, ast.ClassDef):
+                    ctx = ctx | {node.name}
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    ctx = ctx | {getattr(fn, "attr", getattr(fn, "id", ""))}
+                if isinstance(node, ast.Attribute) and node.attr == attr:
+                    out.append((node.lineno, ctx))
+                for child in ast.iter_child_nodes(node):
+                    walk(child, ctx)
+
+            walk(tree, frozenset())
+            return out
+
+        n_seen = 0
+        for path in sorted(Path(repro.parallel.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            n_seen += len(reads(tree, "comm_mode") + reads(tree, "blocking"))
+            for line, ctx in reads(tree, "comm_mode"):
+                assert ctx & {"DistributedConfig", "World", "StepRecord"}, \
+                    f"{path.name}:{line} branches on comm_mode"
+            if path.name != "comm.py":
+                for line, ctx in reads(tree, "blocking"):
+                    assert "_z_chunks" in ctx, \
+                        f"{path.name}:{line} reads the world's comm mode"
+        assert n_seen >= 5  # the walker is not blind
+        assert not hasattr(DistributedFFT(World(1).comm(0), 4), "mode")
 
 
 class TestInstrumentation:

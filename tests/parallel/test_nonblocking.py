@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import CommError, CompletedRequest, RankFailure, World
+from repro.parallel.comm import CommSanitizerError, Request
 
 
 class TestPointToPoint:
@@ -181,6 +182,128 @@ class TestNonblockingCollectives:
         assert world._icoll_bufs == {}
 
 
+class TestOneCollectiveEngine:
+    """Blocking and nonblocking collectives share one sequence space, so a
+    deposit knows what it is pairing with."""
+
+    def test_blocking_pairs_with_nonblocking_of_the_same_kind(self):
+        world = World(3, sanitize=True)
+
+        def fn(comm):
+            mine = np.arange(comm.size) + 10 * comm.rank
+            if comm.rank == 0:
+                total = comm.allreduce(comm.rank + 1.0)
+                ranks = comm.allgather(comm.rank)
+                got = comm.alltoallv(list(mine))
+            else:
+                total = comm.iallreduce(comm.rank + 1.0).wait()
+                ranks = comm.iallgather(comm.rank).wait()
+                got = comm.ialltoallv(list(mine)).wait()
+            comm.barrier()
+            return total, ranks, got
+
+        for rank, (total, ranks, got) in enumerate(world.run(fn)):
+            assert total == 6.0
+            assert ranks == [0, 1, 2]
+            assert got == [rank, 10 + rank, 20 + rank]
+
+    @pytest.mark.parametrize("posts, kinds", [
+        ((lambda c: c.iallreduce(1.0), lambda c: c.iallgather(5.0)),
+         ("allreduce:sum", "allgather")),
+        ((lambda c: c.iallreduce(1.0, op="sum"),
+          lambda c: c.iallreduce(2.0, op="max")),
+         ("allreduce:sum", "allreduce:max")),
+        ((lambda c: c.allreduce(1.0), lambda c: c.barrier()),
+         ("allreduce:sum", "barrier")),
+    ])
+    def test_mismatched_collectives_raise_naming_both_sides(self, posts,
+                                                            kinds):
+        # used to pair silently: [6.0, [1.0, 5.0]] and [3.0, 2.0]
+        world = World(2, sanitize=True)
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)  # rank 0 deposits first
+            req = posts[comm.rank](comm)
+            return req.wait() if req is not None else None
+
+        with pytest.raises(CommError, match="collective mismatch") as exc:
+            world.run(fn)
+        msg = str(exc.value)
+        assert f"rank 1 posted {kinds[1]!r}" in msg
+        assert f"rank 0 posted {kinds[0]!r}" in msg
+
+    def test_fence_completes_the_group_on_a_blocking_world_only(self):
+        def fn(comm):
+            reqs = [comm.iallreduce(1.0), comm.iallgather(comm.rank)]
+            comm.fence(reqs)
+            done = [r._done for r in reqs]
+            for r in reqs:
+                r.complete()  # idempotent: blocks, never consumes
+            return done, [r.wait() for r in reqs]
+
+        for blocking in (True, False):
+            world = World(2, latency_s=0.05, blocking=blocking, sanitize=True)
+            for done, values in world.run(fn):
+                assert done == [blocking, blocking]
+                assert values == [2.0, [0, 1]]
+            assert world.sanitizer.findings == []
+
+    def test_fenced_group_shares_one_wire_time(self):
+        world = World(2, latency_s=0.1, blocking=True)
+
+        def fn(comm):
+            t0 = time.perf_counter()
+            reqs = [comm.iallreduce(float(k)) for k in range(4)]
+            comm.fence(reqs)
+            return time.perf_counter() - t0
+
+        for elapsed in world.run(fn):
+            assert 0.1 <= elapsed < 0.3  # one latency, not four
+
+    def test_fence_has_no_time_limit_of_its_own(self):
+        # as the blocking collectives: only an abort ends the wait
+        seen = []
+
+        class Probe(Request):
+            def complete(self, timeout=60.0):
+                seen.append(timeout)
+
+        World(1, blocking=True).comm(0).fence([Probe()])
+        assert seen == [float("inf")]
+
+    @pytest.mark.parametrize("blocking", [True, False])
+    def test_fenced_but_never_waited_request_still_leaks(self, blocking):
+        # completing a group at its fence is not consuming it: the leak
+        # check reads the same in both comm modes
+        def fn(comm):
+            comm.fence([comm.iallreduce(1.0)])
+
+        world = World(2, blocking=blocking, sanitize=True)
+        with pytest.raises(CommSanitizerError) as exc:
+            world.run(fn)
+        kinds = [f.kind for f in exc.value.findings]
+        assert kinds == ["leaked-request"] * 2
+
+    def test_failed_fence_cancels_its_whole_group(self):
+        # the fence raises before its caller holds anything it could
+        # cancel (GhostExchange/MigrationFlight fence in __init__), so the
+        # group must come back settled: first request dead in its wait,
+        # the rest never reached
+        world = World(2, blocking=True, sanitize=True)
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)
+                raise RuntimeError("boom")
+            comm.fence([comm.iallreduce(float(k)) for k in range(4)])
+
+        with pytest.raises(CommError, match="rank 1 failed"):
+            world.run(fn)
+        assert world.sanitizer.n_records() == 4
+        assert world.sanitizer.unsettled() == []
+
+
 class TestAbortAndTimeout:
     def test_abort_propagates_to_pending_recv(self):
         # rank 1 dies; rank 0's in-flight irecv must observe the abort and
@@ -207,6 +330,36 @@ class TestAbortAndTimeout:
 
         with pytest.raises(CommError, match="rank 1 failed"):
             world.run(fn)
+
+    @pytest.mark.parametrize("blocked_in",
+                             ["collective", "request", "fence", "barrier",
+                              "recv"])
+    def test_abort_wakes_its_waiters(self, blocked_in, monkeypatch):
+        """An abort notifies every condition a rank can be blocked on; the
+        cascade does not wait out a poll tick."""
+        from repro.parallel import comm as comm_mod
+
+        monkeypatch.setattr(comm_mod, "_POLL", 20.0)
+        world = World(2)
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.1)  # let rank 0 block first
+                raise RuntimeError("boom")
+            if blocked_in == "collective":
+                return comm.allreduce(1.0)
+            if blocked_in == "request":
+                return comm.iallreduce(1.0).wait()
+            if blocked_in == "fence":  # World() is a blocking world
+                return comm.fence([comm.iallreduce(1.0)])
+            if blocked_in == "barrier":
+                return comm.barrier()
+            return comm.recv(source=1)
+
+        t0 = time.perf_counter()
+        with pytest.raises(CommError, match="rank 1 failed"):
+            world.run(fn)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_hung_rank_raises_instead_of_returning_none(self):
         # regression: World.run used to join with a timeout but never check

@@ -41,20 +41,29 @@ def clustered_ics(seed=7, n_blob=24):
     return pos, vel, mass
 
 
-def chaos_config(n_pm_steps=3):
+def chaos_config(n_pm_steps=3, comm_mode="overlap"):
     # r_split_cells=0.75 keeps 2*cutoff below the narrowest rank domain
     # of the *shrunken* decompositions (3-rank width 40, 2-rank width 60)
     return DistributedConfig(
         box=BOX, pm_grid=32, a_init=0.3, a_final=0.3 + 0.04 / 3 * n_pm_steps,
         n_pm_steps=n_pm_steps, cosmo=PLANCK18, r_split_cells=0.75,
-        max_rung=3, comm_mode="overlap", subcycle=True, sanitize=True,
+        max_rung=3, comm_mode=comm_mode, subcycle=True, sanitize=True,
     )
 
 
 class TestHeadlineChaosRun:
     def test_midstep_kill_recovers_bit_identically(self, tmp_path):
+        self._kill_and_recover(tmp_path, "overlap")
+
+    def test_midstep_kill_recovers_on_a_blocking_world(self, tmp_path):
+        # the kill lands while peers sit in a fence, which raises before
+        # GhostExchange/MigrationFlight exist to be cancelled: the audit
+        # below is what holds the fence to settling its own group
+        self._kill_and_recover(tmp_path, "blocking")
+
+    def _kill_and_recover(self, tmp_path, comm_mode):
         pos, vel, mass = clustered_ics()
-        cfg = chaos_config()
+        cfg = chaos_config(comm_mode=comm_mode)
         store = TieredCheckpointStore(tmp_path, n_nodes=4)
         plan = FaultPlan.single(rank=2, step=1, phase="rung")
         obs = Observatory(tracing=True)
