@@ -163,7 +163,7 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     def naive_subcycle():
         """The seed's per-subcycle hydro evaluation, stage by stage."""
         _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel)
+        corr = compute_corrections(pos, vol, h, pi, pj, kernel, box=box)
         rho = compute_density(pos, mass, h, pi, pj, kernel, corr, box=box)
         pressure = eos.pressure(rho, u)
         cs = eos.sound_speed(rho, u)

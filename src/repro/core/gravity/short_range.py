@@ -38,7 +38,7 @@ def short_range_accelerations(
     mode, used by force-completeness tests).
 
     ``dx, r2`` are the rows' geometry as a ``PairCache`` query carries it
-    (``core.geometry.pair_geometry``); without them it is formed here.
+    (``core.geometry.pair_geometry``); what is missing is formed here.
 
     ``sink_index``/``n_out`` switch on compact active-row assembly: forces
     accumulate into row ``sink_index[p]`` of an ``(n_out, 3)`` output
@@ -49,6 +49,8 @@ def short_range_accelerations(
     n = pos.shape[0] if n_out is None else int(n_out)
     rows = pi if sink_index is None else np.asarray(sink_index)
     accel = np.zeros((n, 3))
+    if dx is not None and r2 is None:
+        r2 = np.einsum("pa,pa->p", dx, dx)
     # chunk the pair list so peak memory stays bounded regardless of how
     # dense the interaction lists get (each pair costs ~10 temporaries)
     chunk = 2_000_000

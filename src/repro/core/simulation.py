@@ -35,14 +35,10 @@ from ..tree import PairCache
 from .geometry import wrap_positions
 from .gravity.force_split import recommended_cutoff
 from .gravity.pm import PMSolver
-from .gravity.short_range import short_range_accelerations
 from .particles import Particles, Species
 from .sph.eos import IdealGasEOS
-from .sph.hydro import (
-    crksph_derivatives,
-    crksph_derivatives_active,
-    update_smoothing_lengths,
-)
+from .sink_rows import crksph_rows, gravity_rows
+from .sph.hydro import update_smoothing_lengths
 from .sph.kernels import get_kernel
 from .sph.viscosity import MonaghanViscosity
 from .subgrid.agn import AGNModel
@@ -96,8 +92,8 @@ class SimulationConfig:
     fixed_h: bool = False
     #: evaluate subcycle forces only for the particles closing a substep
     #: (active sinks; inactive particles stay gather-only sources).  Off,
-    #: every substep recomputes all rows — same trajectories to round-off,
-    #: used as the reference in equivalence tests and benchmarks
+    #: every substep recomputes all rows — same bits (asserted), used as
+    #: the reference in equivalence tests and benchmarks
     active_set: bool = True
     seed: int = 1234
     #: numerics sanitizer: check particle state for NaN/Inf and total
@@ -369,75 +365,34 @@ class Simulation:
         n = len(p)
         a_eff = 1.0 if cfg.static else a
         ah = a_hubble(cfg, a)
-        accel = np.zeros((n, 3))
-        du_da = np.zeros(n)
-        vsig = np.zeros(n)
+        out = accel, du_da, vsig = np.zeros((n, 3)), np.zeros(n), np.zeros(n)
 
         if cfg.gravity:
             with timers.time("short_range"):
-                if sinks is None:
-                    rows = self._grav_cache.get(p.pos, cfg.cutoff)
-                    accel += short_range_accelerations(
-                        p.pos, p.mass, rows.pi, rows.pj,
-                        r_split=cfg.r_split, softening=cfg.softening,
-                        box=cfg.box, g_newton=G_COSMO / a_eff,
-                        dx=rows.dx, r2=rows.r2,
-                    )
-                else:
-                    rows = self._grav_cache.get_for_sinks(
-                        p.pos, cfg.cutoff, sinks
-                    )
-                    accel[sinks] += short_range_accelerations(
-                        p.pos, p.mass, rows.pi, rows.pj,
-                        r_split=cfg.r_split, softening=cfg.softening,
-                        box=cfg.box, g_newton=G_COSMO / a_eff,
-                        dx=rows.dx, r2=rows.r2,
-                        sink_index=np.searchsorted(sinks, rows.pi),
-                        n_out=len(sinks),
-                    )
-                self._n_pairs += len(rows.pi)
+                self._n_pairs += gravity_rows(
+                    accel, self._grav_cache, p.pos, p.mass, sinks, cfg,
+                    G_COSMO / a_eff,
+                )
 
         gas = np.nonzero(p.gas)[0]
         if cfg.hydro and len(gas) > 0:
             with timers.time("hydro"):
-                gpos = p.pos[gas]
-                gh = p.h[gas]
-                # peculiar velocity v = p_mom / a in comoving dynamics
-                gvel = p.vel[gas] / a_eff
-                if sinks is None:
-                    rows = self._hydro_cache.get(gpos, gh, ids=gas)
-                    d = crksph_derivatives(
-                        gpos, gvel, p.mass[gas], p.u[gas], gh,
-                        rows.pi, rows.pj, self.kernel, eos=self.eos,
-                        viscosity=self.viscosity, box=cfg.box,
-                        dx_pairs=rows.dx, r2_pairs=rows.r2,
+                # map active sinks into the gas-local frame
+                gas_sinks = None if sinks is None else np.searchsorted(
+                    gas, sinks[p.gas[sinks]])
+                if gas_sinks is None or len(gas_sinks):
+                    # peculiar velocity v = p_mom / a in comoving dynamics
+                    d = crksph_rows(
+                        out, gas, self._hydro_cache, p.pos[gas],
+                        p.vel[gas] / a_eff, p.mass[gas], p.u[gas], p.h[gas],
+                        gas_sinks, self.kernel, eos=self.eos,
+                        viscosity=self.viscosity, ids=gas,
                     )
-                    accel[gas] += d.accel
-                    du_da[gas] = d.du_dt
-                    vsig[gas] = d.max_signal_speed
-                    p.rho[gas] = d.rho
-                    self._n_pairs += len(rows.pi)
-                else:
-                    # map active sinks into the gas-local frame
-                    gas_sinks = np.searchsorted(gas, sinks[p.gas[sinks]])
-                    if len(gas_sinks):
-                        sl = self._hydro_cache.active_slices(
-                            gpos, gh, gas_sinks, ids=gas
-                        )
-                        d = crksph_derivatives_active(
-                            gpos, gvel, p.mass[gas], p.u[gas], gh, sl,
-                            self.kernel, eos=self.eos,
-                            viscosity=self.viscosity, box=cfg.box,
-                        )
-                        rows = gas[gas_sinks]
-                        accel[rows] += d.accel
-                        du_da[rows] = d.du_dt
-                        vsig[rows] = d.max_signal_speed
-                        # densities are fresh on the 1-hop closure; the
-                        # final substep closes everyone, so rho is fully
-                        # refreshed before subgrid physics reads it
-                        p.rho[gas[sl.tier1]] = d.rho
-                        self._n_pairs += d.n_pairs
+                    # densities are fresh on the 1-hop closure; the final
+                    # substep closes everyone, so rho is fully refreshed
+                    # before subgrid physics reads it
+                    p.rho[gas[d.tier1]] = d.rho
+                    self._n_pairs += d.n_pairs
 
         dp_da = accel / ah
         # du/da: comoving work / (a^2 H) + adiabatic expansion term.  The
@@ -446,10 +401,8 @@ class Simulation:
         # rows they actually kick.
         du_da = du_da / (a_eff * ah)
         if not cfg.static:
-            if sinks is None:
-                du_da = du_da - 3.0 * (GAMMA_IDEAL - 1.0) * p.u / a
-            else:
-                du_da[sinks] -= 3.0 * (GAMMA_IDEAL - 1.0) * p.u[sinks] / a
+            rows = slice(None) if sinks is None else sinks
+            du_da[rows] -= 3.0 * (GAMMA_IDEAL - 1.0) * p.u[rows] / a
         du_da = np.where(p.gas, du_da, 0.0)
         return dp_da, du_da, vsig
 

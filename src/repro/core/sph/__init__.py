@@ -3,7 +3,6 @@
 from .crk import CRKCorrections, compute_corrections, corrected_kernel_pairs
 from .eos import IdealGasEOS
 from .hydro import (
-    ActiveHydroDerivatives,
     HydroDerivatives,
     compute_density,
     compute_number_density,
@@ -17,7 +16,6 @@ from .viscosity import MonaghanViscosity, balsara_switch
 
 __all__ = [
     "KERNELS",
-    "ActiveHydroDerivatives",
     "CRKCorrections",
     "CubicSpline",
     "HydroDerivatives",

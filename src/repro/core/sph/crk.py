@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geometry import pair_displacements
 from ..scatter import segment_sum, segment_sum_csr
 from .kernels import Kernel
 
@@ -68,6 +69,7 @@ def compute_moments(
     kernel: Kernel,
     dx_pairs: np.ndarray | None = None,
     batch=None,
+    box=None,
 ):
     """Compute CRK geometric moments m0, m1, m2 and their gradients.
 
@@ -81,6 +83,8 @@ def compute_moments(
     dx_pairs : optional precomputed ``x_i - x_j`` (periodic-wrapped) per pair
     batch : optional ``PairBatch`` carrying shared pair state (supersedes
         ``pi, pj, dx_pairs``)
+    box : periodic box the displacements are wrapped in when they are
+        formed here (neither ``dx_pairs`` nor ``batch`` given)
 
     Returns
     -------
@@ -96,7 +100,7 @@ def compute_moments(
         acc = lambda values: segment_sum_csr(batch.seg, values)  # noqa: E731
         return _moments_body(vol[batch.pj], batch.dx, w, gw, acc)
     if dx_pairs is None:
-        dx_pairs = pos[pi] - pos[pj]
+        dx_pairs = pair_displacements(pos, pi, pj, box)
     dx = dx_pairs  # x_i - x_j, shape (P, 3)
     r = np.sqrt(np.sum(dx * dx, axis=-1))
     hi = h[pi]
@@ -167,6 +171,7 @@ def compute_corrections(
     kernel: Kernel,
     dx_pairs: np.ndarray | None = None,
     batch=None,
+    box=None,
 ) -> CRKCorrections:
     """Solve the linear reproducing conditions for A_i and B_i (and grads).
 
@@ -176,7 +181,7 @@ def compute_corrections(
         B_i = m2^{-1} m1,      A_i = 1 / (m0 - B_i . m1)
     """
     m0, m1, m2, dm0, dm1, dm2 = compute_moments(
-        pos, vol, h, pi, pj, kernel, dx_pairs=dx_pairs, batch=batch
+        pos, vol, h, pi, pj, kernel, dx_pairs=dx_pairs, batch=batch, box=box
     )
     m2inv = _invert_spd_batch(m2)
     b = np.einsum("nab,nb->na", m2inv, m1)
@@ -207,6 +212,7 @@ def corrected_kernel_pairs(
     kernel: Kernel,
     dx_pairs: np.ndarray | None = None,
     wg=None,
+    box=None,
 ):
     """Evaluate the corrected kernel and its gradient for each pair.
 
@@ -214,9 +220,11 @@ def corrected_kernel_pairs(
     the gradient is with respect to ``x_i``.  ``wg`` optionally supplies
     precomputed base-kernel values ``(W_ij, grad_i W_ij)`` for the same
     orientation (e.g. from a ``PairBatch``), skipping their re-derivation.
+    Without ``dx_pairs`` the displacements are formed here, wrapped in the
+    periodic ``box``.
     """
     if dx_pairs is None:
-        dx_pairs = pos[pi] - pos[pj]
+        dx_pairs = pair_displacements(pos, pi, pj, box)
     dx = dx_pairs
     if wg is not None:
         w, gw = wg

@@ -36,9 +36,9 @@ class PairBatch:
     ``h_i`` with the gradient taken with respect to ``x_i`` — what every
     gather-side stage consumes.  Only ``w_i`` is built up front: ``unit``
     and ``gw_i`` are computed on first read (the volume pass of an active
-    evaluation never reads them), and so is the mirrored orientation
-    (support ``h_j``, gradient with respect to ``x_j``), which only the
-    symmetrized-gradient stage needs.
+    evaluation never reads them).  The mirrored orientation (support
+    ``h_j``, gradient with respect to ``x_j``) is needed on the sink rows
+    only, so the pair-force assembly forms it there.
     """
 
     pi: np.ndarray
@@ -68,17 +68,6 @@ class PairBatch:
     def kernel_i(self):
         """(W_ij, grad_i W_ij) at support h_i."""
         return self.w_i, self.gw_i
-
-    @cached_property
-    def _kernel_j(self):
-        hj = self.h[self.pj]
-        return (self.kernel.w(self.r, hj),
-                -self.kernel.dw_dr(self.r, hj)[:, None] * self.unit)
-
-    def kernel_j(self):
-        """(W_ji, grad_j W_ji) at support h_j (the mirrored orientation:
-        separation x_j - x_i, gradient with respect to x_j)."""
-        return self._kernel_j
 
 
 def make_pair_batch(pos, h, pi, pj, kernel: Kernel, box=None,

@@ -8,13 +8,6 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .bleed import AsyncBleeder, BleedStats
-from .genericio import (
-    DistributedCheckpointSet,
-    distributed_checkpoint,
-    read_distributed,
-    write_index,
-    write_shard,
-)
 from .faults import (
     FaultRunStats,
     expected_efficiency,
@@ -33,21 +26,16 @@ __all__ = [
     "CheckpointManager",
     "CheckpointRecord",
     "DirectPFSWriter",
-    "DistributedCheckpointSet",
     "FaultRunStats",
     "MultiTierWriter",
     "NVMeModel",
     "PFSModel",
     "StepIORecord",
-    "distributed_checkpoint",
     "expected_efficiency",
     "read_blocks",
-    "read_distributed",
     "read_checkpoint",
     "simulate_run_with_faults",
     "write_blocks",
-    "write_index",
     "write_checkpoint",
-    "write_shard",
     "young_daly_interval",
 ]

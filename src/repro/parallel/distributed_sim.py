@@ -65,9 +65,8 @@ from ..core.gravity.pm import (
     cic_deposit,
     cic_interpolate,
 )
-from ..core.gravity.short_range import short_range_accelerations
 from ..core.simulation import StepRecord
-from ..core.sph.hydro import crksph_derivatives_active
+from ..core.sink_rows import crksph_rows, gravity_rows
 from ..core.sph.kernels import get_kernel
 from ..core.timestep import (
     HierarchicalIntegrator,
@@ -226,7 +225,9 @@ class RankDomain:
         # exchange lands); the overloaded caches cover owned + ghost and
         # serve the boundary rows.  Ghost ids ride along in the exchange so
         # the caches can tell "same neighborhood, small drift" (reuse) from
-        # "membership changed" (rebuild).
+        # "membership changed" (rebuild).  The overload guarantees
+        # completeness within the cutoff, so their *non-periodic* neighbor
+        # search is exact.
         self.grav_cache = PairCache(box=None)
         self.grav_cache_own = PairCache(box=None)
         self.hydro_cache = PairCache(box=None)
@@ -634,22 +635,26 @@ class RankDomain:
                 h_sinks = np.searchsorted(gas_rows, sinks[self.gas[sinks]])
 
         out = (np.zeros((n_owned, 3)), np.zeros(n_owned), np.zeros(n_owned))
+        g_newton = G_COSMO / a_eff
 
         # -- interior rows: owned data only (the exchange's window) -------
         with self.tracer.span("short_range/interior", cat="driver"):
             if cfg.gravity:
-                self._gravity_rows(
-                    out[0], g_sinks[~grav_bnd[g_sinks]], self.grav_cache_own,
-                    self.pos, self.mass, self.ids, a_eff,
-                )
+                intr = g_sinks[~grav_bnd[g_sinks]]
+                if len(intr):
+                    self.n_pairs += gravity_rows(
+                        out[0], self.grav_cache_own, self.pos, self.mass,
+                        intr, cfg, g_newton, ids=self.ids,
+                    )
             if cfg.hydro:
                 intr_g = h_sinks[~hyd_bnd[h_sinks]]
                 if len(intr_g):
-                    self._hydro_rows(
-                        out, gas_rows[intr_g], intr_g, self.hydro_cache_own,
-                        gpos, self.vel[gas_rows], self.mass[gas_rows],
-                        self.u[gas_rows], gids, a_eff,
-                    )
+                    self.n_pairs += crksph_rows(
+                        out, gas_rows, self.hydro_cache_own, gpos,
+                        self.vel[gas_rows] / a_eff, self.mass[gas_rows],
+                        self.u[gas_rows], np.full(len(gpos), cfg.sph_h),
+                        intr_g, self.kernel, ids=gids,
+                    ).n_pairs
 
         ghost_pos, gfl = exchange.wait()
 
@@ -659,10 +664,12 @@ class RankDomain:
             all_mass = np.concatenate([self.mass, gfl["mass"]])
             all_ids = np.concatenate([self.ids, gfl["ids"]])
             if cfg.gravity:
-                self._gravity_rows(
-                    out[0], g_sinks[grav_bnd[g_sinks]], self.grav_cache,
-                    all_pos, all_mass, all_ids, a_eff,
-                )
+                bnd = g_sinks[grav_bnd[g_sinks]]
+                if len(bnd):
+                    self.n_pairs += gravity_rows(
+                        out[0], self.grav_cache, all_pos, all_mass, bnd,
+                        cfg, g_newton, ids=all_ids,
+                    )
             if cfg.hydro:
                 bnd_g = h_sinks[hyd_bnd[h_sinks]]
                 if len(bnd_g):
@@ -672,13 +679,14 @@ class RankDomain:
                     all_vel = np.vstack([self.vel, gfl["vel"]])
                     all_u = np.concatenate([self.u, gfl["u"]])
                     # owned rows precede ghosts, so owned-gas-frame sink
-                    # indices are valid in the overloaded gas frame
-                    # unchanged
-                    self._hydro_rows(
-                        out, gas_rows[bnd_g], bnd_g, self.hydro_cache,
-                        all_pos[agr], all_vel[agr], all_mass[agr],
-                        all_u[agr], all_ids[agr], a_eff,
-                    )
+                    # indices (and their gas_rows) are valid in the
+                    # overloaded gas frame unchanged
+                    self.n_pairs += crksph_rows(
+                        out, gas_rows, self.hydro_cache, all_pos[agr],
+                        all_vel[agr] / a_eff, all_mass[agr], all_u[agr],
+                        np.full(len(agr), cfg.sph_h), bnd_g, self.kernel,
+                        ids=all_ids[agr],
+                    ).n_pairs
 
         accel, du_dt, vsig = out
         du_da = du_dt / (a_eff * ah)
@@ -688,38 +696,6 @@ class RankDomain:
                 3.0 * (GAMMA_IDEAL - 1.0) * self.u[g] / a
             )
         return accel / ah, du_da, vsig
-
-    def _gravity_rows(self, accel, rows, cache, pos, mass, ids, a_eff):
-        """Pair gravity on sink ``rows`` from the particle set ``pos``
-        (owned rows first): owned-only for interior sinks, overloaded for
-        boundary sinks.  The overload guarantees completeness within the
-        cutoff, so a *non-periodic* neighbor search is exact."""
-        if not len(rows):
-            return
-        cfg = self.cfg
-        pairs = cache.get_for_sinks(pos, cfg.cutoff, rows, ids=ids)
-        accel[rows] += short_range_accelerations(
-            pos, mass, pairs.pi, pairs.pj,
-            r_split=cfg.r_split, softening=cfg.softening, box=None,
-            g_newton=G_COSMO / a_eff, dx=pairs.dx, r2=pairs.r2,
-            sink_index=np.searchsorted(rows, pairs.pi), n_out=len(rows),
-        )
-        self.n_pairs += len(pairs.pi)
-
-    def _hydro_rows(self, out, rows, sinks_g, cache, gpos, gvel, gmass, gu,
-                    gids, a_eff):
-        """CRKSPH rows for the gas-frame sinks ``sinks_g`` (owned rows
-        ``rows``) from the gas set ``gpos``: owned-only or overloaded."""
-        accel, du_dt, vsig = out
-        gh = np.full(len(gpos), self.cfg.sph_h)
-        sl = cache.active_slices(gpos, gh, sinks_g, ids=gids)
-        d = crksph_derivatives_active(
-            gpos, gvel / a_eff, gmass, gu, gh, sl, self.kernel, box=None,
-        )
-        accel[rows] += d.accel
-        du_dt[rows] = d.du_dt
-        vsig[rows] = d.max_signal_speed
-        self.n_pairs += d.n_pairs
 
     # -- migration (two waves) ------------------------------------------------
     def _adopt(self, arrived: dict) -> None:

@@ -71,9 +71,16 @@ class ActivePairSlices:
     ``pairs1 = (pi1, pj1)`` lists every pair whose sink is in ``tier1``
     (CSR order, sinks ascending); ``mask0`` selects the rows whose sink is
     in ``sinks`` — the pairs the final force assembly streams.  ``pairs2``
-    covers tier2 sinks and only feeds the volume pass.  ``dx1``/``dx2`` are
-    the rows' displacements.  All index arrays are in the coordinate frame
-    the cache was queried with.
+    covers tier2 sinks and only feeds the volume pass.  ``dx1``/``dx2`` and
+    ``r2_1``/``r2_2`` are the rows' geometry as the filter measured it.
+    All index arrays are in the coordinate frame the cache was queried
+    with.
+
+    A full evaluation is the case where every particle is a sink
+    (:meth:`everyone`): all three closures are ``arange(n)``, the tier-2
+    rows *are* the tier-1 rows (``pi2 is pi1``) and ``mask0`` is ``None``
+    (every row is a sink row), so the one filtered list is streamed — and
+    counted by ``n_pairs`` — once.
     """
 
     sinks: np.ndarray
@@ -82,15 +89,28 @@ class ActivePairSlices:
     pi1: np.ndarray
     pj1: np.ndarray
     dx1: np.ndarray
-    mask0: np.ndarray
+    r2_1: np.ndarray
+    mask0: np.ndarray | None
     pi2: np.ndarray
     pj2: np.ndarray
     dx2: np.ndarray
+    r2_2: np.ndarray
+
+    @classmethod
+    def everyone(cls, n: int, rows: PairRows) -> ActivePairSlices:
+        """The slices of a full evaluation over the ``n`` particles whose
+        filtered pair list is ``rows``."""
+        every = np.arange(n)
+        return cls(every, every, every, *rows, None, *rows)
 
     @property
     def n_pairs(self) -> int:
-        """Total pair rows streamed by an active evaluation (diagnostics)."""
-        return len(self.pi1) + len(self.pi2) + int(self.mask0.sum())
+        """Pair rows streamed by the evaluation (diagnostics): the tier-1
+        list, the tier-2 list unless it is the same rows, and the sink
+        rows unless they are all of tier 1."""
+        return (len(self.pi1)
+                + (len(self.pi2) if self.pi2 is not self.pi1 else 0)
+                + (int(self.mask0.sum()) if self.mask0 is not None else 0))
 
 
 #: Verlet skin fraction both drivers build their pair caches with: search
@@ -206,7 +226,7 @@ class PairCache:
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
-        return self._filtered(pos, h, self._pi, self._pj)
+        return self._sink_rows(pos, h, None)
 
     def _current(self, pos, h, ids):
         """``(pos, h)`` as float arrays, with the cached list valid for them."""
@@ -248,7 +268,8 @@ class PairCache:
         )
 
     def get_for_sinks(self, pos, h, sinks, ids=None) -> PairRows:
-        """Pair rows restricted to those whose *sink* is in ``sinks``.
+        """Pair rows restricted to those whose *sink* is in ``sinks``
+        (``None``: every particle, i.e. :meth:`get`).
 
         Equivalent to masking :meth:`get` output with
         ``np.isin(pi, sinks)`` — inactive particles still appear as
@@ -258,10 +279,12 @@ class PairCache:
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
-        return self._sink_rows(pos, h, np.asarray(sinks, dtype=np.intp))
+        return self._sink_rows(pos, h, sinks)
 
     def _sink_rows(self, pos, h, sinks) -> PairRows:
-        rows = self._rows_for_sinks(sinks)
+        if sinks is None:
+            return self._filtered(pos, h, self._pi, self._pj)
+        rows = self._rows_for_sinks(np.asarray(sinks, dtype=np.intp))
         return self._filtered(pos, h, self._pi[rows], self._pj[rows])
 
     def hop_closure(self, pos, h, seeds, hops: int, ids=None) -> np.ndarray:
@@ -290,15 +313,19 @@ class PairCache:
         return member
 
     def active_slices(self, pos, h, sinks, ids=None) -> ActivePairSlices:
-        """Tiered pair slices for an active-set CRKSPH evaluation.
+        """Tiered pair slices for a CRKSPH evaluation of ``sinks``.
 
         Builds the 1-hop (``tier1``) and 2-hop (``tier2``) neighbor
         closures of ``sinks`` from the *filtered* pair lists and returns
         the pair rows needed at each tier (see :class:`ActivePairSlices`).
-        ``sinks`` must be sorted ascending.
+        ``sinks`` must be sorted ascending; ``None`` means every particle,
+        which takes one filtered pass over the whole list.
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
+        if sinks is None:
+            return ActivePairSlices.everyone(
+                len(pos), self._sink_rows(pos, h, None))
         sinks = np.asarray(sinks, dtype=np.intp)
 
         n = len(pos)
@@ -309,16 +336,13 @@ class PairCache:
         tier1_mask[self._sink_rows(pos, h, sinks).pj] = True
         tier1 = np.nonzero(tier1_mask)[0]
 
-        pi1, pj1, dx1, _ = self._sink_rows(pos, h, tier1)
-        mask0 = member[pi1]
+        rows1 = self._sink_rows(pos, h, tier1)
 
         tier2_mask = tier1_mask.copy()
-        tier2_mask[pj1] = True
+        tier2_mask[rows1.pj] = True
         tier2 = np.nonzero(tier2_mask)[0]
 
-        pi2, pj2, dx2, _ = self._sink_rows(pos, h, tier2)
         return ActivePairSlices(
-            sinks=sinks, tier1=tier1, tier2=tier2,
-            pi1=pi1, pj1=pj1, dx1=dx1, mask0=mask0,
-            pi2=pi2, pj2=pj2, dx2=dx2,
+            sinks, tier1, tier2, *rows1, member[rows1.pi],
+            *self._sink_rows(pos, h, tier2),
         )

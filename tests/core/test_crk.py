@@ -206,6 +206,44 @@ def _moments_oracle(vj, dx, w, gw, acc):
     return m0, m1, m2, dm0, dm1, dm2
 
 
+class TestPeriodicFallbackGeometry:
+    """Called without ``dx_pairs``/``batch`` the CRK stages form the pair
+    displacements themselves — minimum-image wrapped in ``box``, like their
+    siblings that take ``box``.  Unwrapped, the pairs across a periodic
+    face read a box length apart and a perfect lattice gets ``A`` up to
+    1.7 and ``|B|`` up to 8 instead of ``A = 1``, ``B = 0``."""
+
+    def test_fallback_equals_explicit_wrapped_dx(self):
+        n, box = 8, 1.0
+        pos = glass_like_positions(n, box, jitter=0.0)
+        h = np.full(len(pos), 2.0 * box / n)
+        pi, pj = neighbor_pairs(pos, h, box=box)
+        kernel = get_kernel("wendland_c4")
+        vol = _volumes(pos, h, pi, pj, kernel, box)
+        dx = _wrapped_dx(pos, pi, pj, box)
+        assert np.abs(dx - (pos[pi] - pos[pj])).max() > 0.5  # faces crossed
+
+        for got, want in zip(
+            compute_moments(pos, vol, h, pi, pj, kernel, box=box),
+            compute_moments(pos, vol, h, pi, pj, kernel, dx_pairs=dx),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        corr = compute_corrections(pos, vol, h, pi, pj, kernel, box=box)
+        want = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
+        for name in ("a", "b", "grad_a", "grad_b"):
+            np.testing.assert_allclose(getattr(corr, name),
+                                       getattr(want, name), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(corr.a, 1.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(corr.b, 0.0, rtol=0, atol=1e-13)
+
+        for got, want in zip(
+            corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, box=box),
+            corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, dx_pairs=dx),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
 class TestOnePassMoments:
     SHAPES = [(), (3,), (3, 3), (3,), (3, 3), (3, 3, 3)]
 

@@ -231,6 +231,9 @@ class TestCarriedGeometry:
             short_range_accelerations(pos, mass, pi, pj, dx=dx, r2=r2, **kw),
             full,
         )
+        # half-supplied geometry: the missing r2 is formed from dx
+        assert np.array_equal(
+            short_range_accelerations(pos, mass, pi, pj, dx=dx, **kw), full)
         sinks = np.arange(3, len(pos), 4)
         m = np.isin(pi, sinks)
         rows = dict(sink_index=np.searchsorted(sinks, pi[m]),

@@ -1,0 +1,130 @@
+"""One short-range evaluation: a full evaluation is the active one with
+every row a sink, and both drivers reach the force kernels through the
+same two row evaluators (``repro.core.sink_rows``)."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core.sph import (
+    crksph_derivatives,
+    crksph_derivatives_active,
+    get_kernel,
+)
+from repro.tree import PairCache
+
+SRC = Path(repro.__file__).parent
+DRIVERS = ("core/simulation.py", "parallel/distributed_sim.py",
+           "core/sink_rows.py")
+
+
+def _call_sites(paths, names):
+    """``(file, enclosing function)`` of every call of a function or
+    method named in ``names``."""
+    out = []
+
+    def walk(node, path, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "attr", getattr(f, "id", None)) in names:
+                out.append((path.relative_to(SRC).as_posix(), fn))
+        for child in ast.iter_child_nodes(node):
+            walk(child, path, fn)
+
+    for path in paths:
+        walk(ast.parse(path.read_text()), path, None)
+    return out
+
+
+class TestTheForkStaysGone:
+    def test_pair_force_assembly_has_one_body(self):
+        """The viscous pair pressure — the head of the CRKSPH pair-force
+        assembly — is called from exactly one function in ``src/repro``."""
+        sites = _call_sites(sorted(SRC.rglob("*.py")), {"pi_pair"})
+        assert sites == [("core/sph/hydro.py", "_crksph")]
+
+    def test_drivers_reach_the_kernels_through_the_row_evaluators(self):
+        paths = [SRC / p for p in DRIVERS]
+        assert _call_sites(paths, {"short_range_accelerations"}) == \
+            [("core/sink_rows.py", "gravity_rows")]
+        assert _call_sites(paths, {"crksph_derivatives_active",
+                                   "crksph_derivatives", "_crksph"}) == \
+            [("core/sink_rows.py", "crksph_rows")]
+        # ... and both drivers do call them (the walker is not blind)
+        for evaluator in ("gravity_rows", "crksph_rows"):
+            callers = {p for p, _ in _call_sites(paths, {evaluator})}
+            assert callers == set(DRIVERS[:2]), evaluator
+
+
+class TestEveryoneIsTheActiveCase:
+    """``crksph_derivatives`` and the active evaluation with ``sinks=None``
+    or ``sinks=arange(n)`` return the same bits."""
+
+    FIELDS = ("sinks", "accel", "du_dt", "max_signal_speed", "tier1", "rho",
+              "pressure", "tier2", "volume")
+
+    @pytest.mark.parametrize("box", [1.0, None])
+    def test_bitwise(self, box):
+        rng = np.random.default_rng(11)
+        n1 = 7
+        c = (np.arange(n1) + 0.5) / n1
+        pos = np.stack(np.meshgrid(c, c, c, indexing="ij"), -1).reshape(-1, 3)
+        pos = np.mod(pos + 0.3 / n1 * rng.uniform(-1, 1, pos.shape), 1.0)
+        n = len(pos)
+        vel = rng.normal(size=(n, 3))
+        mass = rng.uniform(0.8, 1.2, n) / n
+        u = rng.uniform(0.5, 2.0, n)
+        h = 2.2 / n1 * rng.uniform(0.85, 1.15, n)
+        kernel = get_kernel("wendland_c4")
+        cache = PairCache(box=box)
+
+        rows = cache.get(pos, h)
+        full = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
+                                  kernel, box=box, dx_pairs=rows.dx,
+                                  r2_pairs=rows.r2)
+        bare = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
+                                  kernel, box=box)
+        assert full.n_pairs == bare.n_pairs == len(rows.pi)
+
+        for sinks in (None, np.arange(n)):
+            sl = cache.active_slices(pos, h, sinks)
+            act = crksph_derivatives_active(pos, vel, mass, u, h, sl, kernel,
+                                            box=box)
+            for ref in (full, bare):
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(act, name),
+                                          getattr(ref, name)), (sinks, name)
+                for name in ("a", "b", "grad_a", "grad_b"):
+                    assert np.array_equal(getattr(act.corrections, name),
+                                          getattr(ref.corrections, name))
+        # the other degenerate case, no sinks, flows through the same body
+        none = crksph_derivatives_active(
+            pos, vel, mass, u, h,
+            cache.active_slices(pos, h, np.empty(0, dtype=np.intp)), kernel,
+            box=box)
+        assert none.accel.shape == (0, 3) and none.rho.shape == (0,)
+        assert none.n_pairs == 0
+        # the everyone slices stream (and count) the one list once; naming
+        # every sink explicitly walks the three tiers
+        assert cache.active_slices(pos, h, None).n_pairs == len(rows.pi)
+        assert cache.active_slices(pos, h, np.arange(n)).n_pairs == \
+            3 * len(rows.pi)
+
+    def test_sinks_none_queries_equal_get(self):
+        rng = np.random.default_rng(2)
+        pos = rng.uniform(0, 5.0, (300, 3))
+        h = rng.uniform(0.6, 0.9, 300)
+        cache = PairCache(box=5.0)
+        for got, want in zip(cache.get_for_sinks(pos, h, None),
+                             cache.get(pos, h)):
+            assert np.array_equal(got, want)
+        sl = cache.active_slices(pos, h, None)
+        assert sl.pi2 is sl.pi1 and sl.mask0 is None
+        for got, want in zip((sl.pi1, sl.pj1, sl.dx1, sl.r2_1),
+                             cache.get(pos, h)):
+            assert np.array_equal(got, want)
