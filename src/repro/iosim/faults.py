@@ -41,6 +41,14 @@ def young_daly_interval(checkpoint_cost_hours: float, mtti_hours: float) -> floa
     return math.sqrt(2.0 * checkpoint_cost_hours * mtti_hours)
 
 
+def interarrival_gaps(mtti: float, rng: np.random.Generator):
+    """Endless exponential gaps between interruptions, mean ``mtti`` (in
+    the caller's unit): the one MTTI draw, ``rng.exponential(mtti)`` per
+    ``next()``, shared by the step-unit and the hour-unit model below."""
+    while True:
+        yield float(rng.exponential(mtti))
+
+
 def interruption_steps(mtti_steps: float, n_steps: int,
                        rng: np.random.Generator | None = None) -> list[int]:
     """Exponential interruption arrivals, quantized to PM-step indices.
@@ -56,8 +64,8 @@ def interruption_steps(mtti_steps: float, n_steps: int,
     rng = rng or np.random.default_rng(0)
     steps = []
     t = 0.0
-    while True:
-        t += float(rng.exponential(mtti_steps))
+    for gap in interarrival_gaps(mtti_steps, rng):
+        t += gap
         if t >= n_steps:
             return steps
         steps.append(int(t))
@@ -90,7 +98,8 @@ def simulate_run_with_faults(
     lost = 0.0
     restarts = 0.0
     n_int = 0
-    next_fault = rng.exponential(mtti_hours)
+    gaps = interarrival_gaps(mtti_hours, rng)
+    next_fault = next(gaps)
 
     while done < total_work_hours:
         if clock > max_wallclock_hours:
@@ -106,7 +115,7 @@ def simulate_run_with_faults(
             clock = next_fault + restart_cost_hours
             restarts += restart_cost_hours
             n_int += 1
-            next_fault = clock + rng.exponential(mtti_hours)
+            next_fault = clock + next(gaps)
             continue
         clock = segment_end
         done += segment

@@ -163,8 +163,7 @@ class MetricsRegistry:
     def absorb_traffic(self, stats, prefix: str = "comm") -> None:
         """Absorb a :class:`~repro.parallel.comm.TrafficStats` (aggregate
         message/byte counters plus per-rank wait/byte attribution)."""
-        for f in ("p2p_messages", "p2p_bytes", "collective_calls",
-                  "collective_bytes"):
+        for f in ("collective_calls", "collective_bytes"):
             c = self.counter(f"{prefix}/{f}")
             c.value = 0.0
             c.add(getattr(stats, f))

@@ -3,7 +3,6 @@
 from .comm import (
     CommAborted,
     CommError,
-    CompletedRequest,
     RankFailure,
     Request,
     SimComm,
@@ -27,7 +26,6 @@ __all__ = [
     "CartesianDecomposition",
     "CommAborted",
     "CommError",
-    "CompletedRequest",
     "DistributedFFT",
     "RankFailure",
     "Request",

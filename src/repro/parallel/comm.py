@@ -11,8 +11,9 @@ by one condition variable, matched across ranks by per-rank posting order
 (the MPI ordering rule); the first deposit of a sequence number records the
 collective's kind and a later one that disagrees raises.  A blocking
 collective waits where it deposits; ``ialltoallv``/``iallgather``/
-``iallreduce`` (and ``isend``/``irecv``) return :class:`Request` handles
-(``wait()``/``test()``/``complete()``) so the caller chooses where.  The
+``iallreduce`` return :class:`Request` handles (``wait()``/``test()``/
+``complete()``) so the caller chooses where.  The collective deposit is
+the only transport: there is no point-to-point path beside it.  The
 comm *mode* is that choice made once, on the :class:`World`: consumers post
 their nonblocking schedule unconditionally and call :meth:`SimComm.fence`
 after each posting group, which a ``blocking`` world completes on the spot.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,13 +116,14 @@ class TrafficStats:
     observable.
     """
 
+    #: always 0 (no point-to-point transport); benchmarks/e2e/e2e_workloads.py
+    #: reads it, and a ``benchmark`` PR removes both together
     p2p_messages: int = 0
-    p2p_bytes: int = 0
     collective_calls: int = 0
     collective_bytes: int = 0
-    #: rank -> seconds spent blocked in wait()/recv()/collective sync
+    #: rank -> seconds spent blocked in wait()/collective sync
     wait_seconds: dict = field(default_factory=dict)
-    #: rank -> payload bytes shipped by that rank (p2p + collectives)
+    #: rank -> payload bytes shipped by that rank
     bytes_by_rank: dict = field(default_factory=dict)
 
     def add_wait(self, rank: int, seconds: float) -> None:
@@ -130,35 +131,6 @@ class TrafficStats:
 
     def add_bytes(self, rank: int, nbytes: int) -> None:
         self.bytes_by_rank[rank] = self.bytes_by_rank.get(rank, 0) + nbytes
-
-
-class _Mailbox:
-    """Tag-matched message store for one (src, dst) rank pair.
-
-    Messages whose tag does not match the posted receive stay queued under
-    their own tag until a matching receive arrives — they are never dropped
-    or mis-delivered.  Each message carries a transfer-ready timestamp
-    (simulated network latency); receives complete only once it has passed.
-    """
-
-    def __init__(self):
-        self.cond = threading.Condition()
-        #: tag -> deque of (ready_time, value); FIFO per tag
-        self.by_tag: dict[int, deque] = {}
-
-    def put(self, tag: int, value, ready: float = 0.0) -> None:
-        with self.cond:
-            self.by_tag.setdefault(tag, deque()).append((ready, value))
-            self.cond.notify_all()
-
-    def try_get(self, tag: int):
-        """Return (True, value) if a delivered message with ``tag`` is
-        queued (its simulated transfer has completed)."""
-        with self.cond:
-            q = self.by_tag.get(tag)
-            if q and q[0][0] <= time.perf_counter():
-                return True, q.popleft()[1]
-            return False, None
 
 
 class _CollectiveBuffer:
@@ -213,7 +185,7 @@ class World:
         if sanitize:
             from ..sanitize.comm import CommSanitizer
 
-            self.sanitizer = CommSanitizer(n_ranks)
+            self.sanitizer = CommSanitizer()
         else:
             self.sanitizer = None
         self.latency_s = float(latency_s)
@@ -221,9 +193,6 @@ class World:
         #: span tracer shared by every rank (observe.Tracer when tracing;
         #: the default NullTracer makes every recording call a no-op)
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.mailboxes = {
-            (s, d): _Mailbox() for s in range(n_ranks) for d in range(n_ranks)
-        }
         self.stats = TrafficStats()
         self._stats_lock = threading.Lock()
         #: set when any rank fails; in-flight requests observe it and raise
@@ -327,11 +296,8 @@ class World:
         """Fail the job: raise the abort flag and wake every waiter, so the
         ``CommAborted`` cascade is immediate, not one poll tick away."""
         self.abort_event.set()
-        conds = [self._icoll_cond]
-        conds += [box.cond for box in self.mailboxes.values()]
-        for cond in conds:
-            with cond:
-                cond.notify_all()
+        with self._icoll_cond:
+            self._icoll_cond.notify_all()
 
     def run(self, fn, *args, timeout: float = 600.0):
         """Execute ``fn(comm, *args)`` on every rank; return per-rank results.
@@ -344,8 +310,8 @@ class World:
         callers see one exception taxonomy for both failure modes.
 
         With ``sanitize=True`` the comm sanitizer's teardown report runs
-        after a clean join: any leaked request, double-wait, or
-        unconsumed/mismatched message raises :class:`CommSanitizerError`.
+        after a clean join: any leaked request or double-wait raises
+        :class:`CommSanitizerError`.
         """
         self.abort_event.clear()
         if self.sanitizer is not None:
@@ -395,7 +361,7 @@ class World:
             r, err = cascade[0]
             raise CommError(f"rank {r} failed: {err!r}") from err
         if self.sanitizer is not None:
-            findings = self.sanitizer.finalize(self.mailboxes)
+            findings = self.sanitizer.finalize()
             if findings:
                 raise CommSanitizerError(findings)
         return results
@@ -409,143 +375,36 @@ def _nbytes(obj) -> int:
     return 64  # rough pickle floor for small python objects
 
 
-# -- request handles ----------------------------------------------------------
+# -- request handle -----------------------------------------------------------
 class Request:
-    """Handle for an in-flight nonblocking operation.
+    """Handle for an in-flight nonblocking collective, finalized by
+    ``_finish(slots)``.
 
-    ``complete()`` blocks until the operation is done without consuming
-    it (idempotent); ``wait()`` completes it and returns its result (None
-    for sends); ``test()`` polls without blocking and returns True once
-    the operation can complete locally.  Blocked time is charged to the
-    owning rank's ``TrafficStats.wait_seconds``.  Only ``wait``, a true
-    ``test`` and ``cancel`` settle the handle for the comm sanitizer: a
-    request that was merely completed (fenced) and then dropped still
-    reads as leaked, in either comm mode.
+    ``complete()`` blocks until the collective is done without consuming
+    it (idempotent); ``wait()`` completes it and returns its result;
+    ``test()`` polls without blocking and returns True once it can
+    complete locally.  Neither wait has a time limit of its own unless the
+    caller passes ``timeout=``: an abort ends it, and
+    ``World.run(timeout=...)`` bounds the job, raising a typed
+    :class:`RankFailure` for the hung rank in either comm mode.  Blocked
+    time is charged to the owning rank's ``TrafficStats.wait_seconds``.
+    Only ``wait``, a true ``test`` and ``cancel`` settle the handle for
+    the comm sanitizer: a request that was merely completed (fenced) and
+    then dropped still reads as leaked, in either comm mode.
 
-    Every request supports ``cancel()``: an idempotent local release for
-    error paths, so an exchange torn down mid-flight does not read as a
-    leak to the comm sanitizer.
+    ``cancel()`` is an idempotent local release for error paths, so an
+    exchange torn down mid-flight does not read as a leak to the comm
+    sanitizer.
+
+    When tracing, the request's lifetime post → completion is an async
+    slice (with a flow arrow into the completing wait), so overlap of
+    in-flight collectives with compute is directly visible in Perfetto.
     """
 
     #: lifecycle record attached by the comm sanitizer (None when off)
     _sanrec = None
     _done = False
     _result = None
-
-    def complete(self, timeout: float = 60.0) -> None:
-        raise NotImplementedError
-
-    def wait(self, timeout: float = 60.0):
-        self.complete(timeout)
-        self._san_waited()
-        return self._result
-
-    def test(self) -> bool:
-        raise NotImplementedError
-
-    def cancel(self) -> None:
-        """Release the request locally without completing it (idempotent).
-
-        The underlying operation is not revoked — a peer's matching call
-        still completes — but this handle is settled: exception cleanup
-        paths call it so the sanitizer never reports an intentionally
-        abandoned request as leaked.
-        """
-        self._san_settled()
-
-    def _san_waited(self) -> None:
-        if self._sanrec is not None:
-            self._sanrec.sanitizer.on_wait(self)
-
-    def _san_settled(self) -> None:
-        if self._sanrec is not None:
-            self._sanrec.sanitizer.on_settle(self)
-
-
-class CompletedRequest(Request):
-    """A request that completed at post time (e.g. buffered isend)."""
-
-    def complete(self, timeout: float = 60.0) -> None:
-        pass
-
-    def test(self) -> bool:
-        self._san_settled()
-        return True
-
-
-class RecvRequest(Request):
-    """In-flight irecv: completes when a tag-matched message arrives."""
-
-    def __init__(self, comm: "SimComm", source: int, tag: int):
-        self._comm = comm
-        self._box = comm.world.mailboxes[(source, comm.rank)]
-        self._source = source
-        self._tag = tag
-
-    def test(self) -> bool:
-        if not self._done:
-            self._done, self._result = self._box.try_get(self._tag)
-        if self._done:
-            self._san_settled()
-        return self._done
-
-    def complete(self, timeout: float = 60.0) -> None:
-        if self._done:
-            return
-        comm = self._comm
-        san = comm.world.sanitizer
-        t0 = time.perf_counter()
-        deadline = t0 + timeout
-        if san is not None:
-            san.enter_recv_wait(comm.rank, self._source, self._tag)
-        try:
-            with self._box.cond:
-                while True:
-                    now = time.perf_counter()
-                    q = self._box.by_tag.get(self._tag)
-                    if q and q[0][0] <= now:
-                        self._result = q.popleft()[1]
-                        self._done = True
-                        break
-                    if comm.world.abort_event.is_set():
-                        raise CommAborted(
-                            f"rank {comm.rank}: aborted while receiving from "
-                            f"{self._source} (tag {self._tag})"
-                        )
-                    if now > deadline:
-                        raise CommError(
-                            f"rank {comm.rank}: recv from {self._source} "
-                            f"(tag {self._tag}) timed out"
-                        )
-                    if san is not None:
-                        cycle = san.check_deadlock(
-                            comm.rank, comm.world.mailboxes
-                        )
-                        if cycle is not None:
-                            raise CommError(cycle)
-                    # a queued message only lacks wire time: sleep exactly
-                    # that
-                    delay = _POLL
-                    if q:
-                        delay = min(delay, max(q[0][0] - now, 1e-4))
-                    self._box.cond.wait(delay)
-        except BaseException:
-            # dead (abort, timeout, deadlock): nothing left to wait for
-            self._san_settled()
-            raise
-        finally:
-            if san is not None:
-                san.leave_recv_wait(comm.rank)
-        comm._charge_wait(time.perf_counter() - t0)
-
-
-class CollectiveRequest(Request):
-    """In-flight nonblocking collective, finalized by ``_finish(slots)``.
-
-    When tracing, the request's lifetime post → completion is an async
-    slice (with a flow arrow into the completing wait), so overlap of
-    in-flight collectives with compute is directly visible in Perfetto.
-    """
 
     def __init__(self, comm: "SimComm", seq: int, finish, name: str,
                  trace_id: str | None = None):
@@ -555,14 +414,7 @@ class CollectiveRequest(Request):
         self._name = name
         self._trace_id = trace_id
 
-    def test(self) -> bool:
-        if not self._done and self._comm.world._icoll_done(self._seq):
-            self.complete(timeout=1.0)
-        if self._done:
-            self._san_settled()
-        return self._done
-
-    def complete(self, timeout: float = 60.0) -> None:
+    def complete(self, timeout: float = float("inf")) -> None:
         if self._done:
             return
         comm = self._comm
@@ -582,6 +434,36 @@ class CollectiveRequest(Request):
             tr.flow_end(self._name, self._trace_id, tid=comm.rank)
         self._result = self._finish(vals)
         self._done = True
+
+    def wait(self, timeout: float = float("inf")):
+        self.complete(timeout)
+        self._san_waited()
+        return self._result
+
+    def test(self) -> bool:
+        if not self._done and self._comm.world._icoll_done(self._seq):
+            self.complete(timeout=1.0)
+        if self._done:
+            self._san_settled()
+        return self._done
+
+    def cancel(self) -> None:
+        """Release the request locally without completing it (idempotent).
+
+        The underlying operation is not revoked — a peer's matching call
+        still completes — but this handle is settled: exception cleanup
+        paths call it so the sanitizer never reports an intentionally
+        abandoned request as leaked.
+        """
+        self._san_settled()
+
+    def _san_waited(self) -> None:
+        if self._sanrec is not None:
+            self._sanrec.sanitizer.on_wait(self)
+
+    def _san_settled(self) -> None:
+        if self._sanrec is not None:
+            self._sanrec.sanitizer.on_settle(self)
 
 
 class SimComm:
@@ -604,19 +486,6 @@ class SimComm:
             # the blocked interval on this rank's track
             tr.complete(name, ts=tr.clock.now() - seconds, dur=seconds,
                         cat="comm", tid=self.rank)
-
-    def _charge_sent(self, nbytes: int) -> None:
-        with self.world._stats_lock:
-            self.world.stats.add_bytes(self.rank, nbytes)
-
-    def _san_post(self, req: Request, kind: str, detail: str,
-                  source: int | None = None, tag: int | None = None):
-        """Register a freshly posted request with the comm sanitizer."""
-        san = self.world.sanitizer
-        if san is not None:
-            san.on_post(req, self.rank, kind, detail, site=_caller_site(),
-                        source=source, tag=tag)
-        return req
 
     # -- the collective engine -----------------------------------------------
     def _deposit(self, value, kind: str) -> tuple[int, int]:
@@ -654,10 +523,12 @@ class SimComm:
             tr.async_begin(name, trace_id, cat="comm", tid=self.rank,
                            bytes=nbytes)
             tr.flow_start(name, trace_id, tid=self.rank)
-        return self._san_post(
-            CollectiveRequest(self, seq, finish, name, trace_id),
-            op, f"{kind}, {nbytes} B, seq {seq}",
-        )
+        req = Request(self, seq, finish, name, trace_id)
+        san = self.world.sanitizer
+        if san is not None:
+            san.on_post(req, self.rank, op, f"{kind}, {nbytes} B, seq {seq}",
+                        site=_caller_site())
+        return req
 
     def fence(self, reqs) -> None:
         """Mark the end of a posting group.
@@ -748,48 +619,6 @@ class SimComm:
             raise ValueError(f"unknown reduction {op!r}")
         return self._ipost(value, f"allreduce:{op}",
                            lambda vals: _reduce_vals(vals, op))
-
-    # -- point to point --------------------------------------------------------
-    def send(self, value, dest: int, tag: int = 0) -> None:
-        # the blocking send completes its own (buffered) request, so the
-        # sanitizer never sees the dropped handle as a leak
-        self.isend(value, dest, tag=tag).wait()
-
-    def isend(self, value, dest: int, tag: int = 0) -> Request:
-        """Buffered send: completes at post time (the fabric is a list).
-
-        The matching receive still pays the simulated wire time: the
-        message only becomes visible once its transfer delay has elapsed."""
-        nbytes = _nbytes(value)
-        with self.world._stats_lock:
-            self.world.stats.p2p_messages += 1
-            self.world.stats.p2p_bytes += nbytes
-            self.world.stats.add_bytes(self.rank, nbytes)
-        ready = time.perf_counter() + self.world._xfer_delay(nbytes)
-        self.world.mailboxes[(self.rank, dest)].put(tag, value, ready)
-        return self._san_post(
-            CompletedRequest(), "isend",
-            f"to rank {dest}, tag {tag}, {nbytes} B",
-        )
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Post a receive matched on (source, tag); returns a Request."""
-        return self._san_post(
-            RecvRequest(self, source, tag), "irecv",
-            f"from rank {source}, tag {tag}", source=source, tag=tag,
-        )
-
-    def recv(self, source: int, tag: int = 0, timeout: float = 60.0):
-        """Blocking tag-matched receive.
-
-        Messages queued under other tags on the same (src, dst) channel are
-        held back for their own receives, never dropped.
-        """
-        return RecvRequest(self, source, tag).wait(timeout)
-
-    def sendrecv(self, value, dest: int, source: int, tag: int = 0):
-        self.send(value, dest, tag=tag)
-        return self.recv(source, tag=tag)
 
 
 def _reduce_vals(vals: list, op: str):

@@ -116,7 +116,7 @@ class DistributedConfig:
     net_latency_s: float = 0.0
     net_gb_per_s: float = 0.0
     #: enable the runtime sanitizers: the comm sanitizer on the World
-    #: (request leaks / double-waits / deadlocks, reported at teardown)
+    #: (request leaks / double-waits, reported at teardown)
     #: and per-rank NaN/Inf + energy checks at phase boundaries
     sanitize: bool = False
     #: hung-rank timeout of ``World.run`` (seconds): a rank making no

@@ -12,8 +12,8 @@ tooling"):
   whole-program comm-safety analyses in :mod:`repro.sanitize.deep`
   (request lifecycle, collective divergence, span balance).
 - the **runtime sanitizers** catch what static analysis cannot:
-  :class:`CommSanitizer` (request leaks, double-waits, tag/source
-  mismatches, receive deadlocks on the simulated MPI layer),
+  :class:`CommSanitizer` (request leaks and double-waits on the
+  simulated MPI layer),
   :class:`LaneSanitizer` (non-atomic lane write collisions in gpusim
   warp passes), and :class:`NumericsSanitizer` (NaN/Inf and energy
   blowups at driver phase boundaries).  Each is opt-in per run —

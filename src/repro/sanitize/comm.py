@@ -5,27 +5,16 @@ to settlement and reports violations of the request-lifecycle discipline
 at ``World.run`` teardown:
 
 - **leaked-request** — posted but never waited, tested to completion, or
-  cancelled.  A leaked irecv is a latent hang; a leaked collective holds
-  a sequence slot that desynchronizes every later nonblocking collective.
+  cancelled.  A leaked collective holds a sequence slot that
+  desynchronizes every later nonblocking collective.
 - **double-wait** — ``wait()`` called again on a request that a previous
   ``wait()`` already completed.  (Polling ``test()`` and then calling
   ``wait()`` once is the documented completion idiom and is *not*
   flagged.)
-- **tag-mismatch / unconsumed-message** — a message left sitting in a
-  mailbox at teardown, cross-referenced against pending irecvs on the
-  same channel so the report says *which* posted receive has the wrong
-  tag or source.
-- **deadlock** — a wait-for cycle among ranks blocked in ``recv``/
-  ``irecv().wait()`` with no message in flight on any cycle edge.  The
-  check runs inside the receive poll loop and is double-confirmed across
-  two poll ticks (wait epochs) before raising, so a transient cycle that
-  a late send resolves is never misreported.
 
 The sanitizer is allocated by ``World(..., sanitize=True)`` and touched
 only through ``is not None`` guards, so unsanitized runs pay nothing.
-All mutable state is behind one lock; mailbox peeks during the deadlock
-walk are lock-free reads (safe under the GIL, and confirmed on a second
-tick before anything is reported).
+All mutable state is behind one lock.
 """
 
 from __future__ import annotations
@@ -54,50 +43,37 @@ class _RequestRecord:
     """Lifecycle state of one posted request."""
 
     __slots__ = (
-        "sanitizer", "rank", "kind", "detail", "site",
-        "source", "tag", "settled", "waited",
+        "sanitizer", "rank", "kind", "detail", "site", "settled", "waited",
     )
 
-    def __init__(self, sanitizer, rank, kind, detail, site, source, tag):
+    def __init__(self, sanitizer, rank, kind, detail, site):
         self.sanitizer = sanitizer
         self.rank = rank
         self.kind = kind
         self.detail = detail
         self.site = site
-        self.source = source  # irecv only
-        self.tag = tag  # irecv only
         self.settled = False  # completed, cancelled, or errored out
         self.waited = False  # completed specifically through wait()
 
 
 class CommSanitizer:
-    """Request-lifecycle and deadlock checker for one :class:`World`."""
+    """Request-lifecycle checker for one :class:`World`."""
 
-    def __init__(self, n_ranks: int):
-        self.n_ranks = n_ranks
+    def __init__(self):
         self._lock = threading.Lock()
         self._records: list[_RequestRecord] = []
         self.findings: list[CommFinding] = []
-        #: rank -> (source, tag, epoch) while blocked in a receive wait
-        self._waiting: dict[int, tuple] = {}
-        self._wait_epoch = [0] * n_ranks
-        #: rank -> cycle signature awaiting second-tick confirmation
-        self._candidates: dict[int, tuple] = {}
 
     def reset(self) -> None:
         """Drop all state (``World.run`` calls this per run)."""
         with self._lock:
             self._records.clear()
             self.findings.clear()
-            self._waiting.clear()
-            self._candidates.clear()
-            self._wait_epoch = [0] * self.n_ranks
 
     def unsettled(self) -> list:
         """Records of posted requests nobody settled (post-abort audit).
 
-        ``finalize`` never runs on failure paths (a torn-down run
-        legitimately leaves unconsumed mailbox messages), so the recovery
+        ``finalize`` never runs on failure paths, so the recovery
         coordinator audits request lifecycles through this instead: a
         sanitizer-clean teardown settles every handle — completed,
         cancelled, or errored — before the failure surfaces.
@@ -111,9 +87,9 @@ class CommSanitizer:
             return len(self._records)
 
     # -- request lifecycle ---------------------------------------------------
-    def on_post(self, req, rank: int, kind: str, detail: str, site: str,
-                source: int | None = None, tag: int | None = None) -> None:
-        rec = _RequestRecord(self, rank, kind, detail, site, source, tag)
+    def on_post(self, req, rank: int, kind: str, detail: str,
+                site: str) -> None:
+        rec = _RequestRecord(self, rank, kind, detail, site)
         req._sanrec = rec
         with self._lock:
             self._records.append(rec)
@@ -139,124 +115,15 @@ class CommSanitizer:
         with self._lock:
             rec.settled = True
 
-    # -- deadlock detection --------------------------------------------------
-    def enter_recv_wait(self, rank: int, source: int, tag: int) -> None:
-        with self._lock:
-            self._wait_epoch[rank] += 1
-            self._waiting[rank] = (source, tag, self._wait_epoch[rank])
-
-    def leave_recv_wait(self, rank: int) -> None:
-        with self._lock:
-            self._waiting.pop(rank, None)
-            self._candidates.pop(rank, None)
-
-    def check_deadlock(self, rank: int, mailboxes) -> str | None:
-        """Called on each receive poll tick while ``rank`` is blocked.
-
-        Returns a report string once a wait-for cycle through ``rank`` has
-        been confirmed on two consecutive ticks with no message in flight
-        on any cycle edge; the caller raises it as a CommError.  Only the
-        lowest rank of the cycle reports, so one run yields one primary
-        error.
-        """
-        with self._lock:
-            waiting = dict(self._waiting)
-        if rank not in waiting:
-            return None
-        # follow the wait-for chain until it leaves the waiting set or
-        # revisits a rank; the revisited suffix is the candidate cycle
-        chain: list[int] = []
-        seen: dict[int, int] = {}
-        r = rank
-        while r in waiting and r not in seen:
-            seen[r] = len(chain)
-            chain.append(r)
-            r = waiting[r][0]
-        if r not in seen:
-            return None  # chain escaped: somebody can still make progress
-        cycle = chain[seen[r]:]
-        if rank not in cycle or rank != min(cycle):
-            with self._lock:
-                self._candidates.pop(rank, None)
-            return None
-        # every edge must be truly dry: a message queued under the waited
-        # tag (even one still paying simulated wire time) will complete it
-        for waiter in cycle:
-            source, tag, _ = waiting[waiter]
-            box = mailboxes.get((source, waiter))
-            if box is None or box.by_tag.get(tag):
-                with self._lock:
-                    self._candidates.pop(rank, None)
-                return None
-        signature = tuple((w, waiting[w]) for w in cycle)
-        with self._lock:
-            if self._candidates.get(rank) != signature:
-                # first sighting: re-confirm on the next poll tick, after
-                # every cycle member has had a chance to make progress
-                self._candidates[rank] = signature
-                return None
-        edges = "; ".join(
-            f"rank {w} blocked in recv from rank {waiting[w][0]} "
-            f"(tag {waiting[w][1]})"
-            for w in cycle
-        )
-        return (
-            f"comm sanitizer: receive deadlock across ranks "
-            f"{sorted(cycle)} — {edges}; no matching message is queued or "
-            "in flight on any edge"
-        )
-
     # -- teardown ------------------------------------------------------------
-    def finding(self, kind: str, rank: int, message: str) -> None:
-        with self._lock:
-            self.findings.append(CommFinding(kind, rank, message))
-
-    def finalize(self, mailboxes=None) -> list:
+    def finalize(self) -> list:
         """Collect end-of-run findings; returns the full findings list."""
         with self._lock:
-            unsettled = [r for r in self._records if not r.settled]
-            for rec in unsettled:
-                self.findings.append(CommFinding(
-                    "leaked-request", rec.rank,
-                    f"{rec.kind} ({rec.detail}) posted at {rec.site} was "
-                    "never waited, tested to completion, or cancelled",
-                ))
-        pending_recvs = [r for r in unsettled if r.kind == "irecv"]
-        if mailboxes is not None:
-            for (src, dst), box in sorted(mailboxes.items()):
-                for tag in sorted(box.by_tag):
-                    q = box.by_tag[tag]
-                    if not q:
-                        continue
-                    n = len(q)
-                    desc = (
-                        f"{n} message(s) from rank {src} to rank {dst} "
-                        f"under tag {tag} never received"
-                    )
-                    tag_mismatch = [
-                        r for r in pending_recvs
-                        if r.rank == dst and r.source == src and r.tag != tag
-                    ]
-                    src_mismatch = [
-                        r for r in pending_recvs
-                        if r.rank == dst and r.tag == tag and r.source != src
-                    ]
-                    if tag_mismatch:
-                        r = tag_mismatch[0]
-                        self.finding(
-                            "tag-mismatch", dst,
-                            f"{desc}, while the irecv posted at {r.site} is "
-                            f"pending on tag {r.tag} — the tags do not match",
-                        )
-                    elif src_mismatch:
-                        r = src_mismatch[0]
-                        self.finding(
-                            "source-mismatch", dst,
-                            f"{desc}, while the irecv posted at {r.site} is "
-                            f"pending on source rank {r.source} — the "
-                            "sources do not match",
-                        )
-                    else:
-                        self.finding("unconsumed-message", dst, desc)
-        with self._lock:
+            for rec in self._records:
+                if not rec.settled:
+                    self.findings.append(CommFinding(
+                        "leaked-request", rec.rank,
+                        f"{rec.kind} ({rec.detail}) posted at {rec.site} was "
+                        "never waited, tested to completion, or cancelled",
+                    ))
             return list(self.findings)

@@ -5,12 +5,12 @@ Three interprocedural rules on top of a module/call-graph
 request-lifecycle dataflow engine (:mod:`.lifecycle`):
 
 ``request-lifecycle``
-    every nonblocking post (``isend``/``irecv``/``ialltoallv``/
-    ``iallgather``/``iallreduce``) must reach ``wait()`` or ``cancel()``
-    on all paths — tracked through locals, closure dict slots
-    (``state["rho_req"]``), carrier objects (``MigrationFlight``) and
-    helper returns; ``cancel()`` alone is an error-path release, so
-    every posted slot also needs a wait path somewhere in its scope;
+    every nonblocking post (``ialltoallv``/``iallgather``/
+    ``iallreduce``) must reach ``wait()`` or ``cancel()`` on all paths —
+    tracked through locals, closure dict slots (``state["rho_req"]``),
+    carrier objects (``MigrationFlight``) and helper returns;
+    ``cancel()`` alone is an error-path release, so every posted slot
+    also needs a wait path somewhere in its scope;
 ``collective-divergence``
     collectives or ``barrier()`` posted under rank-dependent control
     flow (conditions derived from ``comm.rank``) or with mismatched

@@ -22,9 +22,9 @@ DEEP_RULE_NAMES = (
 
 _DESCRIPTIONS = {
     lifecycle.RULE: (
-        "every nonblocking post (isend/irecv/ialltoallv/iallgather/"
-        "iallreduce) must reach wait() or cancel() on all paths, and "
-        "every request slot needs a wait path (interprocedural)"
+        "every nonblocking post (ialltoallv/iallgather/iallreduce) must "
+        "reach wait() or cancel() on all paths, and every request slot "
+        "needs a wait path (interprocedural)"
     ),
     collective.RULE: (
         "collectives/barrier must not sit under rank-dependent control "

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from ..engine import Finding
 from .cfg import build_cfg
 from .modgraph import (
-    POST_OPS,
+    NONBLOCKING_COLLECTIVES,
     SETTLE_METHODS,
     comm_call,
 )
@@ -258,7 +258,7 @@ class FunctionLifecycle:
         line = node.lineno
         # 1. nonblocking post on a communicator
         op = comm_call(node)
-        if op in POST_OPS:
+        if op in NONBLOCKING_COLLECTIVES:
             self._eval_args(state, node)
             res = Resource(site=(self.mod.rel, line), op=op)
             state.status[res] = True

@@ -23,16 +23,13 @@ from dataclasses import dataclass, field
 
 from ..engine import FileContext, dotted_name, parse_file, _walk_python
 
-#: nonblocking request posts on the simulated MPI transport
-POST_OPS = frozenset(
-    {"isend", "irecv", "ialltoallv", "iallgather", "iallreduce"}
-)
 #: blocking collectives + barrier (divergence across ranks deadlocks)
 BLOCKING_COLLECTIVES = frozenset(
     {"barrier", "bcast", "gather", "scatter", "allreduce", "allgather",
      "alltoall", "alltoallv", "reduce"}
 )
-#: nonblocking collective posts (matched per-rank by posting order)
+#: nonblocking collective posts (matched per-rank by posting order): the
+#: only calls on the simulated MPI transport that return a request handle
 NONBLOCKING_COLLECTIVES = frozenset(
     {"ialltoallv", "iallgather", "iallreduce"}
 )

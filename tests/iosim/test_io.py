@@ -12,6 +12,11 @@ from repro.iosim import (
     simulate_run_with_faults,
     young_daly_interval,
 )
+from repro.iosim.faults import (
+    FaultRunStats,
+    interarrival_gaps,
+    interruption_steps,
+)
 
 
 class TestNVMe:
@@ -216,3 +221,23 @@ class TestFaults:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             simulate_run_with_faults(1.0, 0.0, 0.1, 1.0)
+
+    def test_one_mtti_draw_keeps_the_seeded_outputs(self):
+        """Both models consume one interarrival generator; pinned to the
+        values recorded at 9081083, where each drew inline."""
+        assert interruption_steps(3.0, 40, np.random.default_rng(5)) == [
+            5, 8, 12, 13, 13, 15, 17, 17, 17, 20, 23, 27, 27, 34, 38]
+        stats = simulate_run_with_faults(100, 2, 0.1, 24,
+                                         rng=np.random.default_rng(5))
+        assert stats == FaultRunStats(
+            wallclock_hours=float.fromhex("0x1.b9119456c3bd2p+6"),
+            work_hours=100,
+            checkpoint_hours=float.fromhex("0x1.3fffffffffffep+2"),
+            lost_hours=float.fromhex("0x1.2119456c3bd80p+2"),
+            restart_hours=0.75,
+            n_interrupts=3,
+        )
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        gaps = interarrival_gaps(4.0, rng_a)
+        assert [next(gaps) for _ in range(5)] == [
+            rng_b.exponential(4.0) for _ in range(5)]

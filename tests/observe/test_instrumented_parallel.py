@@ -139,7 +139,9 @@ class TestStepRecordViews:
     def test_traffic_absorbed_into_registry(self, overlap_run):
         obs, sim = overlap_run
         reg = obs.registry
-        assert reg.get("comm/p2p_bytes").value == sim.traffic.p2p_bytes
+        assert sim.traffic.collective_bytes > 0
+        assert (reg.get("comm/collective_bytes").value
+                == sim.traffic.collective_bytes)
         for rank, nb in sim.traffic.bytes_by_rank.items():
             assert reg.get(f"comm/bytes{{rank={rank}}}").value == nb
 

@@ -60,13 +60,12 @@ class TestInstruments:
 class TestAbsorbers:
     def test_absorb_traffic(self):
         reg = MetricsRegistry()
-        stats = TrafficStats(p2p_messages=4, p2p_bytes=100,
-                             collective_calls=2, collective_bytes=50)
+        stats = TrafficStats(collective_calls=2, collective_bytes=50)
         stats.add_wait(0, 0.25)
         stats.add_bytes(0, 60)
         stats.add_bytes(1, 40)
         reg.absorb_traffic(stats)
-        assert reg.get("comm/p2p_bytes").value == 100
+        assert reg.get("comm/collective_bytes").value == 50
         assert reg.get("comm/collective_calls").value == 2
         assert reg.get("comm/wait_seconds{rank=0}").value == 0.25
         assert reg.get("comm/bytes{rank=1}").value == 40
@@ -74,10 +73,10 @@ class TestAbsorbers:
     def test_absorb_traffic_is_idempotent(self):
         """Re-absorbing the same stats is a set, not a double-count."""
         reg = MetricsRegistry()
-        stats = TrafficStats(p2p_bytes=100)
+        stats = TrafficStats(collective_bytes=100)
         reg.absorb_traffic(stats)
         reg.absorb_traffic(stats)
-        assert reg.get("comm/p2p_bytes").value == 100
+        assert reg.get("comm/collective_bytes").value == 100
 
     def test_absorb_op_counters(self):
         reg = MetricsRegistry()

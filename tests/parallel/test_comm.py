@@ -129,40 +129,6 @@ class TestCollectives:
         assert res == [expected] * 4
 
 
-class TestPointToPoint:
-    def test_send_recv(self):
-        world = World(2)
-
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("hello", dest=1)
-                return None
-            return comm.recv(source=0)
-
-        assert world.run(fn)[1] == "hello"
-
-    def test_ring_exchange(self):
-        world = World(4)
-
-        def fn(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
-
-        assert world.run(fn) == [3, 0, 1, 2]
-
-    def test_numpy_payload(self):
-        world = World(2)
-
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.arange(5), dest=1)
-                return None
-            return comm.recv(source=0)
-
-        np.testing.assert_array_equal(world.run(fn)[1], np.arange(5))
-
-
 class TestWorld:
     def test_single_rank(self):
         world = World(1)

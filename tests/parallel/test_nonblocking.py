@@ -1,28 +1,20 @@
-"""Nonblocking request model: isend/irecv, i-collectives, abort, timeout."""
+"""Nonblocking request model: i-collectives, abort, timeout."""
 
+import inspect
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.parallel import CommError, CompletedRequest, RankFailure, World
+from repro.parallel import CommError, RankFailure, World
 from repro.parallel.comm import CommSanitizerError, Request
 
 
 class TestPointToPoint:
-    def test_isend_irecv_roundtrip(self):
-        world = World(2)
-
-        def fn(comm):
-            if comm.rank == 0:
-                req = comm.isend(np.arange(4.0), dest=1)
-                assert isinstance(req, CompletedRequest)
-                assert req.test()
-                return None
-            return comm.irecv(source=0).wait()
-
-        res = world.run(fn)
-        np.testing.assert_array_equal(res[1], np.arange(4.0))
+    """``Request.test()`` polling, on a collective since the collective
+    deposit is the only transport (the class keeps its name so the test's
+    node id does not move)."""
 
     def test_test_polls_without_blocking_then_wait_is_instant(self):
         world = World(2)
@@ -30,62 +22,18 @@ class TestPointToPoint:
         def fn(comm):
             if comm.rank == 0:
                 time.sleep(0.05)
-                comm.send("late", dest=1)
+                comm.iallgather("late").wait()
                 return None
-            req = comm.irecv(source=0)
+            req = comm.iallgather(None)
             polls = 0
             while not req.test():
                 polls += 1
                 time.sleep(0.002)
             # already complete: wait() must not block even with a tiny timeout
-            assert req.wait(timeout=1e-6) == "late"
+            assert req.wait(timeout=1e-6) == ["late", None]
             return polls
 
         assert world.run(fn)[1] >= 1
-
-    def test_requests_complete_by_tag_not_arrival_order(self):
-        world = World(2)
-
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("b", dest=1, tag=2)
-                comm.send("a", dest=1, tag=1)
-                return None
-            r1 = comm.irecv(source=0, tag=1)
-            r2 = comm.irecv(source=0, tag=2)
-            return r1.wait(), r2.wait()
-
-        assert world.run(fn)[1] == ("a", "b")
-
-    def test_overlapping_ring_all_posted_before_any_wait(self):
-        world = World(4)
-
-        def fn(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            reqs = [
-                comm.isend(comm.rank, dest=right, tag=7),
-                comm.irecv(source=left, tag=7),
-            ]
-            return [r.wait() for r in reqs][1]
-
-        assert world.run(fn) == [3, 0, 1, 2]
-
-    def test_blocking_recv_holds_back_other_tags(self):
-        # regression: a tag-0 recv used to raise on (and drop) a queued
-        # tag-1 message instead of leaving it for its own receive
-        world = World(2)
-
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("other", dest=1, tag=1)
-                comm.send("mine", dest=1, tag=0)
-                return None
-            first = comm.recv(source=0, tag=0)
-            second = comm.recv(source=0, tag=1)
-            return first, second
-
-        assert world.run(fn)[1] == ("mine", "other")
 
 
 class TestNonblockingCollectives:
@@ -266,6 +214,9 @@ class TestOneCollectiveEngine:
         seen = []
 
         class Probe(Request):
+            def __init__(self):
+                pass
+
             def complete(self, timeout=60.0):
                 seen.append(timeout)
 
@@ -305,21 +256,6 @@ class TestOneCollectiveEngine:
 
 
 class TestAbortAndTimeout:
-    def test_abort_propagates_to_pending_recv(self):
-        # rank 1 dies; rank 0's in-flight irecv must observe the abort and
-        # the reported failure must be the root cause, not the cascade
-        world = World(2)
-
-        def fn(comm):
-            if comm.rank == 1:
-                time.sleep(0.02)
-                raise RuntimeError("boom")
-            return comm.irecv(source=1).wait(timeout=30.0)
-
-        with pytest.raises(CommError, match="rank 1 failed") as exc:
-            world.run(fn)
-        assert "boom" in str(exc.value)
-
     def test_abort_propagates_to_pending_collective(self):
         world = World(2)
 
@@ -332,10 +268,9 @@ class TestAbortAndTimeout:
             world.run(fn)
 
     @pytest.mark.parametrize("blocked_in",
-                             ["collective", "request", "fence", "barrier",
-                              "recv"])
+                             ["collective", "request", "fence", "barrier"])
     def test_abort_wakes_its_waiters(self, blocked_in, monkeypatch):
-        """An abort notifies every condition a rank can be blocked on; the
+        """An abort notifies the condition every wait blocks on; the
         cascade does not wait out a poll tick."""
         from repro.parallel import comm as comm_mod
 
@@ -352,9 +287,7 @@ class TestAbortAndTimeout:
                 return comm.iallreduce(1.0).wait()
             if blocked_in == "fence":  # World() is a blocking world
                 return comm.fence([comm.iallreduce(1.0)])
-            if blocked_in == "barrier":
-                return comm.barrier()
-            return comm.recv(source=1)
+            return comm.barrier()
 
         t0 = time.perf_counter()
         with pytest.raises(CommError, match="rank 1 failed"):
@@ -376,13 +309,48 @@ class TestAbortAndTimeout:
             world.run(fn, timeout=0.3)
         assert exc.value.rank == 0
 
-    def test_recv_timeout_names_source_and_tag(self):
-        world = World(2)
+    @pytest.mark.parametrize("blocking", [True, False])
+    def test_never_posting_peer_is_a_typed_failure_in_both_modes(
+            self, blocking):
+        # a request wait has no limit of its own: World.run bounds the job
+        # and types the failure, the same under either comm mode
+        world = World(2, blocking=blocking)
+        release = threading.Event()
 
         def fn(comm):
-            if comm.rank == 1:
-                with pytest.raises(CommError, match=r"from 0 \(tag 9\)"):
-                    comm.recv(source=0, tag=9, timeout=0.1)
+            comm.world.note_phase(comm.rank, 3, "short_range")
+            if comm.rank == 0:
+                release.wait(10.0)  # never posts
+                return None
+            req = comm.iallreduce(1.0)
+            comm.fence([req])
+            return req.wait()
+
+        try:
+            with pytest.raises(RankFailure, match="hung-rank timeout") as exc:
+                world.run(fn, timeout=0.5)
+        finally:
+            release.set()
+        assert (exc.value.rank, exc.value.step, exc.value.phase) == (
+            0, 3, "short_range")
+        for method in (Request.wait, Request.complete):
+            default = inspect.signature(method).parameters["timeout"].default
+            assert default == float("inf")
+
+    def test_explicit_wait_timeout_is_honoured(self):
+        world = World(2)
+        release = threading.Event()
+
+        def fn(comm):
+            if comm.rank == 0:
+                release.wait(10.0)  # never posts
+                return True
+            try:
+                with pytest.raises(CommError,
+                                   match="collective wait timed out"):
+                    comm.iallreduce(1.0).wait(timeout=0.1)
+            finally:
+                release.set()
             return True
 
         assert world.run(fn) == [True, True]
@@ -410,17 +378,15 @@ class TestPerRankStats:
         def fn(comm):
             payload = np.zeros(100 * (comm.rank + 1))
             comm.allgather(payload)
-            if comm.rank == 0:
-                comm.send(np.zeros(10), dest=1)
-            else:
-                comm.recv(source=0)
+            comm.iallgather(np.zeros(10 if comm.rank == 0 else 0)).wait()
             return None
 
         world.run(fn)
         by_rank = world.stats.bytes_by_rank
-        assert by_rank[0] >= 800 + 80  # allgather payload + p2p send
-        assert by_rank[1] >= 1600  # bigger allgather payload, no send
-        assert world.stats.p2p_messages == 1
+        assert by_rank[0] == 800 + 80  # blocking + nonblocking payload
+        assert by_rank[1] == 1600  # bigger allgather payload, empty second
+        assert world.stats.collective_bytes == 800 + 80 + 1600
+        assert world.stats.p2p_messages == 0
 
 
 class TestSimulatedFabric:
@@ -457,18 +423,14 @@ class TestSimulatedFabric:
         world = World(2, latency_s=0.1)
 
         def fn(comm):
-            if comm.rank == 0:
-                comm.send("x", dest=1)
-                comm.barrier()
-                return None
-            req = comm.irecv(source=0)
-            comm.barrier()  # sender has posted by now
+            req = comm.iallgather("x" if comm.rank == 0 else None)
+            comm.barrier()  # both ranks have posted by now
             early = req.test()
             value = req.wait()
             return early, value
 
         early, value = world.run(fn)[1]
-        assert value == "x"
+        assert value == ["x", None]
         assert early is False  # still on the wire right after the post
 
     def test_bandwidth_term_scales_with_payload(self):

@@ -1,0 +1,60 @@
+"""One wire: the collective deposit is the substrate's only transport."""
+
+import ast
+from pathlib import Path
+
+import repro.parallel
+import repro.sanitize
+
+
+def _tree(package, name):
+    return ast.parse((Path(package.__file__).parent / name).read_text())
+
+
+def test_comm_has_one_condition_one_wait_loop_and_one_request_class():
+    """AST guard: ``parallel/comm.py`` constructs exactly one
+    ``threading.Condition`` and holds exactly one ``while True`` wait
+    loop (``_icoll_collect``), and exactly one class defines
+    ``complete``."""
+    nodes = list(ast.walk(_tree(repro.parallel, "comm.py")))
+    conditions = [
+        n.lineno for n in nodes
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "attr", getattr(n.func, "id", "")) == "Condition"
+    ]
+    assert len(conditions) == 1, conditions
+    wait_loops = [
+        n.lineno for n in nodes
+        if isinstance(n, ast.While)
+        and isinstance(n.test, ast.Constant) and n.test.value is True
+    ]
+    assert len(wait_loops) == 1, wait_loops
+    request_classes = [
+        n.name for n in nodes
+        if isinstance(n, ast.ClassDef)
+        and any(isinstance(m, ast.FunctionDef) and m.name == "complete"
+                for m in n.body)
+    ]
+    assert request_classes == ["Request"]
+
+
+def test_comm_sanitizer_watches_no_second_transport():
+    """AST guard: ``sanitize/comm.py`` has no ``deadlock``/``mailbox``
+    identifier — those checks could only fire on a point-to-point path."""
+    names = set()
+    for n in ast.walk(_tree(repro.sanitize, "comm.py")):
+        for field in ("id", "attr", "name", "arg"):
+            value = getattr(n, field, None)
+            if isinstance(value, str):
+                names.add(value)
+    assert len(names) > 20  # the walker is not blind
+    assert not [s for s in names
+                if "deadlock" in s.lower() or "mailbox" in s.lower()]
+
+
+def test_parallel_all_resolves():
+    exported = repro.parallel.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        assert getattr(repro.parallel, name) is not None
+    assert "CompletedRequest" not in exported

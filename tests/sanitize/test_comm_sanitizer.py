@@ -1,11 +1,11 @@
-"""Comm sanitizer: request-lifecycle and deadlock detection on World."""
+"""Comm sanitizer: request-lifecycle checks on World."""
 
 import time
 
 import numpy as np
 import pytest
 
-from repro.parallel.comm import CommError, CommSanitizerError, World
+from repro.parallel.comm import CommSanitizerError, World
 
 
 def _world(n=2):
@@ -18,9 +18,12 @@ def _finding_kinds(exc: CommSanitizerError):
 
 class TestLeakedRequest:
     def test_abandoned_irecv_is_reported(self):
+        # one rank leaks, its peer does not: the finding names the leaker
+        # (node id kept from when the convenient leak was an irecv)
         def fn(comm):
-            if comm.rank == 0:
-                comm.irecv(source=1, tag=99)  # dropped on the floor
+            req = comm.iallgather(comm.rank)
+            if comm.rank == 1:
+                req.wait()  # rank 0 drops its handle on the floor
             comm.barrier()
 
         with pytest.raises(CommSanitizerError) as exc:
@@ -28,7 +31,7 @@ class TestLeakedRequest:
         assert "leaked-request" in _finding_kinds(exc.value)
         f = [x for x in exc.value.findings if x.kind == "leaked-request"][0]
         assert f.rank == 0
-        assert "irecv" in f.message and "never waited" in f.message
+        assert "iallgather" in f.message and "never waited" in f.message
 
     def test_abandoned_collective_is_reported(self):
         def fn(comm):
@@ -41,7 +44,7 @@ class TestLeakedRequest:
 
     def test_cancel_settles_a_deliberately_dropped_request(self):
         def fn(comm):
-            req = comm.irecv(source=(comm.rank + 1) % 2, tag=5)
+            req = comm.iallgather(comm.rank)
             req.cancel()  # explicit error-path settlement
 
         _world(2).run(fn)  # no CommSanitizerError
@@ -63,96 +66,20 @@ class TestDoubleWait:
         """Polling test() to completion then calling wait() once is the
         documented idiom and must not be flagged."""
         def fn(comm):
-            other = (comm.rank + 1) % 2
-            comm.isend(np.arange(4.0), other, tag=3).wait()
-            req = comm.irecv(source=other, tag=3)
+            req = comm.iallgather(np.arange(4.0) + comm.rank)
             while not req.test():
                 time.sleep(0.001)
             return req.wait()
 
         out = _world(2).run(fn)
-        np.testing.assert_array_equal(out[0], np.arange(4.0))
-
-
-class TestMessageMismatch:
-    def test_tag_mismatch_names_the_pending_irecv(self):
-        def fn(comm):
-            if comm.rank == 1:
-                comm.send(np.ones(3), dest=0, tag=7)
-            else:
-                req = comm.irecv(source=1, tag=3)  # wrong tag: never matches
-                time.sleep(0.2)
-                req.cancel()
-
-        with pytest.raises(CommSanitizerError) as exc:
-            _world(2).run(fn)
-        assert "unconsumed" in str(exc.value) or "tag" in str(exc.value)
-        kinds = _finding_kinds(exc.value)
-        assert "unconsumed-message" in kinds or "tag-mismatch" in kinds
-
-    def test_pending_wrong_tag_irecv_reported_as_tag_mismatch(self):
-        def fn(comm):
-            if comm.rank == 1:
-                comm.send(np.ones(3), dest=0, tag=7)
-            else:
-                comm.irecv(source=1, tag=3)  # leaked AND mistagged
-                time.sleep(0.2)
-
-        with pytest.raises(CommSanitizerError) as exc:
-            _world(2).run(fn)
-        kinds = _finding_kinds(exc.value)
-        assert "leaked-request" in kinds and "tag-mismatch" in kinds
-        f = [x for x in exc.value.findings if x.kind == "tag-mismatch"][0]
-        assert "tag 7" in f.message and "tag 3" in f.message
-
-
-class TestDeadlockDetection:
-    def test_seeded_recv_cycle_is_caught_quickly(self):
-        """Two ranks each waiting on the other with nothing in flight is
-        a deadlock; the sanitizer reports it in well under the recv
-        timeout (the poll tick is 50 ms, double-confirmed)."""
-        def fn(comm):
-            other = (comm.rank + 1) % 2
-            return comm.irecv(source=other, tag=0).wait(timeout=30.0)
-
-        t0 = time.perf_counter()
-        with pytest.raises(CommError) as exc:
-            _world(2).run(fn)
-        elapsed = time.perf_counter() - t0
-        assert "deadlock" in str(exc.value)
-        assert "rank 0" in str(exc.value) and "rank 1" in str(exc.value)
-        assert elapsed < 5.0
-
-    def test_three_rank_cycle(self):
-        def fn(comm):
-            nxt = (comm.rank + 1) % 3
-            return comm.irecv(source=nxt, tag=0).wait(timeout=30.0)
-
-        with pytest.raises(CommError) as exc:
-            _world(3).run(fn)
-        assert "deadlock" in str(exc.value)
-
-    def test_chain_that_resolves_is_not_flagged(self):
-        """rank0 waits on rank1 which (after a beat spanning several poll
-        ticks) sends — a transient wait must never be misreported."""
-        def fn(comm):
-            if comm.rank == 0:
-                return comm.irecv(source=1, tag=0).wait()
-            time.sleep(0.3)
-            comm.send(123, dest=0, tag=0)
-            return None
-
-        out = _world(2).run(fn)
-        assert out[0] == 123
+        np.testing.assert_array_equal(out[0][1], np.arange(4.0) + 1)
 
 
 class TestCleanRuns:
     def test_clean_exchange_reports_nothing(self):
         def fn(comm):
             other = (comm.rank + 1) % 2
-            req = comm.isend(np.full(8, comm.rank, float), other, tag=1)
-            got = comm.irecv(source=other, tag=1).wait()
-            req.wait()
+            got = comm.iallgather(np.full(8, comm.rank, float)).wait()[other]
             comm.iallreduce(float(comm.rank)).wait()
             got2 = comm.alltoallv(
                 [np.arange(3.0) for _ in range(comm.size)]
@@ -169,8 +96,9 @@ class TestCleanRuns:
         world = _world(2)
 
         def leaky(comm):
-            if comm.rank == 0:
-                comm.irecv(source=1, tag=42)
+            req = comm.iallreduce(1.0)
+            if comm.rank == 1:
+                req.wait()  # rank 0 leaks its handle
 
         def clean(comm):
             comm.iallreduce(1.0).wait()

@@ -82,11 +82,11 @@ class TestRequestLifecycle:
     def test_discarded_post_leaks(self, tmp_path):
         res = _analyze(tmp_path, """
             def f(comm):
-                comm.irecv(source=1, tag=99)
+                comm.iallgather(1.0)
                 comm.barrier()
         """)
         (f,) = _by_rule(res, "request-lifecycle")
-        assert f.line == 2 and "irecv" in f.message
+        assert f.line == 2 and "iallgather" in f.message
 
     def test_wait_or_cancel_on_every_path_is_clean(self, tmp_path):
         res = _analyze(tmp_path, """
@@ -257,7 +257,7 @@ class TestRequestLifecycle:
     def test_pragma_suppresses_deep_finding(self, tmp_path):
         res = _analyze(tmp_path, """
             def f(comm):
-                comm.irecv(source=1, tag=0)  # sanitize: allow-request-lifecycle
+                comm.iallgather(1.0)  # sanitize: allow-request-lifecycle
                 comm.barrier()
         """)
         assert _by_rule(res, "request-lifecycle") == []

@@ -30,9 +30,10 @@ SRC = os.path.join(REPO, "src", "repro")
 
 #: every function leaks at least one request on some executed path
 LEAKY_FIXTURE = textwrap.dedent("""
-    def leak_irecv(comm):
-        if comm.rank == 0:
-            comm.irecv(source=1, tag=99)
+    def leak_on_one_rank(comm):
+        req = comm.iallgather(comm.rank)
+        if comm.rank == 1:
+            req.wait()
         comm.barrier()
 
 
@@ -79,7 +80,7 @@ def test_static_flagged_sites_superset_of_runtime_catches(tmp_path):
     fixture = _import_fixture(str(path))
 
     runtime_sites = set()
-    for fn in (fixture.leak_irecv, fixture.leak_collective,
+    for fn in (fixture.leak_on_one_rank, fixture.leak_collective,
                fixture.leak_on_early_return):
         runtime_sites |= _runtime_leak_sites(fn, str(path))
 

@@ -75,4 +75,4 @@ class TestInjectedFaults:
         )
         with pytest.raises(CommError) as exc:
             sim.run(pos, bad_vel, mass)
-        assert "deadlock" not in str(exc.value)
+        assert "leaked-request" not in str(exc.value)

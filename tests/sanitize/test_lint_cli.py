@@ -85,7 +85,7 @@ class TestBaselineWorkflow:
 
 LEAKY_SRC = (
     "def leak(comm):\n"
-    "    comm.irecv(source=1, tag=3)\n"
+    "    comm.iallgather(3)\n"
 )
 
 
