@@ -200,8 +200,8 @@ def _run_chaos_demo(args) -> int:
               + (f" phase {k.phase}" if k.phase else ""))
 
     obs = Observatory(tracing=args.trace is not None)
-    with tempfile.TemporaryDirectory() as ckpt_dir:
-        store = TieredCheckpointStore(ckpt_dir, n_nodes=args.ranks)
+    with tempfile.TemporaryDirectory() as ckpt_dir, \
+            TieredCheckpointStore(ckpt_dir, n_nodes=args.ranks) as store:
         coord = RecoveryCoordinator(store, observe=obs)
         res = coord.run(cfg, args.ranks, pos, vel, mass, fault_plan=plan)
         for r in res.recoveries:

@@ -14,7 +14,6 @@ from .faults import (
     simulate_run_with_faults,
     young_daly_interval,
 )
-from .manager import CheckpointManager, CheckpointRecord
 from .nvme import NVMeModel
 from .pfs import PFSModel
 from .tiers import DirectPFSWriter, MultiTierWriter, StepIORecord
@@ -23,8 +22,6 @@ __all__ = [
     "AsyncBleeder",
     "BleedStats",
     "CheckpointError",
-    "CheckpointManager",
-    "CheckpointRecord",
     "DirectPFSWriter",
     "FaultRunStats",
     "MultiTierWriter",

@@ -1,11 +1,12 @@
-"""Asynchronous bleed: background threads draining NVMe files to the PFS.
+"""Asynchronous bleed: a background thread copying NVMe files to the PFS.
 
 This is the real mechanism of paper Section IV-B4, with real files and
 real threads: the simulation synchronously writes checkpoints to a
-node-local directory (the NVMe tier), a background thread moves completed
-files to the parallel-file-system directory using low-level OS rename/copy
-calls, and a second policy prunes checkpoints older than a retention
-window.  The simulation never blocks on the PFS.
+node-local directory (the NVMe tier) and a background thread copies each
+completed file to the parallel-file-system directory.  The NVMe copy is
+kept — it is the preferred restore tier — and the simulation never
+blocks on the PFS.  :class:`repro.resilience.store.TieredCheckpointStore`
+runs one as its PFS tier.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import queue
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..observe.trace import NullTracer
 
@@ -26,82 +27,66 @@ _NULL_TRACER = NullTracer()
 class BleedStats:
     files_bled: int = 0
     bytes_bled: int = 0
-    files_pruned: int = 0
     errors: int = 0
 
 
 class AsyncBleeder:
-    """Background mover from a local (NVMe) directory to a PFS directory.
+    """Background copier from node-local files into a PFS directory.
 
-    ``submit(name)`` enqueues a completed local file; the worker thread
-    copies it to the PFS and removes the local copy.  ``throttle_bps``
+    ``submit(path)`` enqueues a completed local file; the worker thread
+    copies it to ``pfs_dir`` under the same base name.  ``throttle_bps``
     optionally rate-limits the drain (to emulate a slow PFS and test
     stall behaviour).  Completed transfers are atomic on the PFS side
     (temp name + rename), so readers never observe torn files.
     """
 
-    def __init__(
-        self,
-        local_dir: str,
-        pfs_dir: str,
-        throttle_bps: float | None = None,
-        retention: int | None = None,
-        tracer=None,
-    ):
-        self.local_dir = local_dir
+    def __init__(self, pfs_dir: str, throttle_bps: float | None = None,
+                 tracer=None):
         self.pfs_dir = pfs_dir
         self.throttle_bps = throttle_bps
-        self.retention = retention
         #: each submit -> drain lifetime becomes an ``io/pfs_drain`` async
-        #: slice (real wall clock; the drain runs on the worker thread)
+        #: slice on the submitting thread's track (real wall clock; the
+        #: worker thread closes it on that track)
         self.tracer = tracer if tracer is not None else _NULL_TRACER
-        self._trace_ids: dict[str, str] = {}
-        os.makedirs(local_dir, exist_ok=True)
         os.makedirs(pfs_dir, exist_ok=True)
         self.stats = BleedStats()
         self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
-        self._bled_order: list[str] = []
-        self._lock = threading.Lock()
         self._thread = threading.Thread(target=self._worker, daemon=True)
         self._thread.start()
 
     # -- producer side ----------------------------------------------------------
-    def submit(self, name: str) -> None:
+    def submit(self, path: str) -> None:
         """Queue a completed local file for draining (non-blocking)."""
         if self._stop.is_set():
             raise RuntimeError("bleeder already closed")
+        slice_ = None
         tr = self.tracer
         if tr.enabled:
-            drain_id = tr.next_id()
-            with self._lock:
-                self._trace_ids[name] = drain_id
-            tr.async_begin("io/pfs_drain", drain_id, cat="io", file=name)
-        self._queue.put(name)
-
-    def pending(self) -> int:
-        return self._queue.qsize()
+            slice_ = (tr.next_id(), tr.track())
+            tr.async_begin("io/pfs_drain", slice_[0], cat="io",
+                           file=os.path.basename(path))
+        self._queue.put((path, slice_))
 
     # -- worker ------------------------------------------------------------------
     def _worker(self) -> None:
         while not self._stop.is_set() or not self._queue.empty():
             try:
-                name = self._queue.get(timeout=0.05)
+                path, slice_ = self._queue.get(timeout=0.05)
             except queue.Empty:
                 continue
             try:
-                self._bleed_one(name)
+                self._bleed_one(path, slice_)
             except Exception:  # noqa: BLE001 - must keep draining
                 self.stats.errors += 1
             finally:
                 self._queue.task_done()
 
-    def _bleed_one(self, name: str) -> None:
-        src = os.path.join(self.local_dir, name)
-        dst = os.path.join(self.pfs_dir, name)
+    def _bleed_one(self, src: str, slice_: tuple | None) -> None:
+        dst = os.path.join(self.pfs_dir, os.path.basename(src))
         size = os.path.getsize(src)
         if self.throttle_bps:
-            # move in chunks, sleeping to honor the bandwidth cap
+            # copy in chunks, sleeping to honor the bandwidth cap
             chunk = max(int(self.throttle_bps * 0.01), 4096)
             with open(src, "rb") as fin, open(dst + ".part", "wb") as fout:
                 while True:
@@ -115,24 +100,12 @@ class AsyncBleeder:
         else:
             shutil.copyfile(src, dst + ".part")
         os.replace(dst + ".part", dst)
-        os.remove(src)
         self.stats.files_bled += 1
         self.stats.bytes_bled += size
-        tr = self.tracer
-        if tr.enabled:
-            with self._lock:
-                drain_id = self._trace_ids.pop(name, None)
-            if drain_id is not None:
-                tr.async_end("io/pfs_drain", drain_id, cat="io", bytes=size)
-        with self._lock:
-            self._bled_order.append(name)
-            if self.retention is not None:
-                while len(self._bled_order) > self.retention:
-                    victim = self._bled_order.pop(0)
-                    vpath = os.path.join(self.pfs_dir, victim)
-                    if os.path.exists(vpath):
-                        os.remove(vpath)
-                        self.stats.files_pruned += 1
+        if slice_ is not None:
+            drain_id, tid = slice_
+            self.tracer.async_end("io/pfs_drain", drain_id, cat="io",
+                                  tid=tid, bytes=size)
 
     # -- lifecycle -----------------------------------------------------------------
     def drain(self, timeout: float = 30.0) -> bool:

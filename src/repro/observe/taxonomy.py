@@ -73,8 +73,9 @@ GPU_SPANS = (
     "gpu/kernel_launch",
 )
 
-#: multi-tier I/O (MultiTierWriter on the simulated clock; AsyncBleeder /
-#: CheckpointManager on the wall clock)
+#: multi-tier I/O (MultiTierWriter on the simulated clock; the
+#: checkpoint store's shard writes and AsyncBleeder drains on the wall
+#: clock)
 IO_SPANS = (
     "io/nvme_write",
     "io/stall",

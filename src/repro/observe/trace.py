@@ -192,6 +192,11 @@ class Tracer:
             with self._lock:
                 self.track_names[(pid, int(tid))] = name
 
+    def track(self) -> int:
+        """The calling thread's track — where an async slice another
+        thread closes must close (``async_end(..., tid=...)``)."""
+        return self._tid()
+
     # -- recording ------------------------------------------------------------
     def span(self, name: str, cat: str = "phase", **args) -> _Span:
         """Context manager for a nested complete span on this thread's

@@ -5,8 +5,9 @@ The MTTI story of the paper's flagship run, made live: a
 :class:`~repro.parallel.distributed_sim.DistributedSimulation` (typed
 :class:`~repro.parallel.comm.RankFailure` from compute or comm), a
 :class:`DistributedCheckpointer` step hook writes buddy-replicated NVMe
-shards + periodic PFS globals into a :class:`TieredCheckpointStore`,
-and a :class:`RecoveryCoordinator` drives the
+shards into a :class:`TieredCheckpointStore`, whose background bleed
+copies them to the PFS (no rank gathers anything), and a
+:class:`RecoveryCoordinator` drives the
 detect → cancel → restore → redistribute → resume pipeline until the
 run reaches ``a_final`` on whatever ranks survive.  The
 :class:`RetryPolicy` is the campaign engine's job-level analog
@@ -16,17 +17,17 @@ Quickstart (chaos run)::
 
     from repro.resilience import (FaultPlan, RecoveryCoordinator,
                                   TieredCheckpointStore)
-    store = TieredCheckpointStore("/tmp/ckpt", n_nodes=4)
     plan = FaultPlan.single(rank=2, step=1, phase="rung")
-    coord = RecoveryCoordinator(store)
-    result = coord.run(cfg, 4, pos, vel, mass, fault_plan=plan)
+    with TieredCheckpointStore("/tmp/ckpt", n_nodes=4) as store:
+        coord = RecoveryCoordinator(store)
+        result = coord.run(cfg, 4, pos, vel, mass, fault_plan=plan)
     assert result.recoveries[0].ranks_after == 3
 
 or from the CLI: ``python -m repro demo --ranks 4 --inject-fault 2:1``.
 """
 
 from ..parallel.comm import RankFailure
-from .checkpointer import CHECKPOINT_FIELDS, DistributedCheckpointer
+from .checkpointer import DistributedCheckpointer
 from .coordinator import (
     RecoveryCoordinator,
     RecoveryError,
@@ -38,7 +39,6 @@ from .retry import RetryPolicy
 from .store import RestorePoint, TieredCheckpointStore
 
 __all__ = [
-    "CHECKPOINT_FIELDS",
     "DEFAULT_KILL_PHASES",
     "DistributedCheckpointer",
     "FaultPlan",

@@ -7,11 +7,12 @@ consistent global particle set (the closing kick has landed on every
 rank; migration only re-homes particles afterwards).  Each rank writes
 its shard to its node-local NVMe dir and its buddy's
 (:class:`~repro.resilience.store.TieredCheckpointStore`), and every
-``pfs_every`` steps the shards are gathered to rank 0 and written as one
-merged PFS global — the slower, sparser, but node-death-proof tier.
+``pfs_every`` steps the store's bleed copies the shard to the PFS in the
+background — the slower, sparser, but node-death-proof tier.
 
-The hook is structural: every rank runs it at the same step with the
-same cadence decisions, so the gather inside stays a matched collective.
+The hook posts no collective: each rank writes only its own rows.  Its
+entry is a failure surface like any driver phase (``"checkpoint"``), so
+a fault plan can kill a rank mid-checkpoint and tear that step's set.
 Positions are canonicalized (wrapped into the box) before hashing the
 bytes to disk, because the driver deliberately drifts unwrapped between
 migrations.
@@ -23,12 +24,9 @@ import numpy as np
 
 from .store import TieredCheckpointStore
 
-#: owned-particle fields a checkpoint must carry to restart the driver
-CHECKPOINT_FIELDS = ("pos", "vel", "mass", "u", "ids", "gas")
-
 
 class DistributedCheckpointer:
-    """Step hook writing NVMe shards (+ periodic PFS globals).
+    """Step hook writing NVMe shards (+ their periodic PFS bleed).
 
     ``nodes`` maps the current world's rank index to its storage node
     (the coordinator shrinks this list as ranks die); ``step_offset``
@@ -58,37 +56,18 @@ class DistributedCheckpointer:
         gstep = istep + self.step_offset
         if gstep % self.every != 0:
             return
-        tracer = comm.world.tracer
-        arrays = {
-            "pos": np.mod(my["pos"], self.box),
-            "vel": my["vel"],
-            "mass": my["mass"],
-            "u": my["u"],
-            "ids": my["ids"],
-            "gas": my["gas"],
-        }
+        world = comm.world
+        if world.fault_plan is not None:
+            world.fault_plan.enter(comm.rank, istep, "checkpoint")
+        world.note_phase(comm.rank, istep, "checkpoint")
+        arrays = dict(my, pos=np.mod(my["pos"], self.box))
         meta = {"step": gstep, "a": float(a), "n_shards": comm.size}
         node = self.nodes[comm.rank]
         buddy = self.nodes[(comm.rank + 1) % comm.size]
-        with tracer.span("io/checkpoint", cat="io", tid=comm.rank,
-                         step=gstep, tier="nvme"):
+        with world.tracer.span("io/checkpoint", cat="io", tid=comm.rank,
+                               step=gstep, tier="nvme"):
             self.store.write_shard(gstep, comm.rank, arrays, meta,
-                                   node=node, buddy_node=buddy)
-        if gstep % self.pfs_every == 0:
-            # structural collective: the cadence is a pure function of
-            # gstep, identical on every rank
-            gathered = comm.gather(arrays, root=0)
-            if comm.rank == 0:
-                merged = {
-                    name: np.concatenate([g[name] for g in gathered])
-                    for name in arrays
-                }
-                order = np.argsort(merged["ids"], kind="stable")
-                merged = {k: v[order] for k, v in merged.items()}
-                gmeta = {"step": gstep, "a": float(a),
-                         "n_ranks": comm.size}
-                with tracer.span("io/checkpoint", cat="io", tid=comm.rank,
-                                 step=gstep, tier="pfs"):
-                    self.store.write_global(gstep, merged, gmeta)
+                                   node=node, buddy_node=buddy,
+                                   pfs=gstep % self.pfs_every == 0)
         if comm.rank == 0:
             self.written.append(gstep)

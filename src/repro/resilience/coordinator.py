@@ -15,10 +15,12 @@ drives the recovery pipeline::
   posted-ahead reductions, two-wave migration flights); the coordinator
   *audits* that teardown through the comm sanitizer — any unsettled
   request is a recovery bug and fails loudly.
-- **restore**: the newest valid checkpoint tier wins — NVMe shards if
-  the survivors (incl. buddy copies) hold a complete CRC-valid set,
-  else the latest PFS global; with nothing on disk the segment cold-
-  restarts from the initial conditions.
+- **restore**: once the bleed has flushed, the newest valid checkpoint
+  tier wins — NVMe shards if the survivors (incl. buddy copies) hold a
+  complete CRC-valid set, else the PFS shard set; with nothing on disk
+  the segment cold-restarts from the initial conditions.  Every shard
+  newer than the restore point is discarded, so the resumed (smaller)
+  world never finds the failed world's torn steps among its own.
 - **redistribute**: the cuboid decomposition is re-run over the
   surviving rank count (a fresh ``DistributedSimulation``), which
   re-scatters the restored particles by owner.
@@ -99,8 +101,9 @@ class RecoveryCoordinator:
     """Runs a distributed config to completion across rank deaths.
 
     ``checkpoint_every`` / ``pfs_every`` are step cadences of the NVMe
-    shard and PFS global tiers (``pfs_every`` counts in global steps,
-    not in NVMe checkpoints).  ``max_failures`` bounds how many rank
+    shards and of their bleed to the PFS (``pfs_every`` counts in global
+    steps, not in NVMe checkpoints).  The store's PFS drains land on
+    this coordinator's trace.  ``max_failures`` bounds how many rank
     deaths one run may absorb before the failure is re-raised.
     """
 
@@ -110,6 +113,7 @@ class RecoveryCoordinator:
                  max_failures: int = 4, min_ranks: int = 1):
         self.store = store
         self.observe = observe if observe is not None else Observatory()
+        store.bleeder.tracer = self.observe.tracer
         self.checkpoint_every = int(checkpoint_every)
         self.pfs_every = int(pfs_every)
         self.max_failures = int(max_failures)
@@ -220,7 +224,9 @@ class RecoveryCoordinator:
                     )
 
         with timers.time("resilience/restore"):
+            self.store.flush()
             point = self.store.latest_restorable()
+            self.store.discard_after(point.step if point is not None else -1)
             if point is not None:
                 arrays, meta = self.store.restore(point)
                 restored_step: int | None = int(meta["step"])

@@ -32,7 +32,6 @@ INSTRUMENTED = (
     "repro/gpusim/resident.py",
     "repro/iosim/tiers.py",
     "repro/iosim/bleed.py",
-    "repro/iosim/manager.py",
     "repro/campaign/runner.py",
     "repro/campaign/scheduler.py",
     "repro/perfmodel/campaign.py",

@@ -1,14 +1,20 @@
-"""Checkpoint-manager tests: the full NVMe->bleed->PFS->restore loop."""
+"""Serial checkpointing through the one store: the full
+NVMe -> bleed -> PFS -> restore loop of a serial run.
+
+A serial run checkpoints as shard 0 of 1 into a one-node
+:class:`~repro.resilience.store.TieredCheckpointStore`, from a single
+``io_hooks`` entry; restore goes through the store's one scan.
+"""
 
 import os
 
 import numpy as np
-import pytest
 
 from repro.core.particles import Particles
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.cosmology import PLANCK18, zeldovich_ics
-from repro.iosim import CheckpointError, CheckpointManager
+from repro.iosim.checkpoint import PARTICLE_FIELDS
+from repro.resilience import TieredCheckpointStore
 
 
 def make_sim(seed=3):
@@ -26,38 +32,41 @@ def make_sim(seed=3):
     return Simulation(cfg, parts)
 
 
+def checkpoint_hook(store, every=1):
+    """The io_hook: every ``every``-th step as shard 0 of 1, bled."""
+    def hook(sim, record):
+        if record.step % every == 0:
+            arrays = {f: getattr(sim.particles, f) for f in PARTICLE_FIELDS}
+            meta = {"step": record.step, "a": record.a, "n_shards": 1}
+            store.write_shard(record.step, 0, arrays, meta, node=0,
+                              pfs=True)
+    return hook
+
+
+def pfs_names(store):
+    return sorted(os.listdir(store.pfs_dir))
+
+
 class TestManagerLoop:
     def test_per_step_checkpoints_reach_pfs(self, tmp_path):
         sim = make_sim()
-        with CheckpointManager(str(tmp_path / "nvme"), str(tmp_path / "pfs"),
-                               retention=10) as mgr:
-            sim.io_hooks.append(mgr)
+        with TieredCheckpointStore(tmp_path, n_nodes=1) as store:
+            sim.io_hooks.append(checkpoint_hook(store))
             sim.run(3)
-        assert len(mgr.written) == 3
-        pfs_files = sorted(os.listdir(tmp_path / "pfs"))
-        assert pfs_files == ["ckpt_00000.gio", "ckpt_00001.gio",
-                             "ckpt_00002.gio"]
-        assert mgr.bleeder.stats.files_bled == 3
-        # local tier drained
-        assert os.listdir(tmp_path / "nvme") == []
+        assert pfs_names(store) == [
+            f"ckpt_{s:05d}.shard000.gio" for s in range(3)
+        ]
+        assert store.bleeder.stats.files_bled == 3
+        # the NVMe tier keeps its copies: it is the preferred restore
+        assert sorted(os.listdir(store.node_dir(0))) == pfs_names(store)
+        assert store.latest_restorable().tier == "nvme"
 
     def test_cadence(self, tmp_path):
         sim = make_sim()
-        with CheckpointManager(str(tmp_path / "n"), str(tmp_path / "p"),
-                               every=2, retention=10) as mgr:
-            sim.io_hooks.append(mgr)
+        with TieredCheckpointStore(tmp_path, n_nodes=1) as store:
+            sim.io_hooks.append(checkpoint_hook(store, every=2))
             sim.run(4)
-        assert [r.step for r in mgr.written] == [0, 2]
-
-    def test_retention_window(self, tmp_path):
-        sim = make_sim()
-        with CheckpointManager(str(tmp_path / "n"), str(tmp_path / "p"),
-                               retention=2) as mgr:
-            sim.io_hooks.append(mgr)
-            sim.run(4)
-            mgr.bleeder.drain()
-        pfs_files = sorted(os.listdir(tmp_path / "p"))
-        assert pfs_files == ["ckpt_00002.gio", "ckpt_00003.gio"]
+        assert store.steps() == [0, 2]
 
     def test_restore_latest_and_continue(self, tmp_path):
         ref = make_sim()
@@ -65,45 +74,44 @@ class TestManagerLoop:
         ref_pos = ref.particles.pos.copy()
 
         sim = make_sim()
-        with CheckpointManager(str(tmp_path / "n"), str(tmp_path / "p"),
-                               retention=5) as mgr:
-            sim.io_hooks.append(mgr)
+        with TieredCheckpointStore(tmp_path, n_nodes=1) as store:
+            sim.io_hooks.append(checkpoint_hook(store))
             sim.run(2)
         del sim  # crash
 
-        particles, meta, name = CheckpointManager.restore_latest(
-            str(tmp_path / "p")
-        )
-        assert name == "ckpt_00001.gio"
+        point = store.latest_restorable()
+        assert point.step == 1
+        arrays, meta = store.restore(point)
         resumed = make_sim()
-        resumed.particles = particles
-        resumed.birth_a = np.zeros(len(particles))
-        resumed.sn_fired = np.zeros(len(particles), dtype=bool)
-        resumed.bh_mass = np.zeros(len(particles))
+        resumed.particles = Particles(
+            **{f: arrays[f] for f in PARTICLE_FIELDS}
+        )
+        n = len(resumed.particles)
+        resumed.birth_a = np.zeros(n)
+        resumed.sn_fired = np.zeros(n, dtype=bool)
+        resumed.bh_mass = np.zeros(n)
         resumed.a = meta["a"]
-        resumed.step_index = meta["step"]
+        resumed.step_index = point.step + 1
         resumed.run(2)
         np.testing.assert_allclose(resumed.particles.pos, ref_pos, atol=1e-9)
 
     def test_restore_skips_corrupted_newest(self, tmp_path):
         sim = make_sim()
-        with CheckpointManager(str(tmp_path / "n"), str(tmp_path / "p"),
-                               retention=5) as mgr:
-            sim.io_hooks.append(mgr)
+        with TieredCheckpointStore(tmp_path, n_nodes=1) as store:
+            sim.io_hooks.append(checkpoint_hook(store))
             sim.run(3)
-        newest = tmp_path / "p" / "ckpt_00002.gio"
-        raw = bytearray(newest.read_bytes())
-        raw[-50] ^= 0xFF
-        newest.write_bytes(bytes(raw))
-        _, meta, name = CheckpointManager.restore_latest(str(tmp_path / "p"))
-        assert name == "ckpt_00001.gio"
+        # tear step 2 in both tiers
+        for d in (store.node_dir(0), store.pfs_dir):
+            newest = os.path.join(d, "ckpt_00002.shard000.gio")
+            with open(newest, "r+b") as fh:
+                fh.seek(-50, os.SEEK_END)
+                byte = fh.read(1)
+                fh.seek(-50, os.SEEK_END)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+        point = store.latest_restorable()
+        assert point.step == 1 and point.tier == "nvme"
 
-    def test_restore_empty_dir_raises(self, tmp_path):
-        os.makedirs(tmp_path / "empty")
-        with pytest.raises(CheckpointError):
-            CheckpointManager.restore_latest(str(tmp_path / "empty"))
-
-    def test_invalid_cadence(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointManager(str(tmp_path / "a"), str(tmp_path / "b"),
-                              every=0)
+    def test_restore_empty_store_is_none(self, tmp_path):
+        with TieredCheckpointStore(tmp_path, n_nodes=1) as store:
+            assert store.steps() == []
+            assert store.latest_restorable() is None

@@ -175,28 +175,57 @@ class TestTierTraceEvents:
 
 
 class TestCheckpointPipelineTrace:
-    def test_manager_and_bleeder_slices(self, tmp_path):
-        """End-to-end: a sim with per-step checkpointing traces the sync
-        write as io/checkpoint spans and the PFS drain as async slices."""
-        from repro.iosim.manager import CheckpointManager
-        from test_instrumented_serial import _small_sim
+    def test_chaos_run_drain_slices(self, tmp_path):
+        """End-to-end: a chaos run traces each rank's shard write as an
+        io/checkpoint span and that shard's bleed to the PFS as one
+        io/pfs_drain async slice on the same rank track, starting at or
+        after the span."""
+        from repro.cosmology import PLANCK18
+        from repro.parallel.distributed_sim import DistributedConfig
+        from repro.resilience import (
+            FaultPlan,
+            RecoveryCoordinator,
+            TieredCheckpointStore,
+        )
 
+        rng = np.random.default_rng(7)
+        box = 120.0
+        pos = np.mod(
+            rng.uniform(0, box, size=(4, 3))[:, None, :]
+            + rng.normal(0, 6.0, size=(4, 24, 3)), box
+        ).reshape(-1, 3)
+        vel = rng.normal(0, 50.0, size=pos.shape)
+        mass = np.full(len(pos), 1.0e10)
+        cfg = DistributedConfig(
+            box=box, pm_grid=32, a_init=0.3, a_final=0.34, n_pm_steps=3,
+            cosmo=PLANCK18, r_split_cells=0.75, max_rung=3,
+            comm_mode="overlap", subcycle=True,
+        )
         obs = Observatory(tracing=True)
-        sim = _small_sim(observe=obs, n_pm_steps=2)
-        local, pfs = str(tmp_path / "nvme"), str(tmp_path / "pfs")
-        with CheckpointManager(local, pfs, every=1) as mgr:
-            sim.io_hooks.append(mgr)
-            sim.run()
-            assert mgr.bleeder.drain()
-        ckpts = obs.tracer.spans("io/checkpoint")
-        assert len(ckpts) == len(mgr.written) == 2
-        assert all(c.args["bytes"] > 0 for c in ckpts)
-
+        with TieredCheckpointStore(tmp_path, n_nodes=4) as store:
+            RecoveryCoordinator(store, observe=obs).run(
+                cfg, 4, pos, vel, mass,
+                fault_plan=FaultPlan.single(rank=2, step=1, phase="rung"),
+            )
         doc = obs.export_chrome_trace()
-        drains = slice_intervals(doc, "io/pfs_drain", ph="b")
-        n_drains = sum(len(v) for v in drains.values())
-        assert n_drains == 2
-        # each drain begins inside or after its sync checkpoint span
-        ivs = sorted(iv for v in drains.values() for iv in v)
-        for (d0, _), ck in zip(ivs, ckpts):
-            assert d0 >= ck.ts * 1e6 - 1.0
+
+        ckpts, drains = {}, {}
+        for ev in doc["traceEvents"]:
+            if ev.get("name") == "io/checkpoint" and ev["ph"] == "X":
+                key = (ev["tid"], ev["args"]["step"])
+                ckpts.setdefault(key, []).append(ev["ts"])
+            elif ev.get("name") == "io/pfs_drain" and ev["ph"] == "b":
+                step = int(ev["args"]["file"].split(".")[0][len("ckpt_"):])
+                drains.setdefault((ev["tid"], step), []).append(ev["ts"])
+        # four ranks wrote step 0; the three survivors steps 1 and 2
+        expected = [(r, 0) for r in range(4)] + [
+            (r, s) for s in (1, 2) for r in range(3)
+        ]
+        assert sorted(ckpts) == sorted(expected)
+        assert sorted(drains) == sorted(expected)
+        for key, (start,) in drains.items():
+            (span_ts,) = ckpts[key]
+            assert start >= span_ts
+        # every drain completed (its async slice closed)
+        closed = slice_intervals(doc, "io/pfs_drain", ph="b")
+        assert sum(len(v) for v in closed.values()) == len(expected)

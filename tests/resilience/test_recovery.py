@@ -23,7 +23,6 @@ from repro.resilience import (
     FaultPlan,
     KillSpec,
     RecoveryCoordinator,
-    TieredCheckpointStore,
 )
 
 BOX = 120.0
@@ -52,19 +51,19 @@ def chaos_config(n_pm_steps=3, comm_mode="overlap"):
 
 
 class TestHeadlineChaosRun:
-    def test_midstep_kill_recovers_bit_identically(self, tmp_path):
-        self._kill_and_recover(tmp_path, "overlap")
+    def test_midstep_kill_recovers_bit_identically(self, make_store):
+        self._kill_and_recover(make_store, "overlap")
 
-    def test_midstep_kill_recovers_on_a_blocking_world(self, tmp_path):
+    def test_midstep_kill_recovers_on_a_blocking_world(self, make_store):
         # the kill lands while peers sit in a fence, which raises before
         # GhostExchange/MigrationFlight exist to be cancelled: the audit
         # below is what holds the fence to settling its own group
-        self._kill_and_recover(tmp_path, "blocking")
+        self._kill_and_recover(make_store, "blocking")
 
-    def _kill_and_recover(self, tmp_path, comm_mode):
+    def _kill_and_recover(self, make_store, comm_mode):
         pos, vel, mass = clustered_ics()
         cfg = chaos_config(comm_mode=comm_mode)
-        store = TieredCheckpointStore(tmp_path, n_nodes=4)
+        store = make_store(4)
         plan = FaultPlan.single(rank=2, step=1, phase="rung")
         obs = Observatory(tracing=True)
         coord = RecoveryCoordinator(store, observe=obs)
@@ -104,10 +103,10 @@ class TestHeadlineChaosRun:
 
 
 class TestRecoveryPaths:
-    def test_double_failure_walks_down_to_two_ranks(self, tmp_path):
+    def test_double_failure_walks_down_to_two_ranks(self, make_store):
         pos, vel, mass = clustered_ics(seed=11)
         cfg = chaos_config()
-        store = TieredCheckpointStore(tmp_path, n_nodes=4)
+        store = make_store(4)
         plan = FaultPlan([KillSpec(2, 1, "rung"), KillSpec(0, 2)])
         coord = RecoveryCoordinator(store)
 
@@ -119,10 +118,39 @@ class TestRecoveryPaths:
         assert res.recoveries[1].tier == "nvme"
         assert res.recoveries[1].restored_step >= 1
 
-    def test_failure_before_any_checkpoint_cold_restarts(self, tmp_path):
+    def test_kill_during_checkpoint_write_tears_the_step(self, make_store):
+        # rank 1 dies entering its step-1 checkpoint: shard 1 of step 1
+        # has no copy anywhere, so the first recovery restores step 0;
+        # the 3-rank world then re-writes step 1 over the torn set
+        pos, vel, mass = clustered_ics(seed=13)
+        cfg = chaos_config()
+        store = make_store(4)
+        plan = FaultPlan([KillSpec(1, 1, "checkpoint"),
+                          KillSpec(0, 2, "rung")])
+        coord = RecoveryCoordinator(store)
+
+        res = coord.run(cfg, 4, pos, vel, mass, fault_plan=plan)
+
+        first, second = res.recoveries
+        assert first.failed_phase == "checkpoint"
+        assert first.failed_step == 1
+        assert (first.tier, first.restored_step) == ("nvme", 0)
+        assert first.ranks_after == 3
+        assert second.ranks_after == 2 and second.restored_step == 1
+        # the second restore reads one shard set, of exactly n particles
+        point = store.restorable_at(second.restored_step)
+        assert len(point.paths) == 3
+        arrays, _meta = store.restore(point)
+        assert len(np.unique(arrays["ids"])) == len(arrays["ids"]) == len(pos)
+        ref = DistributedSimulation(second.resumed_config, 2)
+        rpos, rvel, _ = ref.run(arrays["pos"], arrays["vel"], arrays["mass"])
+        assert state_hash(pos=rpos, vel=rvel) == \
+            state_hash(pos=res.pos, vel=res.vel)
+
+    def test_failure_before_any_checkpoint_cold_restarts(self, make_store):
         pos, vel, mass = clustered_ics(seed=5)
         cfg = chaos_config(n_pm_steps=2)
-        store = TieredCheckpointStore(tmp_path, n_nodes=4)
+        store = make_store(4)
         # kill during step 0: the step hook has not run yet, nothing is
         # on disk, so recovery is a cold restart on 3 ranks
         plan = FaultPlan.single(rank=1, step=0, phase="short_range")
@@ -138,29 +166,29 @@ class TestRecoveryPaths:
         assert state_hash(pos=rpos, vel=rvel) == \
             state_hash(pos=res.pos, vel=res.vel)
 
-    def test_failure_budget_exhausted_reraises(self, tmp_path):
+    def test_failure_budget_exhausted_reraises(self, make_store):
         pos, vel, mass = clustered_ics(seed=5)
         cfg = chaos_config(n_pm_steps=2)
-        store = TieredCheckpointStore(tmp_path, n_nodes=4)
+        store = make_store(4)
         plan = FaultPlan.single(rank=1, step=0)
         coord = RecoveryCoordinator(store, max_failures=0)
         with pytest.raises(RankFailure) as ei:
             coord.run(cfg, 4, pos, vel, mass, fault_plan=plan)
         assert ei.value.rank == 1
 
-    def test_store_smaller_than_world_rejected(self, tmp_path):
-        store = TieredCheckpointStore(tmp_path, n_nodes=2)
+    def test_store_smaller_than_world_rejected(self, make_store):
+        store = make_store(2)
         coord = RecoveryCoordinator(store)
         pos, vel, mass = clustered_ics()
         with pytest.raises(ValueError):
             coord.run(chaos_config(), 4, pos, vel, mass)
 
-    def test_recovery_report_counts_pipeline_phases(self, tmp_path):
+    def test_recovery_report_counts_pipeline_phases(self, make_store):
         from repro.observe.derived import recovery_report
 
         pos, vel, mass = clustered_ics()
         cfg = chaos_config()
-        store = TieredCheckpointStore(tmp_path, n_nodes=4)
+        store = make_store(4)
         obs = Observatory()
         coord = RecoveryCoordinator(store, observe=obs)
         coord.run(cfg, 4, pos, vel, mass,

@@ -120,10 +120,10 @@ def test_seed_tree_agrees_with_fault_injection_audit(tmp_path):
         n_pm_steps=2, cosmo=PLANCK18, r_split_cells=0.75, max_rung=3,
         comm_mode="overlap", subcycle=True, sanitize=True,
     )
-    store = TieredCheckpointStore(tmp_path, n_nodes=4)
-    coord = RecoveryCoordinator(store)
-    res = coord.run(cfg, 4, pos, vel, mass,
-                    fault_plan=FaultPlan.single(rank=2, step=1, phase="rung"))
+    with TieredCheckpointStore(tmp_path, n_nodes=4) as store:
+        coord = RecoveryCoordinator(store)
+        res = coord.run(cfg, 4, pos, vel, mass, fault_plan=FaultPlan.single(
+            rank=2, step=1, phase="rung"))
 
     # runtime side: the abort cascade settled everything it caught in
     # flight, and no lifecycle findings survived the run
