@@ -32,6 +32,8 @@ def test_x5_mixed_precision_error_budget(benchmark):
 
     def run():
         pi, pj = neighbor_pairs(pos, np.full(n_part, cutoff), box=box)
+        half = pi < pj  # the kernels take each pair once
+        pi, pj = pi[half], pj[half]
         out["report"] = compare_precisions(
             pos, mass, pi, pj, r_split=r_split, softening=0.05, box=box
         )

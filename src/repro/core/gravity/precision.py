@@ -22,22 +22,20 @@ from ...constants import G_COSMO
 from ..geometry import pair_displacements
 from ..scatter import segment_sum
 from .force_split import newtonian_pair_kernel, short_range_shape
+from .short_range import require_unordered, short_range_accelerations
 
 
 def short_range_accelerations_fp32(
     pos, mass, pi, pj, r_split, softening, box=None, g_newton=G_COSMO
 ):
     """FP32 evaluation of the short-range pair force (same algorithm as
-    the FP64 path, arrays downcast once at entry like a GPU upload)."""
+    the FP64 path — unordered pairs ``pi < pj``, each applied to both
+    ends — with arrays downcast once at entry like a GPU upload)."""
+    require_unordered(pi, pj)
     pos32 = np.asarray(pos, dtype=np.float32)
     mass32 = np.asarray(mass, dtype=np.float32)
-    n = len(pos32)
-    accel = np.zeros((n, 3), dtype=np.float32)
-    keep = pi != pj
-    pi = pi[keep]
-    pj = pj[keep]
-    dx = pair_displacements(pos32, pi, pj, np.float32(box) if box else None)
-    dx = dx.astype(np.float32)
+    box32 = None if box is None else np.asarray(box, dtype=np.float32)
+    dx = pair_displacements(pos32, pi, pj, box32).astype(np.float32)
     r = np.sqrt(np.einsum("pa,pa->p", dx, dx, dtype=np.float32)).astype(
         np.float32
     )
@@ -45,15 +43,12 @@ def short_range_accelerations_fp32(
     if r_split > 0:
         kern = kern * short_range_shape(r, r_split).astype(np.float32)
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(
-            r[:, None] > 0, dx / np.maximum(r, np.float32(1e-30))[:, None], 0.0
-        ).astype(np.float32)
-    contrib = (
-        -np.float32(g_newton) * (mass32[pj] * kern)[:, None] * unit
-    ).astype(np.float32)
+        coef = np.where(r > 0, -np.float32(g_newton) * kern / r,
+                        np.float32(0)).astype(np.float32)
+    n = len(pos32)
     # segment_sum keeps FP32 accumulation (reduceat path) like GPU atomics
-    accel += segment_sum(contrib, pi, n)
-    return accel
+    return (segment_sum((mass32[pj] * coef)[:, None] * dx, pi, n)
+            - segment_sum((mass32[pi] * coef)[:, None] * dx, pj, n))
 
 
 @dataclass
@@ -75,8 +70,6 @@ def compare_precisions(
     pos, mass, pi, pj, r_split, softening, box=None
 ) -> PrecisionReport:
     """Evaluate the short-range force in FP64 and FP32 and compare."""
-    from .short_range import short_range_accelerations
-
     a64 = short_range_accelerations(
         pos, mass, pi, pj, r_split=r_split, softening=softening, box=box
     )

@@ -1,9 +1,10 @@
 """Short-range gravity: direct pair summation over tree interaction lists.
 
 Evaluates the Plummer-softened, split-complement pair force for every
-neighbor pair inside the handover cutoff.  The same pair lists that drive
-the CRKSPH kernels drive this operator, mirroring the leaf-leaf kernel
-structure of the GPU solver.
+neighbor pair inside the handover cutoff, once per unordered pair and
+applied to both ends, as the GPU solver's leaf-leaf kernels compute an
+interaction once for both leaves.  The same cached pair lists that drive
+the CRKSPH kernels drive this operator.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ from ..scatter import segment_sum
 from .force_split import newtonian_pair_kernel, short_range_shape
 
 
+def require_unordered(pi: np.ndarray, pj: np.ndarray) -> None:
+    """Reject a pair list that is not unordered (``pi < pj`` on every
+    row): a symmetric list would apply each pair twice to both ends."""
+    if np.any(pi >= pj):
+        raise ValueError(
+            "short-range gravity takes unordered pairs (pi < pj on every "
+            "row); a directed or self row would double-count its force"
+        )
+
+
 def short_range_accelerations(
     pos: np.ndarray,
     mass: np.ndarray,
@@ -25,54 +36,42 @@ def short_range_accelerations(
     softening: float,
     box: float | None = None,
     g_newton: float = G_COSMO,
-    sink_index: np.ndarray | None = None,
-    n_out: int | None = None,
     dx: np.ndarray | None = None,
     r2: np.ndarray | None = None,
 ) -> np.ndarray:
     """Acceleration on each particle from short-range pair forces.
 
-    ``pi, pj`` is an ordered pair list; rows at zero separation (self
-    pairs, coincident particles) contribute exact zeros.  With
-    ``r_split=0`` the full Newtonian force is returned (direct summation
-    mode, used by force-completeness tests).
+    ``pi, pj`` is an unordered pair list (``pi < pj`` on every row, else
+    ``ValueError``): each pair's kernel is evaluated once and applied to
+    both ends, ``A - B`` with ``A = segment_sum(m_j coef dx, pi)`` and
+    ``B = segment_sum(m_i coef dx, pj)``, so momentum is conserved pair by
+    pair.  Rows at zero separation (coincident particles) contribute exact
+    zeros.  With ``r_split=0`` the full Newtonian force is returned (direct
+    summation mode, used by force-completeness tests).
 
     ``dx, r2`` are the rows' geometry as a ``PairCache`` query carries it
     (``core.geometry.pair_geometry``); what is missing is formed here.
 
-    ``sink_index``/``n_out`` switch on compact active-row assembly: forces
-    accumulate into row ``sink_index[p]`` of an ``(n_out, 3)`` output
-    instead of densifying to the full particle count.  Pair geometry still
-    indexes the full ``pos``/``mass`` arrays, so inactive particles remain
-    gather-only sources (paper Section IV-A active-rung evaluation).
+    A particle's result sums, in row order, exactly the rows that touch
+    it, so it is bitwise the same for any row subset that keeps all of
+    them in the same order — what ``PairCache.get_for_sinks`` returns for
+    a sink.  A particle some of whose rows are missing gets a partial sum.
     """
-    n = pos.shape[0] if n_out is None else int(n_out)
-    rows = pi if sink_index is None else np.asarray(sink_index)
-    accel = np.zeros((n, 3))
-    if dx is not None and r2 is None:
+    require_unordered(pi, pj)
+    if dx is None:
+        dx, r2 = pair_geometry(pos, pi, pj, box)  # x_i - x_j
+    elif r2 is None:
         r2 = np.einsum("pa,pa->p", dx, dx)
-    # chunk the pair list so peak memory stays bounded regardless of how
-    # dense the interaction lists get (each pair costs ~10 temporaries)
-    chunk = 2_000_000
-    for s in range(0, len(pi), chunk):
-        c = slice(s, s + chunk)
-        if dx is None:
-            cdx, cr2 = pair_geometry(pos, pi[c], pj[c], box)  # x_i - x_j
-        else:
-            cdx, cr2 = dx[c], r2[c]
-        r = np.sqrt(cr2)
-        # 0/0 at r == 0 (unsoftened kernel, unit vector): masked just below
-        with np.errstate(invalid="ignore", divide="ignore"):
-            kern = newtonian_pair_kernel(r, softening)
-            if r_split > 0:
-                kern = kern * short_range_shape(r, r_split)
-            contrib = np.where(
-                cr2[:, None] > 0,
-                -g_newton * (mass[pj[c]] * kern)[:, None] * (cdx / r[:, None]),
-                0.0,
-            )
-        accel += segment_sum(contrib, rows[c], n)
-    return accel
+    r = np.sqrt(r2)
+    # 0/0 at r == 0 (unsoftened kernel, unit vector): masked just below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = newtonian_pair_kernel(r, softening)
+        if r_split > 0:
+            kern = kern * short_range_shape(r, r_split)
+        coef = np.where(r2 > 0, -g_newton * kern / r, 0.0)
+    n = pos.shape[0]
+    return (segment_sum((mass[pj] * coef)[:, None] * dx, pi, n)
+            - segment_sum((mass[pi] * coef)[:, None] * dx, pj, n))
 
 
 def direct_accelerations(
@@ -83,10 +82,7 @@ def direct_accelerations(
     g_newton: float = G_COSMO,
 ) -> np.ndarray:
     """O(N^2) direct Newtonian summation (reference for force tests)."""
-    n = pos.shape[0]
-    idx = np.arange(n)
-    pi = np.repeat(idx, n)
-    pj = np.tile(idx, n)
+    pi, pj = np.triu_indices(pos.shape[0], 1)
     return short_range_accelerations(
         pos, mass, pi, pj, r_split=0.0, softening=softening, box=box,
         g_newton=g_newton,

@@ -23,18 +23,32 @@ from .sph.hydro import HydroDerivatives, crksph_derivatives_active
 def gravity_rows(accel, cache, pos, mass, sinks, cfg, g_newton,
                  ids=None) -> int:
     """Add the pair gravity on ``sinks`` to their rows of ``accel``
-    (split scale, softening and cutoff from ``cfg``); returns the pair
-    rows streamed."""
+    (split scale, softening and cutoff from ``cfg``); returns the directed
+    ``(sink, source)`` rows covered, self rows included.
+
+    The kernel runs once per unordered pair touching a sink; each sink's
+    row sums every pair it is in, in half-list order, so it holds the same
+    bits whichever sink set (or frame) it was evaluated in."""
+    if sinks is not None and len(sinks) == 0:
+        return 0
     rows = cache.get_for_sinks(pos, cfg.cutoff, sinks, ids=ids)
-    everyone = sinks is None
-    accel[slice(None) if everyone else sinks] += short_range_accelerations(
+    acc = short_range_accelerations(
         pos, mass, rows.pi, rows.pj,
         r_split=cfg.r_split, softening=cfg.softening, box=cache.box,
         g_newton=g_newton, dx=rows.dx, r2=rows.r2,
-        sink_index=None if everyone else np.searchsorted(sinks, rows.pi),
-        n_out=None if everyone else len(sinks),
     )
-    return len(rows.pi)
+    if sinks is None:
+        accel += acc
+        ends, n_sinks = 2 * len(rows.pi), len(pos)
+    else:
+        accel[sinks] += acc[sinks]
+        mark = np.zeros(len(pos), dtype=bool)
+        mark[sinks] = True
+        ends = np.count_nonzero(mark[rows.pi]) + np.count_nonzero(mark[rows.pj])
+        n_sinks = len(sinks)
+    # a pair covers one directed row per sink end; every sink also has the
+    # self row (r = 0 < cutoff) that an unordered list leaves out
+    return int(ends) + n_sinks * (cache.include_self and cfg.cutoff > 0)
 
 
 def crksph_rows(out, frame_rows, cache, pos, vel, mass, u, h, sinks, kernel,

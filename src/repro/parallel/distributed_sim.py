@@ -640,12 +640,10 @@ class RankDomain:
         # -- interior rows: owned data only (the exchange's window) -------
         with self.tracer.span("short_range/interior", cat="driver"):
             if cfg.gravity:
-                intr = g_sinks[~grav_bnd[g_sinks]]
-                if len(intr):
-                    self.n_pairs += gravity_rows(
-                        out[0], self.grav_cache_own, self.pos, self.mass,
-                        intr, cfg, g_newton, ids=self.ids,
-                    )
+                self.n_pairs += gravity_rows(
+                    out[0], self.grav_cache_own, self.pos, self.mass,
+                    g_sinks[~grav_bnd[g_sinks]], cfg, g_newton, ids=self.ids,
+                )
             if cfg.hydro:
                 intr_g = h_sinks[~hyd_bnd[h_sinks]]
                 if len(intr_g):
@@ -664,12 +662,10 @@ class RankDomain:
             all_mass = np.concatenate([self.mass, gfl["mass"]])
             all_ids = np.concatenate([self.ids, gfl["ids"]])
             if cfg.gravity:
-                bnd = g_sinks[grav_bnd[g_sinks]]
-                if len(bnd):
-                    self.n_pairs += gravity_rows(
-                        out[0], self.grav_cache, all_pos, all_mass, bnd,
-                        cfg, g_newton, ids=all_ids,
-                    )
+                self.n_pairs += gravity_rows(
+                    out[0], self.grav_cache, all_pos, all_mass,
+                    g_sinks[grav_bnd[g_sinks]], cfg, g_newton, ids=all_ids,
+                )
             if cfg.hydro:
                 bnd_g = h_sinks[hyd_bnd[h_sinks]]
                 if len(bnd_g):

@@ -17,7 +17,10 @@ idea for the ``neighbor_pairs`` search:
   list was last rebuilt, and the symmetric-pair-list contract of the
   conservative CRKSPH pairing is preserved.  The displacement the filter
   measured travels with each surviving row (:class:`PairRows`), so the
-  force kernels never form it again.
+  force kernels never form it again.  Gravity's query
+  (:meth:`PairCache.get_for_sinks`) returns *unordered* pairs
+  ``pi < pj`` instead: each pair is measured, filtered and evaluated once
+  and its force applied to both ends (paper Section IV-B1).
 * **Rebuild** only when reuse could miss a pair: some particle drifted more
   than half its skin (``|x - x_build| > skin * h_build / 2``), a support
   radius grew beyond its build value, or the particle set itself changed.
@@ -156,6 +159,7 @@ class PairCache:
         self._pi = None
         self._pj = None
         self._starts = None
+        self._half = None
         self._ref_pos = None
         self._ref_h = None
         self._ref_ids = None
@@ -190,6 +194,7 @@ class PairCache:
         # whole sink rows through this without scanning the full list
         counts = np.bincount(self._pi, minlength=len(pos))
         self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        self._half = None
         self._ref_pos = np.array(pos, dtype=np.float64, copy=True)
         self._ref_h = np.array(h, dtype=np.float64, copy=True)
         self._ref_ids = None if ids is None else np.array(ids, copy=True)
@@ -268,18 +273,33 @@ class PairCache:
         )
 
     def get_for_sinks(self, pos, h, sinks, ids=None) -> PairRows:
-        """Pair rows restricted to those whose *sink* is in ``sinks``
-        (``None``: every particle, i.e. :meth:`get`).
+        """Unordered pair rows ``pi < pj`` with at least one end in
+        ``sinks`` (``None``: every pair).
 
-        Equivalent to masking :meth:`get` output with
-        ``np.isin(pi, sinks)`` — inactive particles still appear as
-        gather-only sources on the ``pj`` side — but gathers only the
-        active CSR rows.  ``sinks`` must be sorted ascending; returned
-        arrays keep CSR (pi-ascending) order.
+        Equivalent to masking :meth:`get` output with ``pi < pj`` and
+        ``np.isin(pi, sinks) | np.isin(pj, sinks)``, in the same
+        half-list order (``pi`` ascending, then ``pj``): every row that
+        touches a sink is here, so a pair kernel that applies each row to
+        both ends sums a sink's rows in the same order whatever the sink
+        set.  Non-sink ends are gather-only sources.
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
-        return self._sink_rows(pos, h, sinks)
+        hpi, hpj = self._half_rows()
+        if sinks is None:
+            return self._filtered(pos, h, hpi, hpj)
+        mark = np.zeros(len(pos), dtype=bool)
+        mark[sinks] = True
+        touched = np.flatnonzero(mark[hpi] | mark[hpj])
+        return self._filtered(pos, h, hpi[touched], hpj[touched])
+
+    def _half_rows(self):
+        """The cached superset's ``pi < pj`` rows, derived once per build
+        (only caches that serve unordered queries pay for it)."""
+        if self._half is None:
+            keep = self._pi < self._pj
+            self._half = (self._pi[keep], self._pj[keep])
+        return self._half
 
     def _sink_rows(self, pos, h, sinks) -> PairRows:
         if sinks is None:

@@ -82,6 +82,8 @@ class TestForceSplitVsEwald:
         solver = PMSolver(n=ngrid, box=box, r_split=r_split)
         acc_long = solver.accelerations(pos, mass, coeff=4 * np.pi * G_COSMO)
         pi, pj = neighbor_pairs(pos, np.full(n_part, cutoff), box=box)
+        half = pi < pj
+        pi, pj = pi[half], pj[half]
         acc_short = short_range_accelerations(
             pos, mass, pi, pj, r_split=r_split, softening=softening, box=box
         )

@@ -10,6 +10,7 @@ from repro.core.gravity import (
     cic_interpolate,
     direct_accelerations,
     long_range_shape,
+    newtonian_pair_kernel,
     recommended_cutoff,
     short_range_accelerations,
     short_range_shape,
@@ -162,8 +163,7 @@ class TestSplitCompleteness:
         softening = 1e-4
         solver = PMSolver(n=ngrid, box=box, r_split=r_split)
         mass = np.array([1.0e10, 1.0e10])
-        pi = np.array([0, 1])
-        pj = np.array([1, 0])
+        pi, pj = np.array([0]), np.array([1])  # the one unordered pair
         # beyond ~3 r_split the periodic-image attraction (a real effect the
         # PM solver includes but the 1/r^2 reference does not) exceeds 1%
         seps = np.array([0.6, 1.0, 1.8, 3.0]) * r_split
@@ -185,8 +185,7 @@ class TestSplitCompleteness:
     def test_short_range_antisymmetry(self):
         pos = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
         mass = np.array([5.0, 3.0])
-        pi = np.array([0, 1])
-        pj = np.array([1, 0])
+        pi, pj = np.array([0]), np.array([1])
         acc = short_range_accelerations(
             pos, mass, pi, pj, r_split=1.0, softening=0.01, box=None
         )
@@ -195,18 +194,53 @@ class TestSplitCompleteness:
         np.testing.assert_allclose(f0, -f1, rtol=1e-12)
         assert acc[0, 0] > 0  # pulled toward +x neighbor
 
-    def test_self_pairs_ignored(self):
-        pos = np.array([[0.0, 0.0, 0.0]])
-        mass = np.array([1.0])
-        acc = short_range_accelerations(
-            pos, mass, np.array([0]), np.array([0]), 1.0, 0.1
-        )
-        np.testing.assert_allclose(acc, 0.0)
+    def test_self_and_directed_rows_rejected(self):
+        """A symmetric list would double every force: any row with
+        ``pi >= pj`` is refused."""
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for pi, pj in (([0, 1], [1, 0]), ([0, 1], [1, 1]), ([1], [0])):
+            with pytest.raises(ValueError, match="unordered"):
+                short_range_accelerations(pos, np.ones(2), np.array(pi),
+                                          np.array(pj), 1.0, 0.1)
+
+    def test_direct_summation_conserves_momentum(self):
+        rng = np.random.default_rng(8)
+        pos = rng.uniform(0, 5.0, (60, 3))
+        mass = rng.uniform(0.5, 2.0, 60)
+        acc = direct_accelerations(pos, mass, softening=0.05, g_newton=1.0)
+        # each of the n(n-1)/2 pairs pulls both ends; checked against the
+        # directed O(N^2) sum
+        dx = pos[:, None, :] - pos[None, :, :]
+        r2 = np.einsum("ija,ija->ij", dx, dx) + 0.05**2
+        want = -np.einsum("j,ij,ija->ia", mass, r2**-1.5, dx)
+        np.testing.assert_allclose(acc, want, rtol=1e-12)
+        net = np.abs((mass[:, None] * acc).sum(axis=0))
+        assert np.all(net <= 1e-13 * np.abs(mass[:, None] * acc).sum())
+
+
+def _directed_reference(pos, mass, pi, pj, r_split, softening, box,
+                        g_newton=G_COSMO):
+    """The directed-row kernel the unordered one replaced: each
+    orientation of a pair is evaluated and summed into its ``pi`` end."""
+    dx, r2 = pair_geometry(pos, pi, pj, box)
+    r = np.sqrt(r2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = newtonian_pair_kernel(r, softening)
+        if r_split > 0:
+            kern = kern * short_range_shape(r, r_split)
+        contrib = np.where(r2[:, None] > 0,
+                           -g_newton * (mass[pj] * kern)[:, None]
+                           * (dx / r[:, None]), 0.0)
+    out = np.zeros((len(pos), 3))
+    np.add.at(out, pi, contrib)
+    return out
 
 
 class TestCarriedGeometry:
-    """``short_range_accelerations`` consumes the ``(dx, r2)`` a cache query
-    carries; the forces are bitwise those it computes from positions."""
+    """``short_range_accelerations`` takes each pair once (``pi < pj``) and
+    applies it to both ends; it consumes the ``(dx, r2)`` a cache query
+    carries, and the forces are bitwise those it computes from
+    positions."""
 
     @staticmethod
     def _setup(box):
@@ -218,15 +252,25 @@ class TestCarriedGeometry:
         pi, pj = neighbor_pairs(pos, 1.6, box=box)  # self pairs included
         assert np.any(pi == pj)
         assert np.any((pi == 4) & (pj == 17))
-        return pos, mass, pi, pj
+        half = pi < pj
+        return pos, mass, pi, pj, pi[half], pj[half]
+
+    @pytest.mark.parametrize("box", [9.0, None])
+    def test_matches_the_directed_sum(self, box):
+        pos, mass, pi, pj, hi, hj = self._setup(box)
+        kw = dict(r_split=0.6, softening=0.05, box=box)
+        got = short_range_accelerations(pos, mass, hi, hj, **kw)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, _directed_reference(pos, mass, pi, pj, **kw), rtol=1e-12,
+            atol=1e-12 * np.abs(got).max())
 
     @pytest.mark.parametrize("box", [9.0, None])
     def test_supplied_geometry_gives_the_same_forces(self, box):
-        pos, mass, pi, pj = self._setup(box)
+        pos, mass, _, _, pi, pj = self._setup(box)
         dx, r2 = pair_geometry(pos, pi, pj, box)
         kw = dict(r_split=0.6, softening=0.05, box=box)
         full = short_range_accelerations(pos, mass, pi, pj, **kw)
-        assert np.all(np.isfinite(full))
         assert np.array_equal(
             short_range_accelerations(pos, mass, pi, pj, dx=dx, r2=r2, **kw),
             full,
@@ -234,24 +278,20 @@ class TestCarriedGeometry:
         # half-supplied geometry: the missing r2 is formed from dx
         assert np.array_equal(
             short_range_accelerations(pos, mass, pi, pj, dx=dx, **kw), full)
+        # the rows touching a sink, in order, give that sink its full bits
         sinks = np.arange(3, len(pos), 4)
-        m = np.isin(pi, sinks)
-        rows = dict(sink_index=np.searchsorted(sinks, pi[m]),
-                    n_out=len(sinks))
-        compact = short_range_accelerations(
-            pos, mass, pi[m], pj[m], **rows, **kw)
-        assert np.array_equal(compact, full[sinks])
-        assert np.array_equal(
-            short_range_accelerations(pos, mass, pi[m], pj[m],
-                                      dx=dx[m], r2=r2[m], **rows, **kw),
-            compact,
-        )
+        m = np.isin(pi, sinks) | np.isin(pj, sinks)
+        part = short_range_accelerations(pos, mass, pi[m], pj[m],
+                                         dx=dx[m], r2=r2[m], **kw)
+        assert np.array_equal(part[sinks], full[sinks])
 
     def test_zero_separation_rows_add_nothing(self):
-        """Dropping the r == 0 rows (what the kernel used to do for self
-        pairs) leaves every force bitwise unchanged, also unsoftened."""
-        pos, mass, pi, pj = self._setup(9.0)
+        """Coincident particles (r == 0) contribute exact zeros, also
+        unsoftened: dropping their row leaves every force bitwise
+        unchanged."""
+        pos, mass, _, _, pi, pj = self._setup(9.0)
         _, r2 = pair_geometry(pos, pi, pj, 9.0)
+        assert np.any(r2 == 0)
         for softening in (0.05, 0.0):
             kw = dict(r_split=0.6, softening=softening, box=9.0)
             with_zero = short_range_accelerations(pos, mass, pi, pj, **kw)

@@ -1,14 +1,17 @@
 """One short-range evaluation: a full evaluation is the active one with
-every row a sink, and both drivers reach the force kernels through the
-same two row evaluators (``repro.core.sink_rows``)."""
+every row a sink, both drivers reach the force kernels through the same
+two row evaluators (``repro.core.sink_rows``), and gravity evaluates each
+unordered pair once."""
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.sink_rows import gravity_rows
 from repro.core.sph import (
     crksph_derivatives,
     crksph_derivatives_active,
@@ -41,6 +44,14 @@ def _call_sites(paths, names):
     return out
 
 
+def _keyword_sites(paths, keywords):
+    """``(file, line)`` of every call passing a keyword in ``keywords``."""
+    return [(p.relative_to(SRC).as_posix(), node.lineno)
+            for p in paths for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Call)
+            and any(k.arg in keywords for k in node.keywords)]
+
+
 class TestTheForkStaysGone:
     def test_pair_force_assembly_has_one_body(self):
         """The viscous pair pressure — the head of the CRKSPH pair-force
@@ -59,6 +70,19 @@ class TestTheForkStaysGone:
         for evaluator in ("gravity_rows", "crksph_rows"):
             callers = {p for p, _ in _call_sites(paths, {evaluator})}
             assert callers == set(DRIVERS[:2]), evaluator
+
+    def test_gravity_pairs_are_queried_once_per_evaluation(self):
+        """Only ``gravity_rows`` asks for unordered pair rows, no call
+        passes the retired compact-row arguments, and there is one FP64
+        short-range kernel body (beside the FP32 precision study)."""
+        paths = sorted(SRC.rglob("*.py"))
+        assert _call_sites(paths, {"get_for_sinks"}) == \
+            [("core/sink_rows.py", "gravity_rows")]
+        assert _keyword_sites(paths, {"sink_index", "n_out"}) == []
+        assert _call_sites(paths, {"newtonian_pair_kernel"}) == [
+            ("core/gravity/precision.py", "short_range_accelerations_fp32"),
+            ("core/gravity/short_range.py", "short_range_accelerations"),
+        ]
 
 
 class TestEveryoneIsTheActiveCase:
@@ -120,11 +144,61 @@ class TestEveryoneIsTheActiveCase:
         pos = rng.uniform(0, 5.0, (300, 3))
         h = rng.uniform(0.6, 0.9, 300)
         cache = PairCache(box=5.0)
-        for got, want in zip(cache.get_for_sinks(pos, h, None),
-                             cache.get(pos, h)):
-            assert np.array_equal(got, want)
+        rows = cache.get(pos, h)
+        half = rows.pi < rows.pj
+        for got, want in zip(cache.get_for_sinks(pos, h, None), rows):
+            assert np.array_equal(got, want[half])
         sl = cache.active_slices(pos, h, None)
         assert sl.pi2 is sl.pi1 and sl.mask0 is None
         for got, want in zip((sl.pi1, sl.pj1, sl.dx1, sl.r2_1),
                              cache.get(pos, h)):
             assert np.array_equal(got, want)
+
+
+class TestGravityPairsOnce:
+    """Gravity evaluates each unordered pair once: ``gravity_rows`` writes
+    every sink the bits of the full evaluation, whatever the sink set, and
+    counts the directed ``(sink, source)`` rows the sinks cover."""
+
+    CFG = SimpleNamespace(cutoff=1.3, r_split=0.4, softening=0.03)
+
+    @staticmethod
+    def _setup(box):
+        rng = np.random.default_rng(31)
+        n = 220
+        pos = rng.uniform(0, 6.0, (n, 3))
+        pos[9] = pos[40]  # coincident particles: a zero-separation pair
+        mass = rng.uniform(0.5, 2.0, n)
+        return rng, pos, mass, PairCache(box=box)
+
+    def _evaluate(self, cache, pos, mass, sinks):
+        accel = np.zeros((len(pos), 3))
+        n_rows = gravity_rows(accel, cache, pos, mass, sinks, self.CFG, 1.0)
+        return accel, n_rows
+
+    @pytest.mark.parametrize("box", [6.0, None])
+    def test_sink_rows_are_the_full_rows(self, box):
+        rng, pos, mass, cache = self._setup(box)
+        n = len(pos)
+        full, n_full = self._evaluate(cache, pos, mass, None)
+        directed = cache.get(pos, self.CFG.cutoff)
+        assert n_full == len(directed.pi)
+        for sinks in (np.empty(0, dtype=np.intp), np.array([57]),
+                      np.sort(rng.choice(n, 60, replace=False)),
+                      np.arange(n), None):
+            accel, n_rows = self._evaluate(cache, pos, mass, sinks)
+            rows = slice(None) if sinks is None else sinks
+            assert np.array_equal(accel[rows], full[rows]), sinks
+            if sinks is not None:
+                untouched = np.ones(n, dtype=bool)
+                untouched[sinks] = False
+                assert not accel[untouched].any()
+            # the directed rows whose sink is in the set, self rows included
+            every = np.arange(n) if sinks is None else sinks
+            assert n_rows == np.isin(directed.pi, every).sum()
+
+    def test_newtons_third_law(self):
+        _, pos, mass, cache = self._setup(6.0)
+        accel, _ = self._evaluate(cache, pos, mass, None)
+        f = mass[:, None] * accel
+        assert np.all(np.abs(f.sum(axis=0)) <= 1e-13 * np.abs(f).sum())

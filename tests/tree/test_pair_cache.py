@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.constants import G_COSMO
+from repro.core.geometry import pair_geometry
+from repro.core.gravity import (
+    newtonian_pair_kernel,
+    short_range_accelerations,
+    short_range_shape,
+)
 from repro.core.sph import crksph_derivatives, get_kernel
 from repro.tree import PairCache, neighbor_pairs
 
@@ -237,15 +244,20 @@ class TestActiveSubsetQueries:
         return np.sort(rng.choice(n, size=k, replace=False))
 
     def test_get_for_sinks_equals_masked_get(self):
+        """The unordered rows with an end in ``sinks`` are the ``pi < pj``
+        rows of :meth:`get` that touch a sink, row for row and in order
+        (half-list order), on periodic and open boxes."""
         _, pos, h, box = _random_setup()
-        cache = PairCache(skin=0.3, box=box)
-        pi, pj = cache.get(pos, h)[:2]
-        sinks = self._sinks(len(pos))
-        api, apj = cache.get_for_sinks(pos, h, sinks)[:2]
-        m = np.isin(pi, sinks)
-        # exact row-for-row (and order-for-order: CSR) agreement
-        np.testing.assert_array_equal(api, pi[m])
-        np.testing.assert_array_equal(apj, pj[m])
+        for b in (box, None):
+            cache = PairCache(skin=0.3, box=b)
+            rows = cache.get(pos, h)
+            half = rows.pi < rows.pj
+            for sinks in (np.empty(0, dtype=np.intp), np.array([3]),
+                          self._sinks(len(pos))):
+                m = half & (np.isin(rows.pi, sinks) | np.isin(rows.pj, sinks))
+                for got, want in zip(cache.get_for_sinks(pos, h, sinks),
+                                     rows):
+                    np.testing.assert_array_equal(got, want[m])
 
     def test_get_for_sinks_after_drift_reuses_cache(self):
         rng, pos, h, box = _random_setup(seed=7)
@@ -258,7 +270,7 @@ class TestActiveSubsetQueries:
         api, apj = cache.get_for_sinks(moved, h, sinks)[:2]
         assert cache.n_builds == 1  # reused across the drift
         fi, fj = neighbor_pairs(moved, h, box=box)
-        m = np.isin(fi, sinks)
+        m = (fi < fj) & (np.isin(fi, sinks) | np.isin(fj, sinks))
         assert _pair_set(api, apj) == _pair_set(fi[m], fj[m])
 
     def test_active_slices_tiers_and_pairs(self):
@@ -366,20 +378,27 @@ class TestActiveSubsetQueries:
         )
         assert not got.any()
 
-    def test_short_range_sink_index_matches_full(self):
-        from repro.core.gravity.short_range import short_range_accelerations
-
+    def test_short_range_sink_rows_match_full(self):
+        """Gravity on the unordered rows touching the sinks gives each sink
+        its full-evaluation bits, and both match the directed sum."""
         rng, pos, h, box = _random_setup(n=150, seed=17)
         mass = rng.uniform(0.5, 1.5, size=len(pos))
         cache = PairCache(skin=0.25, box=box, include_self=False)
         cutoff = np.full(len(pos), 1.2)
-        pi, pj = cache.get(pos, cutoff)[:2]
-        full = short_range_accelerations(pos, mass, pi, pj, r_split=0.5,
-                                         softening=0.02, box=box)
+        kw = dict(r_split=0.5, softening=0.02, box=box)
+        rows = cache.get_for_sinks(pos, cutoff, None)
+        full = short_range_accelerations(pos, mass, rows.pi, rows.pj, **kw)
         sinks = self._sinks(len(pos), k=35, seed=9)
         api, apj = cache.get_for_sinks(pos, cutoff, sinks)[:2]
-        compact = short_range_accelerations(
-            pos, mass, api, apj, r_split=0.5, softening=0.02, box=box,
-            sink_index=np.searchsorted(sinks, api), n_out=len(sinks),
-        )
-        np.testing.assert_array_equal(compact, full[sinks])
+        part = short_range_accelerations(pos, mass, api, apj, **kw)
+        np.testing.assert_array_equal(part[sinks], full[sinks])
+
+        pi, pj = cache.get(pos, cutoff)[:2]  # directed reference
+        dx, r2 = pair_geometry(pos, pi, pj, box)
+        r = np.sqrt(r2)
+        w = (-G_COSMO * mass[pj] * newtonian_pair_kernel(r, 0.02)
+             * short_range_shape(r, 0.5) / r)
+        want = np.zeros((len(pos), 3))
+        np.add.at(want, pi, w[:, None] * dx)
+        np.testing.assert_allclose(full, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())

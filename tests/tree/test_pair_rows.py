@@ -35,10 +35,11 @@ def _oracle_dx(pos, pi, pj, box):
 
 
 def _assert_rows(rows, pos, h, box, include_self, sinks=None):
+    """``sinks`` given: the unordered rows (``pi < pj``) touching them."""
     assert isinstance(rows, PairRows)
     fi, fj = neighbor_pairs(pos, h, box=box, include_self=include_self)
     if sinks is not None:
-        m = np.isin(fi, sinks)
+        m = (fi < fj) & (np.isin(fi, sinks) | np.isin(fj, sinks))
         fi, fj = fi[m], fj[m]
     assert np.array_equal(rows.pi, fi)
     assert np.array_equal(rows.pj, fj)
