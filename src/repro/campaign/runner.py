@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from ..core.gravity.pm import PMSolver, shared_green_tables, green_tables_nbytes
+from ..core.gravity.pm import shared_green_tables, green_tables_nbytes
 from ..core.particles import Particles, Species, make_gas_dm_pair
 from ..core.simulation import Simulation, SimulationConfig
 from ..cosmology.initial_conditions import zeldovich_ics
@@ -83,12 +83,12 @@ def _initial_conditions(job: SimJob, cache: ArtifactCache | None,
     return cache.get_or_build("ics", key, build)
 
 
-def _pm_solver(cfg: SimulationConfig, cache: ArtifactCache | None):
-    """A PMSolver whose spectral tables went through the artifact cache.
+def _cache_green_tables(cfg: SimulationConfig, cache: ArtifactCache) -> None:
+    """Route the job's spectral tables through the artifact cache.
 
     The tables themselves live in the pm module memo (shared across every
-    solver in the process); routing the fetch through the artifact cache
-    as well makes campaign cache counters see greens hits/misses and
+    solver in the process, the job's own ``Simulation.pm`` included);
+    the lookup makes campaign cache counters see greens hits/misses and
     subjects the entry to the campaign LRU byte budget.
 
     This double-books the memo on purpose for now: the end-to-end
@@ -99,13 +99,11 @@ def _pm_solver(cfg: SimulationConfig, cache: ArtifactCache | None):
     """
     n = cfg.pm_grid
     box = float(cfg.box_array[0])
-    if cache is not None:
-        cache.get_or_build(
-            "greens", greens_key(n, box, cfg.r_split),
-            lambda: shared_green_tables(n, box, cfg.r_split),
-            nbytes=green_tables_nbytes(n),
-        )
-    return PMSolver(n=n, box=box, r_split=cfg.r_split)
+    cache.get_or_build(
+        "greens", greens_key(n, box, cfg.r_split),
+        lambda: shared_green_tables(n, box, cfg.r_split),
+        nbytes=green_tables_nbytes(n),
+    )
 
 
 def build_simulation(job: SimJob, cache: ArtifactCache | None = None,
@@ -139,8 +137,9 @@ def build_simulation(job: SimJob, cache: ArtifactCache | None = None,
             cosmo=job.cosmo, hydro=job.hydro, subgrid=job.subgrid,
             max_rung=job.max_rung, seed=job.seed,
         )
-        pm = _pm_solver(cfg, cache) if cfg.gravity else None
-        return Simulation(cfg, parts, observe=observe, pm=pm)
+        if cfg.gravity and cache is not None:
+            _cache_green_tables(cfg, cache)
+        return Simulation(cfg, parts, observe=observe)
 
 
 def _cancel_guard(job: SimJob, cancel_event, t0: float):

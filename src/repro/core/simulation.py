@@ -167,8 +167,7 @@ class Simulation:
     """Laptop-scale CRK-HACC analog: PM + tree gravity + CRKSPH + subgrid."""
 
     def __init__(self, config: SimulationConfig, particles: Particles,
-                 observe: Observatory | None = None,
-                 pm: PMSolver | None = None):
+                 observe: Observatory | None = None):
         self.config = config
         self.particles = particles
         # observability: tracer + metrics registry for this run.  The
@@ -182,31 +181,14 @@ class Simulation:
         self.viscosity = MonaghanViscosity()
         if config.gravity and not config.is_cubic:
             raise ValueError("gravity (PM solver) requires a cubic box")
-        # cache-aware construction: a caller that already holds a solver
-        # for this (grid, box, r_split) — e.g. the campaign runner with a
-        # warm artifact cache — may inject it; the default build is cheap
-        # anyway for repeated shapes because PMSolver's spectral tables
-        # come from the module-level Green's-function memo
-        if pm is not None:
-            if not config.gravity:
-                raise ValueError("pm solver supplied but gravity disabled")
-            if (pm.n != config.pm_grid
-                    or pm.box != float(config.box_array[0])
-                    or pm.r_split != config.r_split):
-                raise ValueError(
-                    "injected PMSolver does not match the configuration: "
-                    f"(n={pm.n}, box={pm.box}, r_split={pm.r_split}) vs "
-                    f"(n={config.pm_grid}, box={float(config.box_array[0])}, "
-                    f"r_split={config.r_split})"
-                )
-            self.pm = pm
-        else:
-            self.pm = (
-                PMSolver(n=config.pm_grid, box=float(config.box_array[0]),
-                         r_split=config.r_split)
-                if config.gravity
-                else None
-            )
+        # cheap for repeated shapes: PMSolver's spectral tables come from
+        # the module-level Green's-function memo
+        self.pm = (
+            PMSolver(n=config.pm_grid, box=float(config.box_array[0]),
+                     r_split=config.r_split)
+            if config.gravity
+            else None
+        )
         self.cooling = CoolingModel()
         self.star_formation = StarFormationModel()
         self.supernova = SupernovaModel()

@@ -52,8 +52,6 @@ DRIVER_SPANS = (
 #: communication-layer spans and async slices (SimComm / Request)
 COMM_SPANS = (
     "comm/wait",
-    "comm/barrier",
-    "comm/exchange",
     "comm/ialltoallv",
     "comm/iallgather",
     "comm/iallreduce",

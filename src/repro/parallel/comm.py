@@ -2,18 +2,18 @@
 
 Each simulated rank runs the same function on its own thread, giving true
 MPI semantics (rank-private control flow) without an MPI runtime.  The API
-mirrors the mpi4py lowercase conventions (``bcast``, ``allreduce``,
-``alltoallv``, ...) so the code reads like the real thing.
+mirrors the mpi4py lowercase conventions (``allreduce``, ``ialltoallv``,
+...) so the code reads like the real thing.
 
-There is one collective engine.  Every collective — blocking or not,
-``barrier`` included — is a deposit into a sequence-numbered buffer guarded
-by one condition variable, matched across ranks by per-rank posting order
-(the MPI ordering rule); the first deposit of a sequence number records the
-collective's kind and a later one that disagrees raises.  A blocking
-collective waits where it deposits; ``ialltoallv``/``iallgather``/
-``iallreduce`` return :class:`Request` handles (``wait()``/``test()``/
-``complete()``) so the caller chooses where.  The collective deposit is
-the only transport: there is no point-to-point path beside it.  The
+There is one collective engine and one way onto it.  Every collective is
+posted as a :class:`Request` (``ialltoallv``/``iallgather``/``iallreduce``;
+``wait()``/``complete()``): a deposit into a sequence-numbered buffer
+guarded by one condition variable, matched across ranks by per-rank
+posting order (the MPI ordering rule); the first deposit of a sequence
+number records the collective's kind and a later one that disagrees
+raises.  The one blocking collective, ``allreduce``, is its request waited
+where it is posted.  The collective deposit is the only transport: there
+is no point-to-point path beside it.  The
 comm *mode* is that choice made once, on the :class:`World`: consumers post
 their nonblocking schedule unconditionally and call :meth:`SimComm.fence`
 after each posting group, which a ``blocking`` world completes on the spot.
@@ -225,10 +225,9 @@ class World:
             d += nbytes / (self.gb_per_s * 1e9)
         return d
 
-    def _icoll_post(self, rank: int, value, kind: str,
-                    wire: bool = True) -> int:
+    def _icoll_post(self, rank: int, value, kind: str) -> int:
         """Deposit ``rank``'s contribution to its next collective; returns
-        the sequence number.  ``wire=False`` (barrier) ships nothing."""
+        the sequence number."""
         self._fault_check(rank)
         with self._icoll_cond:
             seq = self._icoll_seq[rank]
@@ -246,25 +245,16 @@ class World:
                 )
             buf.values[rank] = value
             buf.count += 1
-            if wire:
-                ready = time.perf_counter() + self._xfer_delay(_nbytes(value))
-                if ready > buf.ready:
-                    buf.ready = ready
+            ready = time.perf_counter() + self._xfer_delay(_nbytes(value))
+            if ready > buf.ready:
+                buf.ready = ready
             self._icoll_cond.notify_all()
         return seq
 
-    def _icoll_done(self, seq: int) -> bool:
-        with self._icoll_cond:
-            buf = self._icoll_bufs.get(seq)
-            return (buf is not None and buf.count == self.n_ranks
-                    and buf.ready <= time.perf_counter())
-
-    def _icoll_collect(self, seq: int, rank: int,
-                       timeout: float = float("inf")) -> list:
+    def _icoll_collect(self, seq: int, rank: int) -> list:
         """Block until all ranks deposited for ``seq`` and the simulated
-        transfer completed; return the slots.  Without a timeout only an
-        abort ends the wait (``World.run`` bounds the job as a whole)."""
-        deadline = time.perf_counter() + timeout
+        transfer completed; return the slots.  Only an abort ends the wait
+        early (``World.run`` bounds the job as a whole)."""
         with self._icoll_cond:
             while True:
                 now = time.perf_counter()
@@ -275,10 +265,6 @@ class World:
                 if self.abort_event.is_set():
                     raise CommAborted(
                         f"rank {rank}: aborted while waiting on collective"
-                    )
-                if now > deadline:
-                    raise CommError(
-                        f"rank {rank}: collective wait timed out"
                     )
                 # once all deposits are in, only the wire time remains —
                 # sleep exactly that instead of a full poll chunk
@@ -314,6 +300,12 @@ class World:
         :class:`CommSanitizerError`.
         """
         self.abort_event.clear()
+        # every run starts on an empty engine: an aborted run leaves its
+        # ranks' sequence numbers apart and its half-filled buffers behind
+        with self._icoll_cond:
+            self._icoll_seq = [0] * self.n_ranks
+            self._icoll_bufs.clear()
+        self._last_phase.clear()
         if self.sanitizer is not None:
             self.sanitizer.reset()
         results = [None] * self.n_ranks
@@ -377,20 +369,17 @@ def _nbytes(obj) -> int:
 
 # -- request handle -----------------------------------------------------------
 class Request:
-    """Handle for an in-flight nonblocking collective, finalized by
-    ``_finish(slots)``.
+    """Handle for an in-flight collective, finalized by ``_finish(slots)``.
 
     ``complete()`` blocks until the collective is done without consuming
-    it (idempotent); ``wait()`` completes it and returns its result;
-    ``test()`` polls without blocking and returns True once it can
-    complete locally.  Neither wait has a time limit of its own unless the
-    caller passes ``timeout=``: an abort ends it, and
+    it (idempotent); ``wait()`` completes it and returns its result.
+    Neither has a time limit of its own: an abort ends it, and
     ``World.run(timeout=...)`` bounds the job, raising a typed
     :class:`RankFailure` for the hung rank in either comm mode.  Blocked
     time is charged to the owning rank's ``TrafficStats.wait_seconds``.
-    Only ``wait``, a true ``test`` and ``cancel`` settle the handle for
-    the comm sanitizer: a request that was merely completed (fenced) and
-    then dropped still reads as leaked, in either comm mode.
+    Only ``wait`` and ``cancel`` settle the handle for the comm
+    sanitizer: a request that was merely completed (fenced) and then
+    dropped still reads as leaked, in either comm mode.
 
     ``cancel()`` is an idempotent local release for error paths, so an
     exchange torn down mid-flight does not read as a leak to the comm
@@ -414,16 +403,16 @@ class Request:
         self._name = name
         self._trace_id = trace_id
 
-    def complete(self, timeout: float = float("inf")) -> None:
+    def complete(self) -> None:
         if self._done:
             return
         comm = self._comm
         t0 = time.perf_counter()
         try:
-            vals = comm.world._icoll_collect(self._seq, comm.rank, timeout)
+            vals = comm.world._icoll_collect(self._seq, comm.rank)
         except CommError:
-            # abort cascade or timeout: this handle is dead either way —
-            # settle it so teardown does not double-report it as a leak
+            # abort cascade: this handle is dead — settle it so teardown
+            # does not double-report it as a leak
             self._san_settled()
             raise
         comm._charge_wait(time.perf_counter() - t0)
@@ -435,17 +424,10 @@ class Request:
         self._result = self._finish(vals)
         self._done = True
 
-    def wait(self, timeout: float = float("inf")):
-        self.complete(timeout)
+    def wait(self):
+        self.complete()
         self._san_waited()
         return self._result
-
-    def test(self) -> bool:
-        if not self._done and self._comm.world._icoll_done(self._seq):
-            self.complete(timeout=1.0)
-        if self._done:
-            self._san_settled()
-        return self._done
 
     def cancel(self) -> None:
         """Release the request locally without completing it (idempotent).
@@ -477,15 +459,15 @@ class SimComm:
     def size(self) -> int:
         return self.world.n_ranks
 
-    def _charge_wait(self, seconds: float, name: str = "comm/wait") -> None:
+    def _charge_wait(self, seconds: float) -> None:
         with self.world._stats_lock:
             self.world.stats.add_wait(self.rank, seconds)
         tr = self.world.tracer
         if tr.enabled:
             # the wait just ended: record it as a complete span covering
             # the blocked interval on this rank's track
-            tr.complete(name, ts=tr.clock.now() - seconds, dur=seconds,
-                        cat="comm", tid=self.rank)
+            tr.complete("comm/wait", ts=tr.clock.now() - seconds,
+                        dur=seconds, cat="comm", tid=self.rank)
 
     # -- the collective engine -----------------------------------------------
     def _deposit(self, value, kind: str) -> tuple[int, int]:
@@ -498,20 +480,10 @@ class SimComm:
             self.world.stats.add_bytes(self.rank, nbytes)
         return self.world._icoll_post(self.rank, value, kind), nbytes
 
-    def _exchange(self, value, kind: str) -> list:
-        """All-to-all slot exchange waited where it is posted: the
-        primitive under every blocking collective.  The caller idles out
-        the wire time of the largest contribution — exactly the latency a
-        request lets it hide."""
-        t0 = time.perf_counter()
-        seq, _ = self._deposit(value, kind)
-        vals = self.world._icoll_collect(seq, self.rank)
-        self._charge_wait(time.perf_counter() - t0, name="comm/exchange")
-        return vals
-
     def _ipost(self, value, kind: str, finish) -> Request:
         """Post a collective of ``kind``; ``wait()`` returns
-        ``finish(slots)``."""
+        ``finish(slots)``.  The one way onto the engine: every collective
+        is counted, traced and sanitized here."""
         seq, nbytes = self._deposit(value, kind)
         op = "i" + kind.partition(":")[0]
         name = "comm/" + op
@@ -536,72 +508,32 @@ class SimComm:
         This is where the comm mode lives: a blocking world completes the
         group here (its posts share one wire time); an overlapping world
         goes on computing and pays only where the consumer waits.  Like
-        the blocking collectives, the completion has no time limit of its
-        own (an abort ends it; ``World.run`` bounds the job).  A fence can
-        raise before its caller has bound the group to anything it could
-        cancel, so on failure it cancels the whole group itself.
+        every wait, the completion has no time limit of its own (an abort
+        ends it; ``World.run`` bounds the job).  A fence can raise before
+        its caller has bound the group to anything it could cancel, so on
+        failure it cancels the whole group itself.
         """
         if not self.world.blocking:
             return
         reqs = list(reqs)
         try:
             for req in reqs:
-                req.complete(timeout=float("inf"))
+                req.complete()
         except BaseException:
             for req in reqs:
                 req.cancel()
             raise
 
-    def barrier(self) -> None:
-        t0 = time.perf_counter()
-        seq = self.world._icoll_post(self.rank, None, "barrier", wire=False)
-        self.world._icoll_collect(seq, self.rank)
-        self._charge_wait(time.perf_counter() - t0, name="comm/barrier")
-
     # -- collectives ---------------------------------------------------------
-    def bcast(self, value, root: int = 0):
-        vals = self._exchange(value if self.rank == root else None,
-                              f"bcast:{root}")
-        return vals[root]
-
-    def gather(self, value, root: int = 0):
-        vals = self._exchange(value, f"gather:{root}")
-        return vals if self.rank == root else None
-
-    def allgather(self, value):
-        return self._exchange(value, "allgather")
-
-    def scatter(self, values, root: int = 0):
-        if self.rank == root and (values is None or len(values) != self.size):
-            raise ValueError("scatter needs one value per rank at the root")
-        vals = self._exchange(values if self.rank == root else None,
-                              f"scatter:{root}")
-        return vals[root][self.rank]
-
     def allreduce(self, value, op: str = "sum"):
-        return _reduce_vals(self._exchange(value, f"allreduce:{op}"), op)
-
-    def reduce(self, value, op: str = "sum", root: int = 0):
-        out = self.allreduce(value, op=op)
-        return out if self.rank == root else None
+        """Blocking allreduce: its request waited where it is posted, so
+        the caller idles out the wire time a request lets it hide."""
+        return self.iallreduce(value, op).wait()
 
     def _addressed_to_me(self, mat: list) -> list:
         """Column ``rank`` of the (source, destination) deposit matrix."""
         return [mat[src][self.rank] for src in range(self.size)]
 
-    def alltoall(self, values):
-        """values[d] goes to rank d; returns list indexed by source."""
-        if len(values) != self.size:
-            raise ValueError("alltoall needs one entry per destination")
-        return self._addressed_to_me(self._exchange(values, "alltoall"))
-
-    def alltoallv(self, arrays: list[np.ndarray]) -> list[np.ndarray]:
-        """Variable-size numpy all-to-all (arrays[d] shipped to rank d)."""
-        if len(arrays) != self.size:
-            raise ValueError("alltoallv needs one entry per destination")
-        return self._addressed_to_me(self._exchange(arrays, "alltoallv"))
-
-    # -- nonblocking collectives ---------------------------------------------
     def ialltoallv(self, arrays: list[np.ndarray]) -> Request:
         """Post a variable-size all-to-all; ``wait()`` returns the received
         arrays indexed by source rank."""
@@ -629,6 +561,4 @@ def _reduce_vals(vals: list, op: str):
         return out
     if op == "min":
         return min(vals) if np.isscalar(vals[0]) else np.minimum.reduce(vals)
-    if op == "max":
-        return max(vals) if np.isscalar(vals[0]) else np.maximum.reduce(vals)
-    raise ValueError(f"unknown reduction {op!r}")
+    return max(vals) if np.isscalar(vals[0]) else np.maximum.reduce(vals)

@@ -1,15 +1,16 @@
 """Runtime sanitizer for the simulated MPI layer.
 
-Tracks every nonblocking :class:`~repro.parallel.comm.Request` from post
-to settlement and reports violations of the request-lifecycle discipline
-at ``World.run`` teardown:
+Tracks every :class:`~repro.parallel.comm.Request` — every collective,
+the blocking ``allreduce`` included, is one — from post to settlement and
+reports violations of the request-lifecycle discipline at ``World.run``
+teardown:
 
-- **leaked-request** — posted but never waited, tested to completion, or
-  cancelled.  A leaked collective holds a sequence slot that
-  desynchronizes every later nonblocking collective.
+- **leaked-request** — posted but never waited or cancelled.  A leaked
+  collective holds a sequence slot that desynchronizes every later
+  collective.
 - **double-wait** — ``wait()`` called again on a request that a previous
-  ``wait()`` already completed.  (Polling ``test()`` and then calling
-  ``wait()`` once is the documented completion idiom and is *not*
+  ``wait()`` already completed.  (Completing a request at a ``fence`` and
+  then calling ``wait()`` once is the documented idiom and is *not*
   flagged.)
 
 The sanitizer is allocated by ``World(..., sanitize=True)`` and touched
@@ -52,7 +53,7 @@ class _RequestRecord:
         self.kind = kind
         self.detail = detail
         self.site = site
-        self.settled = False  # completed, cancelled, or errored out
+        self.settled = False  # waited, cancelled, or errored out
         self.waited = False  # completed specifically through wait()
 
 
@@ -109,8 +110,8 @@ class CommSanitizer:
             rec.settled = True
 
     def on_settle(self, req) -> None:
-        """Request released without a completing wait (test()-completion,
-        ``cancel()``, or an abort/timeout unwinding the wait)."""
+        """Request released without a completing wait (``cancel()``, or an
+        abort unwinding the wait)."""
         rec = req._sanrec
         with self._lock:
             rec.settled = True
@@ -124,6 +125,6 @@ class CommSanitizer:
                     self.findings.append(CommFinding(
                         "leaked-request", rec.rank,
                         f"{rec.kind} ({rec.detail}) posted at {rec.site} was "
-                        "never waited, tested to completion, or cancelled",
+                        "never waited or cancelled",
                     ))
             return list(self.findings)

@@ -12,7 +12,7 @@ request-lifecycle dataflow engine (:mod:`.lifecycle`):
     ``cancel()`` alone is an error-path release, so every posted slot
     also needs a wait path somewhere in its scope;
 ``collective-divergence``
-    collectives or ``barrier()`` posted under rank-dependent control
+    collectives posted under rank-dependent control
     flow (conditions derived from ``comm.rank``) or with mismatched
     posting order across branches — the classic static deadlock source;
 ``span-balance``

@@ -1,6 +1,6 @@
 """Collective-divergence: collectives under rank-dependent control flow.
 
-Every rank must reach the same collectives (``barrier``, ``allreduce``,
+Every rank must reach the same collectives (``allreduce``,
 ``ialltoallv``, ...) in the same order, or the transport deadlocks. The
 static hazard is a collective (or a call that transitively performs
 one) guarded by a condition *derived from the local rank*:
@@ -102,7 +102,7 @@ class _TokenCollector(ast.NodeVisitor):
 
     def visit_Call(self, node):
         op = comm_call(node)
-        if op in _COLL_OPS or op == "barrier":
+        if op in _COLL_OPS:
             self.tokens.append((node.lineno, op))
         else:
             target = self.program.resolve_call(self.fn, node)

@@ -27,7 +27,7 @@ _DESCRIPTIONS = {
         "needs a wait path (interprocedural)"
     ),
     collective.RULE: (
-        "collectives/barrier must not sit under rank-dependent control "
+        "collectives must not sit under rank-dependent control "
         "flow or diverge in posting order across branches (static "
         "deadlock source)"
     ),

@@ -6,8 +6,8 @@ the program:
 **Path-local dataflow.** A post (``comm.ialltoallv(...)`` and friends)
 creates an abstract *resource* keyed by its source site. Resources flow
 through local variables, tuple unpacking, container literals and
-comprehensions. A resource is *settled* by ``wait()``/``cancel()``/
-``test()``, by being passed to a function whose summary settles that
+comprehensions. A resource is *settled* by ``wait()``/``cancel()``,
+by being passed to a function whose summary settles that
 parameter, or by *escaping* — stored into an object/dict slot, returned,
 yielded, or handed to any call (ownership transfer — deliberately
 generous to avoid false positives). A resource still pending at an

@@ -23,11 +23,9 @@ from dataclasses import dataclass, field
 
 from ..engine import FileContext, dotted_name, parse_file, _walk_python
 
-#: blocking collectives + barrier (divergence across ranks deadlocks)
-BLOCKING_COLLECTIVES = frozenset(
-    {"barrier", "bcast", "gather", "scatter", "allreduce", "allgather",
-     "alltoall", "alltoallv", "reduce"}
-)
+#: blocking collectives (divergence across ranks deadlocks): the one
+#: request ``SimComm`` waits where it posts
+BLOCKING_COLLECTIVES = frozenset({"allreduce"})
 #: nonblocking collective posts (matched per-rank by posting order): the
 #: only calls on the simulated MPI transport that return a request handle
 NONBLOCKING_COLLECTIVES = frozenset(
@@ -35,7 +33,7 @@ NONBLOCKING_COLLECTIVES = frozenset(
 )
 COLLECTIVE_OPS = BLOCKING_COLLECTIVES | NONBLOCKING_COLLECTIVES
 #: request-handle settlement methods
-SETTLE_METHODS = frozenset({"wait", "cancel", "test"})
+SETTLE_METHODS = frozenset({"wait", "cancel"})
 #: receiver names treated as communicators
 _COMMISH = frozenset({"comm", "world"})
 

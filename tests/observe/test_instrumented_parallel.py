@@ -148,13 +148,16 @@ class TestStepRecordViews:
 
 class TestBlockingMode:
     def test_blocking_waits_traced_as_comm_spans(self):
+        # a blocking allreduce is its request waited at the post: a
+        # comm/wait span on the rank's track and a comm/iallreduce slice
         obs, _ = _run("blocking")
-        exchanges = obs.tracer.spans("comm/exchange")
-        assert exchanges and all(e.cat == "comm" for e in exchanges)
-        assert {e.tid for e in exchanges} == set(range(N_RANKS))
         waits = obs.tracer.spans("comm/wait")
-        barriers = obs.tracer.spans("comm/barrier")
-        assert waits or barriers
+        assert waits and all(e.cat == "comm" for e in waits)
+        assert {e.tid for e in waits} == set(range(N_RANKS))
+        slices = [e for e in obs.tracer.events
+                  if e.name == "comm/iallreduce" and e.ph == "b"]
+        assert slices and all(e.cat == "comm" for e in slices)
+        assert {e.tid for e in slices} == set(range(N_RANKS))
 
 
 class TestMergeDeterminism:

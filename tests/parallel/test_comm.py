@@ -1,4 +1,10 @@
-"""Simulated MPI communicator tests."""
+"""Simulated MPI communicator tests.
+
+``SimComm`` posts four collectives (``allreduce``, ``ialltoallv``,
+``iallgather``, ``iallreduce``); the mpi4py patterns it does not export —
+barrier, broadcast, gather, scatter, reduce-to-root, all-to-all — are
+checked here as the idioms they are on those four.
+"""
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ class TestCollectives:
         world = World(4)
 
         def fn(comm):
-            comm.barrier()
+            comm.allreduce(0)  # the barrier idiom
             return comm.size
 
         assert world.run(fn) == [4, 4, 4, 4]
@@ -21,7 +27,7 @@ class TestCollectives:
 
         def fn(comm):
             data = {"x": 42} if comm.rank == 1 else None
-            return comm.bcast(data, root=1)
+            return comm.iallgather(data).wait()[1]
 
         assert world.run(fn) == [{"x": 42}] * 3
 
@@ -29,7 +35,8 @@ class TestCollectives:
         world = World(4)
 
         def fn(comm):
-            return comm.gather(comm.rank**2, root=0)
+            vals = comm.iallgather(comm.rank**2).wait()
+            return vals if comm.rank == 0 else None
 
         res = world.run(fn)
         assert res[0] == [0, 1, 4, 9]
@@ -37,15 +44,15 @@ class TestCollectives:
 
     def test_allgather(self):
         world = World(3)
-        res = world.run(lambda c: c.allgather(c.rank))
+        res = world.run(lambda c: c.iallgather(c.rank).wait())
         assert res == [[0, 1, 2]] * 3
 
     def test_scatter(self):
         world = World(3)
 
         def fn(comm):
-            vals = [10, 20, 30] if comm.rank == 0 else None
-            return comm.scatter(vals, root=0)
+            vals = [10, 20, 30] if comm.rank == 0 else [None] * comm.size
+            return comm.ialltoallv(vals).wait()[0]
 
         assert world.run(fn) == [10, 20, 30]
 
@@ -53,8 +60,8 @@ class TestCollectives:
         world = World(2)
 
         def fn(comm):
-            vals = [1] if comm.rank == 0 else None
-            return comm.scatter(vals, root=0)
+            vals = [1] if comm.rank == 0 else [None] * comm.size
+            return comm.ialltoallv(vals).wait()[0]
 
         with pytest.raises(CommError):
             world.run(fn)
@@ -80,20 +87,26 @@ class TestCollectives:
 
     def test_allreduce_unknown_op(self):
         world = World(2)
-        with pytest.raises(CommError):
+        with pytest.raises(CommError, match="unknown reduction"):
             world.run(lambda c: c.allreduce(1, op="prod"))
+        # rejected before anything was deposited
+        assert world.stats.collective_calls == 0
 
     def test_reduce_root_only(self):
         world = World(3)
-        res = world.run(lambda c: c.reduce(1, root=2))
-        assert res == [None, None, 3]
+
+        def fn(comm):
+            total = comm.allreduce(1)
+            return total if comm.rank == 2 else None
+
+        assert world.run(fn) == [None, None, 3]
 
     def test_alltoall(self):
         world = World(3)
 
         def fn(comm):
             outgoing = [comm.rank * 10 + d for d in range(comm.size)]
-            return comm.alltoall(outgoing)
+            return comm.ialltoallv(outgoing).wait()
 
         res = world.run(fn)
         # rank r receives src*10 + r from each src
@@ -107,7 +120,7 @@ class TestCollectives:
             out = [
                 np.full(d + 1, comm.rank, dtype=np.int64) for d in range(comm.size)
             ]
-            got = comm.alltoallv(out)
+            got = comm.ialltoallv(out).wait()
             return np.concatenate(got)
 
         res = world.run(fn)
@@ -144,7 +157,7 @@ class TestWorld:
         def fn(comm):
             if comm.rank == 1:
                 raise RuntimeError("boom")
-            comm.barrier()
+            comm.allreduce(0)
             return 1
 
         with pytest.raises(CommError, match="rank 1"):

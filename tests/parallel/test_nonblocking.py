@@ -1,4 +1,4 @@
-"""Nonblocking request model: i-collectives, abort, timeout."""
+"""Request model: every collective is a request; abort, hung-rank bound."""
 
 import inspect
 import threading
@@ -11,48 +11,45 @@ from repro.parallel import CommError, RankFailure, World
 from repro.parallel.comm import CommSanitizerError, Request
 
 
-class TestPointToPoint:
-    """``Request.test()`` polling, on a collective since the collective
-    deposit is the only transport (the class keeps its name so the test's
-    node id does not move)."""
+class TestPostThenWait:
+    """A post returns at once; the wait is where a rank pays."""
 
-    def test_test_polls_without_blocking_then_wait_is_instant(self):
-        world = World(2)
+    def test_post_returns_at_once_and_wait_pays_the_wire(self):
+        world = World(2, latency_s=0.08)
 
         def fn(comm):
             if comm.rank == 0:
-                time.sleep(0.05)
-                comm.iallgather("late").wait()
-                return None
+                time.sleep(0.1)  # rank 1 posts first
+                return comm.iallgather("late").wait()
+            t0 = time.perf_counter()
             req = comm.iallgather(None)
-            polls = 0
-            while not req.test():
-                polls += 1
-                time.sleep(0.002)
-            # already complete: wait() must not block even with a tiny timeout
-            assert req.wait(timeout=1e-6) == ["late", None]
-            return polls
+            posted = time.perf_counter() - t0
+            value = req.wait()
+            return posted, time.perf_counter() - t0, value
 
-        assert world.run(fn)[1] >= 1
+        posted, elapsed, value = world.run(fn)[1]
+        assert value == ["late", None]
+        assert posted < 0.05  # returned before the peer deposited
+        assert elapsed >= 0.08  # the wait lasted at least the wire time
 
 
 class TestNonblockingCollectives:
     def test_ialltoallv_matches_blocking(self):
-        world = World(3)
-
+        # the same post fenced on a blocking world and left in flight on an
+        # overlapping one delivers the same arrays
         def fn(comm):
             outgoing = [
                 np.full(d + 1, 10 * comm.rank + d, dtype=np.float64)
                 for d in range(comm.size)
             ]
-            got_nb = comm.ialltoallv([a.copy() for a in outgoing]).wait()
-            got_b = comm.alltoallv(outgoing)
-            assert all(
-                np.array_equal(x, y) for x, y in zip(got_nb, got_b)
-            )
-            return [a.copy() for a in got_nb]
+            req = comm.ialltoallv(outgoing)
+            comm.fence([req])
+            return [a.copy() for a in req.wait()]
 
-        res = world.run(fn)
+        blocking = World(3, blocking=True).run(fn)
+        res = World(3, blocking=False).run(fn)
+        for got_b, got_nb in zip(blocking, res):
+            assert all(np.array_equal(x, y) for x, y in zip(got_nb, got_b))
         # rank 1 receives arrays of length 2 valued 10*src + 1
         for src in range(3):
             np.testing.assert_array_equal(
@@ -94,8 +91,10 @@ class TestNonblockingCollectives:
                 req = comm.iallreduce(1.0, op="sum")
                 post_time = time.perf_counter() - t0
                 assert post_time < 0.05  # returned immediately
-                assert not req.test()  # peer has not deposited yet
+                t0 = time.perf_counter()
                 total = req.wait()
+                # the peer had not deposited yet: the wait paid its delay
+                assert time.perf_counter() - t0 >= 0.05
                 return total
             time.sleep(0.1)
             return comm.iallreduce(2.0, op="sum").wait()
@@ -131,8 +130,8 @@ class TestNonblockingCollectives:
 
 
 class TestOneCollectiveEngine:
-    """Blocking and nonblocking collectives share one sequence space, so a
-    deposit knows what it is pairing with."""
+    """Every collective is a request in one sequence space, so a deposit
+    knows what it is pairing with."""
 
     def test_blocking_pairs_with_nonblocking_of_the_same_kind(self):
         world = World(3, sanitize=True)
@@ -141,13 +140,11 @@ class TestOneCollectiveEngine:
             mine = np.arange(comm.size) + 10 * comm.rank
             if comm.rank == 0:
                 total = comm.allreduce(comm.rank + 1.0)
-                ranks = comm.allgather(comm.rank)
-                got = comm.alltoallv(list(mine))
             else:
                 total = comm.iallreduce(comm.rank + 1.0).wait()
-                ranks = comm.iallgather(comm.rank).wait()
-                got = comm.ialltoallv(list(mine)).wait()
-            comm.barrier()
+            ranks = comm.iallgather(comm.rank).wait()
+            got = comm.ialltoallv(list(mine)).wait()
+            comm.allreduce(0)
             return total, ranks, got
 
         for rank, (total, ranks, got) in enumerate(world.run(fn)):
@@ -161,8 +158,8 @@ class TestOneCollectiveEngine:
         ((lambda c: c.iallreduce(1.0, op="sum"),
           lambda c: c.iallreduce(2.0, op="max")),
          ("allreduce:sum", "allreduce:max")),
-        ((lambda c: c.allreduce(1.0), lambda c: c.barrier()),
-         ("allreduce:sum", "barrier")),
+        ((lambda c: c.allreduce(1.0), lambda c: c.iallgather(1.0)),
+         ("allreduce:sum", "allgather")),
     ])
     def test_mismatched_collectives_raise_naming_both_sides(self, posts,
                                                             kinds):
@@ -210,18 +207,18 @@ class TestOneCollectiveEngine:
             assert 0.1 <= elapsed < 0.3  # one latency, not four
 
     def test_fence_has_no_time_limit_of_its_own(self):
-        # as the blocking collectives: only an abort ends the wait
+        # as every wait: only an abort ends it
         seen = []
 
         class Probe(Request):
             def __init__(self):
                 pass
 
-            def complete(self, timeout=60.0):
-                seen.append(timeout)
+            def complete(self, *args, **kwargs):
+                seen.append((args, kwargs))
 
         World(1, blocking=True).comm(0).fence([Probe()])
-        assert seen == [float("inf")]
+        assert seen == [((), {})]
 
     @pytest.mark.parametrize("blocking", [True, False])
     def test_fenced_but_never_waited_request_still_leaks(self, blocking):
@@ -262,13 +259,30 @@ class TestAbortAndTimeout:
         def fn(comm):
             if comm.rank == 1:
                 raise RuntimeError("dead rank")
-            return comm.iallreduce(1.0).wait(timeout=30.0)
+            return comm.iallreduce(1.0).wait()
 
         with pytest.raises(CommError, match="rank 1 failed"):
             world.run(fn)
 
+    def test_world_reused_after_an_aborted_run_starts_clean(self):
+        # regression: run 1 left rank 0 one sequence number ahead with its
+        # deposit in buffer #0, so in run 2 rank 1 completed that stale
+        # buffer with rank 0's old 1.0 while rank 0 hung on #1
+        world = World(2)
+
+        def dies(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)  # rank 0 deposits first
+                raise RuntimeError("boom")
+            return comm.allreduce(1.0)
+
+        with pytest.raises(CommError, match="rank 1 failed"):
+            world.run(dies)
+        clean = world.run(lambda c: c.allreduce(c.rank + 1.0), timeout=5.0)
+        assert clean == [3.0, 3.0]
+
     @pytest.mark.parametrize("blocked_in",
-                             ["collective", "request", "fence", "barrier"])
+                             ["collective", "request", "fence"])
     def test_abort_wakes_its_waiters(self, blocked_in, monkeypatch):
         """An abort notifies the condition every wait blocks on; the
         cascade does not wait out a poll tick."""
@@ -285,9 +299,8 @@ class TestAbortAndTimeout:
                 return comm.allreduce(1.0)
             if blocked_in == "request":
                 return comm.iallreduce(1.0).wait()
-            if blocked_in == "fence":  # World() is a blocking world
-                return comm.fence([comm.iallreduce(1.0)])
-            return comm.barrier()
+            # World() is a blocking world
+            return comm.fence([comm.iallreduce(1.0)])
 
         t0 = time.perf_counter()
         with pytest.raises(CommError, match="rank 1 failed"):
@@ -334,26 +347,7 @@ class TestAbortAndTimeout:
         assert (exc.value.rank, exc.value.step, exc.value.phase) == (
             0, 3, "short_range")
         for method in (Request.wait, Request.complete):
-            default = inspect.signature(method).parameters["timeout"].default
-            assert default == float("inf")
-
-    def test_explicit_wait_timeout_is_honoured(self):
-        world = World(2)
-        release = threading.Event()
-
-        def fn(comm):
-            if comm.rank == 0:
-                release.wait(10.0)  # never posts
-                return True
-            try:
-                with pytest.raises(CommError,
-                                   match="collective wait timed out"):
-                    comm.iallreduce(1.0).wait(timeout=0.1)
-            finally:
-                release.set()
-            return True
-
-        assert world.run(fn) == [True, True]
+            assert "timeout" not in inspect.signature(method).parameters
 
 
 class TestPerRankStats:
@@ -363,12 +357,12 @@ class TestPerRankStats:
         def fn(comm):
             if comm.rank == 0:
                 time.sleep(0.15)
-            comm.barrier()
+            comm.allreduce(0)
             return None
 
         world.run(fn)
         waits = world.stats.wait_seconds
-        # rank 1 sat in the barrier while rank 0 slept
+        # rank 1 sat in the allreduce while rank 0 slept
         assert waits.get(1, 0.0) > 0.1
         assert waits.get(0, 0.0) < 0.1
 
@@ -377,13 +371,13 @@ class TestPerRankStats:
 
         def fn(comm):
             payload = np.zeros(100 * (comm.rank + 1))
-            comm.allgather(payload)
+            comm.iallgather(payload).wait()
             comm.iallgather(np.zeros(10 if comm.rank == 0 else 0)).wait()
             return None
 
         world.run(fn)
         by_rank = world.stats.bytes_by_rank
-        assert by_rank[0] == 800 + 80  # blocking + nonblocking payload
+        assert by_rank[0] == 800 + 80  # both payloads
         assert by_rank[1] == 1600  # bigger allgather payload, empty second
         assert world.stats.collective_bytes == 800 + 80 + 1600
         assert world.stats.p2p_messages == 0
@@ -423,15 +417,14 @@ class TestSimulatedFabric:
         world = World(2, latency_s=0.1)
 
         def fn(comm):
+            t0 = time.perf_counter()
             req = comm.iallgather("x" if comm.rank == 0 else None)
-            comm.barrier()  # both ranks have posted by now
-            early = req.test()
             value = req.wait()
-            return early, value
+            return value, time.perf_counter() - t0
 
-        early, value = world.run(fn)[1]
-        assert value == ["x", None]
-        assert early is False  # still on the wire right after the post
+        for value, elapsed in world.run(fn):
+            assert value == ["x", None]
+            assert elapsed >= 0.1  # on the wire a full latency after the post
 
     def test_bandwidth_term_scales_with_payload(self):
         # 0.01 GB/s: a 1 MB payload needs 0.1 s on the wire
@@ -440,10 +433,10 @@ class TestSimulatedFabric:
         def fn(comm):
             big = np.zeros(131072)  # 1 MiB of float64
             t0 = time.perf_counter()
-            comm.allgather(big)
+            comm.allreduce(big)
             big_t = time.perf_counter() - t0
             t0 = time.perf_counter()
-            comm.allgather(1.0)
+            comm.allreduce(1.0)
             small_t = time.perf_counter() - t0
             return big_t, small_t
 

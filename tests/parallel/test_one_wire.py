@@ -15,8 +15,13 @@ def test_comm_has_one_condition_one_wait_loop_and_one_request_class():
     """AST guard: ``parallel/comm.py`` constructs exactly one
     ``threading.Condition`` and holds exactly one ``while True`` wait
     loop (``_icoll_collect``), and exactly one class defines
-    ``complete``."""
-    nodes = list(ast.walk(_tree(repro.parallel, "comm.py")))
+    ``complete``.  There is one way to post a collective:
+    ``World._icoll_post`` is called only from ``SimComm._deposit`` and
+    ``World._icoll_collect`` only from ``Request.complete``, and
+    ``SimComm``'s public methods are exactly the four collectives the
+    program posts plus ``fence``."""
+    tree = _tree(repro.parallel, "comm.py")
+    nodes = list(ast.walk(tree))
     conditions = [
         n.lineno for n in nodes
         if isinstance(n, ast.Call)
@@ -36,6 +41,29 @@ def test_comm_has_one_condition_one_wait_loop_and_one_request_class():
                 for m in n.body)
     ]
     assert request_classes == ["Request"]
+    # one way to post: the engine is entered from one place each
+    callers = {"_icoll_post": [], "_icoll_collect": []}
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    for cls in classes.values():
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for n in ast.walk(fn):
+                if (isinstance(n, ast.Call)
+                        and getattr(n.func, "attr", None) in callers):
+                    callers[n.func.attr].append(f"{cls.name}.{fn.name}")
+    assert callers == {"_icoll_post": ["SimComm._deposit"],
+                       "_icoll_collect": ["Request.complete"]}
+    assert sum(isinstance(n, ast.Call)
+               and getattr(n.func, "attr", None) in callers
+               for n in nodes) == 2  # none outside a method either
+    public = {
+        fn.name for fn in classes["SimComm"].body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and not fn.decorator_list
+    }
+    assert public == {"allreduce", "ialltoallv", "iallgather", "iallreduce",
+                      "fence"}
 
 
 def test_comm_sanitizer_watches_no_second_transport():

@@ -1,7 +1,5 @@
 """Comm sanitizer: request-lifecycle checks on World."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ class TestLeakedRequest:
             req = comm.iallgather(comm.rank)
             if comm.rank == 1:
                 req.wait()  # rank 0 drops its handle on the floor
-            comm.barrier()
+            comm.allreduce(0)
 
         with pytest.raises(CommSanitizerError) as exc:
             _world(2).run(fn)
@@ -63,12 +61,12 @@ class TestDoubleWait:
         assert "already-waited" in f.message
 
     def test_test_then_wait_is_legal(self):
-        """Polling test() to completion then calling wait() once is the
-        documented idiom and must not be flagged."""
+        """Completing a request at its fence then calling wait() once is
+        the documented idiom and must not be flagged (the node id is kept
+        from when the completing call was a ``test()`` poll)."""
         def fn(comm):
             req = comm.iallgather(np.arange(4.0) + comm.rank)
-            while not req.test():
-                time.sleep(0.001)
+            comm.fence([req])
             return req.wait()
 
         out = _world(2).run(fn)
@@ -81,10 +79,10 @@ class TestCleanRuns:
             other = (comm.rank + 1) % 2
             got = comm.iallgather(np.full(8, comm.rank, float)).wait()[other]
             comm.iallreduce(float(comm.rank)).wait()
-            got2 = comm.alltoallv(
+            got2 = comm.ialltoallv(
                 [np.arange(3.0) for _ in range(comm.size)]
-            )
-            comm.barrier()
+            ).wait()
+            comm.allreduce(0)
             return got.sum() + sum(g.sum() for g in got2)
 
         world = _world(2)

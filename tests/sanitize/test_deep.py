@@ -83,7 +83,7 @@ class TestRequestLifecycle:
         res = _analyze(tmp_path, """
             def f(comm):
                 comm.iallgather(1.0)
-                comm.barrier()
+                comm.allreduce(0)
         """)
         (f,) = _by_rule(res, "request-lifecycle")
         assert f.line == 2 and "iallgather" in f.message
@@ -258,7 +258,7 @@ class TestRequestLifecycle:
         res = _analyze(tmp_path, """
             def f(comm):
                 comm.iallgather(1.0)  # sanitize: allow-request-lifecycle
-                comm.barrier()
+                comm.allreduce(0)
         """)
         assert _by_rule(res, "request-lifecycle") == []
         assert res.n_suppressed == 1
@@ -293,11 +293,11 @@ class TestCollectiveDivergence:
             def f(comm, x):
                 is_root = comm.rank == 0
                 if is_root:
-                    comm.barrier()
+                    comm.allreduce(0)
                 return x
         """)
         (f,) = _by_rule(res, "collective-divergence")
-        assert f.line == 3 and "barrier" in f.message
+        assert f.line == 3 and "allreduce" in f.message
 
     def test_calls_block_taint(self, tmp_path):
         """Rank-derived *data* is not a rank-distinguishing predicate:
@@ -353,7 +353,7 @@ class TestCollectiveDivergence:
                 if comm.rank == 0:
                     with open("out.txt", "w") as fh:
                         fh.write(str(rows))
-                return comm.barrier()
+                return comm.allreduce(0)
         """)
         # collectives after the branch are fine: the branch does not exit
         assert _by_rule(res, "collective-divergence") == []

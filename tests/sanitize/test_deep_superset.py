@@ -34,7 +34,7 @@ LEAKY_FIXTURE = textwrap.dedent("""
         req = comm.iallgather(comm.rank)
         if comm.rank == 1:
             req.wait()
-        comm.barrier()
+        comm.allreduce(0)
 
 
     def leak_collective(comm):
