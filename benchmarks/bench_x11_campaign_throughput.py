@@ -15,20 +15,16 @@ Two measurements on the pooled campaign execution engine:
    bit-identical between the passes — the cache is a pure perf layer.
 
 Full-mode acceptance: warm throughput >= 1.5x cold on the repeated
-sweep.  Each full run appends a record to
-``benchmarks/BENCH_campaign_throughput.json``.
+sweep.
 """
 
 import time
-from pathlib import Path
 
 from repro.campaign import ArtifactCache, CampaignEngine, SimJob, expand_sweep
 from repro.core.gravity.pm import clear_green_cache
 from repro.observe import Observatory
 
-from conftest import FULL, print_table, record_trajectory, scaled
-
-ARTIFACT = Path(__file__).parent / "BENCH_campaign_throughput.json"
+from conftest import FULL, print_table, scaled
 
 N_WORKERS = scaled(4, 2)
 N_PER_DIM = scaled(6, 4)
@@ -158,12 +154,3 @@ def test_x11_campaign_throughput(benchmark):
         # the pool saturates: top-of-curve throughput beats single-job
         assert out["curve"][-1]["universes_per_hour"] >= \
             1.5 * out["curve"][0]["universes_per_hour"]
-        record_trajectory(ARTIFACT, {
-            "n_workers": N_WORKERS,
-            "n_per_dim": N_PER_DIM,
-            "curve": out["curve"],
-            "overload": ov,
-            "cold_uph": out["cold"]["universes_per_hour"],
-            "warm_uph": out["warm"]["universes_per_hour"],
-            "warm_speedup": out["warm_speedup"],
-        })

@@ -15,11 +15,9 @@ Invariants asserted in every mode: the recovery restores from the
 newest checkpoint the cadence allows, the recovered final state is
 bit-identical to a clean restart of the resumed segment from that same
 checkpoint, and the armed comm sanitizer reports a clean teardown.
-Each full run appends to ``BENCH_resilience.json``.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -37,9 +35,7 @@ from repro.resilience import (
     TieredCheckpointStore,
 )
 
-from conftest import FULL, print_table, record_trajectory, scaled
-
-ARTIFACT = Path(__file__).parent / "BENCH_resilience.json"
+from conftest import print_table, scaled
 
 BOX = 120.0
 N_RANKS = 4
@@ -169,16 +165,3 @@ def test_x12_resilience(benchmark, tmp_path):
     # sparser cadence never recomputes fewer steps
     recomp = [c["recomputed_steps"] for c in res["cases"]]
     assert recomp == sorted(recomp)
-
-    if FULL:
-        record_trajectory(ARTIFACT, {
-            "n_particles": len(ics[0]),
-            "n_ranks": N_RANKS,
-            "n_pm_steps": n_pm_steps,
-            "clean_wall_s": clean,
-            "cases": [
-                {k: v for k, v in c.items() if k != "pipeline"}
-                for c in res["cases"]
-            ],
-            "pipeline_s": res["cases"][0]["pipeline"],
-        })

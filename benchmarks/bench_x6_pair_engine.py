@@ -10,17 +10,11 @@ naive counterparts on a realistic clustered particle set:
   scatter cost on the force hot path;
 * one full ``crksph_derivatives`` evaluation — the end-to-end number the
   ≥2x hydro-speedup acceptance test tracks.
-
-Each run appends a record to ``benchmarks/BENCH_pair_engine.json`` so the
-numbers form a perf trajectory across commits.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from repro.core.scatter import segment_sum
 from repro.core.sph import (
@@ -32,9 +26,6 @@ from repro.core.sph.hydro import update_smoothing_lengths
 from repro.tree import PairCache, neighbor_pairs
 
 from conftest import FULL, print_table, scaled
-
-ARTIFACT = Path(__file__).parent / "BENCH_pair_engine.json"
-
 
 def _clustered_setup(n=1500, box=20.0, seed=11):
     """Mildly clustered gas particles with equilibrated supports."""
@@ -61,15 +52,6 @@ def _best_of(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _append_record(record: dict) -> None:
-    record = {**record, "numpy": np.__version__, "scipy": scipy.__version__}
-    history = []
-    if ARTIFACT.exists():
-        history = json.loads(ARTIFACT.read_text())
-    history.append(record)
-    ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def test_x6_pair_engine(benchmark):
@@ -140,10 +122,9 @@ def test_x6_pair_engine(benchmark):
     )
     benchmark.extra_info.update(r)
 
-    # timing ratios and the on-disk perf trajectory only mean something at
-    # the full problem size; the smoke run just proves the legs still run
+    # timing ratios only mean something at the full problem size; the
+    # smoke run just proves the legs still run
     if FULL:
-        _append_record(r)
         # a cached query must beat a fresh build, and the sorted-CSR
         # reduction must beat the buffered ufunc scatter.  The list leg
         # recorded 1.8-3.5x over seven runs: the query filters the skin

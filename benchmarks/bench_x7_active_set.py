@@ -9,13 +9,10 @@ both modes integrate the identical schedule and the comparison is purely
 the evaluation strategy.
 
 Full-mode acceptance: on the clustered configuration with active fraction
-<= 25%, the active-set path is >= 2x faster per PM step.  Each full run
-appends a record to ``benchmarks/BENCH_active_set.json``.
+<= 25%, the active-set path is >= 2x faster per PM step.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +20,6 @@ from repro.core.particles import Particles, Species
 from repro.core.simulation import Simulation, SimulationConfig
 
 from conftest import FULL, print_table, scaled
-
-ARTIFACT = Path(__file__).parent / "BENCH_active_set.json"
 
 DEEP_RUNG = 4
 DEEP_FRACTION = 0.12
@@ -145,8 +140,3 @@ def test_x7_active_set_sweep(benchmark):
     if FULL:
         # acceptance: >= 2x subcycle speedup on the clustered layout
         assert out["clustered"]["speedup"] >= 2.0
-        history = []
-        if ARTIFACT.exists():
-            history = json.loads(ARTIFACT.read_text())
-        history.append(out)
-        ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")

@@ -13,13 +13,10 @@ axis while they are in flight, so most of the wire time disappears behind
 compute.  The two modes are bit-identical (asserted here and in tier-1).
 
 Full-mode acceptance: >= 1.3x step-time speedup with a reduced comm-wait
-fraction at 4 ranks.  Each full run appends to
-``benchmarks/BENCH_comm_overlap.json``.
+fraction at 4 ranks.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +24,6 @@ from repro.cosmology import PLANCK18
 from repro.parallel.distributed_sim import DistributedConfig, DistributedSimulation
 
 from conftest import FULL, print_table, scaled
-
-ARTIFACT = Path(__file__).parent / "BENCH_comm_overlap.json"
 
 BOX = 120.0
 
@@ -150,9 +145,3 @@ def test_x8_comm_overlap(benchmark):
             if r >= 4:
                 assert (out[r]["overlap_wait_fraction"]
                         < out[r]["blocking_wait_fraction"])
-        history = []
-        if ARTIFACT.exists():
-            history = json.loads(ARTIFACT.read_text())
-        history.append({str(k): {kk: vv for kk, vv in v.items()}
-                        for k, v in out.items()})
-        ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")

@@ -24,15 +24,13 @@ high-latency fabric:
 
 Full-mode acceptance: sub_overlap is >= 2x faster per PM interval than
 flat_overlap, its migration wait share sits below 0.5 (from ~0.83 for
-the blocking-migration overlap driver in BENCH_comm_overlap.json), it is
-bit-identical to sub_blocking, and the armed sanitizers report zero
-findings.  Each full run appends to ``BENCH_distributed_subcycle.json``,
-with ``ghost_post_ms`` — the host-side cost of posting one ghost exchange
-at these sizes, which the 0.15 s fabric latency otherwise buries.
+the blocking-migration overlap driver of X8), it is bit-identical to
+sub_blocking, and the armed sanitizers report zero findings.  The run
+also prints ``ghost_post_ms`` — the host-side cost of posting one ghost
+exchange at these sizes, which the 0.15 s fabric latency otherwise buries.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -44,9 +42,7 @@ from repro.parallel.distributed_sim import (
 )
 from repro.parallel.overload import GhostExchange
 
-from conftest import FULL, print_table, record_trajectory, scaled
-
-ARTIFACT = Path(__file__).parent / "BENCH_distributed_subcycle.json"
+from conftest import FULL, print_table, scaled
 
 BOX = 120.0
 N_RANKS = 4
@@ -212,16 +208,3 @@ def test_x9_distributed_subcycle(benchmark):
         # its wait share below 0.5
         assert speedup >= 2.0
         assert sub["migration_wait_share"] < 0.5
-        record_trajectory(ARTIFACT, {
-            "n_particles": len(ics[0]),
-            "n_ranks": N_RANKS,
-            "latency_s": latency,
-            "depth": depth,
-            "speedup_vs_flat": speedup,
-            "step_s": step_s,
-            "wait_fraction": sub["wait_fraction"],
-            "migration_wait_share": sub["migration_wait_share"],
-            "flat_wait_fraction": res["flat_overlap"]["wait_fraction"],
-            "ghost_post_ms": ghost_post_ms,
-            "numpy": np.__version__,
-        })

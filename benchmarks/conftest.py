@@ -8,8 +8,9 @@ absolute-hardware-comparable) and records the key numbers in
 Smoke mode (the default under plain ``pytest``): every ``bench_*`` script
 runs a tiny-N version of itself in a few seconds, exercising the full
 code path so benchmark bitrot fails tier-1 immediately.  Timing-ratio
-assertions and on-disk JSON artifacts only make sense at real problem
-sizes, so both are gated on ``REPRO_BENCH_FULL=1``.
+assertions only make sense at real problem sizes, so they are gated on
+``REPRO_BENCH_FULL=1``.  Recorded performance numbers with provenance
+come from ``benchmarks/e2e/``, not from these figure regenerators.
 """
 
 from __future__ import annotations
@@ -60,25 +61,6 @@ def series_summary(name: str, values) -> str:
         f"{name}: n={len(v)} min={v.min():.3g} med={np.median(v):.3g} "
         f"max={v.max():.3g}"
     )
-
-
-def record_trajectory(artifact_path, point) -> None:
-    """Append one measurement point to a bench's JSON trajectory artifact.
-
-    Full-mode benches call this after their acceptance asserts pass; the
-    artifact accumulates one entry per recorded run so the performance
-    trajectory of the tracked numbers stays inspectable across PRs.
-    No-op in smoke mode (tiny-N timings are not meaningful).
-    """
-    import json
-    from pathlib import Path
-
-    if not FULL:
-        return
-    path = Path(artifact_path)
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append(point)
-    path.write_text(json.dumps(history, indent=2) + "\n")
 
 
 @pytest.fixture

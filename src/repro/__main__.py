@@ -7,6 +7,7 @@ scaling     print the Fig. 4 strong/weak scaling table
 landscape   print the Fig. 1 simulation-landscape table
 utilization print the Fig. 6 vendor and redshift utilization numbers
 demo        run a small end-to-end simulation and print its in situ report
+ensemble    plan an ensemble campaign under a node-hour budget (paper §VII)
 lint        run the repo's AST lint rules (see repro.sanitize)
 """
 

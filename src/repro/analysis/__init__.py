@@ -1,7 +1,6 @@
 """GPU-accelerated in situ analysis analogs: clustering, P(k), halo stats."""
 
-from .bvh import LBVH, build_lbvh, morton_codes
-from .correlation import landy_szalay, natural_estimator, pair_counts, xi_from_power
+from .correlation import natural_estimator, pair_counts
 from .dbscan import DBSCANResult, brute_force_dbscan_labels, dbscan
 from .fof import FOFCatalog, brute_force_fof_labels, catalog_from_labels, fof_halos
 from .insitu import InSituPipeline, InSituReport, density_temperature_slices
@@ -10,32 +9,16 @@ from .mass_function import (
     halo_mass_function,
     press_schechter_mass_function,
 )
-from .merger_tree import (
-    HaloLink,
-    MergerTreeLevel,
-    link_catalogs,
-    mass_growth_histories,
-)
 from .mock_catalog import (
     GalaxyCatalog,
     HODParams,
-    expected_number_density,
     populate_halos,
     redshift_space_positions,
     virial_velocity,
 )
-from .power import dimensionless_power, measure_power_spectrum
-from .profiles import (
-    NFWFit,
-    RadialProfile,
-    fit_nfw,
-    nfw_density,
-    radial_profile,
-    virial_radius,
-)
+from .power import measure_power_spectrum
 from .skymaps import (
     AngularMap,
-    angular_power_spectrum,
     LightconeBuilder,
     LightconeShell,
     angles_from_vectors,
@@ -50,44 +33,27 @@ __all__ = [
     "FOFCatalog",
     "GalaxyCatalog",
     "HODParams",
-    "HaloLink",
-    "MergerTreeLevel",
     "InSituPipeline",
     "InSituReport",
-    "LBVH",
     "LightconeBuilder",
     "LightconeShell",
-    "NFWFit",
-    "RadialProfile",
     "UnionFind",
     "angles_from_vectors",
-    "angular_power_spectrum",
     "brute_force_dbscan_labels",
     "brute_force_fof_labels",
-    "build_lbvh",
     "catalog_from_labels",
     "cluster_count",
     "dbscan",
     "density_temperature_slices",
     "compton_y_weights",
-    "dimensionless_power",
-    "expected_number_density",
-    "fit_nfw",
     "fof_halos",
-    "landy_szalay",
-    "link_catalogs",
     "natural_estimator",
     "pair_counts",
     "populate_halos",
     "halo_mass_function",
     "measure_power_spectrum",
-    "morton_codes",
-    "nfw_density",
     "press_schechter_mass_function",
-    "radial_profile",
     "redshift_space_positions",
-    "virial_radius",
     "virial_velocity",
-    "xi_from_power",
     "xray_luminosity_weights",
 ]

@@ -1,17 +1,15 @@
 """Two-point correlation function estimators.
 
 The configuration-space counterpart of P(k), used for the clustering
-probes the paper's surveys measure.  Implements the natural and
-Landy-Szalay estimators with chaining-mesh pair counting, plus the
-analytic P(k) -> xi(r) transform for cross-checks against linear theory.
+probes the paper's surveys measure.  Implements the natural estimator
+(exact analytic randoms for a periodic box) with chaining-mesh pair
+counting.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
-from ..cosmology.power_spectrum import LinearPower
 from ..tree import neighbor_pairs
 
 
@@ -54,42 +52,3 @@ def natural_estimator(
     rr = n * (n - 1) / 2.0 * shell_vol / box**3
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(rr > 0, dd / rr - 1.0, np.nan)
-
-
-def landy_szalay(
-    pos: np.ndarray,
-    randoms: np.ndarray,
-    edges: np.ndarray,
-    box: float,
-) -> np.ndarray:
-    """(DD - 2 DR + RR) / RR with an explicit random catalog."""
-    nd = len(pos)
-    nr = len(randoms)
-    dd = pair_counts(pos, edges, box).astype(np.float64)
-    rr = pair_counts(randoms, edges, box).astype(np.float64)
-    dr = pair_counts(pos, edges, box, pos2=randoms).astype(np.float64)
-    # normalize counts to pair totals
-    dd /= nd * (nd - 1) / 2.0
-    rr /= nr * (nr - 1) / 2.0
-    dr /= nd * nr
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(rr > 0, (dd - 2.0 * dr + rr) / rr, np.nan)
-
-
-def xi_from_power(r, power: LinearPower, a: float = 1.0) -> np.ndarray:
-    """Analytic xi(r) = (1/2 pi^2) int k^2 P(k) sinc(kr) dk."""
-    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    out = np.empty_like(r)
-    # the growth factor is itself a quadrature: once, not per evaluation
-    growth2 = power.cosmo.growth_factor(a) ** 2
-    for i, ri in enumerate(r):
-        def integrand(lnk):
-            k = np.exp(lnk)
-            pk = power._at_unit_growth(k) * growth2
-            return k**3 * pk * np.sinc(k * ri / np.pi) / (2.0 * np.pi**2)
-
-        val, _ = integrate.quad(
-            integrand, np.log(1e-4), np.log(50.0), limit=400
-        )
-        out[i] = val
-    return out

@@ -150,18 +150,6 @@ def populate_halos(
     )
 
 
-def expected_number_density(
-    halo_masses: np.ndarray, box: float, params: HODParams | None = None
-) -> float:
-    """Mean galaxy number density implied by the HOD over a halo catalog."""
-    params = params or HODParams()
-    # <N_tot> = <N_cen> + <N_sat>
-    n_tot = params.mean_centrals(halo_masses) + params.mean_satellites(
-        halo_masses
-    )
-    return float(n_tot.sum() / box**3)
-
-
 def redshift_space_positions(
     positions: np.ndarray,
     velocities: np.ndarray,

@@ -73,8 +73,3 @@ def measure_power_spectrum(
     if subtract_shot_noise:
         pk = pk - box**3 / n_part
     return kc, pk
-
-
-def dimensionless_power(k: np.ndarray, pk: np.ndarray) -> np.ndarray:
-    """Delta^2(k) = k^3 P(k) / (2 pi^2)."""
-    return np.asarray(k) ** 3 * np.asarray(pk) / (2.0 * np.pi**2)

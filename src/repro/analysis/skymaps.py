@@ -18,7 +18,6 @@ import numpy as np
 
 from ..constants import (
     K_BOLTZMANN,
-    KM_CM,
     M_ELECTRON,
     M_PROTON,
     MPC_CM,
@@ -260,31 +259,3 @@ class LightconeBuilder:
         else:
             sky.add(theta, phi, w[shell.indices])
         return sky
-
-
-def angular_power_spectrum(sky: AngularMap, ell_max: int = 8) -> np.ndarray:
-    """Low-ell angular power spectrum C_ell of a sky map.
-
-    Computes a_lm by direct quadrature of the map against spherical
-    harmonics on the pixel grid (exact for band-limited maps at these
-    resolutions) and returns C_ell = sum_m |a_lm|^2 / (2 ell + 1) for
-    ell = 0..ell_max.  This is the statistic survey analyses extract from
-    tSZ/count maps (paper Section II's 'clustering probes').
-    """
-    from scipy.special import sph_harm_y
-
-    nt, nphi = sky.n_theta, sky.n_phi
-    theta = (np.arange(nt) + 0.5) * math.pi / nt
-    phi = (np.arange(nphi) + 0.5) * 2.0 * math.pi / nphi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    domega = sky.pixel_solid_angle
-
-    c_ell = np.zeros(ell_max + 1)
-    for ell in range(ell_max + 1):
-        total = 0.0
-        for m in range(-ell, ell + 1):
-            ylm = sph_harm_y(ell, m, tt, pp)
-            alm = np.sum(sky.data * np.conj(ylm) * domega)
-            total += float(np.abs(alm) ** 2)
-        c_ell[ell] = total / (2 * ell + 1)
-    return c_ell

@@ -145,6 +145,12 @@ def expand_sweep(base: dict | None, sweep: dict | None) -> list[SimJob]:
     return jobs
 
 
+#: the top-level keys a campaign spec file may carry
+SPEC_KEYS = frozenset(
+    {"workers", "max_queue", "policy", "cache_mb", "base", "sweep", "jobs"}
+)
+
+
 @dataclass
 class CampaignSpec:
     """A parsed campaign spec file: engine knobs plus the job list."""
@@ -157,6 +163,9 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignSpec":
+        unknown = set(doc) - SPEC_KEYS
+        if unknown:
+            raise ValueError(f"unknown campaign spec key(s): {sorted(unknown)}")
         jobs = expand_sweep(doc.get("base"), doc.get("sweep")) \
             if (doc.get("base") or doc.get("sweep")) else []
         base_job = job_from_dict(doc.get("base") or {})

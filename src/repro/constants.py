@@ -19,7 +19,6 @@ C_LIGHT = 2.99792458e10  # speed of light [cm/s]
 
 # --- astrophysical unit conversions ---------------------------------------
 MPC_CM = 3.0856775814913673e24  # 1 Mpc in cm
-KPC_CM = MPC_CM / 1.0e3
 KM_CM = 1.0e5
 MSUN_G = 1.98892e33  # solar mass in g
 YEAR_S = 3.15576e7  # Julian year in seconds
@@ -38,10 +37,7 @@ RHO_CRIT_COSMO = 3.0 * 100.0**2 / (8.0 * math.pi * G_COSMO)  # ~2.775e11
 
 # --- gas physics -----------------------------------------------------------
 GAMMA_IDEAL = 5.0 / 3.0  # monatomic ideal gas adiabatic index
-MU_PRIMORDIAL_NEUTRAL = 1.22  # mean molecular weight, neutral primordial gas
-MU_PRIMORDIAL_IONIZED = 0.59  # fully ionized primordial gas
 X_HYDROGEN = 0.76  # primordial hydrogen mass fraction
-Y_HELIUM = 0.24  # primordial helium mass fraction
 
 # Solar metallicity (mass fraction of metals), Asplund-like
 Z_SOLAR = 0.0127
@@ -49,20 +45,13 @@ Z_SOLAR = 0.0127
 # --- paper anchor values (Frontier-E, Section VI) -------------------------
 # These are the published measurements the performance model must reproduce.
 FRONTIER_E_NODES = 9000
-FRONTIER_E_RANKS_PER_NODE = 8  # one MPI rank per GCD
-FRONTIER_E_PM_GRID = 12600  # global PM mesh per dimension
 FRONTIER_E_PARTICLES = 2 * 12600**3  # ~4 trillion total (DM + baryon tracers)
 FRONTIER_E_PM_STEPS = 625
-FRONTIER_E_BOX_GPC = 4.7  # comoving Gpc (~15.3 Gly)
 FRONTIER_E_PEAK_PFLOPS = 513.1
 FRONTIER_E_SUSTAINED_PFLOPS = 420.5
 FRONTIER_E_PARTICLES_PER_SEC = 46.6e9
 FRONTIER_E_WALLCLOCK_HOURS = 196.0
-FRONTIER_E_GRAVITY_ONLY_HOURS = 12.0
-FRONTIER_E_TOTAL_DATA_PB = 100.0
 FRONTIER_E_SCIENCE_DATA_PB = 12.0
-FRONTIER_E_EFFECTIVE_IO_TBPS = 5.45
-FRONTIER_E_IO_HOURS = 5.1
 FRONTIER_E_CHECKPOINT_TB = (150.0, 180.0)  # per-step checkpoint size range
 FRONTIER_E_TTS_FRACTIONS = {
     "short_range": 0.796,
@@ -77,5 +66,4 @@ FRONTIER_E_STRONG_EFFICIENCY = 0.92
 FRONTIER_E_WEAK_EFFICIENCY = 0.95
 FRONTIER_E_UTIL_HIGHZ_PEAK = 0.33
 FRONTIER_E_UTIL_HIGHZ_SUSTAINED = 0.265
-FRONTIER_E_UTIL_LOWZ_PEAK = 0.34
 FRONTIER_E_UTIL_LOWZ_SUSTAINED = 0.28

@@ -2,14 +2,8 @@
 
 from .agn import AGNModel, bondi_rate, eddington_rate
 from .cooling import CoolingModel, lambda_cooling, uv_heating_rate
-from .enrichment import (
-    MetalBudget,
-    inject_yields,
-    lock_metals_into_stars,
-    mass_weighted_metallicity,
-)
 from .star_formation import StarFormationModel
-from .stellar_evolution import AGBModel, SNIaModel, enrichment_history
+from .stellar_evolution import AGBModel, SNIaModel
 from .supernova import SupernovaModel, kernel_weights_for_sources
 
 __all__ = [
@@ -17,16 +11,11 @@ __all__ = [
     "AGNModel",
     "CoolingModel",
     "SNIaModel",
-    "MetalBudget",
     "StarFormationModel",
     "SupernovaModel",
     "bondi_rate",
-    "enrichment_history",
     "eddington_rate",
-    "inject_yields",
     "kernel_weights_for_sources",
     "lambda_cooling",
-    "lock_metals_into_stars",
-    "mass_weighted_metallicity",
     "uv_heating_rate",
 ]

@@ -81,33 +81,3 @@ class AGBModel:
 
     def metal_mass_returned(self, mass_returned) -> np.ndarray:
         return np.asarray(mass_returned) * self.metal_yield
-
-
-def enrichment_history(
-    stellar_mass_msun: float,
-    ages_myr: np.ndarray,
-    snia: SNIaModel | None = None,
-    agb: AGBModel | None = None,
-) -> dict:
-    """Cumulative SNIa counts and AGB mass return along an age grid.
-
-    Convenience for tests/examples: the full delayed-enrichment budget of
-    one stellar population.
-    """
-    snia = snia or SNIaModel()
-    agb = agb or AGBModel()
-    ages = np.asarray(ages_myr, dtype=np.float64)
-    n_ia = np.array(
-        [float(snia.events_between(stellar_mass_msun, 0.0, a)) for a in ages]
-    )
-    m_ret = np.array(
-        [float(agb.mass_returned_between(stellar_mass_msun, 0.0, a))
-         for a in ages]
-    )
-    return {
-        "ages_myr": ages,
-        "snia_events": n_ia,
-        "iron_msun": snia.iron_mass(n_ia),
-        "mass_returned_msun": m_ret,
-        "agb_metals_msun": agb.metal_mass_returned(m_ret),
-    }

@@ -12,10 +12,8 @@ from .kernels import (
     SOLVER_KERNEL_MIX,
     VENDOR_PEAK_FACTOR,
     KernelProfile,
-    measured_flop_rate,
     peak_kernel,
     peak_utilization,
-    solver_flops_per_particle_step,
     sustained_utilization,
 )
 from .warp import (
@@ -52,10 +50,8 @@ __all__ = [
     "gravity_potential_kernel",
     "hydro_force_like_kernel",
     "lennard_jones_kernel",
-    "measured_flop_rate",
     "peak_kernel",
     "peak_utilization",
-    "solver_flops_per_particle_step",
     "sph_density_kernel",
     "sustained_utilization",
     "table_i_rows",

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .device import GPUSpec
 
 
@@ -83,23 +81,3 @@ def sustained_utilization(
         u = min(u, attainable / device.peak_fp32_flops)
         total += k.time_fraction * u
     return min(total, 1.0)
-
-
-def solver_flops_per_particle_step(n_neighbors: int = 270) -> float:
-    """Weighted FLOPs to advance one particle one substep.
-
-    ~270 neighbors per CRKSPH evaluation (paper Section IV-B1); each pair
-    costs O(100) weighted FLOPs across the kernel stack.  This constant
-    anchors the performance model's FLOP totals to the measured 46.6e9
-    particles/s at 513.1/420.5 PFLOPs: 420.5 PF / 46.6e9 p/s ~ 9.0e3
-    FLOPs per particle-step at the *global* step level.
-    """
-    flops_per_pair = 33.5
-    return n_neighbors * flops_per_pair
-
-
-def measured_flop_rate(
-    device: GPUSpec, mix=SOLVER_KERNEL_MIX, work_boost: float = 0.0
-) -> float:
-    """Sustained FLOP/s one device achieves on the solver workload."""
-    return sustained_utilization(device, mix, work_boost) * device.peak_fp32_flops

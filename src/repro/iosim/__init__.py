@@ -10,7 +10,6 @@ from .checkpoint import (
 from .bleed import AsyncBleeder, BleedStats
 from .faults import (
     FaultRunStats,
-    expected_efficiency,
     simulate_run_with_faults,
     young_daly_interval,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "NVMeModel",
     "PFSModel",
     "StepIORecord",
-    "expected_efficiency",
     "read_blocks",
     "read_checkpoint",
     "simulate_run_with_faults",

@@ -129,21 +129,3 @@ def simulate_run_with_faults(
         restart_hours=restarts,
         n_interrupts=n_int,
     )
-
-
-def expected_efficiency(
-    checkpoint_interval_hours: float,
-    checkpoint_cost_hours: float,
-    mtti_hours: float,
-    restart_cost_hours: float = 0.25,
-) -> float:
-    """First-order analytic efficiency of a checkpoint interval.
-
-    useful / wallclock ~ tau / [(tau + C) + (tau/2 + R) * (tau + C)/M]
-    """
-    tau = checkpoint_interval_hours
-    c = checkpoint_cost_hours
-    m = mtti_hours
-    r = restart_cost_hours
-    per_segment = (tau + c) * (1.0 + (tau / 2.0 + r) / m)
-    return tau / per_segment

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 
 from . import derived, taxonomy
-from .clock import SIM_PID, WALL_PID, SimClock, WallClock
+from .clock import SIM_PID, WALL_PID, WallClock
 from .export import (
     load_chrome_trace,
     slice_intervals,
@@ -108,7 +108,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "Observatory",
-    "SimClock",
     "Timer",
     "TimerGroup",
     "TraceEvent",

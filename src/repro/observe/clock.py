@@ -11,8 +11,6 @@ Two kinds of time coexist in this repo (DESIGN.md "Observability"):
   keeps its own ``_clock`` in simulated seconds).  Events on this clock
   carry *explicit* timestamps supplied by the model; they are exported on
   a separate process track because the two time bases are not comparable.
-
-Both expose ``now() -> float`` seconds.
 """
 
 from __future__ import annotations
@@ -37,33 +35,3 @@ class WallClock:
 
     def now(self) -> float:
         return time.perf_counter() - self.origin
-
-
-class SimClock:
-    """Manually advanced simulated-time clock (seconds).
-
-    Discrete-event models drive this explicitly with :meth:`advance` /
-    :meth:`set`; nothing in it depends on real time, so traces built on a
-    SimClock are bit-deterministic across runs.
-    """
-
-    __slots__ = ("_t",)
-
-    name = "sim"
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._t = float(start)
-
-    def now(self) -> float:
-        return self._t
-
-    def advance(self, dt: float) -> float:
-        if dt < 0:
-            raise ValueError("simulated time cannot run backward")
-        self._t += dt
-        return self._t
-
-    def set(self, t: float) -> None:
-        if t < self._t:
-            raise ValueError("simulated time cannot run backward")
-        self._t = float(t)

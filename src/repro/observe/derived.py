@@ -1,11 +1,10 @@
 """Derived metrics: the numbers the paper's figures are actually made of.
 
 Each helper reduces raw instruments (phase timers, comm-wait counters,
-OpCounters deltas, per-rank utilization samples) to the quantity a figure
-reports — TTS fractions (Fig. 2), comm-wait shares (Fig. 2 companion),
-roofline position and lane efficiency (§V-B), vendor/machine utilization
-(Fig. 6) — and registers the result as gauges/histograms so traces,
-benches, and the CLI all read one source.
+per-rank utilization samples) to the quantity a figure reports — TTS
+fractions (Fig. 2), comm-wait shares (Fig. 2 companion), vendor/machine
+utilization (Fig. 6) — and registers the result as gauges/histograms so
+traces, benches, and the CLI all read one source.
 """
 
 from __future__ import annotations
@@ -96,55 +95,6 @@ def comm_wait_fraction(records) -> float:
     wall = sum(r.wall_seconds for r in rows)
     wait = sum(r.wait_seconds for r in rows)
     return wait / max(wall, 1e-12)
-
-
-# -- §V-B: roofline position and lane efficiency -------------------------------
-@dataclass
-class RooflinePoint:
-    """Where a kernel (or whole pass) sits against a device roofline."""
-
-    arithmetic_intensity: float  # FLOPs / byte
-    flops: float
-    attainable_fraction: float  # roofline-attainable / peak at this AI
-    bound: str  # "memory" or "compute"
-
-    def achieved_fraction(self, wall_seconds: float, device) -> float:
-        """Measured FLOP rate / peak for a pass that took ``wall_seconds``."""
-        if wall_seconds <= 0:
-            return 0.0
-        return self.flops / (device.peak_fp32_flops * wall_seconds)
-
-
-def roofline_point(counters, device) -> RooflinePoint:
-    """Roofline position of an OpCounters delta on a device."""
-    ai = counters.arithmetic_intensity
-    attainable = device.roofline_flops(ai)
-    return RooflinePoint(
-        arithmetic_intensity=ai,
-        flops=float(counters.flops),
-        attainable_fraction=attainable / device.peak_fp32_flops,
-        bound="compute" if attainable >= device.peak_fp32_flops else "memory",
-    )
-
-
-def lane_efficiency(counters) -> float:
-    """Useful/issued lane fraction of an OpCounters delta."""
-    return counters.lane_efficiency
-
-
-def flop_attribution(tracer, span_name: str = "gpu/kernel_launch") -> dict:
-    """FLOPs per kernel, read back from kernel-launch span args.
-
-    Every ``gpu/kernel_launch`` span carries its per-launch OpCounters
-    delta; this folds them into ``{kernel_name: flops}`` — the per-phase
-    FLOP/s attribution of §V-B without re-running any counter plumbing.
-    """
-    out: dict[str, float] = {}
-    for ev in tracer.spans(span_name):
-        kernel = ev.args.get("kernel", "unknown")
-        delta = ev.args.get("counters", {})
-        out[kernel] = out.get(kernel, 0.0) + float(delta.get("flops", 0.0))
-    return out
 
 
 # -- campaign: per-tenant cost/delivery accounting -----------------------------

@@ -126,28 +126,6 @@ SPAN_NAMES = frozenset(
     + CAMPAIGN_SPANS + RESILIENCE_SPANS
 )
 
-#: Fig. 2 component attribution: span name -> reported component.  The
-#: serial phases map one-to-one; distributed comm spans fold into their
-#: owning phase.
-FIG2_COMPONENTS = {
-    "tree_build": "tree_build",
-    "long_range": "long_range",
-    "short_range": "short_range",
-    "hydro": "hydro",
-    "subgrid": "subgrid",
-    "analysis": "analysis",
-    "io": "io",
-    "other": "other",
-}
-
-#: Fig. 6 derived metrics sourced from gpu/* spans and instruments
-FIG6_METRICS = (
-    "gpu/lane_efficiency",
-    "gpu/arithmetic_intensity",
-    "utilization/sustained",
-    "utilization/peak",
-)
-
 
 def is_registered(name: str) -> bool:
     return name in SPAN_NAMES

@@ -10,7 +10,6 @@ from .campaign import (
 from .ensemble import (
     EnsembleMember,
     EnsemblePlan,
-    flagship_vs_ensemble_tradeoff,
     member_cost_node_hours,
     plan_ensemble,
 )
@@ -23,12 +22,8 @@ from .landscape import (
     landscape_catalog,
     matching_resolution_elements,
 )
-from .machine import Machine, aurora, frontier, jlse_h100
-from .portability import (
-    performance_portability,
-    portability_verdict,
-    solver_portability,
-)
+from .machine import Machine, frontier
+from .portability import performance_portability, solver_portability
 from .scaling import (
     ScalingPoint,
     figure4_table,
@@ -61,15 +56,12 @@ __all__ = [
     "Machine",
     "ScalingPoint",
     "SimulationEntry",
-    "aurora",
     "capability_leap_factor",
     "clustering_amplitude",
     "data_imbalance",
     "figure4_table",
-    "flagship_vs_ensemble_tradeoff",
     "frontier",
     "hydro_vs_gravity_cost_ratio",
-    "jlse_h100",
     "landscape_catalog",
     "machine_flop_rates",
     "machine_straggler_factor",
@@ -77,7 +69,6 @@ __all__ = [
     "matching_resolution_elements",
     "performance_portability",
     "plan_ensemble",
-    "portability_verdict",
     "rank_utilization_samples",
     "solver_portability",
     "rank_work_sigma",

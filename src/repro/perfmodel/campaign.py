@@ -13,13 +13,12 @@ land on the same 2.6% / 5.45 TB/s independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..constants import (
     FRONTIER_E_CHECKPOINT_TB,
-    FRONTIER_E_GRAVITY_ONLY_HOURS,
     FRONTIER_E_PM_STEPS,
     FRONTIER_E_SCIENCE_DATA_PB,
     FRONTIER_E_TTS_FRACTIONS,

@@ -107,26 +107,3 @@ def plan_ensemble(
         total_node_hours=n * cost,
         budget_node_hours=budget_node_hours,
     )
-
-
-def flagship_vs_ensemble_tradeoff(
-    budget_node_hours: float, machine: Machine | None = None
-) -> dict:
-    """The §VII design question: one flagship or N smaller members?
-
-    Compares a single Frontier-E-class run against ensembles at 1/8 and
-    1/64 the particle count under the same budget.
-    """
-    out = {}
-    for frac, label in ((1.0, "flagship"), (1 / 8, "eighth"), (1 / 64, "64th")):
-        plan = plan_ensemble(
-            budget_node_hours, FRONTIER_E_PARTICLES * frac, machine=machine
-        )
-        out[label] = {
-            "members": plan.n_members,
-            "covariance_precision": plan.covariance_precision(),
-            "node_hours_per_member": (
-                plan.members[0].node_hours if plan.members else float("nan")
-            ),
-        }
-    return out

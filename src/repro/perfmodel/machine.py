@@ -1,10 +1,10 @@
-"""Machine descriptions: Frontier, Aurora, JLSE (paper Section V-A)."""
+"""Machine description: Frontier, the campaign system (paper Section V-A)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..gpusim.device import H100_SXM5, MI250X_GCD, PVC_TILE, GPUSpec
+from ..gpusim.device import MI250X_GCD, GPUSpec
 from ..iosim.nvme import NVMeModel
 from ..iosim.pfs import PFSModel
 
@@ -64,32 +64,4 @@ def frontier(n_nodes: int = 9000) -> Machine:
         nvme_per_node=NVMeModel(capacity_tb=3.5, write_bw_gbps=4.0,
                                 read_bw_gbps=8.0),
         pfs=PFSModel(peak_write_tbps=4.6, peak_read_tbps=5.5),
-    )
-
-
-def aurora(n_nodes: int = 2048) -> Machine:
-    """ALCF Aurora: 2x Xeon Max + 6x PVC (12 tiles) per node; RAM-disk tier."""
-    return Machine(
-        name="Aurora",
-        n_nodes=n_nodes,
-        gpus_per_node=12,
-        device=PVC_TILE,
-        nvme_per_node=NVMeModel(capacity_tb=1.0, write_bw_gbps=8.0,
-                                read_bw_gbps=12.0),  # RAM-disk stand-in
-        pfs=PFSModel(peak_write_tbps=2.0, peak_read_tbps=3.0),
-        interconnect="Slingshot 11 dragonfly",
-    )
-
-
-def jlse_h100(n_nodes: int = 1) -> Machine:
-    """JLSE H100 testbed: 2x Xeon 8468 + 4x H100 SXM5 per node."""
-    return Machine(
-        name="JLSE H100",
-        n_nodes=n_nodes,
-        gpus_per_node=4,
-        device=H100_SXM5,
-        nvme_per_node=NVMeModel(capacity_tb=7.0, write_bw_gbps=6.0,
-                                read_bw_gbps=12.0),
-        pfs=PFSModel(peak_write_tbps=0.2, peak_read_tbps=0.3),
-        interconnect="InfiniBand",
     )

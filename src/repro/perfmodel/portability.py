@@ -54,17 +54,3 @@ def solver_portability(
         "pp": performance_portability(eff.values()),
         "kind": kind,
     }
-
-
-def portability_verdict(pp: float, best_efficiency: float) -> str:
-    """Qualitative reading: PP close to the best single-platform
-    efficiency means the code is genuinely portable (no platform is
-    carried by the others)."""
-    if pp == 0.0:
-        return "not portable (fails on at least one platform)"
-    ratio = pp / best_efficiency
-    if ratio > 0.9:
-        return "performance portable (uniform efficiency across platforms)"
-    if ratio > 0.6:
-        return "mostly portable (one platform lags)"
-    return "poorly portable (efficiency dominated by one platform)"

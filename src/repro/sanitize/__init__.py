@@ -21,19 +21,14 @@ tooling"):
   ``DistributedConfig.sanitize`` — and free when off.
 """
 
-from .baseline import (
-    apply_baseline,
-    load_baseline,
-    subtract_baseline,
-    write_baseline,
-)
+from .baseline import apply_baseline, load_baseline, write_baseline
 from .comm import CommFinding, CommSanitizer
 from .deep import DEEP_RULE_NAMES, deep_analyze, deep_rule_descriptors
 from .engine import FileContext, Finding, LintEngine, LintResult, Rule, parse_file
 from .lanes import LaneCollisionError, LaneSanitizer
 from .numerics import NumericsError, NumericsSanitizer, kinetic_internal_energy
 from .reporting import render_json, render_text
-from .rules import default_rules, get_rules, rule_names
+from .rules import default_rules, get_rules
 
 __all__ = [
     "CommFinding",
@@ -58,7 +53,5 @@ __all__ = [
     "parse_file",
     "render_json",
     "render_text",
-    "rule_names",
-    "subtract_baseline",
     "write_baseline",
 ]

@@ -50,15 +50,6 @@ def load_baseline(path: str) -> dict:
     }
 
 
-def subtract_baseline(findings, baseline: dict):
-    """Drop up to ``count`` recorded findings per key.
-
-    Returns ``(fresh_findings, n_suppressed)``.
-    """
-    fresh, n_suppressed, _stale = apply_baseline(findings, baseline)
-    return fresh, n_suppressed
-
-
 def apply_baseline(findings, baseline: dict):
     """Subtract the baseline and surface paid-off debt.
 

@@ -31,7 +31,6 @@ BLOCKING_COLLECTIVES = frozenset({"allreduce"})
 NONBLOCKING_COLLECTIVES = frozenset(
     {"ialltoallv", "iallgather", "iallreduce"}
 )
-COLLECTIVE_OPS = BLOCKING_COLLECTIVES | NONBLOCKING_COLLECTIVES
 #: request-handle settlement methods
 SETTLE_METHODS = frozenset({"wait", "cancel"})
 #: receiver names treated as communicators
@@ -56,9 +55,6 @@ def comm_call(node: ast.AST) -> str | None:
     ):
         return node.func.attr
     return None
-
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 @dataclass

@@ -28,10 +28,6 @@ def default_rules() -> list:
     return [cls() for cls in _RULE_CLASSES]
 
 
-def rule_names() -> list:
-    return [cls.name for cls in _RULE_CLASSES]
-
-
 def get_rules(names=None) -> list:
     """Rules selected by name (all when ``names`` is None/empty)."""
     names = list(names) if names is not None else []
@@ -54,5 +50,4 @@ __all__ = [
     "SpanTaxonomyRule",
     "default_rules",
     "get_rules",
-    "rule_names",
 ]

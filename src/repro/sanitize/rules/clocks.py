@@ -2,14 +2,15 @@
 
 The observability layer defines exactly two time bases (DESIGN.md
 "Observability"): wall-clock spans measured through ``TimerGroup`` /
-``Timer`` / the tracer, and simulated-fabric time on ``SimClock``.  A
-raw ``time.perf_counter()`` / ``time.time()`` inside an instrumented
-module produces seconds that no registry instrument or trace track can
-attribute — timing data that silently escapes the Fig. 2 / Fig. 5
-accounting.  Measurement belongs in ``TimerGroup.time(phase)``;
-model timestamps belong on a ``Clock``.  The transport layer itself
-(``parallel/comm.py``), whose fabric-latency model *is* built from
-``perf_counter`` deadlines, carries a file-level pragma.
+``Timer`` / the tracer, and simulated-fabric time passed to the tracer
+as explicit model timestamps.  A raw ``time.perf_counter()`` /
+``time.time()`` inside an instrumented module produces seconds that no
+registry instrument or trace track can attribute — timing data that
+silently escapes the Fig. 2 / Fig. 5 accounting.  Measurement belongs
+in ``TimerGroup.time(phase)``; model timestamps go explicitly to
+``Tracer.complete(ts=...)`` on the ``SIM_PID`` track.  The transport
+layer itself (``parallel/comm.py``), whose fabric-latency model *is*
+built from ``perf_counter`` deadlines, carries a file-level pragma.
 """
 
 from __future__ import annotations
@@ -79,6 +80,6 @@ class ClockDisciplineRule(Rule):
                     message=(
                         f"raw wall-clock read {bad}() in an instrumented "
                         "module; use TimerGroup.time(phase) for measurement "
-                        "or an observe.clock Clock for model timestamps"
+                        "or explicit Tracer.complete(ts=...) model timestamps"
                     ),
                 )

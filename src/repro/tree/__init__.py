@@ -1,6 +1,5 @@
 """Chaining mesh + coarse-leaf k-d tree spatial structures (Section IV-B1)."""
 
-from .bounding_boxes import aabb_of, contains, grow_to_cover, surface_area, union, volume
 from .chaining_mesh import ChainingMesh, build_chaining_mesh, neighbor_pairs
 from .interaction_lists import (
     InteractionList,
@@ -18,16 +17,10 @@ __all__ = [
     "LeafSet",
     "PairCache",
     "PairRows",
-    "aabb_of",
     "active_leaf_mask",
     "build_chaining_mesh",
     "build_interaction_list",
     "build_leaf_set",
-    "contains",
     "expand_to_particle_pairs",
-    "grow_to_cover",
     "neighbor_pairs",
-    "surface_area",
-    "union",
-    "volume",
 ]

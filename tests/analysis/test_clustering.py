@@ -1,4 +1,4 @@
-"""FOF, DBSCAN, union-find, and BVH tests against brute-force references."""
+"""FOF, DBSCAN and union-find tests against brute-force references."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from repro.analysis import (
     UnionFind,
     brute_force_dbscan_labels,
     brute_force_fof_labels,
-    build_lbvh,
     dbscan,
     fof_halos,
-    morton_codes,
 )
 
 
@@ -195,42 +193,3 @@ class TestDBSCAN:
     def test_empty(self):
         res = dbscan(np.empty((0, 3)), eps=1.0)
         assert res.n_clusters == 0
-
-
-class TestBVH:
-    def test_morton_locality(self):
-        """Nearby points get nearby codes (weak sanity check)."""
-        pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.01, 0.01], [1.0, 1.0, 1.0]])
-        codes = morton_codes(pts, np.zeros(3), np.ones(3))
-        assert abs(int(codes[0]) - int(codes[1])) < abs(
-            int(codes[0]) - int(codes[2])
-        )
-
-    def test_radius_query_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 1, (300, 3))
-        bvh = build_lbvh(pts, max_leaf=8)
-        centers = rng.uniform(0, 1, (10, 3))
-        r = 0.2
-        results = bvh.query_radius(centers, r)
-        for c, found in zip(centers, results):
-            d = pts - c
-            ref = np.nonzero(np.einsum("na,na->n", d, d) <= r * r)[0]
-            assert set(found.tolist()) == set(ref.tolist())
-
-    def test_query_empty_region(self):
-        pts = np.random.default_rng(6).uniform(0, 0.1, (50, 3))
-        bvh = build_lbvh(pts)
-        res = bvh.query_radius(np.array([[0.9, 0.9, 0.9]]), 0.05)
-        assert len(res[0]) == 0
-
-    def test_all_points_in_some_leaf(self):
-        pts = np.random.default_rng(7).uniform(0, 1, (100, 3))
-        bvh = build_lbvh(pts, max_leaf=4)
-        leaf_nodes = np.nonzero(bvh.leaf_start >= 0)[0]
-        total = bvh.leaf_count[leaf_nodes].sum()
-        assert total == 100
-
-    def test_build_empty_raises(self):
-        with pytest.raises(ValueError):
-            build_lbvh(np.empty((0, 3)))

@@ -1,15 +1,8 @@
 """Two-point correlation function tests."""
 
 import numpy as np
-import pytest
 
-from repro.analysis import (
-    landy_szalay,
-    natural_estimator,
-    pair_counts,
-    xi_from_power,
-)
-from repro.cosmology import PLANCK18, LinearPower
+from repro.analysis import natural_estimator, pair_counts
 
 
 class TestPairCounts:
@@ -61,55 +54,3 @@ class TestEstimators:
         xi = natural_estimator(pos, edges, box=50.0)
         assert xi[0] > 1.0  # strong small-scale clustering
         assert xi[0] > xi[-1]  # decreasing with scale
-
-    def test_landy_szalay_agrees_with_natural_on_periodic_box(self):
-        rng = np.random.default_rng(3)
-        centers = rng.uniform(0, 40, (20, 3))
-        pos = np.mod(
-            centers[rng.integers(0, 20, 2000)] + rng.normal(0, 1.5, (2000, 3)),
-            40.0,
-        )
-        randoms = rng.uniform(0, 40, (4000, 3))
-        edges = np.array([1.0, 3.0, 8.0])
-        xi_n = natural_estimator(pos, edges, box=40.0)
-        xi_ls = landy_szalay(pos, randoms, edges, box=40.0)
-        np.testing.assert_allclose(xi_ls, xi_n, atol=0.3)
-
-
-class TestAnalyticTransform:
-    def test_xi_positive_small_scales(self):
-        power = LinearPower(PLANCK18)
-        xi = xi_from_power(np.array([1.0, 5.0, 20.0]), power)
-        assert np.all(xi > 0)
-        assert xi[0] > xi[1] > xi[2]  # decreasing
-
-    def test_xi_amplitude_at_8mpc(self):
-        """sigma8 = 0.81 implies xi(8 Mpc/h) ~ O(0.5-1.5)."""
-        power = LinearPower(PLANCK18)
-        xi8 = xi_from_power(np.array([8.0]), power)[0]
-        assert 0.3 < xi8 < 2.0
-
-    def test_growth_factor_evaluated_once(self, monkeypatch):
-        """The growth factor is a quadrature of its own: one evaluation per
-        transform, not one per integrand sample."""
-        power = LinearPower(PLANCK18)
-        calls = []
-        growth = type(PLANCK18).growth_factor
-
-        def counting(self, a, *args, **kwargs):
-            calls.append(a)
-            return growth(self, a, *args, **kwargs)
-
-        monkeypatch.setattr(type(PLANCK18), "growth_factor", counting)
-        xi_from_power(np.array([5.0, 10.0]), power, a=0.5)
-        assert calls == [0.5]
-
-    def test_growth_scaling(self):
-        power = LinearPower(PLANCK18)
-        r = np.array([10.0])
-        d = PLANCK18.growth_factor(0.5)
-        np.testing.assert_allclose(
-            xi_from_power(r, power, a=0.5),
-            xi_from_power(r, power, a=1.0) * d**2,
-            rtol=1e-6,
-        )

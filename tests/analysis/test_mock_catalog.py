@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     FOFCatalog,
     HODParams,
-    expected_number_density,
     populate_halos,
     virial_velocity,
 )
@@ -68,13 +67,6 @@ class TestPopulation:
         hod = HODParams()
         expected = 400 * (hod.mean_centrals(1e14) + hod.mean_satellites(1e14))
         assert len(gals) == pytest.approx(expected, rel=0.1)
-
-    def test_expected_number_density(self):
-        masses = np.full(400, 1e14)
-        n_bar = expected_number_density(masses, box=500.0)
-        cat = make_halo_catalog(masses)
-        gals = populate_halos(cat, box=500.0, rng=np.random.default_rng(4))
-        assert len(gals) / 500.0**3 == pytest.approx(n_bar, rel=0.1)
 
     def test_satellites_within_virial_radius(self):
         box = 200.0

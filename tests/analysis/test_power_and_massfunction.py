@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     cluster_count,
-    dimensionless_power,
     halo_mass_function,
     measure_power_spectrum,
     press_schechter_mass_function,
@@ -71,12 +70,6 @@ class TestPowerMeasurement:
         expected = power(k[sel])
         ratio = np.nanmean(pk[sel] / expected)
         assert ratio == pytest.approx(1.0, abs=0.45)
-
-    def test_dimensionless_power(self):
-        k = np.array([1.0, 2.0])
-        pk = np.array([10.0, 10.0])
-        d2 = dimensionless_power(k, pk)
-        assert d2[1] / d2[0] == pytest.approx(8.0)
 
     def test_empty_grid_raises(self):
         with pytest.raises(ValueError):

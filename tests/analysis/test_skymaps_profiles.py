@@ -1,4 +1,4 @@
-"""Sky map, lightcone, and halo-profile tests."""
+"""Sky map, lightcone and observable-weight tests."""
 
 import math
 
@@ -12,10 +12,6 @@ from repro.analysis import (
     LightconeBuilder,
     angles_from_vectors,
     compton_y_weights,
-    fit_nfw,
-    nfw_density,
-    radial_profile,
-    virial_radius,
     xray_luminosity_weights,
 )
 from repro.cosmology import PLANCK18
@@ -154,147 +150,3 @@ class TestLightcone:
     def test_invalid_shell_raises(self):
         with pytest.raises(ValueError):
             self.builder.shell(np.zeros((1, 3)), a_inner=0.5, a_outer=0.9)
-
-
-class TestProfiles:
-    def make_nfw_halo(self, n=30000, rho_s=1e14, r_s=0.3, r_max=3.0, seed=6):
-        """Sample particles from an NFW profile by inverse transform on
-        the enclosed-mass function."""
-        rng = np.random.default_rng(seed)
-        # M(<r) ~ ln(1+x) - x/(1+x); sample radii by rejection on a grid
-        r_grid = np.linspace(1e-3, r_max, 4000)
-        pdf = nfw_density(r_grid, rho_s, r_s) * r_grid**2
-        cdf = np.cumsum(pdf)
-        cdf /= cdf[-1]
-        radii = np.interp(rng.uniform(0, 1, n), cdf, r_grid)
-        dirs = rng.normal(size=(n, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        # total mass from the profile integral
-        m_total = np.trapezoid(4 * np.pi * pdf, r_grid)
-        pos = 10.0 + radii[:, None] * dirs  # center at (10,10,10)
-        return np.mod(pos, 20.0), np.full(n, m_total / n), (rho_s, r_s)
-
-    def test_profile_recovers_density_normalization(self):
-        pos, mass, (rho_s, r_s) = self.make_nfw_halo()
-        prof = radial_profile(
-            np.array([10.0, 10.0, 10.0]), pos, mass, box=20.0, r_max=3.0,
-            n_bins=14, r_min=0.05,
-        )
-        model = nfw_density(prof.r_centers, rho_s, r_s)
-        good = prof.counts > 50
-        ratio = prof.density[good] / model[good]
-        assert np.abs(np.log10(ratio)).max() < 0.15
-
-    def test_nfw_fit_recovers_parameters(self):
-        pos, mass, (rho_s, r_s) = self.make_nfw_halo()
-        prof = radial_profile(
-            np.array([10.0, 10.0, 10.0]), pos, mass, box=20.0, r_max=3.0,
-            n_bins=14, r_min=0.05,
-        )
-        fit = fit_nfw(prof, min_counts=50)
-        assert fit.r_s == pytest.approx(r_s, rel=0.25)
-        assert fit.rho_s == pytest.approx(rho_s, rel=0.5)
-        assert fit.log_residual_rms < 0.1
-
-    def test_enclosed_mass_monotone(self):
-        pos, mass, _ = self.make_nfw_halo(n=5000)
-        prof = radial_profile(
-            np.array([10.0, 10.0, 10.0]), pos, mass, box=20.0, r_max=3.0
-        )
-        assert np.all(np.diff(prof.enclosed_mass) >= 0)
-        assert prof.enclosed_mass[-1] == pytest.approx(mass.sum(), rel=0.05)
-
-    def test_temperature_profile(self):
-        rng = np.random.default_rng(7)
-        n = 2000
-        pos = np.mod(10.0 + rng.normal(0, 0.5, (n, 3)), 20.0)
-        mass = np.ones(n)
-        u = np.full(n, 100.0)
-        prof = radial_profile(
-            np.array([10.0, 10.0, 10.0]), pos, mass, box=20.0, r_max=2.0, u=u
-        )
-        from repro.core.sph.eos import IdealGasEOS
-
-        t_expected = IdealGasEOS().temperature(100.0)
-        sampled = prof.temperature[prof.counts > 10]
-        np.testing.assert_allclose(sampled, t_expected, rtol=1e-10)
-
-    def test_virial_radius_of_tophat(self):
-        """Uniform 400x-overdense ball embedded in a mean-density field:
-        R_200 falls where the mean enclosed density crosses 200x."""
-        rng = np.random.default_rng(8)
-        n = 20000
-        r_ball = 1.0
-        box = 20.0
-        radii = r_ball * rng.uniform(0, 1, n) ** (1 / 3)
-        dirs = rng.normal(size=(n, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        ball_pos = np.mod(10.0 + radii[:, None] * dirs, box)
-        m_ball = 400.0 * (4 / 3 * np.pi * r_ball**3)  # rho_mean = 1
-        # background field at the mean density (rho_mean = 1)
-        n_bg = 40000
-        bg_pos = rng.uniform(0, box, (n_bg, 3))
-        pos = np.vstack([ball_pos, bg_pos])
-        mass = np.concatenate(
-            [np.full(n, m_ball / n), np.full(n_bg, box**3 / n_bg)]
-        )
-        r200 = virial_radius(
-            np.array([10.0, 10.0, 10.0]), pos, mass, box=box, rho_mean=1.0,
-            overdensity=200.0,
-        )
-        # mean enclosed: [400 r_b^3 + (r^3 - r_b^3)] / r^3 = 200
-        #   -> r = (399/199)^(1/3) r_ball
-        expected = (399.0 / 199.0) ** (1 / 3) * r_ball
-        assert r200 == pytest.approx(expected, rel=0.05)
-
-    def test_fit_needs_enough_bins(self):
-        prof = radial_profile(
-            np.array([10.0, 10.0, 10.0]),
-            np.random.default_rng(9).uniform(9, 11, (20, 3)),
-            np.ones(20), box=20.0, r_max=1.0,
-        )
-        with pytest.raises(ValueError):
-            fit_nfw(prof, min_counts=1000)
-
-
-class TestAngularPowerSpectrum:
-    def test_monopole_only_for_uniform_map(self):
-        from repro.analysis import angular_power_spectrum
-
-        sky = AngularMap(n_theta=24, n_phi=48)
-        sky.data[:] = 3.0  # uniform surface density
-        c = angular_power_spectrum(sky, ell_max=4)
-        # monopole: a_00 = 3 * sqrt(4 pi) -> C_0 = 9 * 4 pi
-        assert c[0] == pytest.approx(9.0 * 4 * math.pi, rel=1e-3)
-        assert np.all(c[1:] < 1e-6 * c[0])
-
-    def test_dipole_map(self):
-        from repro.analysis import angular_power_spectrum
-
-        sky = AngularMap(n_theta=32, n_phi=64)
-        theta = (np.arange(32) + 0.5) * math.pi / 32
-        sky.data[:] = np.cos(theta)[:, None]  # pure Y_10 shape
-        c = angular_power_spectrum(sky, ell_max=4)
-        assert c[1] > 100 * max(c[0], c[2], c[3], c[4])
-
-    def test_parseval_consistency(self):
-        """sum (2l+1) C_l ~ integral |map|^2 dOmega for band-limited maps."""
-        from repro.analysis import angular_power_spectrum
-
-        rng = np.random.default_rng(11)
-        sky = AngularMap(n_theta=32, n_phi=64)
-        # band-limited random map: sum of low-ell harmonics
-        from scipy.special import sph_harm_y
-
-        theta = (np.arange(32) + 0.5) * math.pi / 32
-        phi = (np.arange(64) + 0.5) * 2 * math.pi / 64
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        data = np.zeros_like(tt)
-        for ell in range(4):
-            for m in range(-ell, ell + 1):
-                data += rng.normal() * np.real(sph_harm_y(ell, m, tt, pp))
-        sky.data[:] = data
-        c = angular_power_spectrum(sky, ell_max=5)
-        lhs = sum((2 * l + 1) * c[l] for l in range(6))
-        rhs = float(np.sum(sky.data**2 * sky.pixel_solid_angle))
-        assert lhs == pytest.approx(rhs, rel=0.05)

@@ -139,3 +139,10 @@ class TestSpec:
         assert len(spec.jobs) == 3
         vip = [j for j in spec.jobs if j.name == "vip"][0]
         assert vip.priority == 0 and vip.n_per_dim == 4  # base folded in
+
+    def test_unknown_spec_key_raises(self):
+        # "sweeps" for "sweep" would otherwise run the base job alone
+        doc = {"base": {"n_per_dim": 4}, "sweeps": {"seed": [1, 2]},
+               "worker": 3}
+        with pytest.raises(ValueError, match=r"\['sweeps', 'worker'\]"):
+            CampaignSpec.from_dict(doc)

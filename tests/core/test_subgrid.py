@@ -1,25 +1,19 @@
-"""Subgrid astrophysics tests: cooling, SF, SN, AGN, enrichment."""
+"""Subgrid astrophysics tests: cooling, SF, SN, AGN, stellar evolution."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.constants import YEAR_S, Z_SOLAR
 from repro.core.sph.eos import IdealGasEOS
 from repro.core.subgrid import (
     AGNModel,
     CoolingModel,
-    MetalBudget,
     StarFormationModel,
     SupernovaModel,
     bondi_rate,
     eddington_rate,
-    inject_yields,
     kernel_weights_for_sources,
     lambda_cooling,
-    lock_metals_into_stars,
-    mass_weighted_metallicity,
     uv_heating_rate,
 )
 
@@ -255,49 +249,6 @@ class TestAGN:
         )
 
 
-class TestEnrichment:
-    def test_budget_accounting(self):
-        b = MetalBudget()
-        b.gas_metals = 10.0
-        b.stellar_metals = 5.0
-        assert b.total == 15.0
-        b.snapshot(a=0.5)
-        assert b.history[0]["gas"] == 10.0
-
-    def test_lock_metals(self):
-        gm = np.array([2.0, 3.0, 4.0])
-        gz = np.array([0.01, 0.02, 0.0])
-        locked = lock_metals_into_stars(gm, gz, np.array([0, 1]))
-        assert locked == pytest.approx(2.0 * 0.01 + 3.0 * 0.02)
-        assert lock_metals_into_stars(gm, gz, np.array([], dtype=int)) == 0.0
-
-    def test_inject_yields_conserves_metal_mass(self):
-        gm = np.array([1e8, 2e8, 3e8])
-        gz = np.zeros(3)
-        inj = np.array([1e5, 2e5])
-        new_z = inject_yields(gm, gz, np.array([0, 2]), inj)
-        assert np.sum(gm * new_z) == pytest.approx(3e5, rel=1e-12)
-
-    def test_metallicity_clipped(self):
-        gm = np.array([1.0])
-        new_z = inject_yields(gm, np.array([0.9]), np.array([0]), np.array([5.0]))
-        assert new_z[0] == 1.0
-
-    @given(
-        z0=st.floats(0.0, 0.1),
-        frac=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_mass_weighted_metallicity_bounds(self, z0, frac):
-        mass = np.array([1.0, 2.0])
-        z = np.array([z0, z0 * frac])
-        mz = mass_weighted_metallicity(mass, z)
-        assert min(z) - 1e-12 <= mz <= max(z) + 1e-12
-
-    def test_mass_weighted_empty(self):
-        assert mass_weighted_metallicity(np.array([]), np.array([])) == 0.0
-
-
 class TestStellarEvolution:
     def test_snia_dtd_normalization(self):
         """Integrating the full DTD gives n_per_msun events per Msun."""
@@ -350,13 +301,3 @@ class TestStellarEvolution:
         split = (agb.mass_returned_between(m, 0.0, 1000.0)
                  + agb.mass_returned_between(m, 1000.0, 5000.0))
         assert split == pytest.approx(total, rel=1e-12)
-
-    def test_enrichment_history_budget(self):
-        from repro.core.subgrid import enrichment_history
-
-        hist = enrichment_history(1e9, np.array([100.0, 1000.0, 1.0e4]))
-        assert np.all(np.diff(hist["snia_events"]) > 0)
-        assert np.all(np.diff(hist["mass_returned_msun"]) > 0)
-        # sensible magnitudes: ~1.3e6 SNIa and ~3.5e8 Msun returned in a Hubble time
-        assert hist["snia_events"][-1] == pytest.approx(1.3e6, rel=1e-6)
-        assert hist["mass_returned_msun"][-1] == pytest.approx(3.5e8, rel=1e-6)

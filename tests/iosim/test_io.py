@@ -8,7 +8,6 @@ from repro.iosim import (
     MultiTierWriter,
     NVMeModel,
     PFSModel,
-    expected_efficiency,
     simulate_run_with_faults,
     young_daly_interval,
 )
@@ -199,13 +198,6 @@ class TestFaults:
             **common,
         )
         assert frequent.wallclock_hours < rare.wallclock_hours
-
-    def test_analytic_efficiency_has_interior_optimum(self):
-        taus = np.linspace(0.02, 5.0, 200)
-        eff = [expected_efficiency(t, 0.01, 3.0) for t in taus]
-        best = taus[int(np.argmax(eff))]
-        yd = young_daly_interval(0.01, 3.0)
-        assert best == pytest.approx(yd, rel=0.5)
 
     def test_impossible_run_raises(self):
         with pytest.raises(RuntimeError):

@@ -8,7 +8,6 @@ from repro.gpusim.counters import OpCounters
 from repro.iosim.tiers import MultiTierWriter
 from repro.observe import Observatory, Tracer, slice_intervals
 from repro.observe.clock import SIM_PID
-from repro.observe.derived import flop_attribution, roofline_point
 from repro.tree import (
     build_chaining_mesh,
     build_interaction_list,
@@ -84,18 +83,6 @@ class TestKernelLaunchSpans:
         _, solver, r1, r2 = gpu_pass
         assert solver.total_counters.flops == \
             r1.counters.flops + r2.counters.flops
-
-    def test_flop_attribution_reads_span_args(self, gpu_pass):
-        tracer, _, r1, r2 = gpu_pass
-        attr = flop_attribution(tracer)
-        assert attr == {"sph_density": r1.counters.flops + r2.counters.flops}
-
-    def test_roofline_point_from_launch_delta(self, gpu_pass):
-        _, _, r1, _ = gpu_pass
-        pt = roofline_point(r1.counters, MI250X_GCD)
-        assert pt.flops == r1.counters.flops
-        assert pt.bound in ("memory", "compute")
-        assert 0 < pt.attainable_fraction <= 1.0
 
     def test_untraced_solver_matches_traced(self, gpu_pass):
         """Instrumentation must not perturb the numerics."""

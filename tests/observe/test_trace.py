@@ -2,9 +2,7 @@
 
 import threading
 
-import pytest
-
-from repro.observe import NullTracer, SimClock, Tracer, WallClock
+from repro.observe import NullTracer, Tracer, WallClock
 from repro.observe.clock import SIM_PID, WALL_PID
 
 
@@ -140,17 +138,6 @@ class TestClocks:
     def test_wall_clock_monotone(self):
         c = WallClock()
         assert 0.0 <= c.now() <= c.now()
-
-    def test_sim_clock_advance_and_set(self):
-        c = SimClock()
-        assert c.now() == 0.0
-        c.advance(1.5)
-        c.set(4.0)
-        assert c.now() == 4.0
-        with pytest.raises(ValueError):
-            c.advance(-1.0)
-        with pytest.raises(ValueError):
-            c.set(1.0)
 
 
 class TestNullTracer:

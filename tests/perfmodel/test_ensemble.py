@@ -1,11 +1,9 @@
 """Ensemble-planning tests (paper §VII implications)."""
 
-import numpy as np
 import pytest
 
 from repro.constants import FRONTIER_E_PARTICLES
 from repro.perfmodel import (
-    flagship_vs_ensemble_tradeoff,
     member_cost_node_hours,
     plan_ensemble,
 )
@@ -55,9 +53,3 @@ class TestPlanning:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             plan_ensemble(0.0, 1e12)
-
-    def test_tradeoff_table(self):
-        out = flagship_vs_ensemble_tradeoff(2.0e7)
-        assert out["flagship"]["members"] < out["eighth"]["members"]
-        assert out["eighth"]["members"] < out["64th"]["members"]
-        assert np.isfinite(out["64th"]["covariance_precision"])

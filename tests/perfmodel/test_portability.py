@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.perfmodel import (
-    performance_portability,
-    portability_verdict,
-    solver_portability,
-)
+from repro.perfmodel import performance_portability, solver_portability
 
 
 class TestPPMetric:
@@ -36,7 +32,6 @@ class TestSolverPortability:
         res = solver_portability(kind="sustained")
         best = max(res["efficiencies"].values())
         assert res["pp"] > 0.9 * best
-        assert "portable" in portability_verdict(res["pp"], best)
         assert set(res["efficiencies"]) == {"AMD", "Intel", "NVIDIA"}
 
     def test_peak_portability(self):
@@ -46,7 +41,3 @@ class TestSolverPortability:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             solver_portability(kind="typical")
-
-    def test_verdicts(self):
-        assert "not portable" in portability_verdict(0.0, 0.5)
-        assert "poorly" in portability_verdict(0.1, 0.5)

@@ -1,0 +1,128 @@
+"""Every top-level function and class in ``src/repro`` has a caller.
+
+A word-level reference closure over the package.  The roots are the
+words of every non-test entry point (``benchmarks/``, ``examples/``,
+``scripts/``, ``python -m repro``) and of every module-level statement in
+``src/repro`` (constants, tables, registrations, decorators — imports,
+``__all__`` and module docstrings excepted, since a re-export is not a
+caller).  A reached symbol reaches every symbol whose name occurs as a
+word in its source.  What is left unreached is reached by tests alone.
+
+The check is deliberately coarse: any occurrence of a name, a comment
+included, counts as a reference, so a miss here is a sure miss.  The only
+test-only symbols allowed are the reference implementations and trace
+readers in ``KEEP``, each kept because a test measures live code against
+it; the list is exact in both directions, so a kept symbol that gains a
+caller must leave it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+ENTRY_POINTS = ("benchmarks/**/*.py", "examples/*.py", "scripts/*.py",
+                "src/repro/__main__.py")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+#: test-only symbols that stay: name -> the test that compares against it
+KEEP = {
+    "ewald_accelerations":
+        "tests/core/test_ewald.py::TestForceSplitVsEwald::"
+        "test_random_cloud_total_force",
+    "direct_accelerations":
+        "tests/core/test_gravity.py::TestSplitCompleteness::"
+        "test_direct_summation_conserves_momentum",
+    "long_range_shape":
+        "tests/core/test_gravity.py::TestForceSplit::"
+        "test_shape_functions_sum_to_one",
+    "brute_force_fof_labels":
+        "tests/analysis/test_clustering.py::TestFOF::test_matches_brute_force",
+    "brute_force_dbscan_labels":
+        "tests/analysis/test_clustering.py::TestDBSCAN::"
+        "test_core_points_match_brute_force",
+    "build_overloaded_domains":
+        "tests/parallel/test_decomposition_overload.py::TestOverloadOracle",
+    "OverloadedDomain":
+        "tests/parallel/test_decomposition_overload.py::TestOverloadOracle "
+        "(the oracle's return type)",
+    "gather_slabs":
+        "tests/parallel/test_swfft.py::test_scatter_gather_roundtrip",
+    "load_chrome_trace":
+        "tests/test_cli.py::TestCLI::test_demo_trace_export (reads back the "
+        "trace the program writes)",
+    "slice_intervals":
+        "tests/observe/test_instrumented_parallel.py::TestOverlapAcceptance",
+}
+
+
+def _words(text: str) -> set:
+    return set(_WORD.findall(text))
+
+
+def _is_reexport_or_doc(node: ast.stmt) -> bool:
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    if isinstance(node, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in node.targets)
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+
+
+def _scan_package():
+    """``({name: {module, ...}}, {name: words of its bodies}, root words)``."""
+    where: dict[str, set] = {}
+    body_words: dict[str, set] = {}
+    roots: set = set()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = ".".join(("repro",) + parts)
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                where.setdefault(node.name, set()).add(module)
+                body_words.setdefault(node.name, set()).update(
+                    _words(ast.get_source_segment(text, node)))
+                for dec in node.decorator_list:
+                    roots |= _words(ast.get_source_segment(text, dec))
+            elif not _is_reexport_or_doc(node):
+                roots |= _words(ast.get_source_segment(text, node))
+    return where, body_words, roots
+
+
+def unreachable() -> dict:
+    """``{name: sorted modules}`` for every symbol no entry point reaches."""
+    where, body_words, roots = _scan_package()
+    for pattern in ENTRY_POINTS:
+        for path in ROOT.glob(pattern):
+            roots |= _words(path.read_text(encoding="utf-8"))
+    reached: set = set()
+    frontier = roots & where.keys()
+    while frontier:
+        reached |= frontier
+        frontier = {w for name in frontier for w in body_words[name]
+                    if w in where} - reached
+    return {name: sorted(where[name]) for name in where.keys() - reached}
+
+
+def test_every_symbol_has_a_caller():
+    dead = {name: mods for name, mods in unreachable().items()
+            if name not in KEEP}
+    listing = "\n".join(sorted(f"  {m}.{name}" for name, mods in dead.items()
+                               for m in mods))
+    assert not dead, (
+        f"{len(dead)} top-level symbol(s) in src/repro are reached only by "
+        f"tests; give each a caller or delete it:\n{listing}"
+    )
+
+
+def test_keep_list_is_exact():
+    stale = sorted(KEEP.keys() - unreachable().keys())
+    assert not stale, (
+        f"KEEP entries that are no longer test-only (they gained a caller "
+        f"or were deleted), remove them from KEEP: {stale}"
+    )
