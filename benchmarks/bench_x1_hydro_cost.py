@@ -110,18 +110,17 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     import repro.core.sph.crk as crk_mod
     import repro.core.sph.hydro as hydro_mod
     import repro.core.sph.viscosity as visc_mod
+    from repro.core.geometry import pair_displacements
     from repro.core.sph import (
         compute_corrections,
         compute_density,
         compute_number_density,
+        corrected_kernel_pairs,
         crksph_derivatives,
         get_kernel,
     )
     from repro.core.sph.eos import IdealGasEOS
-    from repro.core.sph.hydro import (
-        symmetrized_gradients,
-        update_smoothing_lengths,
-    )
+    from repro.core.sph.hydro import update_smoothing_lengths
     from repro.core.sph.viscosity import (
         MonaghanViscosity,
         balsara_switch,
@@ -167,8 +166,14 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
         rho = compute_density(pos, mass, h, pi, pj, kernel, corr, box=box)
         pressure = eos.pressure(rho, u)
         cs = eos.sound_speed(rho, u)
-        g_pair, dx = symmetrized_gradients(corr, pos, h, pi, pj, kernel,
-                                           box=box)
+        # G_ij = grad_i W^R_ij - grad_j W^R_ji, both orientations on every
+        # directed row
+        dx = pair_displacements(pos, pi, pj, box)
+        _, g_ij = corrected_kernel_pairs(corr, pos, h, pi, pj, kernel,
+                                         dx_pairs=dx)
+        _, g_ji = corrected_kernel_pairs(corr, pos, h, pj, pi, kernel,
+                                         dx_pairs=-dx)
+        g_pair = g_ij - g_ji
         dv = vel[pi] - vel[pj]
         h_ij = 0.5 * (h[pi] + h[pj])
         c_ij = 0.5 * (cs[pi] + cs[pj])
@@ -177,8 +182,8 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
             pos, vel, vol, h, pi, pj, kernel, dx_pairs=dx
         )
         f = balsara_switch(div_v, curl_v, cs, h)
-        pi_visc = viscosity.pi_pair(dx, dv, h_ij, c_ij, rho_ij,
-                                    limiter=0.5 * (f[pi] + f[pj]))
+        pi_visc = viscosity.pi_pair(viscosity.mu_pair(dx, dv, h_ij), c_ij,
+                                    rho_ij, limiter=0.5 * (f[pi] + f[pj]))
         q_ij = 0.25 * rho[pi] * rho[pj] * pi_visc
         pbar = 0.5 * (pressure[pi] + pressure[pj]) + q_ij
         vv = vol[pi] * vol[pj]

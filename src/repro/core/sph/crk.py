@@ -203,6 +203,16 @@ def compute_corrections(
     return CRKCorrections(a=a, b=b, grad_a=grad_a, grad_b=grad_b)
 
 
+def corrected_kernel_values(corrections: CRKCorrections, pi, dx, w):
+    """The forward corrected kernel ``W^R_ij = A_i (1 + B_i . dx) W_ij``
+    per pair, without its gradient: all a density sum reads.  ``w`` is the
+    base kernel at support ``h_i``; the arithmetic is that of
+    :func:`corrected_kernel_pairs`, so the values are its bits."""
+    b = np.take(corrections.b, pi, axis=0)
+    lin = 1.0 + np.einsum("pa,pa->p", b, dx)
+    return corrections.a[pi] * lin * w
+
+
 def corrected_kernel_pairs(
     corrections: CRKCorrections,
     pos: np.ndarray,

@@ -28,11 +28,6 @@ class IdealGasEOS:
         u = np.asarray(u, dtype=np.float64)
         return np.sqrt(self.gamma * (self.gamma - 1.0) * np.maximum(u, 0.0))
 
-    def internal_energy_from_pressure(self, rho, p):
-        rho = np.asarray(rho, dtype=np.float64)
-        p = np.asarray(p, dtype=np.float64)
-        return p / ((self.gamma - 1.0) * np.maximum(rho, 1e-300))
-
     def temperature(self, u, mu: float = 0.59):
         """Temperature in K from specific internal energy in (km/s)^2."""
         u_cgs = np.asarray(u, dtype=np.float64) * KM_CM**2

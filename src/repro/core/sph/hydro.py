@@ -3,7 +3,7 @@
 The evolution equations follow Frontiere, Raskin & Owen (2017).  For each
 symmetric pair (i, j) the antisymmetrized corrected-kernel gradient
 
-    G_ij = 0.5 * (grad_i W^R_ij - grad_j W^R_ji)
+    G_ij = grad_i W^R_ij - grad_j W^R_ji
 
 drives momentum and energy exchange:
 
@@ -11,8 +11,18 @@ drives momentum and energy exchange:
     du_i/dt = +(1/(2 m_i)) sum_j V_i V_j Pbar_ij (v_i - v_j) . G_ij
 
 with Pbar_ij = (P_i + P_j)/2 + q_ij (artificial viscosity pseudo-pressure).
-Because G_ij = -G_ji and Pbar is symmetric, total momentum and total energy
-are conserved to round-off whenever the pair list is symmetric.
+Each one-sided corrected gradient paired with (P_i + P_j)/2 reproduces
+half the continuum pressure gradient — the gather side contributes
+grad(P)/2 (first-order consistency) and the P_i term vanishes
+(zeroth-order) — so the *sum* of the two orientations, not their average,
+recovers -grad(P)/rho exactly for linear fields (Section 3.2 there).
+
+Because G_ij = -G_ji and Pbar is symmetric, the pair force is
+antisymmetric and the work term symmetric, so the force assembly
+evaluates each unordered pair once — the forward orientation (support
+h_i, corrections of i) and the mirrored one (support h_j, corrections of
+j) on its ``pi < pj`` row — and applies it to both ends.  Total momentum
+and total energy are conserved to round-off.
 """
 
 from __future__ import annotations
@@ -24,7 +34,12 @@ import numpy as np
 from ...tree.pair_cache import ActivePairSlices, PairRows
 from ..geometry import pair_differences, pair_displacements
 from ..scatter import SegmentReducer, segment_sum
-from .crk import CRKCorrections, compute_corrections, corrected_kernel_pairs
+from .crk import (
+    CRKCorrections,
+    compute_corrections,
+    corrected_kernel_pairs,
+    corrected_kernel_values,
+)
 from .eos import IdealGasEOS
 from .kernels import Kernel
 from .pair_batch import PairBatch, make_pair_batch
@@ -58,9 +73,8 @@ def compute_density(
     n = pos.shape[0]
     if dx_pairs is None:
         dx_pairs = pair_displacements(pos, pi, pj, box)
-    wr, _ = corrected_kernel_pairs(
-        corrections, pos, h, pi, pj, kernel, dx_pairs=dx_pairs
-    )
+    r = np.sqrt(np.sum(dx_pairs * dx_pairs, axis=-1))
+    wr = corrected_kernel_values(corrections, pi, dx_pairs, kernel.w(r, h[pi]))
     rho = segment_sum(mass[pj] * wr, pi, n)
     return np.maximum(rho, 1e-300)
 
@@ -110,30 +124,6 @@ class HydroDerivatives:
     volume: np.ndarray  # aligned with tier2
     corrections: CRKCorrections  # aligned with tier1
     n_pairs: int = 0
-
-
-def symmetrized_gradients(corrections, pos, h, pi, pj, kernel, box=None):
-    """Pairwise antisymmetrized corrected-kernel gradients G_ij.
-
-    G_ij = grad_i W^R_ij - grad_j W^R_ji.  Each one-sided corrected
-    gradient reproduces half the continuum pressure gradient when paired
-    with (P_i + P_j)/2 — the gather side contributes grad(P)/2 (first-order
-    consistency) and the P_i term vanishes (zeroth-order) — so the *sum* of
-    the two orientations, not their average, recovers -grad(P)/rho exactly
-    for linear fields (Frontiere, Raskin & Owen 2017, Section 3.2).
-    Antisymmetry (G_ij = -G_ji) is what makes the pairing conservative.
-
-    Requires a symmetric pair list.  Returns (G, dx) with G of shape (P, 3).
-    """
-    dx = pair_displacements(pos, pi, pj, box)
-    _, g_ij = corrected_kernel_pairs(
-        corrections, pos, h, pi, pj, kernel, dx_pairs=dx
-    )
-    # grad_j W^R_ji: corrections of j, separation x_j - x_i = -dx, h_j
-    _, g_ji = corrected_kernel_pairs(
-        corrections, pos, h, pj, pi, kernel, dx_pairs=-dx
-    )
-    return g_ij - g_ji, dx
 
 
 def crksph_derivatives(
@@ -222,11 +212,6 @@ def _spread(tier, values, n):
     return out
 
 
-def _take(x, rows):
-    """``x[rows]`` along axis 0; ``rows=None`` is every row, uncopied."""
-    return x if rows is None else np.take(x, rows, axis=0)
-
-
 def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     """The CRKSPH pipeline behind both public entry points.
 
@@ -238,12 +223,19 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     * CRK corrections, corrected density, pressure, sound speed, and the
       Balsara limiter on the 1-hop closure (``tier1`` pairs; the pair force
       reads all of these at both ends of every sink pair);
-    * the antisymmetrized pair force, work, and signal speed on the sink
-      pairs only, assembled into compact rows without densifying to N.
+    * the antisymmetrized pair force, work, and signal speed once per
+      unordered pair with an end in ``sinks``, applied to both ends.
 
     ``b1`` is the tier-1 batch when the caller already holds it.  When the
-    tier-2 rows are the tier-1 rows one batch serves both, and when every
-    tier-1 row is a sink row the assembly streams the batch's own arrays.
+    tier-2 rows are the tier-1 rows one batch serves both.
+
+    Both ends of a sink pair are in tier 1, so its ``pi < pj`` row is a
+    tier-1 row: the unordered rows are a mask of the batch, in half-list
+    order.  A sink ``i`` is an end of every row that touches it, so its
+    sums ``A_i`` (rows with ``pi = i``) and ``B_i`` (rows with ``pj = i``)
+    run over the same rows in the same order whatever the sink set, and a
+    ``bincount`` accumulates in input order: a sink's row holds the bits of
+    the full evaluation.
     """
     eos = eos or IdealGasEOS()
     viscosity = viscosity or MonaghanViscosity()
@@ -266,11 +258,8 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
         grad_a=_spread(sl.tier1, corr1.grad_a, n),
         grad_b=_spread(sl.tier1, corr1.grad_b, n),
     )
-    # one corrected-kernel evaluation per orientation serves both the
-    # density sum (forward W^R) and the antisymmetrized gradient pairing
-    wr1, g_ij1 = corrected_kernel_pairs(
-        corr, pos, h, pi1, pj1, kernel, dx_pairs=b1.dx, wg=b1.kernel_i()
-    )
+    # the density sum reads only the forward value W^R_ij
+    wr1 = corrected_kernel_values(corr, pi1, b1.dx, b1.w_i)
     rho1 = np.maximum(b1.seg.sum(mass[pj1] * wr1), 1e-300)
     pressure1 = eos.pressure(rho1, u[sl.tier1])
     cs1 = eos.sound_speed(rho1, u[sl.tier1])
@@ -283,21 +272,29 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     )
     f = _spread(sl.tier1, balsara_switch(div1, curl1, cs1, h[sl.tier1]), n)
 
-    # -- sink pairs: antisymmetrized force assembly --------------------------
-    m0 = None if sl.mask0 is None else np.flatnonzero(sl.mask0)
-    pi, pj, dx = _take(pi1, m0), _take(pj1, m0), _take(b1.dx, m0)
-    r, unit = _take(b1.r, m0), _take(b1.unit, m0)
-    seg = b1.seg if m0 is None else SegmentReducer(
-        _rows_in(sl.sinks, pi, n), len(sl.sinks), assume_sorted=True)
+    # -- sink pairs: each unordered pair once, applied to both ends ----------
+    half = pi1 < pj1
+    if sl.mask0 is not None:
+        sink = np.zeros(n, dtype=bool)
+        sink[sl.sinks] = True
+        half &= sl.mask0 | sink[pj1]
+    rows = np.flatnonzero(half)
+    pi, pj = pi1[rows], pj1[rows]
+    dx, r = np.take(b1.dx, rows, axis=0), b1.r[rows]
 
-    # grad_j W^R_ji: corrections of j, separation x_j - x_i = -dx, support
-    # h_j, gradient with respect to x_j
+    # grad_i W^R_ij at support h_i, and grad_j W^R_ji: corrections of j,
+    # separation x_j - x_i = -dx, support h_j, gradient with respect to x_j
+    _, g_ij = corrected_kernel_pairs(
+        corr, pos, h, pi, pj, kernel, dx_pairs=dx,
+        wg=(b1.w_i[rows], np.take(b1.gw_i, rows, axis=0)),
+    )
     hj = h[pj]
     _, g_ji = corrected_kernel_pairs(
         corr, pos, h, pj, pi, kernel, dx_pairs=-dx,
-        wg=(kernel.w(r, hj), -kernel.dw_dr(r, hj)[:, None] * unit),
+        wg=(kernel.w(r, hj),
+            -kernel.dw_dr(r, hj)[:, None] * np.take(b1.unit, rows, axis=0)),
     )
-    g_pair = _take(g_ij1, m0) - g_ji
+    g_pair = g_ij - g_ji
 
     dv = pair_differences(vel, pi, pj)
     h_ij = 0.5 * (h[pi] + h[pj])
@@ -308,23 +305,33 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     # viscous pseudo-pressure, symmetric in (i, j).  The 0.25 factor keeps
     # the classic Monaghan strength: G_ij carries twice the one-sided
     # kernel gradient the standard Pi_ij convention pairs with.
-    pi_visc = viscosity.pi_pair(dx, dv, h_ij, c_ij, rho_ij, limiter=limiter)
+    mu = viscosity.mu_pair(dx, dv, h_ij)
+    pi_visc = viscosity.pi_pair(mu, c_ij, rho_ij, limiter=limiter)
     q_ij = 0.25 * rho[pi] * rho[pj] * pi_visc
 
     pbar = 0.5 * (pressure[pi] + pressure[pj]) + q_ij
     vv = vol[pi] * vol[pj]
-    pair_force = (vv * pbar)[:, None] * g_pair  # momentum flux of pair on i
-    accel = seg.sum(-pair_force / mass[pi, None])
+    # momentum flux of the pair onto i; j receives its negative (G_ji = -G_ij)
+    flux = (-vv * pbar)[:, None] * g_pair
+    accel = (segment_sum(flux / mass[pi, None], pi, n)
+             - segment_sum(flux / mass[pj, None], pj, n))
 
+    # symmetric in (i, j): dv and G_ij both change sign
     work = 0.5 * vv * pbar * np.einsum("pa,pa->p", dv, g_pair)
-    du_dt = seg.sum(work / mass[pi])
+    du_dt = segment_sum(work / mass[pi], pi, n) + segment_sum(
+        work / mass[pj], pj, n)
 
-    # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate
-    mu = viscosity.mu_pair(dx, dv, h_ij)
-    vsig = seg.max(c_ij - 2.0 * np.minimum(mu, 0.0), initial=0.0)
+    # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate, maxed
+    # over both ends; c_i is the self row's value (mu_ii = 0)
+    v_sig = c_ij - 2.0 * np.minimum(mu, 0.0)
+    by_j = np.argsort(pj)  # unstable is enough: a max is order-free
+    vsig = np.maximum(cs, np.maximum(
+        SegmentReducer(pi, n, assume_sorted=True).max(v_sig),
+        SegmentReducer(pj[by_j], n, assume_sorted=True).max(v_sig[by_j])))
 
     return HydroDerivatives(
-        sinks=sl.sinks, accel=accel, du_dt=du_dt, max_signal_speed=vsig,
-        tier1=sl.tier1, rho=rho1, pressure=pressure1,
-        tier2=sl.tier2, volume=vol2, corrections=corr1, n_pairs=sl.n_pairs,
+        sinks=sl.sinks, accel=accel[sl.sinks], du_dt=du_dt[sl.sinks],
+        max_signal_speed=vsig[sl.sinks], tier1=sl.tier1, rho=rho1,
+        pressure=pressure1, tier2=sl.tier2, volume=vol2, corrections=corr1,
+        n_pairs=sl.n_pairs,
     )

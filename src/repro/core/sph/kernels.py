@@ -27,19 +27,6 @@ class Kernel(ABC):
     def dw_dr(self, r, h):
         """Radial derivative dW/dr."""
 
-    def grad(self, dx, h):
-        """Kernel gradient for displacement vectors ``dx`` of shape (..., 3)."""
-        dx = np.asarray(dx, dtype=np.float64)
-        r = np.sqrt(np.sum(dx * dx, axis=-1))
-        dwdr = self.dw_dr(r, h)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[..., None] > 0, dx / np.maximum(r, 1e-300)[..., None], 0.0)
-        return dwdr[..., None] * unit
-
-    def self_value(self, h):
-        """W(0, h), needed for density self-contribution."""
-        return self.w(np.zeros(1), h)[0]
-
 
 class CubicSpline(Kernel):
     """Monaghan & Lattanzio (1985) M4 cubic spline, support radius h."""

@@ -37,8 +37,9 @@ class PairBatch:
     gather-side stage consumes.  Only ``w_i`` is built up front: ``unit``
     and ``gw_i`` are computed on first read (the volume pass of an active
     evaluation never reads them).  The mirrored orientation (support
-    ``h_j``, gradient with respect to ``x_j``) is needed on the sink rows
-    only, so the pair-force assembly forms it there.
+    ``h_j``, gradient with respect to ``x_j``) is needed once per unordered
+    sink pair, so the pair-force assembly forms it on those ``pi < pj``
+    rows only, beside the forward gradient it takes from here.
     """
 
     pi: np.ndarray

@@ -35,9 +35,10 @@ class MonaghanViscosity:
         mu = h_ij * vdotr / (r2 + self.eps * h_ij**2)
         return np.where(vdotr < 0.0, mu, 0.0)
 
-    def pi_pair(self, dx, dv, h_ij, c_ij, rho_ij, limiter=None):
-        """Pairwise viscous pressure term Pi_ij (units of P/rho^2 * rho^2)."""
-        mu = self.mu_pair(dx, dv, h_ij)
+    def pi_pair(self, mu, c_ij, rho_ij, limiter=None):
+        """Pairwise viscous pressure term Pi_ij (units of P/rho^2 * rho^2)
+        from the pairs' approach rate ``mu`` (:meth:`mu_pair`), which the
+        caller also reads for the signal speed."""
         pi = (-self.alpha * c_ij * mu + self.beta * mu**2) / np.maximum(
             rho_ij, 1e-300
         )

@@ -17,10 +17,13 @@ idea for the ``neighbor_pairs`` search:
   list was last rebuilt, and the symmetric-pair-list contract of the
   conservative CRKSPH pairing is preserved.  The displacement the filter
   measured travels with each surviving row (:class:`PairRows`), so the
-  force kernels never form it again.  Gravity's query
-  (:meth:`PairCache.get_for_sinks`) returns *unordered* pairs
-  ``pi < pj`` instead: each pair is measured, filtered and evaluated once
-  and its force applied to both ends (paper Section IV-B1).
+  force kernels never form it again.  Both short-range forces evaluate
+  each unordered pair once and apply it to both ends (paper Section
+  IV-B1).  Gravity's query (:meth:`PairCache.get_for_sinks`) returns
+  *unordered* pairs ``pi < pj``, so each is also measured and filtered
+  once.  Hydro's (:meth:`PairCache.active_slices`) stays directed, because
+  its density, volume and correction sums gather at support ``h_i``; the
+  CRKSPH force assembly takes the ``pi < pj`` rows of that list.
 * **Rebuild** only when reuse could miss a pair: some particle drifted more
   than half its skin (``|x - x_build| > skin * h_build / 2``), a support
   radius grew beyond its build value, or the particle set itself changed.
@@ -73,7 +76,9 @@ class ActivePairSlices:
 
     ``pairs1 = (pi1, pj1)`` lists every pair whose sink is in ``tier1``
     (CSR order, sinks ascending); ``mask0`` selects the rows whose sink is
-    in ``sinks`` — the pairs the final force assembly streams.  ``pairs2``
+    in ``sinks``.  Both ends of a pair that touches a sink are in
+    ``tier1``, so the final force assembly finds each such unordered pair
+    as a ``pi < pj`` row here.  ``pairs2``
     covers tier2 sinks and only feeds the volume pass.  ``dx1``/``dx2`` and
     ``r2_1``/``r2_2`` are the rows' geometry as the filter measured it.
     All index arrays are in the coordinate frame the cache was queried

@@ -78,7 +78,7 @@ class TestConservation:
         d = crksph_derivatives(pos, vel, mass, u, h, pi, pj, kernel, box=1.0)
         total_force = np.sum(mass[:, None] * d.accel, axis=0)
         scale = np.abs(mass[:, None] * d.accel).sum()
-        assert np.all(np.abs(total_force) < 1e-10 * max(scale, 1.0))
+        assert np.all(np.abs(total_force) < 1e-14 * max(scale, 1.0))
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_energy_conserved(self, seed):
@@ -90,7 +90,7 @@ class TestConservation:
         dkin = np.sum(mass * np.einsum("na,na->n", vel, d.accel))
         dint = np.sum(mass * d.du_dt)
         scale = abs(dkin) + abs(dint)
-        assert abs(dkin + dint) < 1e-9 * max(scale, 1.0)
+        assert abs(dkin + dint) < 1e-13 * max(scale, 1.0)
 
     def test_uniform_gas_is_static(self):
         """No net force or heating in a uniform, static gas."""
@@ -173,10 +173,10 @@ def test_property_conservation_random_states(seed):
     d = crksph_derivatives(pos, vel, mass, u, h, pi, pj, kernel, box=1.0)
     total_force = np.sum(mass[:, None] * d.accel, axis=0)
     scale = max(np.abs(mass[:, None] * d.accel).sum(), 1.0)
-    assert np.all(np.abs(total_force) < 1e-9 * scale)
+    assert np.all(np.abs(total_force) < 1e-14 * scale)
     dkin = np.sum(mass * np.einsum("na,na->n", vel, d.accel))
     dint = np.sum(mass * d.du_dt)
-    assert abs(dkin + dint) < 1e-8 * max(abs(dkin) + abs(dint), 1.0)
+    assert abs(dkin + dint) < 1e-13 * max(abs(dkin) + abs(dint), 1.0)
 
 
 class TestGradientExactness:

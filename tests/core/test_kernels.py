@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sph.kernels import KERNELS, get_kernel
+from repro.core.sph.pair_batch import make_pair_batch
 
 ALL_KERNELS = sorted(KERNELS)
 
@@ -54,17 +55,17 @@ class TestKernelBasics:
         )
 
     def test_gradient_points_inward(self, name):
-        """grad W along +x for separation +x should be negative (attractive)."""
-        k = get_kernel(name)
-        dx = np.array([[0.5, 0.0, 0.0]])
-        g = k.grad(dx, 1.0)
-        assert g[0, 0] < 0.0
-        assert g[0, 1] == g[0, 2] == 0.0
+        """grad_i W for a separation x_i - x_j along +x points along -x."""
+        pos = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        b = make_pair_batch(pos, np.ones(2), [0], [1], get_kernel(name))
+        assert b.gw_i[0, 0] < 0.0
+        assert b.gw_i[0, 1] == b.gw_i[0, 2] == 0.0
 
     def test_gradient_zero_at_origin(self, name):
-        k = get_kernel(name)
-        g = k.grad(np.zeros((1, 3)), 1.0)
-        np.testing.assert_allclose(g, 0.0)
+        """The self pair (r = 0) has no gradient."""
+        b = make_pair_batch(np.zeros((1, 3)), np.ones(1), [0], [0],
+                            get_kernel(name))
+        np.testing.assert_allclose(b.gw_i, 0.0)
 
 
 @given(
@@ -78,16 +79,6 @@ def test_kernel_nonnegative_everywhere(name, r, h):
     val = k.w(np.array([r]), h)[0]
     assert val >= 0.0
     assert np.isfinite(val)
-
-
-@given(
-    name=st.sampled_from(ALL_KERNELS),
-    h=st.floats(0.1, 10.0),
-)
-@settings(max_examples=50, deadline=None)
-def test_self_value_positive(name, h):
-    k = get_kernel(name)
-    assert k.self_value(h) > 0.0
 
 
 def test_unknown_kernel_raises():

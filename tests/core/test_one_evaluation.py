@@ -1,7 +1,7 @@
 """One short-range evaluation: a full evaluation is the active one with
 every row a sink, both drivers reach the force kernels through the same
-two row evaluators (``repro.core.sink_rows``), and gravity evaluates each
-unordered pair once."""
+two row evaluators (``repro.core.sink_rows``), and gravity and the CRKSPH
+force assembly evaluate each unordered pair once."""
 
 import ast
 from pathlib import Path
@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.scatter import segment_max
 from repro.core.sink_rows import gravity_rows
 from repro.core.sph import (
+    IdealGasEOS,
+    MonaghanViscosity,
     crksph_derivatives,
     crksph_derivatives_active,
     get_kernel,
@@ -202,3 +205,73 @@ class TestGravityPairsOnce:
         accel, _ = self._evaluate(cache, pos, mass, None)
         f = mass[:, None] * accel
         assert np.all(np.abs(f.sum(axis=0)) <= 1e-13 * np.abs(f).sum())
+
+
+class TestHydroEachPairOnce:
+    """The CRKSPH force assembly evaluates each unordered sink pair once:
+    every sink gets the bits of the full evaluation, whatever the sink
+    set, and the pair forces cancel to round-off."""
+
+    @staticmethod
+    def _setup(box):
+        rng = np.random.default_rng(23)
+        n1 = 7
+        c = (np.arange(n1) + 0.5) / n1
+        pos = np.stack(np.meshgrid(c, c, c, indexing="ij"), -1).reshape(-1, 3)
+        pos = np.mod(pos + 0.3 / n1 * rng.uniform(-1, 1, pos.shape), 1.0)
+        n = len(pos)
+        state = (pos, rng.normal(size=(n, 3)), rng.uniform(0.8, 1.2, n) / n,
+                 rng.uniform(0.5, 2.0, n), 2.2 / n1 * rng.uniform(0.85, 1.15, n))
+        return rng, state, PairCache(box=box)
+
+    @pytest.mark.parametrize("box", [1.0, None])
+    def test_sink_rows_are_the_full_rows(self, box):
+        rng, (pos, vel, mass, u, h), cache = self._setup(box)
+        n = len(pos)
+        kernel = get_kernel("wendland_c4")
+        rows = cache.get(pos, h)
+        full = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
+                                  kernel, box=box, dx_pairs=rows.dx,
+                                  r2_pairs=rows.r2)
+        for sinks in (np.empty(0, dtype=np.intp), np.array([57]),
+                      np.sort(rng.choice(n, 60, replace=False)),
+                      np.arange(n), None):
+            act = crksph_derivatives_active(
+                pos, vel, mass, u, h, cache.active_slices(pos, h, sinks),
+                kernel, box=box)
+            every = np.arange(n) if sinks is None else sinks
+            assert np.array_equal(act.sinks, every)
+            for name in ("accel", "du_dt", "max_signal_speed"):
+                assert np.array_equal(getattr(act, name),
+                                      getattr(full, name)[every]), \
+                    (sinks, name)
+
+    def test_newtons_third_law(self):
+        _, (pos, vel, mass, u, h), cache = self._setup(1.0)
+        rows = cache.get(pos, h)
+        d = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
+                               get_kernel("wendland_c4"), box=1.0)
+        f = mass[:, None] * d.accel
+        assert np.all(np.abs(f.sum(axis=0)) <= 1e-14 * np.abs(f).sum())
+
+    def test_signal_speed_is_the_max_over_every_directed_row(self):
+        """``vsig_i`` is the max over rows ``(i, j)``, self row included,
+        though the assembly forms each pair's speed on one unordered row."""
+        _, (pos, vel, mass, u, h), cache = self._setup(None)
+        pi, pj, dx, _ = cache.get(pos, h)
+        d = crksph_derivatives(pos, vel, mass, u, h, pi, pj,
+                               get_kernel("wendland_c4"))
+        cs = IdealGasEOS().sound_speed(d.rho, u)
+        mu = MonaghanViscosity().mu_pair(dx, vel[pi] - vel[pj],
+                                         0.5 * (h[pi] + h[pj]))
+        speed = 0.5 * (cs[pi] + cs[pj]) - 2.0 * np.minimum(mu, 0.0)
+        np.testing.assert_allclose(d.max_signal_speed,
+                                   segment_max(speed, pi, len(pos)),
+                                   rtol=1e-14)
+
+    def test_corrected_gradients_are_formed_once_per_pair(self):
+        """The corrected kernel gradient is evaluated in the force assembly
+        only, once per orientation of its unordered rows."""
+        sites = _call_sites(sorted(SRC.rglob("*.py")),
+                            {"corrected_kernel_pairs"})
+        assert sites == [("core/sph/hydro.py", "_crksph")] * 2

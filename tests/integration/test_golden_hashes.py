@@ -24,7 +24,8 @@ A PR that moves results on purpose regenerates it, with the one command
 
     PYTHONPATH=src python tests/integration/test_golden_hashes.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  The command prints one line per class,
+``unchanged`` or ``old → new`` against the manifest it replaces.
 """
 
 import json
@@ -186,11 +187,21 @@ def test_class_hash_matches_manifest(name):
     assert set(_class_hashes(name).values()) == {manifest["classes"][name]}
 
 
+def _moves(old: dict, new: dict) -> list:
+    """One line per class of ``new``: ``unchanged`` or ``old → new``
+    (12-digit hash prefixes) against the manifest ``old`` it replaces."""
+    return [f"{name}: unchanged" if old.get(name) == h
+            else f"{name}: {str(old.get(name))[:12]} → {h[:12]}"
+            for name, h in new.items()]
+
+
 if __name__ == "__main__":
     classes = {}
     for name in CLASSES:
-        (classes[name],) = set(_class_hashes(name).values())
+        (classes[name],) = set(_class_hashes(name).values())  # leg (i)
+    old = (json.loads(MANIFEST.read_text())["classes"]
+           if MANIFEST.exists() else {})
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(
         {"stamp": _stamp(), "classes": classes}, indent=2) + "\n")
-    print(MANIFEST.read_text())
+    print("\n".join(_moves(old, classes)))
