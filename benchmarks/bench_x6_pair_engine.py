@@ -6,6 +6,9 @@ naive counterparts on a realistic clustered particle set:
 * Verlet-cached pair-list query vs a fresh ``neighbor_pairs`` build — the
   per-subcycle saving from reusing one list across a PM step — and the
   query's own time and kept rows per second;
+* a gravity-style cache (uniform cutoff, no self rows), which stores the
+  unordered half list, vs the directed list at the same positions: build
+  time and resident bytes;
 * sorted-CSR ``segment_sum`` vs buffered ``np.add.at`` — the per-pair
   scatter cost on the force hot path;
 * one full ``crksph_derivatives`` evaluation — the end-to-end number the
@@ -77,6 +80,24 @@ def test_x6_pair_engine(benchmark):
         # per second, comparable across commits where the ratio is not
         out["kept_rows_per_s"] = len(cache.get(moved, h).pi) / cached
 
+        # --- leg 1b: unordered (gravity-style) vs directed cache ----------
+        cutoff = float(np.median(h))
+
+        def half_cache():
+            c = PairCache(skin=0.25, box=box, include_self=False)
+            c.ensure(pos, cutoff)
+            return c
+
+        out["half_build_s"] = _best_of(half_cache)
+        out["directed_build_s"] = _best_of(lambda: neighbor_pairs(
+            pos, cutoff * 1.25, box=box, include_self=False))
+        grav = half_cache()
+        grav.get_for_sinks(pos, cutoff, None)
+        directed = half_cache()
+        directed.get(pos, cutoff)  # the first directed query derives it
+        out["half_bytes"] = grav.nbytes
+        out["directed_bytes"] = directed.nbytes
+
         # --- leg 2: np.add.at vs segment_sum on the pair scatter ----------
         pi, pj = cache.get(pos, h)[:2]
         out["n_pairs"] = len(pi)
@@ -114,6 +135,13 @@ def test_x6_pair_engine(benchmark):
              f"{r['cached_query_s']:.4f}", f"{r['cache_speedup']:.1f}x"),
             ("cached query, kept rows/s", "",
              f"{r['kept_rows_per_s']:.3e}", ""),
+            ("gravity cache build (directed vs half)",
+             f"{r['directed_build_s']:.4f}", f"{r['half_build_s']:.4f}",
+             f"{r['directed_build_s'] / r['half_build_s']:.1f}x"),
+            ("gravity cache resident MB (directed vs half)",
+             f"{r['directed_bytes'] / 1e6:.3f}",
+             f"{r['half_bytes'] / 1e6:.3f}",
+             f"{r['directed_bytes'] / r['half_bytes']:.2f}x"),
             ("pair scatter (add.at vs segment)", f"{r['add_at_s']:.5f}",
              f"{r['segment_sum_s']:.5f}", f"{r['scatter_speedup']:.1f}x"),
             ("crksph_derivatives (1 eval)", "", f"{r['hydro_deriv_s']:.4f}",
@@ -122,6 +150,8 @@ def test_x6_pair_engine(benchmark):
     )
     benchmark.extra_info.update(r)
 
+    # a gravity cache keeps the half list: half the rows, no row starts
+    assert r["half_bytes"] <= 0.55 * r["directed_bytes"]
     # timing ratios only mean something at the full problem size; the
     # smoke run just proves the legs still run
     if FULL:

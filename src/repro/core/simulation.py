@@ -518,7 +518,10 @@ class Simulation:
                 kinetic_internal_energy(p.mass, p.vel, p.u),
             )
 
-        self.observe.registry.absorb_subcycle(stats)
+        registry = self.observe.registry
+        registry.absorb_subcycle(stats)
+        self._grav_cache.publish(registry, cache="gravity")
+        self._hydro_cache.publish(registry, cache="hydro")
         self.a = a1
         self.step_index += 1
         record.n_bh = int(self.particles.black_holes.sum())

@@ -226,8 +226,9 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     * the antisymmetrized pair force, work, and signal speed once per
       unordered pair with an end in ``sinks``, applied to both ends.
 
-    ``b1`` is the tier-1 batch when the caller already holds it.  When the
-    tier-2 rows are the tier-1 rows one batch serves both.
+    ``b1`` is the tier-1 batch when the caller already holds it.  In a
+    ``full`` evaluation the tier-2 rows are the tier-1 rows and one batch
+    serves both.
 
     Both ends of a sink pair are in tier 1, so its ``pi < pj`` row is a
     tier-1 row: the unordered rows are a mask of the batch, in half-list
@@ -243,7 +244,7 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     if b1 is None:
         b1 = _tier_batch(pos, h, sl.tier1, sl.pi1, sl.pj1, sl.dx1, sl.r2_1,
                          kernel, box)
-    b2 = b1 if sl.pi2 is sl.pi1 else _tier_batch(
+    b2 = b1 if sl.full else _tier_batch(
         pos, h, sl.tier2, sl.pi2, sl.pj2, sl.dx2, sl.r2_2, kernel, box)
     pi1, pj1 = b1.pi, b1.pj
 

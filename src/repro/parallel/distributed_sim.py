@@ -330,6 +330,12 @@ class RankDomain:
             comm_wait=self.cwait, comm_mode=cfg.comm_mode,
         )
         self.records.append(record)
+        for name, cache in (("gravity", self.grav_cache),
+                            ("gravity_own", self.grav_cache_own),
+                            ("hydro", self.hydro_cache),
+                            ("hydro_own", self.hydro_cache_own)):
+            cache.publish(self.observe.registry, cache=name,
+                          rank=self.comm.rank)
         # end-of-step hooks (checkpointers): the closing kick has landed
         # everywhere and migration only re-homes rows, so the union of
         # owned arrays is the complete global state at scale factor ``a``

@@ -164,21 +164,60 @@ def neighbor_pairs(
     each ``pi`` — whatever the positions' spatial layout.  Consumers rely on
     it: ``make_pair_batch`` and ``SegmentReducer(assume_sorted=True)`` skip
     their sort, and a filtered ``PairCache`` query is ``array_equal`` to a
-    fresh call.
+    fresh call.  The list is :func:`directed_pairs` of the unordered
+    :func:`half_neighbor_pairs` rows, which is also how a ``PairCache``
+    derives its directed list from the half list it stores.
 
-    A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` yields the
-    ``i < j`` candidates; membership is then decided by the minimum-image
-    arithmetic of ``pair_geometry`` on the caller's positions, so the tree
-    (built on a wrapped copy when periodic) only has to return a superset.
     Positions need not lie inside ``[0, box)`` but must be finite
     (``ValueError``).
+    """
+    h, a, b = _half_candidates(pos, h, box)
+    return directed_pairs(
+        len(h), a, b, np.flatnonzero(0.0 < h * h) if include_self else None)
+
+
+def half_neighbor_pairs(pos: np.ndarray, h: np.ndarray,
+                        box: float | None = None):
+    """The unordered half of :func:`neighbor_pairs`: the rows ``pi < pj``
+    with ``|x_i - x_j| < max(h_i, h_j)``, sorted by ``pi·N + pj`` (the
+    order they have among the ``neighbor_pairs`` rows)."""
+    h, a, b = _half_candidates(pos, h, box)
+    n = len(h)
+    key = a * n + b
+    key.sort()
+    return np.divmod(key, n)
+
+
+def directed_pairs(n: int, pi: np.ndarray, pj: np.ndarray,
+                   self_rows: np.ndarray | None = None):
+    """Both orientations of the unordered rows ``(pi, pj)`` over ``n``
+    particles, plus ``(i, i)`` for each ``i`` in ``self_rows``, in
+    canonical ``(pi, pj)``-ascending order whatever the input order."""
+    # one key per directed row: sorting the keys is the canonical order,
+    # and decoding them is cheaper than carrying a permutation
+    keys = [pi * n + pj, pj * n + pi]
+    if self_rows is not None:
+        keys.append(self_rows * (n + 1))
+    key = np.concatenate(keys)
+    key.sort()
+    return np.divmod(key, n)
+
+
+def _half_candidates(pos, h, box):
+    """``(h, a, b)``: the supports broadcast to ``(N,)`` and the unsorted
+    ``a < b`` rows with ``|x_a - x_b| < max(h_a, h_b)``.
+
+    A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` yields the
+    candidates; membership is then decided by the minimum-image arithmetic
+    of ``pair_geometry`` on the caller's positions, so the tree (built on a
+    wrapped copy when periodic) only has to return a superset.
     """
     pos = np.asarray(pos, dtype=np.float64)
     n = pos.shape[0]
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), (n,))
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return h, empty, empty
 
     hmax = float(h.max())
     if hmax <= 0:
@@ -202,13 +241,4 @@ def neighbor_pairs(
     _, r2 = pair_geometry(pos, a, b, box)
     rmax = np.maximum(h[a], h[b])
     keep = r2 < rmax * rmax
-    a, b = a[keep], b[keep]
-
-    # one key per directed row: sorting the keys is the canonical order,
-    # and decoding them is cheaper than carrying a permutation
-    keys = [a * n + b, b * n + a]
-    if include_self:
-        keys.append(np.flatnonzero(0.0 < h * h) * (n + 1))
-    key = np.concatenate(keys)
-    key.sort()
-    return np.divmod(key, n)  # (pi, pj)
+    return h, a[keep], b[keep]

@@ -7,9 +7,14 @@ path.  ``PairCache`` implements the classic Verlet-list version of that
 idea for the ``neighbor_pairs`` search:
 
 * **Build** with per-particle search radii inflated by a skin,
-  ``h_build = h * (1 + skin)``, and store the resulting superset pair list
-  as ``neighbor_pairs`` returns it: ``(pi, pj)`` ascending (CSR order, so
-  downstream segment reductions never sort).
+  ``h_build * (1 + skin)``, and store the superset as the unordered half
+  list ``half_neighbor_pairs`` returns: rows ``pi < pj``, sorted by
+  ``pi·N + pj``.  The directed CSR list (both orientations plus self rows,
+  ``(pi, pj)`` ascending, so downstream segment reductions never sort) is
+  derived from it once per build, on the first directed query (:meth:`get`,
+  :meth:`active_slices`, :meth:`hop_closure`); from then on the cache holds
+  only the directed list.  A gravity cache, which only answers
+  :meth:`get_for_sinks`, never derives it.
 * **Query** filters the cached superset down to the exact fresh-list
   criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current* positions — a
   cheap vectorized pass that keeps row order — so consumers see precisely
@@ -23,16 +28,20 @@ idea for the ``neighbor_pairs`` search:
   *unordered* pairs ``pi < pj``, so each is also measured and filtered
   once.  Hydro's (:meth:`PairCache.active_slices`) stays directed, because
   its density, volume and correction sums gather at support ``h_i``; the
-  CRKSPH force assembly takes the ``pi < pj`` rows of that list.
-* **Rebuild** only when reuse could miss a pair: some particle drifted more
-  than half its skin (``|x - x_build| > skin * h_build / 2``), a support
-  radius grew beyond its build value, or the particle set itself changed.
+  CRKSPH force assembly takes the ``pi < pj`` rows of that list.  An
+  active query measures each superset row of its 2-hop closure once.
+* **Rebuild** only when reuse could miss a pair, or the particle set itself
+  changed.  Support growth and drift share the skin: with
+  ``g_k = max(h_k / h_build_k - 1, 0)`` and
+  ``δ_k = |x_k - x_build_k| / h_build_k`` (minimum image), the list is
+  rebuilt once some particle has ``g_k + δ_k > skin / 2``.
 
-The drift bound is the standard Verlet guarantee: for any pair,
-``r_now <= r_build + d_i + d_j``, so with ``d_i <= skin * h_build_i / 2``
-every pair now inside ``max(h_i, h_j)`` was inside
-``max(h_build_i, h_build_j) * (1 + skin)`` at build time and is in the
-cached superset.
+The rule is the Verlet guarantee with growth folded in.  Take a pair with
+``r_now < max(h_i, h_j) = h_i`` and let ``M = max(h_build_i, h_build_j)``.
+Then ``r_build <= r_now + d_i + d_j < M (1 + g_i + δ_i + δ_j)
+<= M (1 + skin)``, so the pair was inside the build search radius and is
+in the cached superset.  With ``g = 0`` it is the classic drift rule
+``d_k <= skin * h_build_k / 2``.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.geometry import minimum_image, pair_geometry
-from .chaining_mesh import neighbor_pairs
+from .chaining_mesh import directed_pairs, half_neighbor_pairs
 
 __all__ = ["ActivePairSlices", "PairCache", "PairRows"]
 
@@ -85,10 +94,10 @@ class ActivePairSlices:
     with.
 
     A full evaluation is the case where every particle is a sink
-    (:meth:`everyone`): all three closures are ``arange(n)``, the tier-2
-    rows *are* the tier-1 rows (``pi2 is pi1``) and ``mask0`` is ``None``
-    (every row is a sink row), so the one filtered list is streamed — and
-    counted by ``n_pairs`` — once.
+    (:meth:`everyone`, ``full``): all three closures are ``arange(n)``,
+    the tier-2 rows *are* the tier-1 rows and ``mask0`` is ``None`` (every
+    row is a sink row), so the one filtered list is streamed — and counted
+    by ``n_pairs`` — once.
     """
 
     sinks: np.ndarray
@@ -103,29 +112,35 @@ class ActivePairSlices:
     pj2: np.ndarray
     dx2: np.ndarray
     r2_2: np.ndarray
+    #: every particle is a sink: one list serves both tiers
+    full: bool = False
 
     @classmethod
     def everyone(cls, n: int, rows: PairRows) -> ActivePairSlices:
         """The slices of a full evaluation over the ``n`` particles whose
         filtered pair list is ``rows``."""
         every = np.arange(n)
-        return cls(every, every, every, *rows, None, *rows)
+        return cls(every, every, every, *rows, None, *rows, full=True)
 
     @property
     def n_pairs(self) -> int:
         """Pair rows streamed by the evaluation (diagnostics): the tier-1
-        list, the tier-2 list unless it is the same rows, and the sink
-        rows unless they are all of tier 1."""
-        return (len(self.pi1)
-                + (len(self.pi2) if self.pi2 is not self.pi1 else 0)
-                + (int(self.mask0.sum()) if self.mask0 is not None else 0))
+        list, then, unless the evaluation is ``full``, the tier-2 list and
+        the sink rows."""
+        if self.full:
+            return len(self.pi1)
+        return len(self.pi1) + len(self.pi2) + int(self.mask0.sum())
 
 
 #: Verlet skin fraction both drivers build their pair caches with: search
-#: radii are inflated to h*(1+skin) at build and the list survives
-#: per-particle drifts up to skin*h/2 before an automatic rebuild (paper
-#: Section IV-B1)
+#: radii are inflated to h*(1+skin) at build and the list survives support
+#: growth plus drift up to skin*h/2 per particle before an automatic
+#: rebuild (paper Section IV-B1)
 PAIR_SKIN = 0.25
+
+#: rebuild reasons a cache counts (``n_rebuilds_<reason>``); a first build
+#: or one after :meth:`PairCache.invalidate` has none
+_REASONS = ("drift", "h", "ids")
 
 
 class PairCache:
@@ -134,14 +149,14 @@ class PairCache:
     Parameters
     ----------
     skin : fractional skin radius; search radii are inflated to
-        ``h * (1 + skin)`` at build and the list survives drifts up to
-        ``skin * h / 2`` per particle
+        ``h * (1 + skin)`` at build and the list survives support growth
+        plus drift up to ``skin * h / 2`` per particle
     box : periodic box (scalar or 3-vector) or ``None`` for open domains
     include_self : keep self pairs (the CRK gather convention needs them)
 
     Counters (``n_builds``, ``n_queries``, ``n_rebuilds_drift`` …) expose
     the amortization for benchmarks and the once-per-PM-step regression
-    test.
+    test; :meth:`publish` adds them to a metrics registry.
     """
 
     def __init__(self, skin: float = PAIR_SKIN, box=None,
@@ -156,54 +171,98 @@ class PairCache:
         self.n_rebuilds_drift = 0
         self.n_rebuilds_h = 0
         self.n_rebuilds_ids = 0
+        self._published = dict.fromkeys(("builds",) + _REASONS, 0)
         self.invalidate()
 
     # -- cache state -----------------------------------------------------------
     def invalidate(self) -> None:
         """Drop the cached list; the next query rebuilds."""
-        self._pi = None
+        self._hpi = None  # the stored half list, until a directed query
+        self._hpj = None
+        self._pi = None  # the directed CSR list derived from it
         self._pj = None
         self._starts = None
-        self._half = None
         self._ref_pos = None
         self._ref_h = None
         self._ref_ids = None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the pair lists the cache holds (half or directed)."""
+        held = (self._hpi, self._hpj, self._pi, self._pj, self._starts)
+        return sum(a.nbytes for a in held if a is not None)
+
     def _why_invalid(self, pos, h, ids) -> str | None:
         """Reason the cached list cannot serve this query, or None."""
-        if self._pi is None:
+        if self._ref_pos is None:
             return "empty"
         if self._ref_ids is None:
             if ids is not None or len(pos) != len(self._ref_pos):
                 return "ids"
         elif ids is None or not np.array_equal(ids, self._ref_ids):
             return "ids"
-        # support growth beyond the build radii voids the superset guarantee
-        if np.any(h > self._ref_h * (1.0 + 1e-12)):
-            return "h"
+        # support growth and drift share the skin (module docstring):
+        # h_build * (g + δ) <= skin * h_build / 2 on every particle
+        growth = np.maximum(h - self._ref_h, 0.0)
+        allowed = 0.5 * self.skin * self._ref_h - growth
         drift = minimum_image(pos - self._ref_pos, self.box)
         drift2 = np.einsum("na,na->n", drift, drift)
-        allowed = 0.5 * self.skin * self._ref_h
-        if np.any(drift2 > allowed * allowed):
-            return "drift"
-        return None
+        over = (allowed < 0.0) | (drift2 > allowed * allowed)
+        if not over.any():
+            return None
+        grew = np.broadcast_to(growth > 0.0, over.shape)
+        return "h" if grew[over].any() else "drift"
 
     def _build(self, pos, h, ids) -> None:
-        # rows arrive in canonical (pi, pj)-ascending order, i.e. already CSR
-        self._pi, self._pj = neighbor_pairs(
-            pos, h * (1.0 + self.skin), box=self.box,
-            include_self=self.include_self,
-        )
-        # CSR row starts over sinks: rows of sink i live in
-        # _pi[_starts[i]:_starts[i+1]] — the active-subset queries gather
-        # whole sink rows through this without scanning the full list
-        counts = np.bincount(self._pi, minlength=len(pos))
-        self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        self._half = None
+        self._hpi, self._hpj = half_neighbor_pairs(
+            pos, h * (1.0 + self.skin), box=self.box)
+        self._pi = self._pj = self._starts = None
         self._ref_pos = np.array(pos, dtype=np.float64, copy=True)
         self._ref_h = np.array(h, dtype=np.float64, copy=True)
         self._ref_ids = None if ids is None else np.array(ids, copy=True)
         self.n_builds += 1
+
+    def _directed(self):
+        """The directed superset ``(pi, pj)`` with its CSR row starts,
+        derived from the half list once per build; the half list goes."""
+        if self._pi is None:
+            n = len(self._ref_pos)
+            self_rows = None
+            if self.include_self:
+                hb = np.broadcast_to(self._ref_h * (1.0 + self.skin), (n,))
+                self_rows = np.flatnonzero(0.0 < hb * hb)
+            self._pi, self._pj = directed_pairs(n, self._hpi, self._hpj,
+                                                self_rows)
+            # rows of sink i live in _pi[_starts[i]:_starts[i+1]]: the
+            # active-subset queries gather whole sink rows through this
+            # without scanning the full list
+            counts = np.bincount(self._pi, minlength=n)
+            self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(
+                np.intp)
+            self._hpi = self._hpj = None
+        return self._pi, self._pj
+
+    def _half_rows(self):
+        """The superset's ``pi < pj`` rows: the stored half list, or the
+        rows of the directed list once a directed query derived it."""
+        if self._hpi is not None:
+            return self._hpi, self._hpj
+        keep = self._pi < self._pj
+        return self._pi[keep], self._pj[keep]
+
+    def publish(self, registry, **labels) -> None:
+        """Add the builds and rebuild reasons since the last call to the
+        ``pair_cache/builds`` and ``pair_cache/rebuilds{reason=…}``
+        counters of ``registry`` (``labels`` name the cache); the drivers
+        call it once per PM step, as ``pm/green_builds`` is counted."""
+        now = {"builds": self.n_builds}
+        now.update((r, getattr(self, f"n_rebuilds_{r}")) for r in _REASONS)
+        registry.counter("pair_cache/builds", **labels).add(
+            now["builds"] - self._published["builds"])
+        for reason in _REASONS:
+            registry.counter("pair_cache/rebuilds", reason=reason,
+                             **labels).add(now[reason] - self._published[reason])
+        self._published = now
 
     # -- queries ---------------------------------------------------------------
     def ensure(self, pos, h, ids=None) -> bool:
@@ -236,7 +295,7 @@ class PairCache:
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
-        return self._sink_rows(pos, h, None)
+        return self._sink_rows(pos, h, None)[0]
 
     def _current(self, pos, h, ids):
         """``(pos, h)`` as float arrays, with the cached list valid for them."""
@@ -245,9 +304,10 @@ class PairCache:
         self.ensure(pos, h, ids=ids)
         return pos, h
 
-    def _filtered(self, pos, h, pi, pj) -> PairRows:
+    def _filtered(self, pos, h, pi, pj):
         """The superset rows ``(pi, pj)`` that meet the exact fresh-list
-        criterion, with the geometry that decided it."""
+        criterion, with the geometry that decided it, and their positions
+        in ``(pi, pj)``."""
         dx, r2 = pair_geometry(pos, pi, pj, self.box)
         if h.ndim == 0:
             keep = r2 < h * h
@@ -257,10 +317,12 @@ class PairCache:
         if not self.include_self:
             keep &= pi != pj
         kept = np.flatnonzero(keep)
-        return PairRows(pi[kept], pj[kept], np.take(dx, kept, axis=0), r2[kept])
+        rows = PairRows(pi[kept], pj[kept], np.take(dx, kept, axis=0),
+                        r2[kept])
+        return rows, kept
 
     def _rows_for_sinks(self, sinks: np.ndarray) -> np.ndarray:
-        """Cached-list row indices whose sink is in ``sinks`` (CSR gather).
+        """Directed-list row indices whose sink is in ``sinks`` (CSR gather).
 
         Preserves per-sink row order, so downstream segment reductions sum
         each sink's contributions in exactly the order a full query would.
@@ -291,26 +353,22 @@ class PairCache:
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
         hpi, hpj = self._half_rows()
-        if sinks is None:
-            return self._filtered(pos, h, hpi, hpj)
-        mark = np.zeros(len(pos), dtype=bool)
-        mark[sinks] = True
-        touched = np.flatnonzero(mark[hpi] | mark[hpj])
-        return self._filtered(pos, h, hpi[touched], hpj[touched])
+        if sinks is not None:
+            mark = np.zeros(len(pos), dtype=bool)
+            mark[sinks] = True
+            touched = np.flatnonzero(mark[hpi] | mark[hpj])
+            hpi, hpj = hpi[touched], hpj[touched]
+        return self._filtered(pos, h, hpi, hpj)[0]
 
-    def _half_rows(self):
-        """The cached superset's ``pi < pj`` rows, derived once per build
-        (only caches that serve unordered queries pay for it)."""
-        if self._half is None:
-            keep = self._pi < self._pj
-            self._half = (self._pi[keep], self._pj[keep])
-        return self._half
-
-    def _sink_rows(self, pos, h, sinks) -> PairRows:
+    def _sink_rows(self, pos, h, sinks):
+        """Filtered directed rows whose sink is in ``sinks`` (``None``:
+        all), and their row indices in the directed list."""
+        pi, pj = self._directed()
         if sinks is None:
-            return self._filtered(pos, h, self._pi, self._pj)
-        rows = self._rows_for_sinks(np.asarray(sinks, dtype=np.intp))
-        return self._filtered(pos, h, self._pi[rows], self._pj[rows])
+            return self._filtered(pos, h, pi, pj)
+        at = self._rows_for_sinks(sinks)
+        rows, kept = self._filtered(pos, h, pi[at], pj[at])
+        return rows, at[kept]
 
     def hop_closure(self, pos, h, seeds, hops: int, ids=None) -> np.ndarray:
         """Boolean mask of particles within ``hops`` pair-list hops of
@@ -324,6 +382,7 @@ class PairCache:
         exchange is still in flight.
         """
         pos, h = self._current(pos, h, ids)
+        _, pj = self._directed()
         member = np.zeros(len(pos), dtype=bool)
         member[np.asarray(seeds)] = True
         for _ in range(hops):
@@ -332,7 +391,7 @@ class PairCache:
             if len(rows) == 0:
                 break
             before = member.sum()
-            member[self._pj[rows]] = True
+            member[pj[rows]] = True
             if member.sum() == before:
                 break
         return member
@@ -344,30 +403,46 @@ class PairCache:
         closures of ``sinks`` from the *filtered* pair lists and returns
         the pair rows needed at each tier (see :class:`ActivePairSlices`).
         ``sinks`` must be sorted ascending; ``None`` means every particle,
-        which takes one filtered pass over the whole list.
+        which takes one filtered pass over the whole list.  Each tier's
+        rows are the previous tier's plus the rows of the particles it
+        adds, so every superset row of the 2-hop closure is measured once.
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
         if sinks is None:
             return ActivePairSlices.everyone(
-                len(pos), self._sink_rows(pos, h, None))
+                len(pos), self._sink_rows(pos, h, None)[0])
         sinks = np.asarray(sinks, dtype=np.intp)
 
-        n = len(pos)
-        member = np.zeros(n, dtype=bool)
+        member = np.zeros(len(pos), dtype=bool)
         member[sinks] = True
+        rows0 = self._sink_rows(pos, h, sinks)
 
         tier1_mask = member.copy()
-        tier1_mask[self._sink_rows(pos, h, sinks).pj] = True
-        tier1 = np.nonzero(tier1_mask)[0]
+        tier1_mask[rows0[0].pj] = True
+        added1 = self._sink_rows(pos, h, np.flatnonzero(tier1_mask & ~member))
+        tier1_rows = _merged(rows0, added1)
 
-        rows1 = self._sink_rows(pos, h, tier1)
-
+        # a sink row's source is already in tier 1
         tier2_mask = tier1_mask.copy()
-        tier2_mask[rows1.pj] = True
-        tier2 = np.nonzero(tier2_mask)[0]
+        tier2_mask[added1[0].pj] = True
+        added2 = self._sink_rows(pos, h,
+                                 np.flatnonzero(tier2_mask & ~tier1_mask))
 
+        rows1 = tier1_rows[0]
         return ActivePairSlices(
-            sinks, tier1, tier2, *rows1, member[rows1.pi],
-            *self._sink_rows(pos, h, tier2),
+            sinks, np.flatnonzero(tier1_mask), np.flatnonzero(tier2_mask),
+            *rows1, member[rows1.pi], *_merged(tier1_rows, added2)[0],
         )
+
+
+def _merged(a, b):
+    """Two filtered row sets ``(PairRows, directed-list row indices)`` over
+    disjoint sinks, merged into directed-list (CSR) order."""
+    if len(b[1]) == 0:
+        return a
+    at = np.concatenate((a[1], b[1]))
+    # two ascending runs of unique indices: timsort merges them in one pass
+    order = np.argsort(at, kind="stable")
+    return PairRows(*(np.take(np.concatenate((x, y)), order, axis=0)
+                      for x, y in zip(a[0], b[0]))), at[order]

@@ -145,6 +145,20 @@ class TestStepRecordViews:
         for rank, nb in sim.traffic.bytes_by_rank.items():
             assert reg.get(f"comm/bytes{{rank={rank}}}").value == nb
 
+    def test_pair_cache_builds_published_per_rank(self, overlap_run):
+        obs, _ = overlap_run
+        reg = obs.registry
+        for rank in range(N_RANKS):
+            for name in ("gravity", "gravity_own", "hydro", "hydro_own"):
+                labels = f"cache={name},rank={rank}"
+                builds = reg.get(f"pair_cache/builds{{{labels}}}").value
+                # gravity-only: the hydro caches are never queried
+                assert (builds >= 1) == name.startswith("gravity")
+                rebuilds = sum(
+                    reg.get(f"pair_cache/rebuilds{{{labels},reason={r}}}")
+                    .value for r in ("drift", "h", "ids"))
+                assert rebuilds <= builds
+
 
 class TestBlockingMode:
     def test_blocking_waits_traced_as_comm_spans(self):

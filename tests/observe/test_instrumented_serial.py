@@ -57,6 +57,24 @@ class TestStepRecordShape:
         assert obs.registry.get("subcycle/active_fraction").count == \
             len(records)
 
+    def test_pair_cache_builds_published_each_step(self):
+        """Each PM step adds its caches' builds and rebuild reasons to the
+        run's counters, so a run's rebuilds read off its metrics."""
+        obs = Observatory()
+        sim = _small_sim(observe=obs, n_pm_steps=3)
+        reg = obs.registry
+        caches = {"gravity": sim._grav_cache, "hydro": sim._hydro_cache}
+        for _ in range(3):
+            sim.pm_step()
+            for name, cache in caches.items():
+                assert reg.get(f"pair_cache/builds{{cache={name}}}").value \
+                    == cache.n_builds
+                for reason in ("drift", "h", "ids"):
+                    key = f"pair_cache/rebuilds{{cache={name},reason={reason}}}"
+                    assert reg.get(key).value == \
+                        getattr(cache, f"n_rebuilds_{reason}")
+        assert sim._hydro_cache.n_builds >= 1
+
     def test_timing_summary_matches_records(self):
         sim = _small_sim()
         sim.run()

@@ -12,6 +12,7 @@ from repro.core.gravity import (
 )
 from repro.core.sph import crksph_derivatives, get_kernel
 from repro.tree import PairCache, neighbor_pairs
+from repro.tree.chaining_mesh import half_neighbor_pairs
 
 
 def _pair_set(pi, pj):
@@ -402,3 +403,188 @@ class TestActiveSubsetQueries:
         np.add.at(want, pi, w[:, None] * dx)
         np.testing.assert_allclose(full, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+
+class TestJointSkinBudget:
+    """Support growth and drift share the skin: the list survives while
+    every particle keeps ``g + δ <= skin/2`` counted from the build, and a
+    violation is charged to ``h`` when the violating particle grew."""
+
+    SKIN = 0.25
+
+    def _moves(self, rng, n, budget):
+        """Per-particle growth ``g`` and drift ``δ`` (units of ``h_build``)
+        splitting ``budget`` at random, with a random drift direction."""
+        split = rng.uniform(0.0, 1.0, n)
+        g, delta = split * budget, (1.0 - split) * budget
+        unit = rng.normal(size=(n, 3))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        return g, delta, unit
+
+    @staticmethod
+    def _assert_fresh(cache, pos, h, box):
+        rows = cache.get(pos, h)
+        fi, fj = neighbor_pairs(pos, h, box=box)
+        assert np.array_equal(rows.pi, fi) and np.array_equal(rows.pj, fj)
+        half = cache.get_for_sinks(pos, h, None)
+        k = fi < fj
+        assert np.array_equal(half.pi, fi[k]) and np.array_equal(half.pj, fj[k])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_inside_budget_reuses_and_matches_fresh(self, seed, periodic):
+        rng, pos, h, box = _random_setup(seed=seed)
+        box = box if periodic else None
+        cache = PairCache(skin=self.SKIN, box=box)
+        cache.get(pos, h)
+        budget = 0.5 * self.SKIN * rng.uniform(0.0, 0.99, len(pos))
+        g, delta, unit = self._moves(rng, len(pos), budget)
+        # growth accumulates over refreshes; each is measured from the build
+        for t in (0.25, 0.5, 0.75, 1.0):
+            moved = pos + (t * delta * h)[:, None] * unit
+            if periodic:
+                moved = np.mod(moved, box)
+            self._assert_fresh(cache, moved, h * (1.0 + t * g), box)
+        assert cache.n_builds == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("violator", ["grow", "drift", "both"])
+    def test_just_over_budget_rebuilds_with_reason(self, seed, violator):
+        rng, pos, h, box = _random_setup(seed=seed)
+        cache = PairCache(skin=self.SKIN, box=box)
+        cache.get(pos, h)
+        # everyone else uses up to 90 % of the budget, some by growing
+        g, delta, unit = self._moves(
+            rng, len(pos), 0.5 * self.SKIN * rng.uniform(0.0, 0.9, len(pos)))
+        k = int(rng.integers(len(pos)))
+        over = 0.5 * self.SKIN * 1.02
+        g[k], delta[k] = {"grow": (over, 0.0), "drift": (0.0, over),
+                          "both": (0.5 * over, 0.5 * over)}[violator]
+        moved = np.mod(pos + (delta * h)[:, None] * unit, box)
+        grown = h * (1.0 + g)
+        self._assert_fresh(cache, moved, grown, box)
+        assert cache.n_builds == 2
+        want = "drift" if violator == "drift" else "h"
+        assert (cache.n_rebuilds_h, cache.n_rebuilds_drift) == \
+            ((1, 0) if want == "h" else (0, 1))
+
+    def test_growth_elsewhere_does_not_name_a_drift_violation(self):
+        _, pos, h, box = _random_setup(seed=3)
+        cache = PairCache(skin=self.SKIN, box=box)
+        cache.get(pos, h)
+        grown = h.copy()
+        grown[5] *= 1.0 + 0.4 * self.SKIN  # inside the budget
+        kick = np.zeros_like(pos)
+        kick[9, 0] = 0.51 * self.SKIN * h[9]  # over it, support unchanged
+        cache.get(np.mod(pos + kick, box), grown)
+        assert (cache.n_rebuilds_h, cache.n_rebuilds_drift) == (0, 1)
+
+
+def _three_pass_slices(rows, sinks, n):
+    """The reference active query: measure the sink rows, then all rows of
+    tier 1, then all rows of tier 2 (``rows``: the full filtered list)."""
+    from repro.tree import ActivePairSlices, PairRows
+
+    def sink_rows(s):
+        at = np.flatnonzero(np.isin(rows.pi, s))
+        return PairRows(*(np.take(a, at, axis=0) for a in rows))
+
+    member = np.zeros(n, dtype=bool)
+    member[sinks] = True
+    t1 = member.copy()
+    t1[sink_rows(sinks).pj] = True
+    rows1 = sink_rows(np.flatnonzero(t1))
+    t2 = t1.copy()
+    t2[rows1.pj] = True
+    return ActivePairSlices(sinks, np.flatnonzero(t1), np.flatnonzero(t2),
+                            *rows1, member[rows1.pi],
+                            *sink_rows(np.flatnonzero(t2)))
+
+
+class TestActiveQueryMeasuresOnce:
+    FIELDS = ("sinks", "tier1", "tier2", "pi1", "pj1", "dx1", "r2_1",
+              "mask0", "pi2", "pj2", "dx2", "r2_2")
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_each_closure_row_measured_once_and_equal_to_three_passes(
+            self, periodic, monkeypatch):
+        import repro.tree.pair_cache as pc
+
+        rng, pos, h, box = _random_setup(seed=23)
+        box = box if periodic else None
+        cache = PairCache(skin=0.3, box=box)
+        cache.get(pos, h)
+        drift = rng.normal(size=pos.shape)
+        drift *= (0.2 * 0.3 * h / np.linalg.norm(drift, axis=1))[:, None]
+        moved = pos + drift
+        n = len(pos)
+        seen = []
+
+        def counting(x, pi, pj, b):
+            seen.append(pi * n + pj)
+            return pair_geometry(x, pi, pj, b)
+
+        monkeypatch.setattr(pc, "pair_geometry", counting)
+        for sinks in (np.empty(0, dtype=np.intp), np.array([7]),
+                      np.sort(rng.choice(n, 20, replace=False)),
+                      np.arange(n)):
+            seen.clear()
+            sl = cache.active_slices(moved, h, sinks)
+            measured = np.concatenate(seen)
+            assert len(np.unique(measured)) == len(measured)
+            spi, spj = cache._pi, cache._pj  # the directed superset
+            closure = np.isin(spi, sl.tier2)
+            assert np.array_equal(np.sort(measured),
+                                  spi[closure] * n + spj[closure])
+            want = _three_pass_slices(cache.get(moved, h), sinks, n)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(sl, name), getattr(want, name))
+            assert sl.n_pairs == want.n_pairs
+        assert cache.n_builds == 1
+
+    def test_isolated_clump_counts_its_tier2_rows(self):
+        """Explicit sinks on a clump with no outside neighbours: tier 2
+        adds no rows, and the count still streams both tiers."""
+        rng = np.random.default_rng(4)
+        clump = 4.0 + rng.uniform(0.0, 0.3, (12, 3))
+        far = rng.uniform(0.0, 2.0, (30, 3))
+        pos = np.concatenate([far, clump])
+        h = np.full(len(pos), 0.6)
+        cache = PairCache(box=8.0)
+        sinks = np.array([31, 35, 40])
+        sl = cache.active_slices(pos, h, sinks)
+        assert np.array_equal(sl.tier1, np.arange(30, 42))
+        assert np.array_equal(sl.tier2, sl.tier1)
+        assert np.array_equal(sl.pi2, sl.pi1) and not sl.full
+        assert sl.n_pairs == len(sl.pi1) + len(sl.pi2) + int(sl.mask0.sum())
+        assert sl.n_pairs == 2 * 12 * 12 + 3 * 12
+
+
+class TestStoredLists:
+    def test_gravity_cache_never_holds_directed_arrays(self):
+        rng, pos, h, box = _random_setup(seed=31)
+        cache = PairCache(box=box, include_self=False)
+        for sinks in (None, np.arange(0, len(pos), 3), None):
+            cache.get_for_sinks(pos, 1.1, sinks)
+            pos = np.mod(pos + rng.normal(scale=0.05, size=pos.shape), box)
+        assert cache.n_builds >= 2  # drift forced rebuilds on the way
+        assert cache._pi is None and cache._pj is None
+        assert cache._starts is None
+        hpi, hpj = half_neighbor_pairs(cache._ref_pos, 1.1 * 1.25, box=box)
+        assert np.array_equal(cache._hpi, hpi)
+        assert np.array_equal(cache._hpj, hpj)
+        assert cache.nbytes == hpi.nbytes + hpj.nbytes
+
+    def test_directed_query_keeps_only_the_directed_list(self):
+        _, pos, h, box = _random_setup(seed=32)
+        cache = PairCache(box=box)
+        half = cache.get_for_sinks(pos, h, None)
+        cache.get(pos, h)
+        assert cache._hpi is None and cache._hpj is None
+        spi, spj = neighbor_pairs(pos, h * 1.25, box=box)
+        assert np.array_equal(cache._pi, spi)
+        assert np.array_equal(cache._pj, spj)
+        # the unordered query still serves, from the directed rows
+        for got, want in zip(cache.get_for_sinks(pos, h, None), half):
+            assert np.array_equal(got, want)
+        assert cache.n_builds == 1
