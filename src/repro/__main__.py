@@ -354,11 +354,8 @@ def cmd_lint(args) -> int:
     import os
 
     from .sanitize import (
-        DEEP_RULE_NAMES,
         LintEngine,
         apply_baseline,
-        deep_analyze,
-        deep_rule_descriptors,
         get_rules,
         load_baseline,
         render_json,
@@ -367,25 +364,16 @@ def cmd_lint(args) -> int:
     )
 
     rules = None
-    deep_rules = None
     if args.rules:
         names = [r.strip() for r in args.rules.split(",") if r.strip()]
-        deep_names = [n for n in names if n in DEEP_RULE_NAMES]
-        shallow_names = [n for n in names if n not in DEEP_RULE_NAMES]
-        if deep_names:
-            args.deep = True  # naming a deep rule implies --deep
-            deep_rules = deep_names
-            rules = []
-        if shallow_names or not deep_names:
-            try:
-                rules = get_rules(shallow_names)
-            except KeyError as exc:
-                print(
-                    f"unknown rule {exc.args[0]!r} "
-                    "(see repro.sanitize.rules)",
-                    file=sys.stderr,
-                )
-                return 2
+        try:
+            rules = get_rules(names)
+        except KeyError as exc:
+            print(
+                f"unknown rule {exc.args[0]!r} (see repro.sanitize.rules)",
+                file=sys.stderr,
+            )
+            return 2
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     baseline = None
     if args.baseline:
@@ -409,29 +397,7 @@ def cmd_lint(args) -> int:
             ]
 
     engine = LintEngine(rules=rules)
-    shallow_paths = paths if changed is None else changed
-    result = engine.lint_paths(shallow_paths)
-
-    deep_descriptors = []
-    if args.deep:
-        # the deep analyses are whole-program: always build over the
-        # full requested tree, then (with --changed) report only the
-        # findings landing in changed files
-        deep = deep_analyze(paths, root=engine.root, rules=deep_rules)
-        deep_descriptors = deep_rule_descriptors(
-            tuple(deep_rules) if deep_rules else DEEP_RULE_NAMES
-        )
-        deep_findings = deep.findings
-        if changed is not None:
-            keep = {os.path.abspath(p) for p in changed}
-            deep_findings = [
-                f for f in deep_findings
-                if (mod := deep.program.by_rel.get(f.path)) is not None
-                and os.path.abspath(mod.path) in keep
-            ]
-        result.findings.extend(deep_findings)
-        result.n_suppressed += deep.n_suppressed
-        result.errors.extend(deep.errors)
+    result = engine.lint_paths(paths if changed is None else changed)
     if baseline is not None:
         (result.findings, result.n_baseline,
          result.stale_baseline) = apply_baseline(result.findings, baseline)
@@ -443,11 +409,10 @@ def cmd_lint(args) -> int:
               f"to {args.write_baseline}")
         return 0
 
-    all_rules = list(engine.rules) + deep_descriptors
     if args.format == "json":
-        print(render_json(result, all_rules))
+        print(render_json(result, engine.rules))
     else:
-        print(render_text(result, all_rules))
+        print(render_text(result, engine.rules))
     return 0 if result.clean else 1
 
 
@@ -504,10 +469,6 @@ def main(argv=None) -> int:
                       help="suppress findings recorded in this debt file")
     lint.add_argument("--write-baseline", default=None, metavar="FILE",
                       help="record current findings as the debt baseline")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program comm-safety analyses "
-                           "(request-lifecycle, collective-divergence, "
-                           "span-balance)")
     lint.add_argument("--changed", action="store_true",
                       help="lint only .py files changed vs the merge-base "
                            "with origin/main (full tree outside a git repo)")

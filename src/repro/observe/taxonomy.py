@@ -111,14 +111,6 @@ RESILIENCE_SPANS = (
     "resilience/resume",
 )
 
-#: async/flow slices: names legal as ``async_begin``/``flow_start``
-#: duration slices (they may open and close in *different* functions —
-#: the deep span-balance rule pairs them program-wide against this set)
-ASYNC_SPANS = frozenset(
-    {"migration/flight", "ghost_exchange", "io/bleed", "io/pfs_drain",
-     "campaign/queued"}
-) | frozenset(COMM_SPANS)
-
 #: every span name a conforming trace may contain
 SPAN_NAMES = frozenset(
     SERIAL_PHASES + DISTRIBUTED_PHASES + RUNG_PHASES + MIGRATION_SPANS

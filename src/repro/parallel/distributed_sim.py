@@ -550,11 +550,19 @@ class RankDomain:
         comps = fft.inverse_many(
             [-1j * kvecs[axis] * phik for axis in range(3)]
         )
-        reqs = [comm.iallgather(c.real) for c in comps]
-        comm.fence(reqs)
-        for axis in range(3):
-            comp = np.concatenate(reqs[axis].wait(), axis=0)
-            accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
+        reqs = []
+        try:
+            for c in comps:
+                reqs.append(comm.iallgather(c.real))
+            comm.fence(reqs)
+            for axis in range(3):
+                comp = np.concatenate(reqs[axis].wait(), axis=0)
+                accel[:, axis] = cic_interpolate(comp, self.pos, cfg.box)
+        except BaseException:
+            # a failed post or wait must not strand the other gathers
+            for req in reqs:
+                req.cancel()
+            raise
         return accel
 
     # -- short range ----------------------------------------------------------

@@ -141,9 +141,15 @@ class GhostExchange:
             out_pos.append(pos_local[idx] + shift)
             for k, arr in fields.items():
                 out_fields[k].append(np.asarray(arr)[idx])
-        self._reqs = {"pos": comm.ialltoallv(out_pos)}
-        for k, chunks in out_fields.items():
-            self._reqs[k] = comm.ialltoallv(chunks)
+        self._reqs = {}
+        try:
+            for k, chunks in {"pos": out_pos, **out_fields}.items():
+                self._reqs[k] = comm.ialltoallv(chunks)
+        except BaseException:
+            # a post that raises (rank death inside it) must not strand
+            # the ones already posted
+            self.cancel()
+            raise
         comm.fence(self._reqs.values())
         self._trace = None
         tr = comm.world.tracer
@@ -215,23 +221,30 @@ class MigrationFlight:
         wrapped = np.mod(np.asarray(pos_local, dtype=np.float64), decomp.box)
         owner = decomp.rank_of_positions(wrapped)
         self._sels = [owner == dest for dest in range(comm.size)]
-        self._reqs1 = {"pos": comm.ialltoallv(
-            [wrapped[sel] for sel in self._sels]
-        )}
-        for k, arr in early_fields.items():
-            self._reqs1[k] = comm.ialltoallv(
-                [np.asarray(arr)[sel] for sel in self._sels]
-            )
-        comm.fence(self._reqs1.values())
+        self._reqs1: dict = {}
         self._reqs2: dict = {}
         self.arrivals_settled = False
+        try:
+            for k, arr in {"pos": wrapped, **early_fields}.items():
+                self._reqs1[k] = comm.ialltoallv(
+                    [np.asarray(arr)[sel] for sel in self._sels]
+                )
+        except BaseException:
+            # no caller holds the flight yet: settle the posted part here
+            self.cancel()
+            raise
+        comm.fence(self._reqs1.values())
 
     def post_payload(self, late_fields: dict) -> None:
         """Post wave 2 using the wave-1 owner selections."""
-        for k, arr in late_fields.items():
-            self._reqs2[k] = self._comm.ialltoallv(
-                [np.asarray(arr)[sel] for sel in self._sels]
-            )
+        try:
+            for k, arr in late_fields.items():
+                self._reqs2[k] = self._comm.ialltoallv(
+                    [np.asarray(arr)[sel] for sel in self._sels]
+                )
+        except BaseException:
+            self.cancel()
+            raise
         self._comm.fence(self._reqs2.values())
 
     def settle_arrivals(self) -> dict:

@@ -8,9 +8,7 @@ tooling"):
   hot-path scatters, the span taxonomy, clock discipline, seeded
   randomness, core dtype discipline — with inline
   ``# sanitize: allow-<rule>`` pragmas and recorded-debt baselines.
-  Run it as ``python -m repro lint``; ``--deep`` adds the
-  whole-program comm-safety analyses in :mod:`repro.sanitize.deep`
-  (request lifecycle, collective divergence, span balance).
+  Run it as ``python -m repro lint``.
 - the **runtime sanitizers** catch what static analysis cannot:
   :class:`CommSanitizer` (request leaks and double-waits on the
   simulated MPI layer),
@@ -19,11 +17,15 @@ tooling"):
   blowups at driver phase boundaries).  Each is opt-in per run —
   ``World(..., sanitize=True)``, ``SimulationConfig.sanitize``,
   ``DistributedConfig.sanitize`` — and free when off.
+
+Comm safety is checked by running the program, not by a static model of
+it: the test suite kills each rank inside every collective post site and
+requires :class:`CommSanitizer` to find every request settled (DESIGN.md
+"How comm safety is checked").
 """
 
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .comm import CommFinding, CommSanitizer
-from .deep import DEEP_RULE_NAMES, deep_analyze, deep_rule_descriptors
 from .engine import FileContext, Finding, LintEngine, LintResult, Rule, parse_file
 from .lanes import LaneCollisionError, LaneSanitizer
 from .numerics import NumericsError, NumericsSanitizer, kinetic_internal_energy
@@ -33,7 +35,6 @@ from .rules import default_rules, get_rules
 __all__ = [
     "CommFinding",
     "CommSanitizer",
-    "DEEP_RULE_NAMES",
     "FileContext",
     "Finding",
     "LaneCollisionError",
@@ -44,8 +45,6 @@ __all__ = [
     "NumericsSanitizer",
     "Rule",
     "apply_baseline",
-    "deep_analyze",
-    "deep_rule_descriptors",
     "default_rules",
     "get_rules",
     "kinetic_internal_energy",

@@ -7,6 +7,7 @@ track.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ class TestOverlapAcceptance:
         finishes = {e.id for e in obs.tracer.events if e.ph == "f"}
         assert starts, "no flow-start events from nonblocking posts"
         assert starts == finishes  # every post's arrow lands on a wait
+
+    def test_every_async_and_flow_slice_closes(self, overlap_run):
+        """Every async slice opened (``b``) is closed (``e``) and every
+        flow arrow started (``s``) lands (``f``), matched on
+        ``(cat, id, name)``: a slice left open reads in Perfetto as an
+        exchange or migration that never finished."""
+        obs, _ = overlap_run
+
+        def opened(ph):
+            return Counter((e.cat, e.id, e.name)
+                           for e in obs.tracer.events if e.ph == ph)
+
+        names = {name for _, _, name in opened("b")}
+        assert {"ghost_exchange", "migration/flight"} <= names
+        assert opened("b") == opened("e")
+        assert opened("s") == opened("f")
 
     def test_fft_stages_recorded(self, overlap_run):
         obs, _ = overlap_run

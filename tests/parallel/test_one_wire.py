@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import repro
 import repro.parallel
 import repro.sanitize
 
@@ -64,6 +65,59 @@ def test_comm_has_one_condition_one_wait_loop_and_one_request_class():
     }
     assert public == {"allreduce", "ialltoallv", "iallgather", "iallreduce",
                       "fence"}
+
+
+#: the program's posting groups: every nonblocking post outside the
+#: transport sits in one of these, and each ends its group with ``fence``
+POSTING_FUNCTIONS = {
+    "DistributedFFT._post_transpose", "GhostExchange.__init__",
+    "MigrationFlight.__init__", "MigrationFlight.post_payload",
+    "RankDomain.drift", "RankDomain._solve_long_range",
+    "RankDomain._short_forces_posted",
+}
+
+
+def _methods(tree):
+    """``(qualname, node)`` of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def _calls(node, names) -> int:
+    return sum(isinstance(n, ast.Call)
+               and getattr(n.func, "attr", None) in names
+               for n in ast.walk(node))
+
+
+def test_every_post_sits_in_a_fenced_posting_group():
+    """AST guard: outside ``parallel/comm.py`` every ``ialltoallv`` /
+    ``iallgather`` / ``iallreduce`` call sits in one of
+    ``POSTING_FUNCTIONS``, and each of them calls ``fence``.  A group
+    whose fence is dropped still gives the same values (the consumer's
+    wait completes it), so only this guard notices."""
+    posts = {"ialltoallv", "iallgather", "iallreduce"}
+    root = Path(repro.__file__).parent
+    posting, unfenced = set(), []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "parallel" / "comm.py":
+            continue
+        tree = ast.parse(path.read_text())
+        n_in_functions = 0
+        for name, fn in _methods(tree):
+            if n := _calls(fn, posts):
+                n_in_functions += n
+                posting.add(name)
+                if not _calls(fn, {"fence"}):
+                    unfenced.append(name)
+        # none outside a function or method either
+        assert n_in_functions == _calls(tree, posts), path
+    assert posting == POSTING_FUNCTIONS
+    assert unfenced == []
 
 
 def test_comm_sanitizer_watches_no_second_transport():

@@ -83,40 +83,6 @@ class TestBaselineWorkflow:
         assert "maximum.at" in capsys.readouterr().out
 
 
-LEAKY_SRC = (
-    "def leak(comm):\n"
-    "    comm.iallgather(3)\n"
-)
-
-
-class TestDeepFlag:
-    def test_deep_flags_request_leak(self, tmp_path, capsys):
-        path = _write(tmp_path, "leaky.py", LEAKY_SRC)
-        assert main(["lint", path, "--deep"]) == 1
-        out = capsys.readouterr().out
-        assert "[request-lifecycle]" in out
-        assert "leaky.py:2" in out
-
-    def test_deep_rule_name_implies_deep(self, tmp_path, capsys):
-        path = _write(tmp_path, "leaky.py", LEAKY_SRC + SCATTER_SRC)
-        assert main(["lint", path, "--rules", "request-lifecycle",
-                     "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        # the shallow scatter finding is excluded by the rule subset
-        assert [f["rule"] for f in doc["findings"]] == ["request-lifecycle"]
-        assert [r["name"] for r in doc["rules"]] == ["request-lifecycle"]
-
-    def test_deep_clean_file_exits_zero(self, tmp_path, capsys):
-        path = _write(
-            tmp_path, "ok.py",
-            "def settle(comm):\n"
-            "    req = comm.iallreduce(1.0)\n"
-            "    return req.wait()\n",
-        )
-        assert main(["lint", path, "--deep"]) == 0
-        assert "OK" in capsys.readouterr().out
-
-
 def _git(cwd, *argv):
     subprocess.run(
         ["git", *argv], cwd=cwd, check=True, capture_output=True,
