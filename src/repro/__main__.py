@@ -303,116 +303,16 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _changed_python_files():
-    """Absolute paths of ``.py`` files changed vs the merge-base.
-
-    Diffs the working tree against ``git merge-base HEAD origin/main``
-    (first available of origin/main, origin/master, main, master) and
-    adds untracked files.  Returns None when not in a git repository
-    (the caller falls back to the full tree); an empty list means a
-    clean working tree.
-    """
-    import os
-    import subprocess
-
-    def git(*cmd):
-        try:
-            proc = subprocess.run(
-                ["git", *cmd], capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    top = git("rev-parse", "--show-toplevel")
-    if top is None:
-        return None
-    top = top.strip()
-    base = None
-    for ref in ("origin/main", "origin/master", "main", "master"):
-        got = git("merge-base", "HEAD", ref)
-        if got is not None:
-            base = got.strip()
-            break
-    if base is None:
-        return None
-    diff = git("diff", "--name-only", base)
-    if diff is None:
-        return None
-    names = set(diff.splitlines())
-    untracked = git("ls-files", "--others", "--exclude-standard")
-    if untracked is not None:
-        names.update(untracked.splitlines())
-    return [
-        path for name in sorted(names) if name.endswith(".py")
-        and os.path.exists(path := os.path.join(top, name))
-    ]
-
-
 def cmd_lint(args) -> int:
-    """Run the sanitize lint engine; exit 0 clean / 1 findings / 2 usage."""
+    """Run every lint rule; exit 0 clean / 1 findings or unreadable path."""
     import os
 
-    from .sanitize import (
-        LintEngine,
-        apply_baseline,
-        get_rules,
-        load_baseline,
-        render_json,
-        render_text,
-        write_baseline,
-    )
+    from .sanitize import LintEngine, render_text
 
-    rules = None
-    if args.rules:
-        names = [r.strip() for r in args.rules.split(",") if r.strip()]
-        try:
-            rules = get_rules(names)
-        except KeyError as exc:
-            print(
-                f"unknown rule {exc.args[0]!r} (see repro.sanitize.rules)",
-                file=sys.stderr,
-            )
-            return 2
-    paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    baseline = None
-    if args.baseline:
-        if not os.path.exists(args.baseline):
-            print(f"baseline file not found: {args.baseline}", file=sys.stderr)
-            return 2
-        baseline = load_baseline(args.baseline)
-
-    changed = None
-    if args.changed:
-        changed = _changed_python_files()
-        if changed is not None:
-            # --changed narrows the requested paths, never widens them:
-            # only changed files under the linted tree(s) count
-            roots = [os.path.abspath(p) for p in paths]
-            changed = [
-                p for p in changed
-                if any(os.path.abspath(p) == r
-                       or os.path.abspath(p).startswith(r + os.sep)
-                       for r in roots)
-            ]
-
-    engine = LintEngine(rules=rules)
-    result = engine.lint_paths(paths if changed is None else changed)
-    if baseline is not None:
-        (result.findings, result.n_baseline,
-         result.stale_baseline) = apply_baseline(result.findings, baseline)
-    result.findings.sort(key=lambda f: (f.path, f.line, f.rule))
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, result.findings)
-        print(f"wrote baseline with {len(result.findings)} finding(s) "
-              f"to {args.write_baseline}")
-        return 0
-
-    if args.format == "json":
-        print(render_json(result, engine.rules))
-    else:
-        print(render_text(result, engine.rules))
+    engine = LintEngine()
+    result = engine.lint_paths(
+        args.paths or [os.path.dirname(os.path.abspath(__file__))])
+    print(render_text(result, engine.rules))
     return 0 if result.clean else 1
 
 
@@ -462,16 +362,6 @@ def main(argv=None) -> int:
     lint = sub.add_parser("lint", help="run the repo's AST lint rules")
     lint.add_argument("paths", nargs="*",
                       help="files/directories (default: the repro package)")
-    lint.add_argument("--rules", default=None,
-                      help="comma-separated rule subset (default: all)")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="suppress findings recorded in this debt file")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="record current findings as the debt baseline")
-    lint.add_argument("--changed", action="store_true",
-                      help="lint only .py files changed vs the merge-base "
-                           "with origin/main (full tree outside a git repo)")
 
     args = parser.parse_args(argv)
     return {

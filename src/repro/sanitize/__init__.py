@@ -7,8 +7,9 @@ tooling"):
   :mod:`repro.sanitize.rules`) enforces repo-wide source disciplines —
   hot-path scatters, the span taxonomy, clock discipline, seeded
   randomness, core dtype discipline — with inline
-  ``# sanitize: allow-<rule>`` pragmas and recorded-debt baselines.
-  Run it as ``python -m repro lint``.
+  ``# sanitize: allow-<rule>`` pragmas.  Run it as
+  ``python -m repro lint [paths]``; a rule's scope follows the file's
+  package path, so the result does not depend on the working directory.
 - the **runtime sanitizers** catch what static analysis cannot:
   :class:`CommSanitizer` (request leaks and double-waits on the
   simulated MPI layer),
@@ -24,33 +25,21 @@ requires :class:`CommSanitizer` to find every request settled (DESIGN.md
 "How comm safety is checked").
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .comm import CommFinding, CommSanitizer
-from .engine import FileContext, Finding, LintEngine, LintResult, Rule, parse_file
+from .engine import LintEngine, render_text
 from .lanes import LaneCollisionError, LaneSanitizer
 from .numerics import NumericsError, NumericsSanitizer, kinetic_internal_energy
-from .reporting import render_json, render_text
-from .rules import default_rules, get_rules
+from .rules import default_rules
 
 __all__ = [
     "CommFinding",
     "CommSanitizer",
-    "FileContext",
-    "Finding",
     "LaneCollisionError",
     "LaneSanitizer",
     "LintEngine",
-    "LintResult",
     "NumericsError",
     "NumericsSanitizer",
-    "Rule",
-    "apply_baseline",
     "default_rules",
-    "get_rules",
     "kinetic_internal_energy",
-    "load_baseline",
-    "parse_file",
-    "render_json",
     "render_text",
-    "write_baseline",
 ]

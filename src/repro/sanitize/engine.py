@@ -15,9 +15,11 @@ inline suppression pragmas:
     dtype rule, or the comm transport under the clock rule).
 
 Rules are small stateless objects (see :mod:`repro.sanitize.rules`); the
-engine owns traversal, pragma handling, and baseline subtraction
-(:mod:`repro.sanitize.baseline`), so a new rule is one file with one
-``check(ctx)`` method.
+engine owns traversal and pragma handling, so a new rule is one file with
+one ``check(ctx)`` method.  A rule's scope is decided from the file's
+absolute path (``FileContext.path``), so the same tree gives the same
+findings from any working directory; ``FileContext.rel`` is only the
+path a finding is displayed with.
 """
 
 from __future__ import annotations
@@ -46,17 +48,13 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
-    def key(self) -> tuple:
-        """Baseline identity: stable under unrelated line drift."""
-        return (self.rule, self.path, self.message)
-
 
 @dataclass
 class FileContext:
     """Everything a rule may inspect about one file (parsed once)."""
 
-    path: str  # absolute path on disk
-    rel: str  # repo-relative posix path used in findings
+    path: str  # absolute posix path: what rules scope on
+    rel: str  # root-relative posix path used in findings
     source: str
     tree: ast.AST
     #: line -> set of rule names allowed on that line
@@ -120,7 +118,8 @@ def parse_file(path: str, root: str | None = None) -> FileContext:
     rel = rel.replace(os.sep, "/")
     tree = ast.parse(source, filename=path)
     line_pragmas, file_pragmas = _scan_pragmas(source)
-    return FileContext(path=path, rel=rel, source=source, tree=tree,
+    return FileContext(path=os.path.abspath(path).replace(os.sep, "/"),
+                       rel=rel, source=source, tree=tree,
                        pragmas=line_pragmas, file_pragmas=file_pragmas)
 
 
@@ -131,20 +130,31 @@ class LintResult:
     findings: list
     n_files: int
     n_suppressed: int = 0  # pragma-suppressed
-    n_baseline: int = 0  # baseline-suppressed
     errors: list = field(default_factory=list)  # (path, message)
-    #: baseline keys that matched no finding: ``[((rule, path, message),
-    #: unused_count), ...]`` — recorded debt that has been paid off and
-    #: should be pruned from the baseline file
-    stale_baseline: list = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
         return not self.findings and not self.errors
 
 
+def render_text(result: LintResult, rules) -> str:
+    """Human-readable report: one ``path:line: [rule] message`` per finding."""
+    lines = [f"{path}: error: {msg}" for path, msg in result.errors]
+    lines += [f.render() for f in result.findings]
+    tail = (
+        f"{len(result.findings)} finding(s) in {result.n_files} file(s)"
+        if (result.findings or result.errors)
+        else f"OK — {result.n_files} file(s) clean"
+    )
+    tail += f" ({len(rules)} rules"
+    if result.n_suppressed:
+        tail += f", {result.n_suppressed} pragma-suppressed"
+    lines.append(tail + ")")
+    return "\n".join(lines)
+
+
 class LintEngine:
-    """Run a rule set over files/trees with pragma + baseline filtering."""
+    """Run a rule set over files/trees with pragma filtering."""
 
     def __init__(self, rules=None, root: str | None = None):
         if rules is None:
@@ -155,13 +165,7 @@ class LintEngine:
         #: findings are reported relative to this directory
         self.root = root if root is not None else os.getcwd()
 
-    def lint_file(self, path: str) -> list:
-        """Pragma-filtered findings for one file."""
-        result = LintResult(findings=[], n_files=0)
-        self._lint_into(path, result)
-        return result.findings
-
-    def lint_paths(self, paths, baseline=None) -> LintResult:
+    def lint_paths(self, paths) -> LintResult:
         """Lint files and/or directory trees (``.py`` files, sorted walk)."""
         result = LintResult(findings=[], n_files=0)
         for path in paths:
@@ -172,13 +176,6 @@ class LintEngine:
                 self._lint_into(path, result)
             else:
                 result.errors.append((path, "no such file"))
-        if baseline is not None:
-            from .baseline import apply_baseline
-
-            (result.findings, result.n_baseline,
-             result.stale_baseline) = apply_baseline(
-                result.findings, baseline
-            )
         result.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return result
 

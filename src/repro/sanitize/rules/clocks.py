@@ -48,7 +48,7 @@ class ClockDisciplineRule(Rule):
     )
 
     def applies(self, ctx):
-        return is_instrumented(ctx.rel)
+        return is_instrumented(ctx.path)
 
     def check(self, ctx):
         modules, funcs = _time_aliases(ctx.tree)

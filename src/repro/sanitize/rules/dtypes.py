@@ -27,7 +27,7 @@ class DtypeDisciplineRule(Rule):
     )
 
     def applies(self, ctx):
-        return "/core/" in ctx.rel or ctx.rel.startswith("core/")
+        return "/repro/core/" in ctx.path
 
     def check(self, ctx):
         np_names = numpy_aliases(ctx.tree)

@@ -22,7 +22,7 @@ TRACER_METHODS = frozenset(
 )
 
 #: modules whose tracer calls must only use registered span names
-#: (repo-relative posix paths)
+#: (package paths, matched as ``/<path>`` suffixes of the absolute path)
 INSTRUMENTED = (
     "repro/core/simulation.py",
     "repro/parallel/comm.py",
@@ -40,8 +40,9 @@ INSTRUMENTED = (
 )
 
 
-def is_instrumented(rel: str) -> bool:
-    return any(rel.endswith(mod) for mod in INSTRUMENTED)
+def is_instrumented(path: str) -> bool:
+    """True for the absolute posix ``path`` of an instrumented module."""
+    return any(path.endswith("/" + mod) for mod in INSTRUMENTED)
 
 
 def span_literal_calls(tree: ast.AST):
@@ -67,7 +68,7 @@ class SpanTaxonomyRule(Rule):
     )
 
     def applies(self, ctx):
-        return is_instrumented(ctx.rel)
+        return is_instrumented(ctx.path)
 
     def check(self, ctx):
         from ...observe.taxonomy import is_registered

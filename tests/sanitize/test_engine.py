@@ -1,20 +1,6 @@
-"""Lint engine mechanics: pragmas, baselines, reporting, rule registry."""
+"""Lint engine mechanics: pragmas, traversal, reporting, rule registry."""
 
-import json
-
-import pytest
-
-from repro.sanitize import (
-    Finding,
-    LintEngine,
-    apply_baseline,
-    default_rules,
-    get_rules,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
+from repro.sanitize import LintEngine, default_rules, render_text
 from repro.sanitize.engine import parse_file
 
 
@@ -200,104 +186,6 @@ class TestRuleRegistry:
             "determinism", "dtype-discipline",
         }
 
-    def test_get_rules_subset_and_unknown(self):
-        assert [r.name for r in get_rules(["scatter"])] == ["scatter"]
-        # iterator inputs must not be silently exhausted
-        assert [r.name for r in get_rules(iter(["scatter"]))] == ["scatter"]
-        with pytest.raises(KeyError):
-            get_rules(["no-such-rule"])
-
-
-class TestBaseline:
-    def test_roundtrip_suppresses_recorded_debt(self, tmp_path):
-        result = _lint(tmp_path, SCATTER_SRC)
-        debt = tmp_path / "debt.json"
-        write_baseline(str(debt), result.findings)
-        baseline = load_baseline(str(debt))
-        fresh, n, _ = apply_baseline(result.findings, baseline)
-        assert fresh == [] and n == 1
-
-    def test_baseline_count_budget(self, tmp_path):
-        f = Finding(rule="r", path="p.py", line=1, message="m")
-        g = Finding(rule="r", path="p.py", line=9, message="m")
-        debt = tmp_path / "debt.json"
-        write_baseline(str(debt), [f])
-        fresh, n, _ = apply_baseline([f, g], load_baseline(str(debt)))
-        # one recorded occurrence: the second identical message is fresh
-        assert n == 1 and len(fresh) == 1
-
-    def test_baseline_stable_under_line_drift(self, tmp_path):
-        f = Finding(rule="r", path="p.py", line=10, message="m")
-        drifted = Finding(rule="r", path="p.py", line=99, message="m")
-        debt = tmp_path / "debt.json"
-        write_baseline(str(debt), [f])
-        fresh, n, _ = apply_baseline([drifted], load_baseline(str(debt)))
-        assert fresh == [] and n == 1
-
-    def test_engine_applies_baseline(self, tmp_path):
-        f = tmp_path / "mod.py"
-        f.write_text(SCATTER_SRC)
-        engine = LintEngine(root=str(tmp_path))
-        first = engine.lint_paths([str(f)])
-        debt = tmp_path / "debt.json"
-        write_baseline(str(debt), first.findings)
-        second = engine.lint_paths([str(f)], baseline=load_baseline(str(debt)))
-        assert second.clean and second.n_baseline == 1
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        debt = tmp_path / "debt.json"
-        debt.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError):
-            load_baseline(str(debt))
-
-
-class TestStaleBaseline:
-    def test_paid_off_debt_is_reported_stale(self):
-        live = Finding(rule="r", path="p.py", line=1, message="m")
-        baseline = {
-            ("r", "p.py", "m"): 1,
-            ("r", "gone.py", "fixed long ago"): 2,
-        }
-        fresh, n, stale = apply_baseline([live], baseline)
-        assert fresh == [] and n == 1
-        assert stale == [(("r", "gone.py", "fixed long ago"), 2)]
-
-    def test_partially_used_budget_reports_the_remainder(self):
-        live = Finding(rule="r", path="p.py", line=1, message="m")
-        fresh, n, stale = apply_baseline([live], {("r", "p.py", "m"): 3})
-        assert fresh == [] and n == 1
-        assert stale == [(("r", "p.py", "m"), 2)]
-
-    def test_fully_used_budget_is_not_stale(self):
-        live = Finding(rule="r", path="p.py", line=1, message="m")
-        fresh, n, stale = apply_baseline([live, live],
-                                         {("r", "p.py", "m"): 2})
-        assert fresh == [] and n == 2 and stale == []
-
-    def test_engine_surfaces_stale_entries(self, tmp_path):
-        f = tmp_path / "mod.py"
-        f.write_text("x = 1\n")  # clean: the recorded debt is paid off
-        debt = tmp_path / "debt.json"
-        write_baseline(str(debt), [
-            Finding(rule="scatter", path="mod.py", line=2, message="old"),
-        ])
-        engine = LintEngine(root=str(tmp_path))
-        result = engine.lint_paths([str(f)], baseline=load_baseline(str(debt)))
-        assert result.clean  # stale debt is a report, not a failure
-        assert result.stale_baseline == [(("scatter", "mod.py", "old"), 1)]
-
-    def test_reports_render_stale_entries(self, tmp_path):
-        result = _lint(tmp_path, "x = 1\n")
-        result.stale_baseline = [(("scatter", "mod.py", "old"), 1)]
-        text = render_text(result, default_rules())
-        assert "stale baseline entry" in text
-        assert "--write-baseline" in text
-        doc = json.loads(render_json(result, default_rules()))
-        assert doc["stale_baseline"] == [{
-            "rule": "scatter", "path": "mod.py", "message": "old",
-            "unused_count": 1,
-        }]
-
 
 class TestReporting:
     def test_text_report_lists_findings(self, tmp_path):
@@ -309,12 +197,3 @@ class TestReporting:
     def test_text_report_clean(self, tmp_path):
         result = _lint(tmp_path, "x = 1\n")
         assert "OK" in render_text(result, default_rules())
-
-    def test_json_report_shape(self, tmp_path):
-        result = _lint(tmp_path, SCATTER_SRC)
-        doc = json.loads(render_json(result, default_rules()))
-        assert doc["clean"] is False
-        assert doc["n_findings"] == 1
-        assert doc["findings"][0]["rule"] == "scatter"
-        assert doc["findings"][0]["path"] == "mod.py"
-        assert len(doc["rules"]) == len(default_rules())

@@ -1,13 +1,14 @@
 """Per-rule true/false positives on synthetic sources."""
 
-from repro.sanitize import LintEngine, get_rules
+from repro.sanitize import LintEngine, default_rules
 
 
 def _findings(tmp_path, source, rule, relname="mod.py"):
     f = tmp_path / relname
     f.parent.mkdir(parents=True, exist_ok=True)
     f.write_text(source)
-    engine = LintEngine(rules=get_rules([rule]), root=str(tmp_path))
+    rules = [r for r in default_rules() if r.name == rule]
+    engine = LintEngine(rules=rules, root=str(tmp_path))
     return engine.lint_paths([str(f)]).findings
 
 

@@ -3,11 +3,13 @@
 Any new ``np.add.at`` hot-path scatter, unregistered span name, raw
 wall-clock read in an instrumented module, unseeded RNG, or float32 in
 ``core/`` fails this test unless it carries an explicit
-``# sanitize: allow-<rule>`` pragma (or is recorded in a committed
-baseline debt file, of which the tree currently has none).
+``# sanitize: allow-<rule>`` pragma.  The tree is linted once and both
+gates read that one result.
 """
 
 import os
+
+import pytest
 
 from repro.sanitize import LintEngine, default_rules, render_text
 
@@ -16,9 +18,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 SRC = os.path.join(REPO, "src", "repro")
 
 
-def test_src_tree_is_lint_clean():
+@pytest.fixture(scope="module")
+def src_lint():
     engine = LintEngine(root=REPO)
-    result = engine.lint_paths([SRC])
+    return engine, engine.lint_paths([SRC])
+
+
+def test_src_tree_is_lint_clean(src_lint):
+    engine, result = src_lint
     assert result.clean, "\n" + render_text(result, engine.rules)
     assert result.errors == []
     # the run actually covered the tree with the full rule set
@@ -34,8 +41,8 @@ def test_rule_catalog_is_active():
     }
 
 
-def test_suppressions_are_deliberate_and_bounded():
+def test_suppressions_are_deliberate_and_bounded(src_lint):
     """Pragma count is a ratchet: a jump means someone is papering over
     findings instead of fixing them.  Update the bound consciously."""
-    result = LintEngine(root=REPO).lint_paths([SRC])
+    _, result = src_lint
     assert result.n_suppressed <= 60
