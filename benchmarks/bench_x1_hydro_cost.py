@@ -94,10 +94,12 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     """Per-subcycle hydro force cost: pair engine vs the pre-engine path.
 
     The pre-engine strategy (what the seed's ``_hydro_derivs`` did every
-    subcycle) runs each CRKSPH stage standalone — displacements and base
-    kernels re-derived per stage, every scatter a buffered ``np.add.at``
-    (restored here by patching the staged functions' ``segment_sum``).  The
-    engine threads one ``PairBatch`` through all stages.
+    subcycle) runs each CRKSPH stage standalone: every stage gets a fresh
+    ``PairBatch``, so displacements and base kernels are re-derived per
+    stage, and every reduction is a buffered ``np.add.at`` scatter (the
+    batch's plan is swapped for one that scatters, and the CRK moments'
+    fused reduction is patched to use it).  The engine threads one
+    ``PairBatch`` through all stages.
 
     Both legs consume the same pair list, built once outside the timed
     region: list acquisition (fresh build vs cached query) is
@@ -108,9 +110,6 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     reduce in one pass: 62 -> 39 ms staged, 36 -> 16 ms engine).
     """
     import repro.core.sph.crk as crk_mod
-    import repro.core.sph.hydro as hydro_mod
-    import repro.core.sph.viscosity as visc_mod
-    from repro.core.geometry import pair_displacements
     from repro.core.sph import (
         compute_corrections,
         compute_density,
@@ -118,6 +117,7 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
         corrected_kernel_pairs,
         crksph_derivatives,
         get_kernel,
+        make_pair_batch,
     )
     from repro.core.sph.eos import IdealGasEOS
     from repro.core.sph.hydro import update_smoothing_lengths
@@ -126,7 +126,7 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
         balsara_switch,
         velocity_divergence_curl,
     )
-    from repro.tree import neighbor_pairs
+    from repro.tree import PairRows, neighbor_pairs
 
     rng = np.random.default_rng(0)
     n, box = scaled(1000, 400), 10.0
@@ -137,8 +137,8 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     kernel = get_kernel("wendland_c4")
     h = np.full(n, 1.5 * box / n ** (1 / 3))
     for _ in range(3):
-        pi, pj = neighbor_pairs(pos, h, box=box)
-        _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
+        rows = PairRows.measured(pos, *neighbor_pairs(pos, h, box=box), box)
+        _, vol = compute_number_density(make_pair_batch(rows, h, kernel))
         h = update_smoothing_lengths(vol, n_target=40, h_old=h)
     pi, pj = neighbor_pairs(pos, h, box=box)
 
@@ -150,37 +150,48 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
             best = min(best, time.perf_counter() - t0)
         return best
 
-    def _add_at_segment_sum(values, ids, n_out, **_kw):
-        v = np.asarray(values)
-        out = np.zeros((n_out,) + v.shape[1:], dtype=v.dtype)
-        np.add.at(out, ids, v)
-        return out
+    class AddAtPlan:
+        """A reduction plan whose sums are buffered ``np.add.at`` scatters."""
+
+        def __init__(self, ids, n_out):
+            self.ids, self.num_segments = ids, n_out
+
+        def sum(self, values):
+            v = np.asarray(values)
+            out = np.zeros((self.num_segments,) + v.shape[1:], dtype=v.dtype)
+            np.add.at(out, self.ids, v)
+            return out
+
+    def stage_batch():
+        """One stage's own batch: geometry and base kernel derived anew."""
+        b = make_pair_batch(PairRows.measured(pos, pi, pj, box), h, kernel)
+        b.seg = AddAtPlan(b.pi, n)
+        return b
 
     eos = IdealGasEOS()
     viscosity = MonaghanViscosity()
 
     def naive_subcycle():
         """The seed's per-subcycle hydro evaluation, stage by stage."""
-        _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel, box=box)
-        rho = compute_density(pos, mass, h, pi, pj, kernel, corr, box=box)
+        _, vol = compute_number_density(stage_batch())
+        corr = compute_corrections(vol, stage_batch())
+        rho = compute_density(stage_batch(), mass, corr)
         pressure = eos.pressure(rho, u)
         cs = eos.sound_speed(rho, u)
         # G_ij = grad_i W^R_ij - grad_j W^R_ji, both orientations on every
         # directed row
-        dx = pair_displacements(pos, pi, pj, box)
-        _, g_ij = corrected_kernel_pairs(corr, pos, h, pi, pj, kernel,
-                                         dx_pairs=dx)
-        _, g_ji = corrected_kernel_pairs(corr, pos, h, pj, pi, kernel,
-                                         dx_pairs=-dx)
+        b = stage_batch()
+        dx, hj = b.dx, h[pj]
+        _, g_ij = corrected_kernel_pairs(corr, pi, dx, b.w_i, b.gw_i)
+        _, g_ji = corrected_kernel_pairs(
+            corr, pj, -dx, kernel.w(b.r, hj),
+            -kernel.dw_dr(b.r, hj)[:, None] * b.unit)
         g_pair = g_ij - g_ji
         dv = vel[pi] - vel[pj]
         h_ij = 0.5 * (h[pi] + h[pj])
         c_ij = 0.5 * (cs[pi] + cs[pj])
         rho_ij = 0.5 * (rho[pi] + rho[pj])
-        div_v, curl_v = velocity_divergence_curl(
-            pos, vel, vol, h, pi, pj, kernel, dx_pairs=dx
-        )
+        div_v, curl_v = velocity_divergence_curl(vel, vol, stage_batch())
         f = balsara_switch(div_v, curl_v, cs, h)
         pi_visc = viscosity.pi_pair(viscosity.mu_pair(dx, dv, h_ij), c_ij,
                                     rho_ij, limiter=0.5 * (f[pi] + f[pj]))
@@ -199,15 +210,14 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
         return accel, du_dt, vsig
 
     def naive_with_add_at_scatters():
-        """Run the staged flow with the seed's np.add.at scatter cost."""
-        patched = [(m, m.segment_sum) for m in (crk_mod, hydro_mod, visc_mod)]
+        """Run the staged flow with the moments reducing through the
+        scattering plan too."""
+        fused = crk_mod.segment_sum_csr
         try:
-            for m, _ in patched:
-                m.segment_sum = _add_at_segment_sum
+            crk_mod.segment_sum_csr = lambda plan, values: plan.sum(values)
             return naive_subcycle()
         finally:
-            for m, orig in patched:
-                m.segment_sum = orig
+            crk_mod.segment_sum_csr = fused
 
     def engine_subcycle():
         crksph_derivatives(pos, vel, mass, u, h, pi, pj, kernel, box=box)

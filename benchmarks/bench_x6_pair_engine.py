@@ -24,9 +24,10 @@ from repro.core.sph import (
     compute_number_density,
     crksph_derivatives,
     get_kernel,
+    make_pair_batch,
 )
 from repro.core.sph.hydro import update_smoothing_lengths
-from repro.tree import PairCache, neighbor_pairs
+from repro.tree import PairCache, PairRows, neighbor_pairs
 
 from conftest import FULL, print_table, scaled
 
@@ -42,8 +43,8 @@ def _clustered_setup(n=1500, box=20.0, seed=11):
     kernel = get_kernel("wendland_c4")
     h = np.full(len(pos), 1.5 * box / len(pos) ** (1 / 3))
     for _ in range(3):
-        pi, pj = neighbor_pairs(pos, h, box=box)
-        _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
+        rows = PairRows.measured(pos, *neighbor_pairs(pos, h, box=box), box)
+        _, vol = compute_number_density(make_pair_batch(rows, h, kernel))
         h = update_smoothing_lengths(vol, n_target=40, h_old=h)
     return pos, mass, h, kernel, box
 

@@ -85,21 +85,13 @@ def cic_interpolate(field: np.ndarray, pos: np.ndarray, box: float) -> np.ndarra
 _GREEN_CACHE: OrderedDict = OrderedDict()
 _GREEN_CACHE_MAX = 8
 _GREEN_LOCK = threading.Lock()
-_GREEN_STATS = {"built": 0, "reused": 0}
-
-
-def green_cache_stats() -> dict:
-    """``{"built": .., "reused": ..}`` counts of spectral-table builds."""
-    with _GREEN_LOCK:
-        return dict(_GREEN_STATS)
 
 
 def clear_green_cache() -> None:
-    """Drop the memoized spectral tables and reset the counters (tests)."""
+    """Drop the memoized spectral tables (the next solver of each shape
+    builds again)."""
     with _GREEN_LOCK:
         _GREEN_CACHE.clear()
-        _GREEN_STATS["built"] = 0
-        _GREEN_STATS["reused"] = 0
 
 
 def green_tables_nbytes(n: int) -> int:
@@ -154,8 +146,7 @@ def shared_green_tables(n: int, box: float, r_split: float = 0.0,
     Every :class:`PMSolver` constructs through this memo, so repeated
     solver instances on the same (grid, box, filter order) share one
     read-only Green's function instead of rebuilding it.  Builds and
-    reuses are counted both module-locally (:func:`green_cache_stats`)
-    and as ``pm/green_builds`` / ``pm/green_reuses`` counters in the
+    reuses are counted as ``pm/green_builds`` / ``pm/green_reuses`` in the
     default metrics registry.
     """
     key = (int(n), float(box), float(r_split), bool(deconvolve_cic))
@@ -163,13 +154,11 @@ def shared_green_tables(n: int, box: float, r_split: float = 0.0,
         tables = _GREEN_CACHE.get(key)
         if tables is not None:
             _GREEN_CACHE.move_to_end(key)
-            _GREEN_STATS["reused"] += 1
             hit = True
     if tables is None:
         hit = False
         tables = build_green_tables(*key)
         with _GREEN_LOCK:
-            _GREEN_STATS["built"] += 1
             _GREEN_CACHE[key] = tables
             while len(_GREEN_CACHE) > _GREEN_CACHE_MAX:
                 _GREEN_CACHE.popitem(last=False)

@@ -250,6 +250,7 @@ class Simulation:
 
     def _refresh_smoothing_lengths(self) -> None:
         from .sph.hydro import compute_number_density
+        from .sph.pair_batch import make_pair_batch
 
         if self.config.fixed_h:
             return
@@ -260,8 +261,7 @@ class Simulation:
         gpos = p.pos[gas]
         gh = p.h[gas]
         rows = self._hydro_cache.get(gpos, gh, ids=gas)
-        _, vol = compute_number_density(gpos, gh, rows.pi, rows.pj,
-                                        self.kernel, dx_pairs=rows.dx)
+        _, vol = compute_number_density(make_pair_batch(rows, gh, self.kernel))
         p.h[gas] = update_smoothing_lengths(
             vol,
             n_target=self.config.n_neighbors,

@@ -61,7 +61,7 @@ def crksph_rows(out, frame_rows, cache, pos, vel, mass, u, h, sinks, kernel,
     accel, du_dt, vsig = out
     slices = cache.active_slices(pos, h, sinks, ids=ids)
     d = crksph_derivatives_active(pos, vel, mass, u, h, slices, kernel,
-                                  eos=eos, viscosity=viscosity, box=cache.box)
+                                  eos=eos, viscosity=viscosity)
     rows = frame_rows[d.sinks]
     accel[rows] += d.accel
     du_dt[rows] = d.du_dt

@@ -10,9 +10,11 @@ interpolant exactly reproduces constant and linear functions.  Gradient
 corrections (grad A, grad B) are computed as well so corrected kernel
 gradients are exact for linear fields.
 
-All routines operate on flat neighbor-pair arrays ``(pi, pj)`` in the gather
-convention: pair (i, j) present whenever ``|x_i - x_j| < h_i``, including the
-self pair (i, i).
+All routines read one :class:`~repro.core.sph.pair_batch.PairBatch`: the
+pair rows ``(pi, pj)`` in the gather convention — pair (i, j) present
+whenever ``|x_i - x_j| < h_i``, the self pair (i, i) included — with the
+periodic-wrapped displacements, base kernel values and gradients formed
+once for every stage, and the reduction plan over ``pi``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import pair_displacements
-from ..scatter import segment_sum, segment_sum_csr
-from .kernels import Kernel
+from ..scatter import segment_sum_csr
+from .pair_batch import PairBatch
 
 
 @dataclass
@@ -60,63 +61,6 @@ def _invert_spd_batch(m: np.ndarray, eps: float = 1.0e-12) -> np.ndarray:
     return out
 
 
-def compute_moments(
-    pos: np.ndarray,
-    vol: np.ndarray,
-    h: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    kernel: Kernel,
-    dx_pairs: np.ndarray | None = None,
-    batch=None,
-    box=None,
-):
-    """Compute CRK geometric moments m0, m1, m2 and their gradients.
-
-    Parameters
-    ----------
-    pos : (N, 3) positions
-    vol : (N,) particle volumes
-    h : (N,) support radii
-    pi, pj : pair index arrays (gather convention, self pair included)
-    kernel : base smoothing kernel
-    dx_pairs : optional precomputed ``x_i - x_j`` (periodic-wrapped) per pair
-    batch : optional ``PairBatch`` carrying shared pair state (supersedes
-        ``pi, pj, dx_pairs``)
-    box : periodic box the displacements are wrapped in when they are
-        formed here (neither ``dx_pairs`` nor ``batch`` given)
-
-    Returns
-    -------
-    (m0, m1, m2, dm0, dm1, dm2) where gradients are with respect to x_i:
-        dm0 : (N, 3)
-        dm1 : (N, 3, 3)  dm1[:, a, b] = d m1_b / d x_a
-        dm2 : (N, 3, 3, 3) dm2[:, a, b, c] = d m2_bc / d x_a
-    """
-    n = pos.shape[0]
-    if batch is not None:
-        # moment accumulation over the batch's shared CSR plan
-        w, gw = batch.kernel_i()
-        acc = lambda values: segment_sum_csr(batch.seg, values)  # noqa: E731
-        return _moments_body(vol[batch.pj], batch.dx, w, gw, acc)
-    if dx_pairs is None:
-        dx_pairs = pair_displacements(pos, pi, pj, box)
-    dx = dx_pairs  # x_i - x_j, shape (P, 3)
-    r = np.sqrt(np.sum(dx * dx, axis=-1))
-    hi = h[pi]
-    w = kernel.w(r, hi)
-    # grad_i W_ij = dW/dr * (x_i - x_j)/r
-    dwdr = kernel.dw_dr(r, hi)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gw = np.where(
-            r[:, None] > 0.0,
-            dwdr[:, None] * dx / np.maximum(r, 1e-300)[:, None],
-            0.0,
-        )
-    acc = lambda values: segment_sum(values, pi, n)  # noqa: E731
-    return _moments_body(vol[pj], dx, w, gw, acc)
-
-
 #: rows of the per-pair moment buffer: m0 | m1 (3) | m2 upper triangle (6)
 #: | dm0 (3) | dm1 sums (3x3) | dm2 sums (3 x 6 upper-triangle) = 40
 _SYM_B = np.array([0, 0, 0, 1, 1, 2])
@@ -125,29 +69,42 @@ _SYM_C = np.array([0, 1, 2, 1, 2, 2])
 _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _moments_body(vj, dx, w, gw, acc):
-    """All six moment sums in one ``acc`` over a ``(P, 40)`` buffer (filled
-    as its ``(40, P)`` transpose, so every write is contiguous).
+def compute_moments(vol: np.ndarray, batch: PairBatch):
+    """Compute CRK geometric moments m0, m1, m2 and their gradients.
 
-    Only the parts that differ pair to pair are reduced; the delta terms of
-    the gradients are per-*particle* because ``sum_j V_j W = m0`` and
-    ``sum_j V_j dx_c W = -m1_c`` (``dx = x_i - x_j``):
+    ``vol`` holds the particle volumes (read at ``batch.pj``); the pair
+    geometry, the base kernel at support ``h_i`` and the reduction plan
+    come from ``batch``.  All six sums are one reduction over a
+    ``(P, 40)`` buffer (filled as its ``(40, P)`` transpose, so every write
+    is contiguous).  Only the parts that differ pair to pair are reduced;
+    the delta terms of the gradients are per-*particle* because
+    ``sum_j V_j W = m0`` and ``sum_j V_j dx_c W = -m1_c``
+    (``dx = x_i - x_j``):
 
         dm1[a, b]    = sum_j V_j (-dx_b) gw_a - delta_ab m0
         dm2[a, b, c] = sum_j V_j dx_b dx_c gw_a - delta_ab m1_c - delta_ac m1_b
+
+    Returns
+    -------
+    (m0, m1, m2, dm0, dm1, dm2) where gradients are with respect to x_i:
+        dm0 : (N, 3)
+        dm1 : (N, 3, 3)  dm1[:, a, b] = d m1_b / d x_a
+        dm2 : (N, 3, 3, 3) dm2[:, a, b, c] = d m2_bc / d x_a
     """
+    vj = vol[batch.pj]
     p = len(vj)
-    dxt = dx.T
-    vw = vj * w
+    dxt = batch.dx.T
+    vw = vj * batch.w_i
     sym = dxt[_SYM_B] * dxt[_SYM_C]  # dx_b dx_c, b <= c
     buf = np.empty((40, p))
     buf[0] = vw
     np.multiply(dxt, -vw, out=buf[1:4])
     np.multiply(sym, vw, out=buf[4:10])
-    vgw = np.multiply(gw.T, vj, out=buf[10:13])
+    vgw = np.multiply(batch.gw_i.T, vj, out=buf[10:13])
     np.multiply(vgw[:, None], -dxt, out=buf[13:22].reshape(3, 3, p))
     np.multiply(vgw[:, None], sym, out=buf[22:40].reshape(3, 6, p))
-    tot = acc(buf.T)
+    # the reductions are part of this one kernel call, not reducer calls
+    tot = segment_sum_csr(batch.seg, buf.T)
 
     n = len(tot)
     eye = np.eye(3)
@@ -162,17 +119,7 @@ def _moments_body(vj, dx, w, gw, acc):
     return m0, m1, m2, dm0, dm1, dm2
 
 
-def compute_corrections(
-    pos: np.ndarray,
-    vol: np.ndarray,
-    h: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    kernel: Kernel,
-    dx_pairs: np.ndarray | None = None,
-    batch=None,
-    box=None,
-) -> CRKCorrections:
+def compute_corrections(vol: np.ndarray, batch: PairBatch) -> CRKCorrections:
     """Solve the linear reproducing conditions for A_i and B_i (and grads).
 
     The conditions  sum_j V_j W^R_ij = 1  and  sum_j V_j (x_j - x_i) W^R_ij = 0
@@ -180,9 +127,7 @@ def compute_corrections(
 
         B_i = m2^{-1} m1,      A_i = 1 / (m0 - B_i . m1)
     """
-    m0, m1, m2, dm0, dm1, dm2 = compute_moments(
-        pos, vol, h, pi, pj, kernel, dx_pairs=dx_pairs, batch=batch, box=box
-    )
+    m0, m1, m2, dm0, dm1, dm2 = compute_moments(vol, batch)
     m2inv = _invert_spd_batch(m2)
     b = np.einsum("nab,nb->na", m2inv, m1)
     denom = m0 - np.einsum("na,na->n", b, m1)
@@ -213,43 +158,16 @@ def corrected_kernel_values(corrections: CRKCorrections, pi, dx, w):
     return corrections.a[pi] * lin * w
 
 
-def corrected_kernel_pairs(
-    corrections: CRKCorrections,
-    pos: np.ndarray,
-    h: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    kernel: Kernel,
-    dx_pairs: np.ndarray | None = None,
-    wg=None,
-    box=None,
-):
+def corrected_kernel_pairs(corrections: CRKCorrections, pi, dx, w, gw):
     """Evaluate the corrected kernel and its gradient for each pair.
 
-    Returns ``(wr, gwr)`` with ``wr`` shape (P,) and ``gwr`` shape (P, 3);
-    the gradient is with respect to ``x_i``.  ``wg`` optionally supplies
-    precomputed base-kernel values ``(W_ij, grad_i W_ij)`` for the same
-    orientation (e.g. from a ``PairBatch``), skipping their re-derivation.
-    Without ``dx_pairs`` the displacements are formed here, wrapped in the
-    periodic ``box``.
+    ``dx = x_i - x_j`` and the base kernel ``(w, gw)`` — ``W_ij`` and its
+    gradient with respect to ``x_i`` — are those of one orientation, as a
+    ``PairBatch`` holds them (or their mirror for the reverse rows); the
+    corrections are read at ``pi``.  Returns ``(wr, gwr)`` with ``wr``
+    shape (P,) and ``gwr`` shape (P, 3), the gradient with respect to
+    ``x_i``.
     """
-    if dx_pairs is None:
-        dx_pairs = pair_displacements(pos, pi, pj, box)
-    dx = dx_pairs
-    if wg is not None:
-        w, gw = wg
-    else:
-        r = np.sqrt(np.sum(dx * dx, axis=-1))
-        hi = h[pi]
-        w = kernel.w(r, hi)
-        dwdr = kernel.dw_dr(r, hi)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gw = np.where(
-                r[:, None] > 0.0,
-                dwdr[:, None] * dx / np.maximum(r, 1e-300)[:, None],
-                0.0,
-            )
-
     a = corrections.a[pi]
     b = np.take(corrections.b, pi, axis=0)
     ga = np.take(corrections.grad_a, pi, axis=0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...tree.pair_cache import ActivePairSlices, PairRows
-from ..geometry import pair_differences, pair_displacements
+from ..geometry import pair_differences
 from ..scatter import SegmentReducer, segment_sum
 from .crk import (
     CRKCorrections,
@@ -46,37 +46,17 @@ from .pair_batch import PairBatch, make_pair_batch
 from .viscosity import MonaghanViscosity, balsara_switch, velocity_divergence_curl
 
 
-def compute_number_density(pos, h, pi, pj, kernel, box=None, dx_pairs=None,
-                           batch=None):
-    """SPH number density n_i = sum_j W_ij(h_i) and volumes V_i = 1/n_i.
-
-    ``dx_pairs`` optionally supplies precomputed displacements; ``batch`` a
-    full ``PairBatch`` (shared pair state, supersedes the other pair args).
-    """
-    n = pos.shape[0]
-    if batch is not None:
-        num = batch.seg.sum(batch.w_i)
-    else:
-        if dx_pairs is None:
-            dx_pairs = pair_displacements(pos, pi, pj, box)
-        r = np.sqrt(np.sum(dx_pairs * dx_pairs, axis=-1))
-        num = segment_sum(kernel.w(r, h[pi]), pi, n)
-    num = np.maximum(num, 1e-300)
+def compute_number_density(batch: PairBatch):
+    """SPH number density n_i = sum_j W_ij(h_i) and volumes V_i = 1/n_i."""
+    num = np.maximum(batch.seg.sum(batch.w_i), 1e-300)
     return num, 1.0 / num
 
 
-def compute_density(
-    pos, mass, h, pi, pj, kernel, corrections: CRKCorrections, box=None,
-    dx_pairs=None,
-):
-    """Corrected mass density rho_i = sum_j m_j W^R_ij."""
-    n = pos.shape[0]
-    if dx_pairs is None:
-        dx_pairs = pair_displacements(pos, pi, pj, box)
-    r = np.sqrt(np.sum(dx_pairs * dx_pairs, axis=-1))
-    wr = corrected_kernel_values(corrections, pi, dx_pairs, kernel.w(r, h[pi]))
-    rho = segment_sum(mass[pj] * wr, pi, n)
-    return np.maximum(rho, 1e-300)
+def compute_density(batch: PairBatch, mass, corrections: CRKCorrections):
+    """Corrected mass density rho_i = sum_j m_j W^R_ij; the sum reads only
+    the forward value W^R_ij (``corrections`` indexed by particle)."""
+    wr = corrected_kernel_values(corrections, batch.pi, batch.dx, batch.w_i)
+    return np.maximum(batch.seg.sum(mass[batch.pj] * wr), 1e-300)
 
 
 def update_smoothing_lengths(
@@ -138,28 +118,19 @@ def crksph_derivatives(
     eos: IdealGasEOS | None = None,
     viscosity: MonaghanViscosity | None = None,
     box: float | None = None,
-    batch: PairBatch | None = None,
-    dx_pairs: np.ndarray | None = None,
-    r2_pairs: np.ndarray | None = None,
 ) -> HydroDerivatives:
     """Evaluate CRKSPH accelerations and energy derivatives of every
     particle: the evaluation of :func:`crksph_derivatives_active` with
     every row a sink.
 
-    ``pi, pj`` must be a symmetric pair list (both orderings present) that
-    includes self pairs; conservation tests enforce this contract.  Pair
-    geometry (taken from ``dx_pairs``/``r2_pairs`` when a ``PairCache``
-    query carried it), base kernels, and the CSR reduction plan are
-    computed once in a ``PairBatch`` (or accepted prebuilt via ``batch``)
-    and shared by every stage.
+    ``pi, pj`` must be a symmetric pair list (both orderings present),
+    sorted by ``pi``, that includes self pairs; conservation tests enforce
+    this contract.  Its geometry is measured here, in the periodic
+    ``box``, as a ``PairCache`` query measures its rows.
     """
-    if batch is None:
-        batch = make_pair_batch(pos, h, pi, pj, kernel, box=box,
-                                dx_pairs=dx_pairs, r2_pairs=r2_pairs)
     slices = ActivePairSlices.everyone(
-        pos.shape[0], PairRows(batch.pi, batch.pj, batch.dx, None))
-    return _crksph(pos, vel, mass, u, h, slices, batch, kernel, eos,
-                   viscosity, box)
+        pos.shape[0], PairRows.measured(pos, pi, pj, box))
+    return _crksph(pos, vel, mass, u, h, slices, kernel, eos, viscosity)
 
 
 def crksph_derivatives_active(
@@ -172,7 +143,6 @@ def crksph_derivatives_active(
     kernel: Kernel,
     eos: IdealGasEOS | None = None,
     viscosity: MonaghanViscosity | None = None,
-    box: float | None = None,
 ) -> HydroDerivatives:
     """CRKSPH derivatives for the sinks of an ``ActivePairSlices``.
 
@@ -183,15 +153,14 @@ def crksph_derivatives_active(
     Section IV-A: only active rungs are force-evaluated on a substep).
     Inactive particles participate purely as gather-only sources.
     """
-    return _crksph(pos, vel, mass, u, h, slices, None, kernel, eos,
-                   viscosity, box)
+    return _crksph(pos, vel, mass, u, h, slices, kernel, eos, viscosity)
 
 
-def _tier_batch(pos, h, tier, pi, pj, dx, r2, kernel, box) -> PairBatch:
+def _tier_batch(h, tier, rows: PairRows, kernel) -> PairBatch:
     """Pair state for the rows of the sorted closure ``tier``, reducing
     into compact rows aligned with it."""
-    return make_pair_batch(pos, h, pi, pj, kernel, box=box, dx_pairs=dx,
-                           r2_pairs=r2, sink_ids=_rows_in(tier, pi, len(pos)),
+    return make_pair_batch(rows, h, kernel,
+                           sink_ids=_rows_in(tier, rows.pi, len(h)),
                            n_sinks=len(tier))
 
 
@@ -212,7 +181,7 @@ def _spread(tier, values, n):
     return out
 
 
-def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
+def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
     """The CRKSPH pipeline behind both public entry points.
 
     The dependency closure of the sinks is staged exactly:
@@ -226,9 +195,9 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     * the antisymmetrized pair force, work, and signal speed once per
       unordered pair with an end in ``sinks``, applied to both ends.
 
-    ``b1`` is the tier-1 batch when the caller already holds it.  In a
-    ``full`` evaluation the tier-2 rows are the tier-1 rows and one batch
-    serves both.
+    Every stage reads its pair state from the tier's ``PairBatch``, built
+    once from the rows the query measured.  In a ``full`` evaluation the
+    tier-2 rows are the tier-1 rows and one batch serves both.
 
     Both ends of a sink pair are in tier 1, so its ``pi < pj`` row is a
     tier-1 row: the unordered rows are a mask of the batch, in half-list
@@ -241,36 +210,29 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     eos = eos or IdealGasEOS()
     viscosity = viscosity or MonaghanViscosity()
     n = pos.shape[0]
-    if b1 is None:
-        b1 = _tier_batch(pos, h, sl.tier1, sl.pi1, sl.pj1, sl.dx1, sl.r2_1,
-                         kernel, box)
-    b2 = b1 if sl.full else _tier_batch(
-        pos, h, sl.tier2, sl.pi2, sl.pj2, sl.dx2, sl.r2_2, kernel, box)
+    b1 = _tier_batch(h, sl.tier1, sl.rows1, kernel)
+    b2 = b1 if sl.full else _tier_batch(h, sl.tier2, sl.rows2, kernel)
     pi1, pj1 = b1.pi, b1.pj
 
     # -- tier2: volumes (only the base kernel sum) ---------------------------
-    _, vol2 = compute_number_density(pos, h, b2.pi, b2.pj, kernel, batch=b2)
+    _, vol2 = compute_number_density(b2)
     vol = _spread(sl.tier2, vol2, n)
 
     # -- tier1: corrections, density, pressure, limiter ----------------------
-    corr1 = compute_corrections(pos, vol, h, pi1, pj1, kernel, batch=b1)
+    corr1 = compute_corrections(vol, b1)
     corr = CRKCorrections(
         a=_spread(sl.tier1, corr1.a, n), b=_spread(sl.tier1, corr1.b, n),
         grad_a=_spread(sl.tier1, corr1.grad_a, n),
         grad_b=_spread(sl.tier1, corr1.grad_b, n),
     )
-    # the density sum reads only the forward value W^R_ij
-    wr1 = corrected_kernel_values(corr, pi1, b1.dx, b1.w_i)
-    rho1 = np.maximum(b1.seg.sum(mass[pj1] * wr1), 1e-300)
+    rho1 = compute_density(b1, mass, corr)
     pressure1 = eos.pressure(rho1, u[sl.tier1])
     cs1 = eos.sound_speed(rho1, u[sl.tier1])
     rho = _spread(sl.tier1, rho1, n)
     pressure = _spread(sl.tier1, pressure1, n)
     cs = _spread(sl.tier1, cs1, n)
 
-    div1, curl1 = velocity_divergence_curl(
-        pos, vel, vol, h, pi1, pj1, kernel, batch=b1
-    )
+    div1, curl1 = velocity_divergence_curl(vel, vol, b1)
     f = _spread(sl.tier1, balsara_switch(div1, curl1, cs1, h[sl.tier1]), n)
 
     # -- sink pairs: each unordered pair once, applied to both ends ----------
@@ -286,15 +248,11 @@ def _crksph(pos, vel, mass, u, h, sl, b1, kernel, eos, viscosity, box):
     # grad_i W^R_ij at support h_i, and grad_j W^R_ji: corrections of j,
     # separation x_j - x_i = -dx, support h_j, gradient with respect to x_j
     _, g_ij = corrected_kernel_pairs(
-        corr, pos, h, pi, pj, kernel, dx_pairs=dx,
-        wg=(b1.w_i[rows], np.take(b1.gw_i, rows, axis=0)),
-    )
+        corr, pi, dx, b1.w_i[rows], np.take(b1.gw_i, rows, axis=0))
     hj = h[pj]
     _, g_ji = corrected_kernel_pairs(
-        corr, pos, h, pj, pi, kernel, dx_pairs=-dx,
-        wg=(kernel.w(r, hj),
-            -kernel.dw_dr(r, hj)[:, None] * np.take(b1.unit, rows, axis=0)),
-    )
+        corr, pj, -dx, kernel.w(r, hj),
+        -kernel.dw_dr(r, hj)[:, None] * np.take(b1.unit, rows, axis=0))
     g_pair = g_ij - g_ji
 
     dv = pair_differences(vel, pi, pj)

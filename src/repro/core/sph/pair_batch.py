@@ -7,7 +7,9 @@ corrected density, symmetrized gradients, and the viscosity limiter.  The
 seed implementation re-derived them in each stage; ``PairBatch`` computes
 them once and is threaded through the whole stack, mirroring how the GPU
 kernels stage shared pair state in registers before streaming the physics
-(paper Section IV-B1).
+(paper Section IV-B1).  It is the only way pair state reaches a stage: the
+batch is built from ``PairRows``, whose displacements ``pair_geometry``
+formed where the rows were selected.
 
 The batch keeps pairs sorted by ``pi`` and carries a ``SegmentReducer`` so
 every per-particle accumulation is a fast CSR segment reduction instead of
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..geometry import pair_geometry
+from ...tree.pair_cache import PairRows
 from ..scatter import SegmentReducer
 from .kernels import Kernel
 
@@ -66,53 +68,34 @@ class PairBatch:
         """grad_i W(r, h_i), (P, 3)."""
         return self.kernel.dw_dr(self.r, self.h[self.pi])[:, None] * self.unit
 
-    def kernel_i(self):
-        """(W_ij, grad_i W_ij) at support h_i."""
-        return self.w_i, self.gw_i
 
+def make_pair_batch(rows: PairRows, h, kernel: Kernel, sink_ids=None,
+                    n_sinks=None) -> PairBatch:
+    """Build the shared pair state of the filtered ``rows``.
 
-def make_pair_batch(pos, h, pi, pj, kernel: Kernel, box=None,
-                    dx_pairs=None, sink_ids=None, n_sinks=None,
-                    r2_pairs=None) -> PairBatch:
-    """Build the shared pair state for ``(pi, pj)``.
-
-    Pairs are re-sorted by ``pi`` when necessary (lists from
-    ``tree.neighbor_pairs`` and ``tree.pair_cache.PairCache`` arrive
-    ``(pi, pj)``-ascending and skip this).  ``dx_pairs``/``r2_pairs`` accept
-    the geometry a ``PairCache`` query carries; what is missing is formed
-    here.
+    The rows carry their geometry (a ``PairCache`` query measured it, or
+    :meth:`~repro.tree.PairRows.measured` for a bare list); the separation
+    and base kernel are formed from it here, once.  The rows must be
+    sorted by ``pi`` (pair-list builds and cache queries return them so):
+    anything else raises ``ValueError``.
 
     ``sink_ids``/``n_sinks`` switch the segment-reduction plan to compact
     active rows: per-particle accumulations land in row ``sink_ids[p]`` of
     length-``n_sinks`` outputs instead of full-length arrays, while pair
-    geometry and kernels still index the full ``pos``/``h``.  This is the
-    batch-level half of the active-set evaluation path (paper Section
-    IV-A): inactive particles stay gather-only sources.
+    kernels still index the full ``h``.  This is the batch-level half of
+    the active-set evaluation path (paper Section IV-A): inactive
+    particles stay gather-only sources.
     """
-    pi = np.asarray(pi)
-    pj = np.asarray(pj)
+    pi = np.asarray(rows.pi)
     if len(pi) > 1 and np.any(pi[1:] < pi[:-1]):
-        if sink_ids is not None:
-            raise ValueError("sink_ids requires a pi-sorted pair list")
-        order = np.argsort(pi, kind="stable")
-        pi = pi[order]
-        pj = pj[order]
-        if dx_pairs is not None:
-            dx_pairs = np.asarray(dx_pairs)[order]
-        if r2_pairs is not None:
-            r2_pairs = np.asarray(r2_pairs)[order]
-    if dx_pairs is None:
-        dx_pairs, r2_pairs = pair_geometry(pos, pi, pj, box)
-    elif r2_pairs is None:
-        r2_pairs = np.einsum("pa,pa->p", dx_pairs, dx_pairs)
-    r = np.sqrt(r2_pairs)
+        raise ValueError("make_pair_batch requires rows sorted by pi")
+    h = np.asarray(h)
+    r = np.sqrt(rows.r2)
     if sink_ids is None:
-        seg = SegmentReducer(pi, pos.shape[0], assume_sorted=True)
-        n_seg = pos.shape[0]
-    else:
-        n_seg = int(n_sinks)
-        seg = SegmentReducer(np.asarray(sink_ids), n_seg, assume_sorted=True)
+        sink_ids, n_sinks = pi, len(h)
+    seg = SegmentReducer(np.asarray(sink_ids), int(n_sinks),
+                         assume_sorted=True)
     return PairBatch(
-        pi=pi, pj=pj, dx=dx_pairs, r=r, n=n_seg, kernel=kernel,
-        h=np.asarray(h), seg=seg, w_i=kernel.w(r, h[pi]),
+        pi=pi, pj=np.asarray(rows.pj), dx=rows.dx, r=r, n=int(n_sinks),
+        kernel=kernel, h=h, seg=seg, w_i=kernel.w(r, h[pi]),
     )

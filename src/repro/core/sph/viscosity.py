@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import pair_differences
-from ..scatter import segment_sum
+from .pair_batch import PairBatch
 
 
 @dataclass(frozen=True)
@@ -59,35 +59,16 @@ def balsara_switch(div_v, curl_v_mag, c, h, eps: float = 1.0e-4):
     return div / np.maximum(denom, 1e-300)
 
 
-def velocity_divergence_curl(pos, vel, vol, h, pi, pj, kernel, dx_pairs=None,
-                             batch=None):
+def velocity_divergence_curl(vel, vol, batch: PairBatch):
     """SPH estimates of div(v) and |curl(v)| per particle.
 
-    Uses the uncorrected kernel gradient (sufficient for a limiter switch).
-    ``batch`` optionally supplies shared pair state (``PairBatch``),
-    reusing its kernel gradients and segment reductions.
+    Uses the uncorrected kernel gradient of ``batch`` (sufficient for a
+    limiter switch) and reduces over its plan.
     """
-    n = pos.shape[0]
-    if batch is not None:
-        pi, pj = batch.pi, batch.pj
-        _, gw = batch.kernel_i()
-        acc = batch.seg.sum
-    else:
-        if dx_pairs is None:
-            dx_pairs = pos[pi] - pos[pj]
-        dx = dx_pairs
-        r = np.sqrt(np.sum(dx * dx, axis=-1))
-        dwdr = kernel.dw_dr(r, h[pi])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gw = np.where(
-                r[:, None] > 0.0,
-                dwdr[:, None] * dx / np.maximum(r, 1e-300)[:, None],
-                0.0,
-            )
-        acc = lambda values: segment_sum(values, pi, n)  # noqa: E731
-    dv = pair_differences(vel, pj, pi)
-    vj = vol[pj]
+    gw = batch.gw_i
+    dv = pair_differences(vel, batch.pj, batch.pi)
+    vj = vol[batch.pj]
 
-    div = acc(vj * np.einsum("pa,pa->p", dv, gw))
-    curl = acc(vj[:, None] * np.cross(dv, gw))
+    div = batch.seg.sum(vj * np.einsum("pa,pa->p", dv, gw))
+    curl = batch.seg.sum(vj[:, None] * np.cross(dv, gw))
     return div, np.sqrt(np.sum(curl * curl, axis=-1))

@@ -162,9 +162,9 @@ def neighbor_pairs(
 
     Rows are in canonical order — ``pi`` ascending, ``pj`` ascending within
     each ``pi`` — whatever the positions' spatial layout.  Consumers rely on
-    it: ``make_pair_batch`` and ``SegmentReducer(assume_sorted=True)`` skip
-    their sort, and a filtered ``PairCache`` query is ``array_equal`` to a
-    fresh call.  The list is :func:`directed_pairs` of the unordered
+    it: ``make_pair_batch`` requires it, ``SegmentReducer(assume_sorted=True)``
+    skips its sort, and a filtered ``PairCache`` query is ``array_equal`` to
+    a fresh call.  The list is :func:`directed_pairs` of the unordered
     :func:`half_neighbor_pairs` rows, which is also how a ``PairCache``
     derives its directed list from the half list it stores.
 

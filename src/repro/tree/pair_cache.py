@@ -67,6 +67,11 @@ class PairRows(NamedTuple):
     dx: np.ndarray
     r2: np.ndarray
 
+    @classmethod
+    def measured(cls, pos, pi, pj, box=None) -> PairRows:
+        """The bare list ``(pi, pj)`` with its geometry measured at ``pos``."""
+        return cls(pi, pj, *pair_geometry(pos, pi, pj, box))
+
 
 @dataclass
 class ActivePairSlices:
@@ -83,15 +88,13 @@ class ActivePairSlices:
       because the CRK moments of a tier1 particle gather its neighbors'
       volumes.
 
-    ``pairs1 = (pi1, pj1)`` lists every pair whose sink is in ``tier1``
-    (CSR order, sinks ascending); ``mask0`` selects the rows whose sink is
-    in ``sinks``.  Both ends of a pair that touches a sink are in
-    ``tier1``, so the final force assembly finds each such unordered pair
-    as a ``pi < pj`` row here.  ``pairs2``
-    covers tier2 sinks and only feeds the volume pass.  ``dx1``/``dx2`` and
-    ``r2_1``/``r2_2`` are the rows' geometry as the filter measured it.
-    All index arrays are in the coordinate frame the cache was queried
-    with.
+    ``rows1`` lists every pair whose sink is in ``tier1`` (CSR order,
+    sinks ascending); ``mask0`` selects the rows whose sink is in
+    ``sinks``.  Both ends of a pair that touches a sink are in ``tier1``,
+    so the final force assembly finds each such unordered pair as a
+    ``pi < pj`` row here.  ``rows2`` covers tier2 sinks and only feeds the
+    volume pass.  Both carry the geometry the filter measured.  All index
+    arrays are in the coordinate frame the cache was queried with.
 
     A full evaluation is the case where every particle is a sink
     (:meth:`everyone`, ``full``): all three closures are ``arange(n)``,
@@ -103,15 +106,9 @@ class ActivePairSlices:
     sinks: np.ndarray
     tier1: np.ndarray
     tier2: np.ndarray
-    pi1: np.ndarray
-    pj1: np.ndarray
-    dx1: np.ndarray
-    r2_1: np.ndarray
+    rows1: PairRows
     mask0: np.ndarray | None
-    pi2: np.ndarray
-    pj2: np.ndarray
-    dx2: np.ndarray
-    r2_2: np.ndarray
+    rows2: PairRows
     #: every particle is a sink: one list serves both tiers
     full: bool = False
 
@@ -120,7 +117,7 @@ class ActivePairSlices:
         """The slices of a full evaluation over the ``n`` particles whose
         filtered pair list is ``rows``."""
         every = np.arange(n)
-        return cls(every, every, every, *rows, None, *rows, full=True)
+        return cls(every, every, every, rows, None, rows, full=True)
 
     @property
     def n_pairs(self) -> int:
@@ -128,8 +125,9 @@ class ActivePairSlices:
         list, then, unless the evaluation is ``full``, the tier-2 list and
         the sink rows."""
         if self.full:
-            return len(self.pi1)
-        return len(self.pi1) + len(self.pi2) + int(self.mask0.sum())
+            return len(self.rows1.pi)
+        return (len(self.rows1.pi) + len(self.rows2.pi)
+                + int(self.mask0.sum()))
 
 
 #: Verlet skin fraction both drivers build their pair caches with: search
@@ -432,7 +430,7 @@ class PairCache:
         rows1 = tier1_rows[0]
         return ActivePairSlices(
             sinks, np.flatnonzero(tier1_mask), np.flatnonzero(tier2_mask),
-            *rows1, member[rows1.pi], *_merged(tier1_rows, added2)[0],
+            rows1, member[rows1.pi], _merged(tier1_rows, added2)[0],
         )
 
 

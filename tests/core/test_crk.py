@@ -1,19 +1,23 @@
 """CRK correction tests: the reproducing conditions are the core invariant."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scatter import segment_sum
+from repro.core.scatter import SegmentReducer, segment_sum
 from repro.core.sph.crk import (
-    _moments_body,
     compute_corrections,
     compute_moments,
     corrected_kernel_pairs,
 )
+from repro.core.sph.hydro import compute_number_density
 from repro.core.sph.kernels import get_kernel
-from repro.tree import neighbor_pairs
+from repro.core.sph.pair_batch import make_pair_batch
+from repro.core.sph.viscosity import velocity_divergence_curl
+from repro.tree import PairRows, neighbor_pairs
 
 
 def glass_like_positions(n_per_dim, box, jitter, seed=0):
@@ -37,47 +41,38 @@ def lattice_setup():
     return pos, h, pi, pj, kernel, box
 
 
-def _volumes(pos, h, pi, pj, kernel, box):
-    from repro.core.sph.hydro import compute_number_density
-
-    _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
-    return vol
+def _batch(pos, h, pi, pj, kernel, box):
+    return make_pair_batch(PairRows.measured(pos, pi, pj, box), h, kernel)
 
 
-def _wrapped_dx(pos, pi, pj, box):
-    dx = pos[pi] - pos[pj]
-    return dx - box * np.round(dx / box)
+@pytest.fixture(scope="module")
+def lattice_batch(lattice_setup):
+    """``(batch, volumes)`` of the jittered lattice."""
+    pos, h, pi, pj, kernel, box = lattice_setup
+    b = _batch(pos, h, pi, pj, kernel, box)
+    return b, compute_number_density(b)[1]
 
 
 class TestMoments:
-    def test_m0_positive(self, lattice_setup):
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        m0, *_ = compute_moments(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
+    def test_m0_positive(self, lattice_batch):
+        m0, *_ = compute_moments(lattice_batch[1], lattice_batch[0])
         assert np.all(m0 > 0.0)
 
-    def test_m2_symmetric(self, lattice_setup):
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        _, _, m2, *_ = compute_moments(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
+    def test_m2_symmetric(self, lattice_batch):
+        _, _, m2, *_ = compute_moments(lattice_batch[1], lattice_batch[0])
         np.testing.assert_allclose(m2, np.swapaxes(m2, -1, -2), atol=1e-14)
 
-    def test_moment_gradients_match_fd(self, lattice_setup):
+    def test_moment_gradients_match_fd(self, lattice_setup, lattice_batch):
         """Moment gradients are *field* gradients: differentiate the moment
         sums with respect to the evaluation point, holding every neighbor
         (including the self particle, as a sample point) fixed."""
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        _, _, _, dm0, dm1, _ = compute_moments(
-            pos, vol, h, pi, pj, kernel, dx_pairs=dx
-        )
+        pos, h, _, _, kernel, _ = lattice_setup
+        b, vol = lattice_batch
+        _, _, _, dm0, dm1, _ = compute_moments(vol, b)
         target = 7
-        sel = pi == target
-        xj = pos[target] - dx[sel]  # unwrapped neighbor positions
-        vj = vol[pj[sel]]
+        sel = b.pi == target
+        xj = pos[target] - b.dx[sel]  # unwrapped neighbor positions
+        vj = vol[b.pj[sel]]
         ht = h[target]
 
         def field_moments(x):
@@ -102,25 +97,27 @@ class TestMoments:
             )
 
 
+def _corrected(b, vol):
+    """``(W^R, grad W^R)`` per row of ``b`` from its corrections."""
+    corr = compute_corrections(vol, b)
+    return corrected_kernel_pairs(corr, b.pi, b.dx, b.w_i, b.gw_i)
+
+
 class TestReproducingConditions:
-    def test_constant_reproduced(self, lattice_setup):
+    def test_constant_reproduced(self, lattice_batch):
         """sum_j V_j W^R_ij == 1 exactly (zeroth-order consistency)."""
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
-        wr, _ = corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, dx_pairs=dx)
-        interp = np.zeros(len(pos))
-        np.add.at(interp, pi, vol[pj] * wr)
+        b, vol = lattice_batch
+        wr, _ = _corrected(b, vol)
+        interp = np.zeros(b.n)
+        np.add.at(interp, b.pi, vol[b.pj] * wr)
         np.testing.assert_allclose(interp, 1.0, atol=1e-9)
 
-    def test_linear_field_reproduced(self, lattice_setup):
+    def test_linear_field_reproduced(self, lattice_setup, lattice_batch):
         """sum_j V_j f(x_j) W^R_ij == f(x_i) for linear f (first-order)."""
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
-        wr, _ = corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, dx_pairs=dx)
+        pos = lattice_setup[0]
+        b, vol = lattice_batch
+        pi, pj, dx = b.pi, b.pj, b.dx
+        wr, _ = _corrected(b, vol)
         # evaluate the linear field at the periodically-unwrapped neighbor
         # location x_i - dx so linearity is meaningful across the wrap
         grad = np.array([0.7, -1.3, 2.1])
@@ -131,13 +128,13 @@ class TestReproducingConditions:
         expected = 0.5 + pos @ grad
         np.testing.assert_allclose(interp, expected, atol=1e-8)
 
-    def test_corrected_gradient_exact_for_linear(self, lattice_setup):
+    def test_corrected_gradient_exact_for_linear(self, lattice_setup,
+                                                 lattice_batch):
         """sum_j V_j f(x_j) grad W^R_ij == grad f for linear f."""
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
-        _, gwr = corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, dx_pairs=dx)
+        pos = lattice_setup[0]
+        b, vol = lattice_batch
+        pi, pj, dx = b.pi, b.pj, b.dx
+        _, gwr = _corrected(b, vol)
         grad = np.array([0.7, -1.3, 2.1])
         xj_unwrapped = pos[pi] - dx
         fj = 0.5 + xj_unwrapped @ grad
@@ -148,14 +145,13 @@ class TestReproducingConditions:
         np.add.at(est, pi, (vol[pj] * fj)[:, None] * gwr)
         np.testing.assert_allclose(est, np.broadcast_to(grad, est.shape), atol=1e-6)
 
-    def test_plain_sph_does_not_reproduce_linear(self, lattice_setup):
+    def test_plain_sph_does_not_reproduce_linear(self, lattice_setup,
+                                                 lattice_batch):
         """Sanity: the uncorrected kernel fails the linear test (so the
         corrections are doing real work)."""
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        r = np.sqrt(np.sum(dx * dx, axis=-1))
-        w = kernel.w(r, h[pi])
+        pos = lattice_setup[0]
+        b, vol = lattice_batch
+        pi, pj, dx, w = b.pi, b.pj, b.dx, b.w_i
         grad = np.array([0.7, -1.3, 2.1])
         fj = 0.5 + (pos[pi] - dx) @ grad
         interp = np.zeros(len(pos))
@@ -175,21 +171,18 @@ def test_constant_reproduction_random_configs(seed):
     h = np.full(n, 0.45)
     kernel = get_kernel("cubic_spline")
     pi, pj = neighbor_pairs(pos, h, box=1.0)
-    from repro.core.sph.hydro import compute_number_density
-
-    _, vol = compute_number_density(pos, h, pi, pj, kernel, box=1.0)
-    dx = pos[pi] - pos[pj]
-    dx -= np.round(dx)
-    corr = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
-    wr, _ = corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, dx_pairs=dx)
+    b = _batch(pos, h, pi, pj, kernel, 1.0)
+    _, vol = compute_number_density(b)
+    wr, _ = _corrected(b, vol)
     interp = np.zeros(n)
     np.add.at(interp, pi, vol[pj] * wr)
     np.testing.assert_allclose(interp, 1.0, atol=1e-7)
 
 
 def _moments_oracle(vj, dx, w, gw, acc):
-    """The six-reduction body ``_moments_body`` replaced, kept as written:
-    every delta term materialised per pair."""
+    """The six-reduction moment body the one-pass buffer of
+    ``compute_moments`` replaced, kept as written: every delta term
+    materialised per pair."""
     m0 = acc(vj * w)
     m1 = acc(vj[:, None] * (-dx) * w[:, None])
     outer = dx[:, :, None] * dx[:, None, :]
@@ -206,42 +199,48 @@ def _moments_oracle(vj, dx, w, gw, acc):
     return m0, m1, m2, dm0, dm1, dm2
 
 
-class TestPeriodicFallbackGeometry:
-    """Called without ``dx_pairs``/``batch`` the CRK stages form the pair
-    displacements themselves — minimum-image wrapped in ``box``, like their
-    siblings that take ``box``.  Unwrapped, the pairs across a periodic
-    face read a box length apart and a perfect lattice gets ``A`` up to
-    1.7 and ``|B|`` up to 8 instead of ``A = 1``, ``B = 0``."""
+class TestPeriodicLattice:
+    """Pair state reaches every stage through the batch, whose
+    displacements are minimum-image wrapped: a perfect periodic lattice
+    reads the same across a face as inside.  Unwrapped, the pairs across a
+    face read a box length apart; a lattice then gets ``A`` up to 1.7 and
+    ``|B|`` up to 8 instead of ``A = 1``, ``B = 0``, and the divergence of
+    ``v_x = sin 2 pi x`` differs by up to 64 % of its peak between
+    particles of one x-plane."""
 
-    def test_fallback_equals_explicit_wrapped_dx(self):
+    def test_faces_read_as_interior(self):
         n, box = 8, 1.0
         pos = glass_like_positions(n, box, jitter=0.0)
         h = np.full(len(pos), 2.0 * box / n)
         pi, pj = neighbor_pairs(pos, h, box=box)
-        kernel = get_kernel("wendland_c4")
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        dx = _wrapped_dx(pos, pi, pj, box)
-        assert np.abs(dx - (pos[pi] - pos[pj])).max() > 0.5  # faces crossed
+        b = _batch(pos, h, pi, pj, get_kernel("wendland_c4"), box)
+        assert np.abs(b.dx - (pos[pi] - pos[pj])).max() > 0.5  # faces crossed
+        _, vol = compute_number_density(b)
 
-        for got, want in zip(
-            compute_moments(pos, vol, h, pi, pj, kernel, box=box),
-            compute_moments(pos, vol, h, pi, pj, kernel, dx_pairs=dx),
-        ):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel, box=box)
-        want = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
-        for name in ("a", "b", "grad_a", "grad_b"):
-            np.testing.assert_allclose(getattr(corr, name),
-                                       getattr(want, name), rtol=0, atol=1e-9)
+        corr = compute_corrections(vol, b)
         np.testing.assert_allclose(corr.a, 1.0, rtol=0, atol=1e-13)
         np.testing.assert_allclose(corr.b, 0.0, rtol=0, atol=1e-13)
 
-        for got, want in zip(
-            corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, box=box),
-            corrected_kernel_pairs(corr, pos, h, pi, pj, kernel, dx_pairs=dx),
-        ):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+        vel = np.zeros_like(pos)
+        vel[:, 0] = np.sin(2.0 * np.pi * pos[:, 0])
+        div, _ = velocity_divergence_curl(vel, vol, b)
+        plane = np.round(pos[:, 0] * n - 0.5).astype(int)
+        for k in range(n):
+            on = div[plane == k]
+            assert len(on) == n * n
+            np.testing.assert_allclose(on, on[0], rtol=0, atol=1e-12)
+
+
+class TestPairBatch:
+    def test_rows_not_sorted_by_pi_raise(self, lattice_setup):
+        pos, h, pi, pj, kernel, box = lattice_setup
+        rows = PairRows.measured(pos, pi, pj, box)
+        reversed_rows = PairRows(*(a[::-1] for a in rows))
+        with pytest.raises(ValueError, match="sorted by pi"):
+            make_pair_batch(reversed_rows, h, kernel)
+        with pytest.raises(ValueError, match="sorted by pi"):
+            make_pair_batch(reversed_rows, h, kernel,
+                            sink_ids=reversed_rows.pi, n_sinks=len(pos))
 
 
 class TestOnePassMoments:
@@ -252,29 +251,19 @@ class TestOnePassMoments:
         rng = np.random.default_rng(seed)
         pi = np.sort(rng.integers(0, n, p))
         acc = lambda values: segment_sum(values, pi, n)  # noqa: E731
-        return (rng.uniform(0.5, 1.5, p), rng.normal(size=(p, 3)),
-                rng.uniform(0.0, 1.0, p), rng.normal(size=(p, 3)), acc)
+        return pi, (rng.uniform(0.5, 1.5, p), rng.normal(size=(p, 3)),
+                    rng.uniform(0.0, 1.0, p), rng.normal(size=(p, 3)), acc)
 
     @pytest.mark.parametrize("n, p", [(50, 1500), (1, 7), (1, 1), (6, 0)])
     def test_matches_six_reduction_body(self, n, p):
-        args = self._pairs(n, p, seed=n + p)
-        got = _moments_body(*args)
+        pi, args = self._pairs(n, p, seed=n + p)
+        vj, dx, w, gw, _ = args
+        # a batch-shaped input whose source j of row k is particle k
+        batch = SimpleNamespace(pj=np.arange(p), dx=dx, w_i=w, gw_i=gw,
+                                seg=SegmentReducer(pi, n, assume_sorted=True))
+        got = compute_moments(vj, batch)
         want = _moments_oracle(*args)
         for g, w, shape in zip(got, want, self.SHAPES):
             assert g.shape == w.shape == (n,) + shape
             scale = np.max(np.abs(w)) if w.size else 0.0
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * scale)
-
-    def test_compute_moments_paths_agree(self, lattice_setup):
-        """Batch (CSR plan) and bare pair-list entry points reduce the same
-        buffer."""
-        from repro.core.sph.pair_batch import make_pair_batch
-
-        pos, h, pi, pj, kernel, box = lattice_setup
-        vol = _volumes(pos, h, pi, pj, kernel, box)
-        bare = compute_moments(pos, vol, h, pi, pj, kernel,
-                               dx_pairs=_wrapped_dx(pos, pi, pj, box))
-        batch = make_pair_batch(pos, h, pi, pj, kernel, box=box)
-        for a, b in zip(bare, compute_moments(pos, vol, h, pi, pj, kernel,
-                                              batch=batch)):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)

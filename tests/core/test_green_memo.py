@@ -6,7 +6,6 @@ import pytest
 from repro.core.gravity.pm import (
     PMSolver,
     clear_green_cache,
-    green_cache_stats,
     green_tables_nbytes,
     shared_green_tables,
 )
@@ -20,23 +19,31 @@ def _fresh_cache():
     clear_green_cache()
 
 
+def _counts():
+    """``(builds, reuses)`` so far in the default registry."""
+    reg = default_observatory().registry
+    return (reg.counter("pm/green_builds").value,
+            reg.counter("pm/green_reuses").value)
+
+
 class TestGreenMemo:
     def test_same_shape_shares_tables(self):
+        built, reused = _counts()
         s1 = PMSolver(n=12, box=30.0)
         s2 = PMSolver(n=12, box=30.0)
         assert s1._green is s2._green  # identical objects, not copies
         assert s1._k2 is s2._k2
-        stats = green_cache_stats()
-        assert stats["built"] == 1 and stats["reused"] == 1
+        assert _counts() == (built + 1, reused + 1)
 
     def test_distinct_shapes_distinct_tables(self):
+        built, reused = _counts()
         a = PMSolver(n=12, box=30.0)
         b = PMSolver(n=16, box=30.0)
         c = PMSolver(n=12, box=40.0)
         d = PMSolver(n=12, box=30.0, r_split=2.0)
         greens = {id(s._green) for s in (a, b, c, d)}
         assert len(greens) == 4
-        assert green_cache_stats()["built"] == 4
+        assert _counts() == (built + 4, reused)
 
     def test_tables_are_frozen(self):
         s = PMSolver(n=12, box=30.0)

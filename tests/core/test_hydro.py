@@ -14,7 +14,8 @@ from repro.core.sph import (
     update_smoothing_lengths,
 )
 from repro.core.sph.crk import compute_corrections
-from repro.tree import neighbor_pairs
+from repro.core.sph.pair_batch import make_pair_batch
+from repro.tree import PairRows, neighbor_pairs
 
 
 def random_gas_state(n=60, seed=0, box=1.0):
@@ -46,12 +47,11 @@ class TestDensity:
         box = 1.0
         pos, vel, mass, u, h = lattice_gas_state(8, box)
         kernel = get_kernel("wendland_c4")
-        pi, pj = neighbor_pairs(pos, h, box=box)
-        _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
-        dx = pos[pi] - pos[pj]
-        dx -= box * np.round(dx / box)
-        corr = compute_corrections(pos, vol, h, pi, pj, kernel, dx_pairs=dx)
-        rho = compute_density(pos, mass, h, pi, pj, kernel, corr, box=box)
+        b = make_pair_batch(
+            PairRows.measured(pos, *neighbor_pairs(pos, h, box=box), box),
+            h, kernel)
+        _, vol = compute_number_density(b)
+        rho = compute_density(b, mass, compute_corrections(vol, b))
         expected = mass.sum() / box**3
         # kernel discretization biases the number density by ~1%; the
         # corrected density equals m/V exactly, so rho*V == m is the
@@ -64,8 +64,10 @@ class TestDensity:
         box = 2.0
         pos, vel, mass, u, h = lattice_gas_state(6, box)
         kernel = get_kernel("wendland_c4")
-        pi, pj = neighbor_pairs(pos, h, box=box)
-        _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
+        b = make_pair_batch(
+            PairRows.measured(pos, *neighbor_pairs(pos, h, box=box), box),
+            h, kernel)
+        _, vol = compute_number_density(b)
         assert vol.sum() == pytest.approx(box**3, rel=0.02)
 
 

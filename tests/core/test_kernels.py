@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.sph.kernels import KERNELS, get_kernel
 from repro.core.sph.pair_batch import make_pair_batch
+from repro.tree import PairRows
 
 ALL_KERNELS = sorted(KERNELS)
 
@@ -57,14 +58,16 @@ class TestKernelBasics:
     def test_gradient_points_inward(self, name):
         """grad_i W for a separation x_i - x_j along +x points along -x."""
         pos = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        b = make_pair_batch(pos, np.ones(2), [0], [1], get_kernel(name))
+        rows = PairRows.measured(pos, np.array([0]), np.array([1]))
+        b = make_pair_batch(rows, np.ones(2), get_kernel(name))
         assert b.gw_i[0, 0] < 0.0
         assert b.gw_i[0, 1] == b.gw_i[0, 2] == 0.0
 
     def test_gradient_zero_at_origin(self, name):
         """The self pair (r = 0) has no gradient."""
-        b = make_pair_batch(np.zeros((1, 3)), np.ones(1), [0], [0],
-                            get_kernel(name))
+        rows = PairRows.measured(np.zeros((1, 3)), np.array([0]),
+                                 np.array([0]))
+        b = make_pair_batch(rows, np.ones(1), get_kernel(name))
         np.testing.assert_allclose(b.gw_i, 0.0)
 
 

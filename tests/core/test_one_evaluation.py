@@ -74,6 +74,18 @@ class TestTheForkStaysGone:
             callers = {p for p, _ in _call_sites(paths, {evaluator})}
             assert callers == set(DRIVERS[:2]), evaluator
 
+    def test_pair_state_reaches_the_stages_through_the_batch(self):
+        """Only ``crksph_derivatives`` measures a bare pair list: no other
+        function of ``core/sph`` takes pair geometry of its own."""
+        geometry = {"box", "dx_pairs", "r2_pairs", "wg"}
+        takers = sorted(
+            node.name for p in sorted((SRC / "core" / "sph").glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and geometry & {a.arg for a in node.args.args
+                            + node.args.kwonlyargs})
+        assert takers == ["crksph_derivatives"]
+
     def test_gravity_pairs_are_queried_once_per_evaluation(self):
         """Only ``gravity_rows`` asks for unordered pair rows, no call
         passes the retired compact-row arguments, and there is one FP64
@@ -112,28 +124,22 @@ class TestEveryoneIsTheActiveCase:
 
         rows = cache.get(pos, h)
         full = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
-                                  kernel, box=box, dx_pairs=rows.dx,
-                                  r2_pairs=rows.r2)
-        bare = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
                                   kernel, box=box)
-        assert full.n_pairs == bare.n_pairs == len(rows.pi)
+        assert full.n_pairs == len(rows.pi)
 
         for sinks in (None, np.arange(n)):
             sl = cache.active_slices(pos, h, sinks)
-            act = crksph_derivatives_active(pos, vel, mass, u, h, sl, kernel,
-                                            box=box)
-            for ref in (full, bare):
-                for name in self.FIELDS:
-                    assert np.array_equal(getattr(act, name),
-                                          getattr(ref, name)), (sinks, name)
-                for name in ("a", "b", "grad_a", "grad_b"):
-                    assert np.array_equal(getattr(act.corrections, name),
-                                          getattr(ref.corrections, name))
+            act = crksph_derivatives_active(pos, vel, mass, u, h, sl, kernel)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(act, name),
+                                      getattr(full, name)), (sinks, name)
+            for name in ("a", "b", "grad_a", "grad_b"):
+                assert np.array_equal(getattr(act.corrections, name),
+                                      getattr(full.corrections, name))
         # the other degenerate case, no sinks, flows through the same body
         none = crksph_derivatives_active(
             pos, vel, mass, u, h,
-            cache.active_slices(pos, h, np.empty(0, dtype=np.intp)), kernel,
-            box=box)
+            cache.active_slices(pos, h, np.empty(0, dtype=np.intp)), kernel)
         assert none.accel.shape == (0, 3) and none.rho.shape == (0,)
         assert none.n_pairs == 0
         # the everyone slices stream (and count) the one list once; naming
@@ -152,9 +158,8 @@ class TestEveryoneIsTheActiveCase:
         for got, want in zip(cache.get_for_sinks(pos, h, None), rows):
             assert np.array_equal(got, want[half])
         sl = cache.active_slices(pos, h, None)
-        assert sl.pi2 is sl.pi1 and sl.mask0 is None
-        for got, want in zip((sl.pi1, sl.pj1, sl.dx1, sl.r2_1),
-                             cache.get(pos, h)):
+        assert sl.rows2 is sl.rows1 and sl.mask0 is None
+        for got, want in zip(sl.rows1, cache.get(pos, h)):
             assert np.array_equal(got, want)
 
 
@@ -231,14 +236,13 @@ class TestHydroEachPairOnce:
         kernel = get_kernel("wendland_c4")
         rows = cache.get(pos, h)
         full = crksph_derivatives(pos, vel, mass, u, h, rows.pi, rows.pj,
-                                  kernel, box=box, dx_pairs=rows.dx,
-                                  r2_pairs=rows.r2)
+                                  kernel, box=box)
         for sinks in (np.empty(0, dtype=np.intp), np.array([57]),
                       np.sort(rng.choice(n, 60, replace=False)),
                       np.arange(n), None):
             act = crksph_derivatives_active(
                 pos, vel, mass, u, h, cache.active_slices(pos, h, sinks),
-                kernel, box=box)
+                kernel)
             every = np.arange(n) if sinks is None else sinks
             assert np.array_equal(act.sinks, every)
             for name in ("accel", "du_dt", "max_signal_speed"):

@@ -3,17 +3,19 @@
 A word-level reference closure over the package.  The roots are the
 words of every non-test entry point (``benchmarks/``, ``examples/``,
 ``scripts/``, ``python -m repro``) and of every module-level statement in
-``src/repro`` (constants, tables, registrations, decorators — imports,
-``__all__`` and module docstrings excepted, since a re-export is not a
-caller).  A reached symbol reaches every symbol whose name occurs as a
-word in its source.  What is left unreached is reached by tests alone.
+``src/repro`` (constants, tables, registrations, decorators — imports
+and ``__all__`` excepted, since a re-export is not a caller).  A reached
+symbol reaches every symbol whose name occurs as a word in its source.
+What is left unreached is reached by tests alone.
 
-The check is deliberately coarse: any occurrence of a name, a comment
-included, counts as a reference, so a miss here is a sure miss.  The only
-test-only symbols allowed are the reference implementations and trace
-readers in ``KEEP``, each kept because a test measures live code against
-it; the list is exact in both directions, so a kept symbol that gains a
-caller must leave it.
+The check is deliberately coarse: any occurrence of a name in code,
+string literals included (some callers name their targets by string),
+counts as a reference, so a miss here is a sure miss.  Comments and
+docstrings are prose, not callers, and are stripped first.  The only
+test-only symbols allowed are the reference implementations, trace
+readers and test instruments in ``KEEP``, each kept because a test
+measures or drives live code with it; the list is exact in both
+directions, so a kept symbol that gains a caller must leave it.
 """
 
 import ast
@@ -26,7 +28,7 @@ ENTRY_POINTS = ("benchmarks/**/*.py", "examples/*.py", "scripts/*.py",
                 "src/repro/__main__.py")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
-#: test-only symbols that stay: name -> the test that compares against it
+#: test-only symbols that stay: name -> the test that uses it on live code
 KEEP = {
     "ewald_accelerations":
         "tests/core/test_ewald.py::TestForceSplitVsEwald::"
@@ -54,20 +56,41 @@ KEEP = {
         "trace the program writes)",
     "slice_intervals":
         "tests/observe/test_instrumented_parallel.py::TestOverlapAcceptance",
+    "LaneSanitizer":
+        "tests/sanitize/test_lane_sanitizer.py::TestSolverIntegration (plugs "
+        "into GPUResidentSolver.run_interaction_list)",
+    "LaneCollisionError":
+        "tests/sanitize/test_lane_sanitizer.py::TestSolverIntegration (what "
+        "LaneSanitizer raises inside a live launch)",
+    "RetryPolicy":
+        "tests/campaign/test_cancel_retry.py::TestRetry (drives "
+        "CampaignEngine's retry loop)",
 }
 
 
-def _words(text: str) -> set:
-    return set(_WORD.findall(text))
+class _DropProse(ast.NodeTransformer):
+    """Drops every bare string statement: docstrings."""
+
+    def visit_Expr(self, node):
+        value = node.value
+        prose = isinstance(value, ast.Constant) and isinstance(value.value, str)
+        return None if prose else node
 
 
-def _is_reexport_or_doc(node: ast.stmt) -> bool:
+def _code(text: str) -> ast.Module:
+    """``text`` parsed without its docstrings (``ast`` keeps no comments)."""
+    return _DropProse().visit(ast.parse(text))
+
+
+def _words(node: ast.AST) -> set:
+    return set(_WORD.findall(ast.unparse(node)))
+
+
+def _is_reexport(node: ast.stmt) -> bool:
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return True
-    if isinstance(node, ast.Assign):
-        return any(isinstance(t, ast.Name) and t.id == "__all__"
-                   for t in node.targets)
-    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
 def _scan_package():
@@ -76,21 +99,19 @@ def _scan_package():
     body_words: dict[str, set] = {}
     roots: set = set()
     for path in sorted(SRC.rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
         parts = path.relative_to(SRC).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         module = ".".join(("repro",) + parts)
-        for node in ast.parse(text).body:
+        for node in _code(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 where.setdefault(node.name, set()).add(module)
-                body_words.setdefault(node.name, set()).update(
-                    _words(ast.get_source_segment(text, node)))
+                body_words.setdefault(node.name, set()).update(_words(node))
                 for dec in node.decorator_list:
-                    roots |= _words(ast.get_source_segment(text, dec))
-            elif not _is_reexport_or_doc(node):
-                roots |= _words(ast.get_source_segment(text, node))
+                    roots |= _words(dec)
+            elif not _is_reexport(node):
+                roots |= _words(node)
     return where, body_words, roots
 
 
@@ -99,7 +120,7 @@ def unreachable() -> dict:
     where, body_words, roots = _scan_package()
     for pattern in ENTRY_POINTS:
         for path in ROOT.glob(pattern):
-            roots |= _words(path.read_text(encoding="utf-8"))
+            roots |= _words(_code(path.read_text(encoding="utf-8")))
     reached: set = set()
     frontier = roots & where.keys()
     while frontier:

@@ -11,7 +11,7 @@ from repro.core.gravity import (
     short_range_shape,
 )
 from repro.core.sph import crksph_derivatives, get_kernel
-from repro.tree import PairCache, neighbor_pairs
+from repro.tree import PairCache, PairRows, neighbor_pairs
 from repro.tree.chaining_mesh import half_neighbor_pairs
 
 
@@ -161,7 +161,7 @@ class TestRebuildTriggers:
 def _equilibrated_gas(n_side=6, box=8.0, seed=12):
     """Jittered lattice with supports relaxed to ~40 neighbors — the
     well-conditioned neighborhood the CRK moment inversion expects."""
-    from repro.core.sph import compute_number_density
+    from repro.core.sph import compute_number_density, make_pair_batch
     from repro.core.sph.hydro import update_smoothing_lengths
 
     rng = np.random.default_rng(seed)
@@ -170,8 +170,8 @@ def _equilibrated_gas(n_side=6, box=8.0, seed=12):
     kernel = get_kernel("wendland_c4")
     h = np.full(len(pos), 1.6 * box / n_side)
     for _ in range(3):
-        pi, pj = neighbor_pairs(pos, h, box=box)
-        _, vol = compute_number_density(pos, h, pi, pj, kernel, box=box)
+        rows = PairRows.measured(pos, *neighbor_pairs(pos, h, box=box), box)
+        _, vol = compute_number_density(make_pair_batch(rows, h, kernel))
         h = update_smoothing_lengths(vol, n_target=40, h_old=h)
     return rng, pos, h, kernel, box
 
@@ -293,12 +293,13 @@ class TestActiveSubsetQueries:
         # pairs1 are exactly the full-list rows whose sink is in tier1,
         # in CSR order; mask0 flags the sink-owned rows among them
         m1 = np.isin(pi, t1)
-        np.testing.assert_array_equal(sl.pi1, pi[m1])
-        np.testing.assert_array_equal(sl.pj1, pj[m1])
-        np.testing.assert_array_equal(sl.mask0, np.isin(sl.pi1, sinks))
+        np.testing.assert_array_equal(sl.rows1.pi, pi[m1])
+        np.testing.assert_array_equal(sl.rows1.pj, pj[m1])
+        np.testing.assert_array_equal(sl.mask0, np.isin(sl.rows1.pi, sinks))
         m2 = np.isin(pi, t2)
-        np.testing.assert_array_equal(sl.pi2, pi[m2])
-        assert sl.n_pairs == len(sl.pi1) + len(sl.pi2) + int(sl.mask0.sum())
+        np.testing.assert_array_equal(sl.rows2.pi, pi[m2])
+        assert sl.n_pairs == (len(sl.rows1.pi) + len(sl.rows2.pi)
+                              + int(sl.mask0.sum()))
 
     def test_active_hydro_rows_match_full(self):
         """crksph_derivatives_active reproduces the full evaluation on the
@@ -322,7 +323,7 @@ class TestActiveSubsetQueries:
         sinks = self._sinks(len(pos), k=30, seed=2)
         sl = cache.active_slices(pos, h, sinks)
         act = crksph_derivatives_active(pos, vel, mass, u, h, sl, kernel,
-                                        eos=eos, viscosity=visc, box=box)
+                                        eos=eos, viscosity=visc)
         np.testing.assert_array_equal(act.sinks, sinks)
         np.testing.assert_array_equal(act.accel, full.accel[sinks])
         np.testing.assert_array_equal(act.du_dt, full.du_dt[sinks])
@@ -483,7 +484,7 @@ class TestJointSkinBudget:
 def _three_pass_slices(rows, sinks, n):
     """The reference active query: measure the sink rows, then all rows of
     tier 1, then all rows of tier 2 (``rows``: the full filtered list)."""
-    from repro.tree import ActivePairSlices, PairRows
+    from repro.tree import ActivePairSlices
 
     def sink_rows(s):
         at = np.flatnonzero(np.isin(rows.pi, s))
@@ -497,13 +498,12 @@ def _three_pass_slices(rows, sinks, n):
     t2 = t1.copy()
     t2[rows1.pj] = True
     return ActivePairSlices(sinks, np.flatnonzero(t1), np.flatnonzero(t2),
-                            *rows1, member[rows1.pi],
-                            *sink_rows(np.flatnonzero(t2)))
+                            rows1, member[rows1.pi],
+                            sink_rows(np.flatnonzero(t2)))
 
 
 class TestActiveQueryMeasuresOnce:
-    FIELDS = ("sinks", "tier1", "tier2", "pi1", "pj1", "dx1", "r2_1",
-              "mask0", "pi2", "pj2", "dx2", "r2_2")
+    FIELDS = ("sinks", "tier1", "tier2", "mask0")
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_each_closure_row_measured_once_and_equal_to_three_passes(
@@ -539,6 +539,8 @@ class TestActiveQueryMeasuresOnce:
             want = _three_pass_slices(cache.get(moved, h), sinks, n)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(sl, name), getattr(want, name))
+            for got, ref in zip(sl.rows1 + sl.rows2, want.rows1 + want.rows2):
+                assert np.array_equal(got, ref)
             assert sl.n_pairs == want.n_pairs
         assert cache.n_builds == 1
 
@@ -555,8 +557,9 @@ class TestActiveQueryMeasuresOnce:
         sl = cache.active_slices(pos, h, sinks)
         assert np.array_equal(sl.tier1, np.arange(30, 42))
         assert np.array_equal(sl.tier2, sl.tier1)
-        assert np.array_equal(sl.pi2, sl.pi1) and not sl.full
-        assert sl.n_pairs == len(sl.pi1) + len(sl.pi2) + int(sl.mask0.sum())
+        assert np.array_equal(sl.rows2.pi, sl.rows1.pi) and not sl.full
+        assert sl.n_pairs == (len(sl.rows1.pi) + len(sl.rows2.pi)
+                              + int(sl.mask0.sum()))
         assert sl.n_pairs == 2 * 12 * 12 + 3 * 12
 
 

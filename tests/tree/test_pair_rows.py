@@ -1,5 +1,5 @@
 """``PairCache`` queries return their rows' geometry: ``PairRows(pi, pj, dx,
-r2)`` and ``ActivePairSlices.dx1/dx2`` are bitwise what a consumer would
+r2)`` and ``ActivePairSlices.rows1/rows2`` are bitwise what a consumer would
 have re-derived from the positions, and belong to the caller."""
 
 import numpy as np
@@ -72,10 +72,9 @@ class TestRowsCarryTheirGeometry:
         cache = PairCache(skin=SKIN, box=box, include_self=include_self)
         cache.ensure(pos, h)
         sl = cache.active_slices(moved, h, sinks)
-        assert np.array_equal(
-            sl.dx1, _oracle_dx(moved, sl.pi1, sl.pj1, box))
-        assert np.array_equal(
-            sl.dx2, _oracle_dx(moved, sl.pi2, sl.pj2, box))
+        for rows in (sl.rows1, sl.rows2):
+            assert np.array_equal(
+                rows.dx, _oracle_dx(moved, rows.pi, rows.pj, box))
         assert cache.n_builds == 1
 
 
@@ -108,7 +107,7 @@ def test_returned_arrays_never_alias_the_cache(keep_all):
     def queries():
         sl = cache.active_slices(pos, h, sinks)
         return [*cache.get(pos, h), *cache.get_for_sinks(pos, h, sinks),
-                sl.pi1, sl.pj1, sl.dx1, sl.pi2, sl.pj2, sl.dx2]
+                *sl.rows1[:3], *sl.rows2[:3]]
 
     first = queries()
     pristine = [a.copy() for a in first]
