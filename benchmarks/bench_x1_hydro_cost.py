@@ -8,6 +8,7 @@ hydro costing several times gravity-only, in the same direction.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     stage, and every reduction is a buffered ``np.add.at`` scatter (the
     batch's plan is swapped for one that scatters, and the CRK moments'
     fused reduction is patched to use it).  The engine threads one
-    ``PairBatch`` through all stages.
+    ``PairBatch`` per tile through all stages.
 
     Both legs consume the same pair list, built once outside the timed
     region: list acquisition (fresh build vs cached query) is
@@ -107,7 +108,11 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     moves with the list builder rather than with the stages this test is
     named for.  Acceptance: >= 1.2x, from 1.4-1.7x recorded over six FULL
     runs (2.4-2.5x over three once the CRK moments, which both legs call,
-    reduce in one pass: 62 -> 39 ms staged, 36 -> 16 ms engine).
+    reduce in one pass: 62 -> 39 ms staged, 36 -> 16 ms engine; 2.5-2.6x
+    once the engine streams 8192-row tiles, parent 2.5-3.0x).  The engine
+    leg's traced peak per directed pair row is recorded beside the times:
+    260 B at FULL size (23.6k rows, so one tile and one force chunk are a
+    third of the list), 525 B when every stage held the whole list.
     """
     import repro.core.sph.crk as crk_mod
     from repro.core.sph import (
@@ -222,9 +227,21 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
     def engine_subcycle():
         crksph_derivatives(pos, vel, mass, u, h, pi, pj, kernel, box=box)
 
+    def engine_bytes_per_row():
+        """Traced peak of one engine evaluation above what is live at
+        entry, per directed pair row."""
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            engine_subcycle()
+            return (tracemalloc.get_traced_memory()[1] - entry) / len(pi)
+        finally:
+            tracemalloc.stop()
+
     def run():
         return {"naive_s": best_of(naive_with_add_at_scatters),
-                "engine_s": best_of(engine_subcycle)}
+                "engine_s": best_of(engine_subcycle),
+                "engine_peak_bytes_per_row": engine_bytes_per_row()}
 
     r = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = r["naive_s"] / r["engine_s"]
@@ -237,6 +254,8 @@ def test_x1_hydro_force_evaluation_speedup(benchmark):
             ("shared batch + segment reductions (engine)",
              f"{r['engine_s']:.4f}"),
             ("speedup", f"{speedup:.1f}x"),
+            ("engine traced peak per pair row",
+             f"{r['engine_peak_bytes_per_row']:.0f} B"),
         ],
     )
     benchmark.extra_info.update(r)

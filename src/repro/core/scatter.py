@@ -63,7 +63,19 @@ class SegmentReducer:
         else:
             self.order = np.argsort(ids, kind="stable")
             ids = ids[self.order]
-        counts = np.bincount(ids, minlength=self.num_segments)
+        self._plan(np.bincount(ids, minlength=self.num_segments))
+
+    @classmethod
+    def from_counts(cls, counts) -> SegmentReducer:
+        """The plan of sorted ids holding ``counts[k]`` copies of each
+        ``k``, formed without the ids: a range of CSR rows knows its
+        segment lengths already."""
+        plan = cls.__new__(cls)
+        plan.num_segments, plan.order = len(counts), None
+        plan._plan(np.asarray(counts))
+        return plan
+
+    def _plan(self, counts: np.ndarray) -> None:
         starts = np.concatenate([[0], np.cumsum(counts)])[: self.num_segments]
         self.nonempty = counts > 0
         # reduceat over only the non-empty starts: consecutive non-empty

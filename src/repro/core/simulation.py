@@ -38,8 +38,9 @@ from .gravity.pm import PMSolver
 from .particles import Particles, Species
 from .sph.eos import IdealGasEOS
 from .sink_rows import crksph_rows, gravity_rows
-from .sph.hydro import update_smoothing_lengths
+from .sph.hydro import closure_volumes, update_smoothing_lengths
 from .sph.kernels import get_kernel
+from .sph.pair_batch import PairTiles
 from .sph.viscosity import MonaghanViscosity
 from .subgrid.agn import AGNModel
 from .subgrid.cooling import CoolingModel
@@ -249,9 +250,6 @@ class Simulation:
         self._refresh_smoothing_lengths()
 
     def _refresh_smoothing_lengths(self) -> None:
-        from .sph.hydro import compute_number_density
-        from .sph.pair_batch import make_pair_batch
-
         if self.config.fixed_h:
             return
         p = self.particles
@@ -261,7 +259,8 @@ class Simulation:
         gpos = p.pos[gas]
         gh = p.h[gas]
         rows = self._hydro_cache.get(gpos, gh, ids=gas)
-        _, vol = compute_number_density(make_pair_batch(rows, gh, self.kernel))
+        vol = closure_volumes(
+            PairTiles(rows, np.arange(len(gas)), gh, self.kernel))
         p.h[gas] = update_smoothing_lengths(
             vol,
             n_target=self.config.n_neighbors,

@@ -42,7 +42,7 @@ from .crk import (
 )
 from .eos import IdealGasEOS
 from .kernels import Kernel
-from .pair_batch import PairBatch, make_pair_batch
+from .pair_batch import PAIR_TILE_ROWS, PairBatch, PairTiles
 from .viscosity import MonaghanViscosity, balsara_switch, velocity_divergence_curl
 
 
@@ -156,18 +156,14 @@ def crksph_derivatives_active(
     return _crksph(pos, vel, mass, u, h, slices, kernel, eos, viscosity)
 
 
-def _tier_batch(h, tier, rows: PairRows, kernel) -> PairBatch:
-    """Pair state for the rows of the sorted closure ``tier``, reducing
-    into compact rows aligned with it."""
-    return make_pair_batch(rows, h, kernel,
-                           sink_ids=_rows_in(tier, rows.pi, len(h)),
-                           n_sinks=len(tier))
-
-
-def _rows_in(tier, index, n):
-    """Position of each particle ``index`` in the sorted closure ``tier``
-    (a subset of ``range(n)``: the identity when it is all of it)."""
-    return index if len(tier) == n else np.searchsorted(tier, index)
+def closure_volumes(tiles: PairTiles) -> np.ndarray:
+    """Volumes ``V = 1/n`` of the closure the ``tiles`` cut, tile by tile
+    (aligned with it): the number-density pass of an evaluation's tier 2
+    and of the smoothing-length refresh."""
+    vol = np.empty(len(tiles.bounds) - 1)
+    for sinks, _, batch in tiles:
+        vol[sinks] = compute_number_density(batch)[1]
+    return vol
 
 
 def _spread(tier, values, n):
@@ -195,94 +191,133 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
     * the antisymmetrized pair force, work, and signal speed once per
       unordered pair with an end in ``sinks``, applied to both ends.
 
-    Every stage reads its pair state from the tier's ``PairBatch``, built
-    once from the rows the query measured.  In a ``full`` evaluation the
-    tier-2 rows are the tier-1 rows and one batch serves both.
+    Every pass streams its tier's rows through particle-aligned tiles
+    (``PairTiles``, at most ``PAIR_TILE_ROWS`` rows each): a stage reads
+    its pair state from the tile's ``PairBatch`` and writes that tile's
+    particles, so no pass holds more than one tile of pair temporaries.
+    In a ``full`` evaluation the tier-2 rows are the tier-1 rows and one
+    tile plan serves both.  A tile never splits a particle's rows, so each
+    per-particle sum runs over the same rows in the same order as over the
+    whole list.
 
     Both ends of a sink pair are in tier 1, so its ``pi < pj`` row is a
-    tier-1 row: the unordered rows are a mask of the batch, in half-list
-    order.  A sink ``i`` is an end of every row that touches it, so its
-    sums ``A_i`` (rows with ``pi = i``) and ``B_i`` (rows with ``pj = i``)
-    run over the same rows in the same order whatever the sink set, and a
+    tier-1 row: the unordered rows are a mask of the tier-1 rows, in
+    half-list order.  The tier-1 pass keeps their forward ``W``, ``grad W``
+    and unit vector; the force then walks them in chunks of
+    ``PAIR_TILE_ROWS`` and keeps only each row's flux, work and signal
+    speed for the reductions at both ends.  A sink ``i`` is an end of every row that touches it, so its sums
+    ``A_i`` (rows with ``pi = i``) and ``B_i`` (rows with ``pj = i``) run
+    over the same rows in the same order whatever the sink set, and a
     ``bincount`` accumulates in input order: a sink's row holds the bits of
     the full evaluation.
     """
     eos = eos or IdealGasEOS()
     viscosity = viscosity or MonaghanViscosity()
     n = pos.shape[0]
-    b1 = _tier_batch(h, sl.tier1, sl.rows1, kernel)
-    b2 = b1 if sl.full else _tier_batch(h, sl.tier2, sl.rows2, kernel)
-    pi1, pj1 = b1.pi, b1.pj
+    tier1, rows1 = sl.tier1, sl.rows1
+    tiles1 = PairTiles(rows1, tier1, h, kernel)
+    tiles2 = tiles1 if sl.full else PairTiles(sl.rows2, sl.tier2, h, kernel)
+    pi1, pj1 = rows1.pi, rows1.pj
 
     # -- tier2: volumes (only the base kernel sum) ---------------------------
-    _, vol2 = compute_number_density(b2)
+    vol2 = closure_volumes(tiles2)
     vol = _spread(sl.tier2, vol2, n)
 
-    # -- tier1: corrections, density, pressure, limiter ----------------------
-    corr1 = compute_corrections(vol, b1)
-    corr = CRKCorrections(
-        a=_spread(sl.tier1, corr1.a, n), b=_spread(sl.tier1, corr1.b, n),
-        grad_a=_spread(sl.tier1, corr1.grad_a, n),
-        grad_b=_spread(sl.tier1, corr1.grad_b, n),
-    )
-    rho1 = compute_density(b1, mass, corr)
-    pressure1 = eos.pressure(rho1, u[sl.tier1])
-    cs1 = eos.sound_speed(rho1, u[sl.tier1])
-    rho = _spread(sl.tier1, rho1, n)
-    pressure = _spread(sl.tier1, pressure1, n)
-    cs = _spread(sl.tier1, cs1, n)
-
-    div1, curl1 = velocity_divergence_curl(vel, vol, b1)
-    f = _spread(sl.tier1, balsara_switch(div1, curl1, cs1, h[sl.tier1]), n)
-
-    # -- sink pairs: each unordered pair once, applied to both ends ----------
+    # -- the unordered sink rows, in half-list order -------------------------
     half = pi1 < pj1
     if sl.mask0 is not None:
         sink = np.zeros(n, dtype=bool)
         sink[sl.sinks] = True
         half &= sl.mask0 | sink[pj1]
     rows = np.flatnonzero(half)
+    del half
+    w_f = np.empty(len(rows))
+    gw_f = np.empty((len(rows), 3))
+    unit_f = np.empty((len(rows), 3))
+
+    # -- tier1: corrections, density, divergence and curl --------------------
+    n1 = len(tier1)
+    corr = CRKCorrections(
+        a=np.zeros(n), b=np.zeros((n, 3)), grad_a=np.zeros((n, 3)),
+        grad_b=np.zeros((n, 3, 3)),
+    )
+    rho1, div1, curl1 = np.empty(n1), np.empty(n1), np.empty(n1)
+    for sinks, span, batch in tiles1:
+        at = sinks if n1 == n else tier1[sinks]
+        c = compute_corrections(vol, batch)
+        corr.a[at], corr.b[at] = c.a, c.b
+        corr.grad_a[at], corr.grad_b[at] = c.grad_a, c.grad_b
+        rho1[sinks] = compute_density(batch, mass, corr)
+        div1[sinks], curl1[sinks] = velocity_divergence_curl(vel, vol, batch)
+        # the tile's sink pairs keep their forward kernel for the force
+        lo, hi = np.searchsorted(rows, (span.start, span.stop))
+        local = rows[lo:hi] - span.start
+        w_f[lo:hi] = batch.w_i[local]
+        np.take(batch.gw_i, local, axis=0, out=gw_f[lo:hi])
+        np.take(batch.unit, local, axis=0, out=unit_f[lo:hi])
+    del tiles1, tiles2
+    corr1 = corr if n1 == n else CRKCorrections(
+        a=corr.a[tier1], b=corr.b[tier1], grad_a=corr.grad_a[tier1],
+        grad_b=corr.grad_b[tier1])
+    pressure1 = eos.pressure(rho1, u[tier1])
+    cs1 = eos.sound_speed(rho1, u[tier1])
+    rho = _spread(tier1, rho1, n)
+    pressure = _spread(tier1, pressure1, n)
+    cs = _spread(tier1, cs1, n)
+    f = _spread(tier1, balsara_switch(div1, curl1, cs1, h[tier1]), n)
+
+    # -- sink pairs: each unordered pair once, applied to both ends ----------
     pi, pj = pi1[rows], pj1[rows]
-    dx, r = np.take(b1.dx, rows, axis=0), b1.r[rows]
+    flux = np.empty((len(rows), 3))
+    work = np.empty(len(rows))
+    v_sig = np.empty(len(rows))
+    for lo in range(0, len(rows), PAIR_TILE_ROWS):
+        t = slice(lo, lo + PAIR_TILE_ROWS)
+        ti, tj = pi[t], pj[t]
+        dx = np.take(rows1.dx, rows[t], axis=0)
+        r = np.sqrt(rows1.r2[rows[t]])
 
-    # grad_i W^R_ij at support h_i, and grad_j W^R_ji: corrections of j,
-    # separation x_j - x_i = -dx, support h_j, gradient with respect to x_j
-    _, g_ij = corrected_kernel_pairs(
-        corr, pi, dx, b1.w_i[rows], np.take(b1.gw_i, rows, axis=0))
-    hj = h[pj]
-    _, g_ji = corrected_kernel_pairs(
-        corr, pj, -dx, kernel.w(r, hj),
-        -kernel.dw_dr(r, hj)[:, None] * np.take(b1.unit, rows, axis=0))
-    g_pair = g_ij - g_ji
+        # grad_i W^R_ij at support h_i, and grad_j W^R_ji: corrections of
+        # j, separation x_j - x_i = -dx, support h_j, gradient with respect
+        # to x_j
+        _, g_ij = corrected_kernel_pairs(corr, ti, dx, w_f[t], gw_f[t])
+        hj = h[tj]
+        _, g_ji = corrected_kernel_pairs(
+            corr, tj, -dx, kernel.w(r, hj),
+            -kernel.dw_dr(r, hj)[:, None] * unit_f[t])
+        g_pair = g_ij - g_ji
 
-    dv = pair_differences(vel, pi, pj)
-    h_ij = 0.5 * (h[pi] + h[pj])
-    c_ij = 0.5 * (cs[pi] + cs[pj])
-    rho_ij = 0.5 * (rho[pi] + rho[pj])
-    limiter = 0.5 * (f[pi] + f[pj])
+        dv = pair_differences(vel, ti, tj)
+        h_ij = 0.5 * (h[ti] + hj)
+        c_ij = 0.5 * (cs[ti] + cs[tj])
+        rho_ij = 0.5 * (rho[ti] + rho[tj])
+        limiter = 0.5 * (f[ti] + f[tj])
 
-    # viscous pseudo-pressure, symmetric in (i, j).  The 0.25 factor keeps
-    # the classic Monaghan strength: G_ij carries twice the one-sided
-    # kernel gradient the standard Pi_ij convention pairs with.
-    mu = viscosity.mu_pair(dx, dv, h_ij)
-    pi_visc = viscosity.pi_pair(mu, c_ij, rho_ij, limiter=limiter)
-    q_ij = 0.25 * rho[pi] * rho[pj] * pi_visc
+        # viscous pseudo-pressure, symmetric in (i, j).  The 0.25 factor
+        # keeps the classic Monaghan strength: G_ij carries twice the
+        # one-sided kernel gradient the standard Pi_ij convention pairs
+        # with.
+        mu = viscosity.mu_pair(dx, dv, h_ij)
+        pi_visc = viscosity.pi_pair(mu, c_ij, rho_ij, limiter=limiter)
+        q_ij = 0.25 * rho[ti] * rho[tj] * pi_visc
 
-    pbar = 0.5 * (pressure[pi] + pressure[pj]) + q_ij
-    vv = vol[pi] * vol[pj]
-    # momentum flux of the pair onto i; j receives its negative (G_ji = -G_ij)
-    flux = (-vv * pbar)[:, None] * g_pair
+        pbar = 0.5 * (pressure[ti] + pressure[tj]) + q_ij
+        vv = vol[ti] * vol[tj]
+        # momentum flux of the pair onto i; j receives its negative
+        # (G_ji = -G_ij)
+        np.multiply((-vv * pbar)[:, None], g_pair, out=flux[t])
+        # symmetric in (i, j): dv and G_ij both change sign
+        np.multiply(0.5 * vv * pbar, np.einsum("pa,pa->p", dv, g_pair),
+                    out=work[t])
+        # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate
+        np.subtract(c_ij, 2.0 * np.minimum(mu, 0.0), out=v_sig[t])
+    del w_f, gw_f, unit_f
+
     accel = (segment_sum(flux / mass[pi, None], pi, n)
              - segment_sum(flux / mass[pj, None], pj, n))
-
-    # symmetric in (i, j): dv and G_ij both change sign
-    work = 0.5 * vv * pbar * np.einsum("pa,pa->p", dv, g_pair)
     du_dt = segment_sum(work / mass[pi], pi, n) + segment_sum(
         work / mass[pj], pj, n)
-
-    # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate, maxed
-    # over both ends; c_i is the self row's value (mu_ii = 0)
-    v_sig = c_ij - 2.0 * np.minimum(mu, 0.0)
+    # maxed over both ends; c_i is the self row's value (mu_ii = 0)
     by_j = np.argsort(pj)  # unstable is enough: a max is order-free
     vsig = np.maximum(cs, np.maximum(
         SegmentReducer(pi, n, assume_sorted=True).max(v_sig),
@@ -290,7 +325,7 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
 
     return HydroDerivatives(
         sinks=sl.sinks, accel=accel[sl.sinks], du_dt=du_dt[sl.sinks],
-        max_signal_speed=vsig[sl.sinks], tier1=sl.tier1, rho=rho1,
+        max_signal_speed=vsig[sl.sinks], tier1=tier1, rho=rho1,
         pressure=pressure1, tier2=sl.tier2, volume=vol2, corrections=corr1,
         n_pairs=sl.n_pairs,
     )

@@ -70,5 +70,10 @@ def velocity_divergence_curl(vel, vol, batch: PairBatch):
     vj = vol[batch.pj]
 
     div = batch.seg.sum(vj * np.einsum("pa,pa->p", dv, gw))
-    curl = batch.seg.sum(vj[:, None] * np.cross(dv, gw))
+    # dv x gw by components, the arithmetic of np.cross (bitwise) without
+    # its axis bookkeeping, which dominates the call on a small tile
+    cross = np.empty_like(dv)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(dv[:, b] * gw[:, c], dv[:, c] * gw[:, b], out=cross[:, a])
+    curl = batch.seg.sum(vj[:, None] * cross)
     return div, np.sqrt(np.sum(curl * curl, axis=-1))

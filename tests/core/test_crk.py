@@ -15,7 +15,7 @@ from repro.core.sph.crk import (
 )
 from repro.core.sph.hydro import compute_number_density
 from repro.core.sph.kernels import get_kernel
-from repro.core.sph.pair_batch import make_pair_batch
+from repro.core.sph.pair_batch import PairTiles, make_pair_batch
 from repro.core.sph.viscosity import velocity_divergence_curl
 from repro.tree import PairRows, neighbor_pairs
 
@@ -239,8 +239,7 @@ class TestPairBatch:
         with pytest.raises(ValueError, match="sorted by pi"):
             make_pair_batch(reversed_rows, h, kernel)
         with pytest.raises(ValueError, match="sorted by pi"):
-            make_pair_batch(reversed_rows, h, kernel,
-                            sink_ids=reversed_rows.pi, n_sinks=len(pos))
+            PairTiles(reversed_rows, np.arange(len(pos)), h, kernel)
 
 
 class TestOnePassMoments:
