@@ -8,18 +8,25 @@ naive counterparts on a realistic clustered particle set:
   query's own time and kept rows per second;
 * a gravity-style cache (uniform cutoff, no self rows), which stores the
   unordered half list, vs the directed list at the same positions: build
-  time and resident bytes;
-* sorted-CSR ``segment_sum`` vs buffered ``np.add.at`` — the per-pair
-  scatter cost on the force hot path;
+  time and resident bytes; and the traced peak of one full
+  ``gravity_rows``, which streams that list one block at a time, per
+  stored superset row;
+* the per-pair scatter on the force hot path: buffered 2-D ``np.add.at``
+  vs ``segment_sum`` (one ``bincount`` per component) vs the 1-D running
+  sum ``running_sum`` per component, which the streamed kernels continue
+  block by block;
 * one full ``crksph_derivatives`` evaluation — the end-to-end number the
   ≥2x hydro-speedup acceptance test tracks.
 """
 
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.scatter import segment_sum
+from repro.core.scatter import running_sum, segment_sum
+from repro.core.sink_rows import gravity_rows
 from repro.core.sph import (
     compute_number_density,
     crksph_derivatives,
@@ -56,6 +63,22 @@ def _best_of(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _gravity_peak_per_row(cache, pos, mass, cutoff):
+    """Traced peak of one full ``gravity_rows`` above what is live at
+    entry, per stored superset row of ``cache`` (a built half list)."""
+    cfg = SimpleNamespace(cutoff=cutoff, r_split=cutoff / 5.0,
+                          softening=cutoff / 100.0)
+    gravity_rows(np.zeros(pos.shape), cache, pos, mass, None, cfg, 1.0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        gravity_rows(np.zeros(pos.shape), cache, pos, mass, None, cfg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return peak / (cache.nbytes / 16)  # two int64 arrays per half row
 
 
 def test_x6_pair_engine(benchmark):
@@ -98,6 +121,8 @@ def test_x6_pair_engine(benchmark):
         directed.get(pos, cutoff)  # the first directed query derives it
         out["half_bytes"] = grav.nbytes
         out["directed_bytes"] = directed.nbytes
+        out["gravity_peak_b_per_row"] = _gravity_peak_per_row(
+            grav, pos, mass, cutoff)
 
         # --- leg 2: np.add.at vs segment_sum on the pair scatter ----------
         pi, pj = cache.get(pos, h)[:2]
@@ -109,11 +134,20 @@ def test_x6_pair_engine(benchmark):
             np.add.at(acc, pi, vals)
             return acc
 
+        def running():
+            acc = np.zeros((n, 3))
+            for k in range(3):
+                running_sum(acc[:, k], pi, vals[:, k])
+            return acc
+
         t_add_at = _best_of(add_at)
         t_seg = _best_of(lambda: segment_sum(vals, pi, n, assume_sorted=True))
         assert np.allclose(add_at(), segment_sum(vals, pi, n))
+        # both sum each component in row order: the same bits
+        assert np.array_equal(running(), segment_sum(vals, pi, n))
         out["add_at_s"] = t_add_at
         out["segment_sum_s"] = t_seg
+        out["running_sum_s"] = _best_of(running)
         out["scatter_speedup"] = t_add_at / t_seg
 
         # --- leg 3: end-to-end hydro derivative evaluation ----------------
@@ -143,8 +177,13 @@ def test_x6_pair_engine(benchmark):
              f"{r['directed_bytes'] / 1e6:.3f}",
              f"{r['half_bytes'] / 1e6:.3f}",
              f"{r['directed_bytes'] / r['half_bytes']:.2f}x"),
-            ("pair scatter (add.at vs segment)", f"{r['add_at_s']:.5f}",
+            ("gravity_rows traced peak, B per superset row", "",
+             f"{r['gravity_peak_b_per_row']:.1f}", ""),
+            ("pair scatter (2-D add.at vs segment)", f"{r['add_at_s']:.5f}",
              f"{r['segment_sum_s']:.5f}", f"{r['scatter_speedup']:.1f}x"),
+            ("pair scatter (2-D add.at vs 1-D running sum)",
+             f"{r['add_at_s']:.5f}", f"{r['running_sum_s']:.5f}",
+             f"{r['add_at_s'] / r['running_sum_s']:.1f}x"),
             ("crksph_derivatives (1 eval)", "", f"{r['hydro_deriv_s']:.4f}",
              ""),
         ],

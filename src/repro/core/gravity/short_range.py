@@ -5,6 +5,14 @@ neighbor pair inside the handover cutoff, once per unordered pair and
 applied to both ends, as the GPU solver's leaf-leaf kernels compute an
 interaction once for both leaves.  The same cached pair lists that drive
 the CRKSPH kernels drive this operator.
+
+A list need not be evaluated whole.  The kernel continues two running
+per-particle sums (:class:`PairSums`) row by row, so a caller can stream
+a list block by block — ``core.sink_rows.gravity_rows`` queries and
+evaluates one ``PairCache`` block at a time — and only one block's pair
+state exists at once, as the GPU kernels keep a leaf pair's state in
+registers.  The sums continue in row order, so the streamed result is
+bitwise that of one call over the whole list.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import numpy as np
 
 from ...constants import G_COSMO
 from ..geometry import pair_geometry
-from ..scatter import segment_sum
+from ..scatter import running_sum
 from .force_split import newtonian_pair_kernel, short_range_shape
 
 
@@ -27,6 +35,20 @@ def require_unordered(pi: np.ndarray, pj: np.ndarray) -> None:
         )
 
 
+class PairSums:
+    """The running per-particle sums of one unordered pair list: ``a``
+    holds each row's term at ``pi``, ``b`` at ``pj``, ``(N, 3)`` each.
+    Blocks of the list continue them in turn; the acceleration ``a - b``
+    is formed once, after the last block (:meth:`accelerations`)."""
+
+    def __init__(self, n: int):
+        self.a = np.zeros((n, 3))
+        self.b = np.zeros((n, 3))
+
+    def accelerations(self) -> np.ndarray:
+        return self.a - self.b
+
+
 def short_range_accelerations(
     pos: np.ndarray,
     mass: np.ndarray,
@@ -38,16 +60,18 @@ def short_range_accelerations(
     g_newton: float = G_COSMO,
     dx: np.ndarray | None = None,
     r2: np.ndarray | None = None,
-) -> np.ndarray:
+    sums: PairSums | None = None,
+) -> np.ndarray | None:
     """Acceleration on each particle from short-range pair forces.
 
     ``pi, pj`` is an unordered pair list (``pi < pj`` on every row, else
     ``ValueError``): each pair's kernel is evaluated once and applied to
-    both ends, ``A - B`` with ``A = segment_sum(m_j coef dx, pi)`` and
-    ``B = segment_sum(m_i coef dx, pj)``, so momentum is conserved pair by
-    pair.  Rows at zero separation (coincident particles) contribute exact
-    zeros.  With ``r_split=0`` the full Newtonian force is returned (direct
-    summation mode, used by force-completeness tests).
+    both ends, ``A - B`` with ``A_i`` the sum of ``m_j coef dx`` over the
+    rows with ``pi = i`` and ``B_j`` the sum of ``m_i coef dx`` over the
+    rows with ``pj = j``, so momentum is conserved pair by pair.  Rows at
+    zero separation (coincident particles) contribute exact zeros.  With
+    ``r_split=0`` the full Newtonian force is returned (direct summation
+    mode, used by force-completeness tests).
 
     ``dx, r2`` are the rows' geometry as a ``PairCache`` query carries it
     (``core.geometry.pair_geometry``); what is missing is formed here.
@@ -69,9 +93,12 @@ def short_range_accelerations(
         if r_split > 0:
             kern = kern * short_range_shape(r, r_split)
         coef = np.where(r2 > 0, -g_newton * kern / r, 0.0)
-    n = pos.shape[0]
-    return (segment_sum((mass[pj] * coef)[:, None] * dx, pi, n)
-            - segment_sum((mass[pi] * coef)[:, None] * dx, pj, n))
+    into = PairSums(pos.shape[0]) if sums is None else sums
+    at_i, at_j = mass[pj] * coef, mass[pi] * coef
+    for k in range(3):
+        running_sum(into.a[:, k], pi, at_i * dx[:, k])
+        running_sum(into.b[:, k], pj, at_j * dx[:, k])
+    return into.accelerations() if sums is None else None
 
 
 def direct_accelerations(

@@ -1,14 +1,26 @@
 """Fast segment reductions for per-pair scatter accumulation.
 
-``np.add.at`` / ``np.maximum.at`` (buffered ufunc scatters) are the dominant
-per-pair cost of a NumPy short-range solver: they honor duplicate indices by
-processing one element at a time.  The same reductions expressed over
-*segments* — runs of equal values in the index array — run 5-10x faster via
-``np.bincount`` (any index order, 1-D values) or ``np.add.reduceat`` /
-``np.maximum.reduceat`` over a sorted-CSR layout (any trailing value shape).
-This mirrors the GPU solver, which streams pair interactions from compact CSR
-interaction lists instead of scattering through global atomics (paper
-Section IV-B1).
+A per-pair sum onto particles is a scatter with duplicate indices.  Over a
+whole pair list it is a *segment* reduction — runs of equal values in the
+index array — which ``np.bincount`` computes in any index order for 1-D
+values and ``np.add.reduceat`` / ``np.maximum.reduceat`` compute over a
+sorted-CSR layout for any trailing value shape.  This mirrors the GPU
+solver, which streams pair interactions from compact CSR interaction lists
+instead of scattering through global atomics (paper Section IV-B1).
+
+The buffered ufunc scatters ``np.add.at`` / ``np.maximum.at`` are only slow
+in one form.  Measured at 148k rows into 1,024 particles (NumPy 2.4.6,
+2-vCPU VM, random / sorted ids): a 1-D ``add.at`` takes 0.21 / 0.47 ms
+against 0.23 / 0.51 ms for the ``bincount``, but a 2-D ``(P, 3)``
+``add.at`` takes 6.2 / 6.1 ms against 1.3 / 2.2 ms for the three
+``bincount`` calls of :func:`segment_sum`.  The lint rule
+``sanitize/rules/scatter.py``
+keeps the slow form out.  The 1-D form lives here as :func:`running_sum`
+and :func:`running_max`, which continue one per-particle sum (or max) over
+a list streamed in blocks: both add in row order, so a sum continued block
+by block is bitwise the ``bincount`` over the whole list.  On NumPy
+releases without the ``ufunc.at`` fast path (before 1.25) they are slower,
+but the bits are the same.
 
 ``SegmentReducer`` precomputes the CSR plan (sort permutation + segment
 starts) once per pair list, so the many reductions of a single force
@@ -22,7 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SegmentReducer", "segment_sum", "segment_max", "segment_sum_csr"]
+__all__ = ["SegmentReducer", "running_max", "running_sum", "segment_max",
+           "segment_sum", "segment_sum_csr"]
 
 
 def _ids_sorted(ids: np.ndarray) -> bool:
@@ -171,3 +184,33 @@ def segment_max(values, segment_ids, num_segments: int, initial: float = 0.0,
     return SegmentReducer(
         segment_ids, num_segments, assume_sorted=assume_sorted
     ).max(values, initial=initial)
+
+
+def _running_target(out) -> np.ndarray:
+    if np.ndim(out) != 1:
+        raise ValueError(
+            f"a running reduction continues a 1-D target, got shape "
+            f"{np.shape(out)}: reduce each component into its own column"
+        )
+    return out
+
+
+def running_sum(out: np.ndarray, ids, values) -> None:
+    """Continue the per-segment sums ``out`` with the rows ``(ids,
+    values)``: ``out[ids[k]] += values[k]`` for each row ``k`` in order.
+
+    A list streamed in blocks, each block's rows passed in turn, ends on
+    exactly the bits of one ``np.bincount(ids, weights=values)`` over the
+    whole list added to ``out``: both accumulate in row order.  ``out``
+    must be 1-D (``ValueError``); a column view of a ``(N, 3)`` array is.
+    """
+    np.add.at(_running_target(out), ids, values)  # sanitize: allow-scatter
+
+
+def running_max(out: np.ndarray, ids, values) -> None:
+    """Continue the per-segment maxima ``out`` with the rows ``(ids,
+    values)``.  A max is exact in any order, so a list streamed in blocks
+    ends on the bits of :meth:`SegmentReducer.max` over the whole list
+    with ``out`` as the initial value.  ``out`` must be 1-D
+    (``ValueError``)."""
+    np.maximum.at(_running_target(out), ids, values)  # sanitize: allow-scatter

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gravity.short_range import short_range_accelerations
+from .gravity.short_range import PairSums, short_range_accelerations
 from .sph.hydro import HydroDerivatives, crksph_derivatives_active
 
 
@@ -28,23 +28,36 @@ def gravity_rows(accel, cache, pos, mass, sinks, cfg, g_newton,
 
     The kernel runs once per unordered pair touching a sink; each sink's
     row sums every pair it is in, in half-list order, so it holds the same
-    bits whichever sink set (or frame) it was evaluated in."""
+    bits whichever sink set (or frame) it was evaluated in.  The cached
+    superset streams one block at a time: each block's rows are queried,
+    then continue the kernel's running sums, so no more than one block of
+    pair state exists at once, and the sums end on the bits of one pass
+    over the whole list."""
     if sinks is not None and len(sinks) == 0:
         return 0
-    rows = cache.get_for_sinks(pos, cfg.cutoff, sinks, ids=ids)
-    acc = short_range_accelerations(
-        pos, mass, rows.pi, rows.pj,
-        r_split=cfg.r_split, softening=cfg.softening, box=cache.box,
-        g_newton=g_newton, dx=rows.dx, r2=rows.r2,
-    )
+    n = len(pos)
+    if sinks is not None:
+        mark = np.zeros(n, dtype=bool)
+        mark[sinks] = True
+    sums = PairSums(n)
+    ends = 0
+    for block in range(cache.n_blocks(pos, cfg.cutoff, ids=ids)):
+        rows = cache.get_for_sinks(pos, cfg.cutoff, sinks, ids=ids,
+                                   block=block)
+        short_range_accelerations(
+            pos, mass, rows.pi, rows.pj,
+            r_split=cfg.r_split, softening=cfg.softening, box=cache.box,
+            g_newton=g_newton, dx=rows.dx, r2=rows.r2, sums=sums,
+        )
+        ends += (2 * len(rows.pi) if sinks is None else
+                 np.count_nonzero(mark[rows.pi])
+                 + np.count_nonzero(mark[rows.pj]))
+    acc = sums.accelerations()
     if sinks is None:
         accel += acc
-        ends, n_sinks = 2 * len(rows.pi), len(pos)
+        n_sinks = n
     else:
         accel[sinks] += acc[sinks]
-        mark = np.zeros(len(pos), dtype=bool)
-        mark[sinks] = True
-        ends = np.count_nonzero(mark[rows.pi]) + np.count_nonzero(mark[rows.pj])
         n_sinks = len(sinks)
     # a pair covers one directed row per sink end; every sink also has the
     # self row (r = 0 < cutoff) that an unordered list leaves out

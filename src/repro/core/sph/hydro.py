@@ -33,7 +33,7 @@ import numpy as np
 
 from ...tree.pair_cache import ActivePairSlices, PairRows
 from ..geometry import pair_differences
-from ..scatter import SegmentReducer, segment_sum
+from ..scatter import running_max, running_sum
 from .crk import (
     CRKCorrections,
     compute_corrections,
@@ -204,12 +204,14 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
     tier-1 row: the unordered rows are a mask of the tier-1 rows, in
     half-list order.  The tier-1 pass keeps their forward ``W``, ``grad W``
     and unit vector; the force then walks them in chunks of
-    ``PAIR_TILE_ROWS`` and keeps only each row's flux, work and signal
-    speed for the reductions at both ends.  A sink ``i`` is an end of every row that touches it, so its sums
-    ``A_i`` (rows with ``pi = i``) and ``B_i`` (rows with ``pj = i``) run
-    over the same rows in the same order whatever the sink set, and a
-    ``bincount`` accumulates in input order: a sink's row holds the bits of
-    the full evaluation.
+    ``PAIR_TILE_ROWS``, and each chunk continues the running sums at both
+    ends (``running_sum``) and the running signal-speed max
+    (``running_max``), so no per-row force state outlives its chunk.  A
+    sink ``i`` is an end of every row that touches it, so its sums ``A_i``
+    (rows with ``pi = i``) and ``B_i`` (rows with ``pj = i``) run over the
+    same rows in the same order whatever the sink set, and a running sum
+    accumulates in row order: a sink's row holds the bits of the full
+    evaluation.
     """
     eos = eos or IdealGasEOS()
     viscosity = viscosity or MonaghanViscosity()
@@ -268,9 +270,10 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
 
     # -- sink pairs: each unordered pair once, applied to both ends ----------
     pi, pj = pi1[rows], pj1[rows]
-    flux = np.empty((len(rows), 3))
-    work = np.empty(len(rows))
-    v_sig = np.empty(len(rows))
+    # running sums at each end, continued chunk by chunk in row order
+    accel_i, accel_j = np.zeros((n, 3)), np.zeros((n, 3))
+    du_i, du_j = np.zeros(n), np.zeros(n)
+    v_sig = np.zeros(n)
     for lo in range(0, len(rows), PAIR_TILE_ROWS):
         t = slice(lo, lo + PAIR_TILE_ROWS)
         ti, tj = pi[t], pj[t]
@@ -305,23 +308,26 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
         vv = vol[ti] * vol[tj]
         # momentum flux of the pair onto i; j receives its negative
         # (G_ji = -G_ij)
-        np.multiply((-vv * pbar)[:, None], g_pair, out=flux[t])
+        flux = (-vv * pbar)[:, None] * g_pair
+        m_i, m_j = mass[ti], mass[tj]
+        for k in range(3):
+            running_sum(accel_i[:, k], ti, flux[:, k] / m_i)
+            running_sum(accel_j[:, k], tj, flux[:, k] / m_j)
         # symmetric in (i, j): dv and G_ij both change sign
-        np.multiply(0.5 * vv * pbar, np.einsum("pa,pa->p", dv, g_pair),
-                    out=work[t])
-        # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate
-        np.subtract(c_ij, 2.0 * np.minimum(mu, 0.0), out=v_sig[t])
+        work = 0.5 * vv * pbar * np.einsum("pa,pa->p", dv, g_pair)
+        running_sum(du_i, ti, work / m_i)
+        running_sum(du_j, tj, work / m_j)
+        # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate,
+        # maxed over both ends (a max is exact in any order)
+        speed = c_ij - 2.0 * np.minimum(mu, 0.0)
+        running_max(v_sig, ti, speed)
+        running_max(v_sig, tj, speed)
     del w_f, gw_f, unit_f
 
-    accel = (segment_sum(flux / mass[pi, None], pi, n)
-             - segment_sum(flux / mass[pj, None], pj, n))
-    du_dt = segment_sum(work / mass[pi], pi, n) + segment_sum(
-        work / mass[pj], pj, n)
-    # maxed over both ends; c_i is the self row's value (mu_ii = 0)
-    by_j = np.argsort(pj)  # unstable is enough: a max is order-free
-    vsig = np.maximum(cs, np.maximum(
-        SegmentReducer(pi, n, assume_sorted=True).max(v_sig),
-        SegmentReducer(pj[by_j], n, assume_sorted=True).max(v_sig[by_j])))
+    accel = accel_i - accel_j
+    du_dt = du_i + du_j
+    # c_i is the self row's value (mu_ii = 0)
+    vsig = np.maximum(cs, v_sig)
 
     return HydroDerivatives(
         sinks=sl.sinks, accel=accel[sl.sinks], du_dt=du_dt[sl.sinks],

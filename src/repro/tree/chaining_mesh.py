@@ -171,9 +171,10 @@ def neighbor_pairs(
     Positions need not lie inside ``[0, box)`` but must be finite
     (``ValueError``).
     """
-    h, a, b = _half_candidates(pos, h, box)
+    h, key = _half_keys(pos, h, box)
     return directed_pairs(
-        len(h), a, b, np.flatnonzero(0.0 < h * h) if include_self else None)
+        len(h), *_decoded(key, len(h)),
+        np.flatnonzero(0.0 < h * h) if include_self else None)
 
 
 def half_neighbor_pairs(pos: np.ndarray, h: np.ndarray,
@@ -181,11 +182,9 @@ def half_neighbor_pairs(pos: np.ndarray, h: np.ndarray,
     """The unordered half of :func:`neighbor_pairs`: the rows ``pi < pj``
     with ``|x_i - x_j| < max(h_i, h_j)``, sorted by ``pi·N + pj`` (the
     order they have among the ``neighbor_pairs`` rows)."""
-    h, a, b = _half_candidates(pos, h, box)
-    n = len(h)
-    key = a * n + b
+    h, key = _half_keys(pos, h, box)
     key.sort()
-    return np.divmod(key, n)
+    return _decoded(key, len(h))
 
 
 def directed_pairs(n: int, pi: np.ndarray, pj: np.ndarray,
@@ -203,21 +202,41 @@ def directed_pairs(n: int, pi: np.ndarray, pj: np.ndarray,
     return np.divmod(key, n)
 
 
-def _half_candidates(pos, h, box):
-    """``(h, a, b)``: the supports broadcast to ``(N,)`` and the unsorted
-    ``a < b`` rows with ``|x_a - x_b| < max(h_a, h_b)``.
+def _decoded(key: np.ndarray, n: int):
+    """``divmod(key, n)`` with the quotient written over ``key``: the
+    decode holds two row arrays, not three."""
+    pj = key % n
+    key //= n
+    return key, pj
+
+
+#: most superset rows measured at a time: the build applies the exact
+#: criterion to its candidates in chunks of this many, and a gravity query
+#: answers the stored superset in blocks of this many
+#: (``PairCache.n_blocks``).  Larger than the CRKSPH tile because each
+#: gravity block pays some 60 NumPy calls of fixed cost (the sweep is in
+#: DESIGN.md, "Working set").
+PAIR_BLOCK_ROWS = 32768
+
+
+def _half_keys(pos, h, box):
+    """``(h, key)``: the supports broadcast to ``(N,)`` and the unsorted
+    keys ``a·N + b`` of the rows ``a < b`` with
+    ``|x_a - x_b| < max(h_a, h_b)``.
 
     A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` yields the
     candidates; membership is then decided by the minimum-image arithmetic
     of ``pair_geometry`` on the caller's positions, so the tree (built on a
-    wrapped copy when periodic) only has to return a superset.
+    wrapped copy when periodic) only has to return a superset.  The
+    criterion runs ``PAIR_BLOCK_ROWS`` candidates at a time and keeps only
+    the kept rows' keys, and the candidate array goes before the keys are
+    joined, so the build never holds geometry for the whole candidate set.
     """
     pos = np.asarray(pos, dtype=np.float64)
     n = pos.shape[0]
     h = np.broadcast_to(np.asarray(h, dtype=np.float64), (n,))
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return h, empty, empty
+        return h, np.empty(0, dtype=np.int64)
 
     hmax = float(h.max())
     if hmax <= 0:
@@ -234,11 +253,17 @@ def _half_candidates(pos, h, box):
     # ulps of the box from wrapping) between the tree's distances and the
     # filter's
     half = tree.query_pairs(hmax * (1.0 + 1e-9), output_type="ndarray")
-    a, b = half[:, 0], half[:, 1]
+    del tree
 
     # exact criterion; dx -> -dx leaves r2 bitwise unchanged, so deciding the
     # i < j orientation decides both
-    _, r2 = pair_geometry(pos, a, b, box)
-    rmax = np.maximum(h[a], h[b])
-    keep = r2 < rmax * rmax
-    return h, a[keep], b[keep]
+    keys = []
+    for lo in range(0, len(half), PAIR_BLOCK_ROWS):
+        a, b = half[lo:lo + PAIR_BLOCK_ROWS].T
+        _, r2 = pair_geometry(pos, a, b, box)
+        rmax = np.maximum(h[a], h[b])
+        keep = np.flatnonzero(r2 < rmax * rmax)
+        keys.append(np.take(a, keep) * n + np.take(b, keep))
+    del half
+    return h, (np.concatenate(keys) if keys
+               else np.empty(0, dtype=np.int64))

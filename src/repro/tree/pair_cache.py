@@ -14,7 +14,9 @@ idea for the ``neighbor_pairs`` search:
   derived from it once per build, on the first directed query (:meth:`get`,
   :meth:`active_slices`, :meth:`hop_closure`); from then on the cache holds
   only the directed list.  A gravity cache, which only answers
-  :meth:`get_for_sinks`, never derives it.
+  :meth:`get_for_sinks`, never derives it.  A rebuild drops the old list
+  first, and the build measures its candidates a chunk at a time, so it
+  never holds two lists or geometry for the whole candidate set.
 * **Query** filters the cached superset down to the exact fresh-list
   criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current* positions — a
   cheap vectorized pass that keeps row order — so consumers see precisely
@@ -26,8 +28,11 @@ idea for the ``neighbor_pairs`` search:
   each unordered pair once and apply it to both ends (paper Section
   IV-B1).  Gravity's query (:meth:`PairCache.get_for_sinks`) returns
   *unordered* pairs ``pi < pj``, so each is also measured and filtered
-  once.  Hydro's (:meth:`PairCache.active_slices`) stays directed, because
-  its density, volume and correction sums gather at support ``h_i``; the
+  once, and it answers one block of ``PAIR_BLOCK_ROWS`` stored rows at a
+  time: the gravity kernel evaluates each block before the next is
+  queried, so only one block's pair state exists at once.  Hydro's
+  (:meth:`PairCache.active_slices`) stays directed, because its
+  density, volume and correction sums gather at support ``h_i``; the
   CRKSPH force assembly takes the ``pi < pj`` rows of that list.  An
   active query measures each superset row of its 2-hop closure once.
 * **Rebuild** only when reuse could miss a pair, or the particle set itself
@@ -52,7 +57,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.geometry import minimum_image, pair_geometry
-from .chaining_mesh import directed_pairs, half_neighbor_pairs
+from .chaining_mesh import (
+    PAIR_BLOCK_ROWS,
+    directed_pairs,
+    half_neighbor_pairs,
+)
 
 __all__ = ["ActivePairSlices", "PairCache", "PairRows"]
 
@@ -212,9 +221,9 @@ class PairCache:
         return "h" if grew[over].any() else "drift"
 
     def _build(self, pos, h, ids) -> None:
+        self.invalidate()  # the old lists go before the new ones are built
         self._hpi, self._hpj = half_neighbor_pairs(
             pos, h * (1.0 + self.skin), box=self.box)
-        self._pi = self._pj = self._starts = None
         self._ref_pos = np.array(pos, dtype=np.float64, copy=True)
         self._ref_h = np.array(h, dtype=np.float64, copy=True)
         self._ref_ids = None if ids is None else np.array(ids, copy=True)
@@ -240,13 +249,20 @@ class PairCache:
             self._hpi = self._hpj = None
         return self._pi, self._pj
 
-    def _half_rows(self):
-        """The superset's ``pi < pj`` rows: the stored half list, or the
-        rows of the directed list once a directed query derived it."""
-        if self._hpi is not None:
-            return self._hpi, self._hpj
-        keep = self._pi < self._pj
-        return self._pi[keep], self._pj[keep]
+    def _half_block(self, block):
+        """The ``pi < pj`` rows of block ``block`` of the stored superset
+        (``None``: all of it), in half-list order.  A block is
+        ``PAIR_BLOCK_ROWS`` rows of the stored list: the half list, or the
+        directed list once a directed query derived it."""
+        directed = self._hpi is None
+        pi, pj = (self._pi, self._pj) if directed else (self._hpi, self._hpj)
+        if block is not None:
+            lo = block * PAIR_BLOCK_ROWS
+            pi, pj = pi[lo:lo + PAIR_BLOCK_ROWS], pj[lo:lo + PAIR_BLOCK_ROWS]
+        if directed:
+            keep = np.flatnonzero(pi < pj)
+            pi, pj = np.take(pi, keep), np.take(pj, keep)
+        return pi, pj
 
     def publish(self, registry, **labels) -> None:
         """Add the builds and rebuild reasons since the last call to the
@@ -337,9 +353,18 @@ class PairCache:
             + np.repeat(starts[sinks], counts)
         )
 
-    def get_for_sinks(self, pos, h, sinks, ids=None) -> PairRows:
+    def n_blocks(self, pos, h, ids=None) -> int:
+        """Make the cached list valid for ``(pos, h)`` (:meth:`ensure`)
+        and return how many blocks :meth:`get_for_sinks` answers its
+        superset in (at least one)."""
+        self._current(pos, h, ids)
+        stored = self._pi if self._hpi is None else self._hpi
+        return max(1, -(-len(stored) // PAIR_BLOCK_ROWS))
+
+    def get_for_sinks(self, pos, h, sinks, ids=None, block=None) -> PairRows:
         """Unordered pair rows ``pi < pj`` with at least one end in
-        ``sinks`` (``None``: every pair).
+        ``sinks`` (``None``: every pair), from block ``block`` of the
+        cached superset (``None``: the whole superset as one block).
 
         Equivalent to masking :meth:`get` output with ``pi < pj`` and
         ``np.isin(pi, sinks) | np.isin(pj, sinks)``, in the same
@@ -347,10 +372,24 @@ class PairCache:
         touches a sink is here, so a pair kernel that applies each row to
         both ends sums a sink's rows in the same order whatever the sink
         set.  Non-sink ends are gather-only sources.
+
+        A streaming caller first calls :meth:`n_blocks`, which validates
+        the list for ``(pos, h)``, then names blocks ``0 .. n_blocks - 1``
+        in turn at the same positions: a named block reads the list as
+        validated and does not check it again.  The blocks' answers
+        concatenate to the answer for ``block=None``, and each measures
+        only its own rows, so a caller that evaluates each block before it
+        queries the next never holds more than one block of pair geometry.
         """
         self.n_queries += 1
-        pos, h = self._current(pos, h, ids)
-        hpi, hpj = self._half_rows()
+        if block is None:
+            pos, h = self._current(pos, h, ids)
+        elif self._ref_pos is None:
+            raise ValueError("no pair list to block: call n_blocks first")
+        else:
+            pos = np.asarray(pos, dtype=np.float64)
+            h = np.asarray(h, dtype=np.float64)
+        hpi, hpj = self._half_block(block)
         if sinks is not None:
             mark = np.zeros(len(pos), dtype=bool)
             mark[sinks] = True

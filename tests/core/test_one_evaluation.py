@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.gravity import short_range_accelerations
 from repro.core.scatter import segment_max
 from repro.core.sink_rows import gravity_rows
 from repro.core.sph import (
@@ -23,7 +24,14 @@ from repro.core.sph import (
     hydro,
     pair_batch,
 )
-from repro.tree import PairCache
+from repro.cosmology import PLANCK18, zeldovich_ics
+from repro.parallel.distributed_sim import (
+    DistributedConfig,
+    DistributedSimulation,
+)
+from repro.tree import PairCache, pair_cache
+from repro.tree.chaining_mesh import half_neighbor_pairs
+from repro.tree.pair_cache import PAIR_SKIN
 
 SRC = Path(repro.__file__).parent
 DRIVERS = ("core/simulation.py", "parallel/distributed_sim.py",
@@ -369,3 +377,94 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak / len(pi) < 180.0
+
+
+class TestGravityBlocks:
+    """Gravity streams the stored superset one block of
+    ``PAIR_BLOCK_ROWS`` rows at a time: where the blocks cut moves no bit,
+    and the working set is one block's, not the list's."""
+
+    CFG = TestGravityPairsOnce.CFG
+
+    @pytest.mark.parametrize("box", [6.0, None])
+    @pytest.mark.parametrize("block_rows", [1, 7, 1 << 30])
+    def test_block_boundaries_move_no_bit(self, monkeypatch, box, block_rows):
+        """Blocks of one row, of seven rows, and one block holding more
+        rows than the list: ``accel`` and the row count are the bits of
+        the whole-list kernel, for every sink and for a random sink set."""
+        rng, pos, mass, cache = TestGravityPairsOnce._setup(box)
+        cutoff = self.CFG.cutoff
+        with pytest.raises(ValueError, match="n_blocks"):
+            cache.get_for_sinks(pos, cutoff, None, block=0)  # no list yet
+        monkeypatch.setattr(pair_cache, "PAIR_BLOCK_ROWS", block_rows)
+        stored = len(half_neighbor_pairs(pos, cutoff * (1 + PAIR_SKIN),
+                                         box=box)[0])
+        assert cache.n_blocks(pos, cutoff) == max(1, -(-stored // block_rows))
+        for sinks in (None, np.sort(rng.choice(len(pos), 60, replace=False))):
+            accel = np.zeros((len(pos), 3))
+            n_rows = gravity_rows(accel, cache, pos, mass, sinks, self.CFG,
+                                  1.0)
+            rows = cache.get_for_sinks(pos, cutoff, sinks)
+            whole = short_range_accelerations(
+                pos, mass, rows.pi, rows.pj, r_split=self.CFG.r_split,
+                softening=self.CFG.softening, box=box, g_newton=1.0)
+            every = slice(None) if sinks is None else sinks
+            assert np.array_equal(accel[every], whole[every]), sinks is None
+            directed = cache.get(pos, cutoff)
+            ids = np.arange(len(pos)) if sinks is None else sinks
+            assert n_rows == np.isin(directed.pi, ids).sum()
+
+    @pytest.mark.parametrize("subcycle", [False, True])
+    def test_rank_caches_move_no_bit(self, monkeypatch, subcycle):
+        """A 2-rank run evaluates its interior rows from the owned-only
+        caches and its boundary rows from the overloaded ones (active sink
+        sets when subcycled): seven-row blocks end on the bits of one
+        block."""
+        box = 100.0
+        ics = zeldovich_ics(6, box, PLANCK18, a_init=0.2, seed=17)
+        mass = np.full(len(ics.positions), ics.particle_mass)
+        cfg = DistributedConfig(box=box, pm_grid=32, a_init=0.2, a_final=0.3,
+                                n_pm_steps=2, cosmo=PLANCK18,
+                                r_split_cells=1.0, subcycle=subcycle)
+        runs = []
+        for block_rows in (1 << 30, 7):
+            monkeypatch.setattr(pair_cache, "PAIR_BLOCK_ROWS", block_rows)
+            runs.append(DistributedSimulation(cfg, 2).run(
+                ics.positions, ics.velocities, mass))
+        for one, cut in zip(*runs):
+            assert np.array_equal(one, cut)
+
+    def test_working_set_is_bounded_per_row(self):
+        """Traced peak above what is live at entry, per stored superset
+        row, on a jittered periodic 16^3 lattice with a cutoff of 0.15
+        (226,638 superset rows).  One full ``gravity_rows``: 62.8 B/row
+        when one query held the whole list's rows and ``(P, 3)`` products,
+        14.0 B/row streaming blocks of 32768 rows.  One rebuild while the
+        old list is held: 58.0 B/row when the old list outlived the build
+        and the criterion measured every candidate at once, 22.8 B/row
+        now (NumPy 2.4)."""
+        _, (pos, _, mass, _, _) = _jittered_lattice(16, 5)
+        cfg = SimpleNamespace(cutoff=0.15, r_split=0.05, softening=0.01)
+        cache = PairCache(box=1.0)
+        gravity_rows(np.zeros((len(pos), 3)), cache, pos, mass, None, cfg,
+                     1.0)  # builds the list and warms the kernels
+        stored = len(half_neighbor_pairs(pos, cfg.cutoff * (1 + PAIR_SKIN),
+                                         box=1.0)[0])
+        assert stored >= 200_000
+        moved = np.mod(pos + 0.2 * cfg.cutoff, 1.0)  # past the skin
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+
+        gravity = peak(lambda: gravity_rows(
+            np.zeros((len(pos), 3)), cache, pos, mass, None, cfg, 1.0))
+        rebuild = peak(lambda: cache.ensure(moved, cfg.cutoff))
+        assert cache.n_builds == 2
+        assert gravity / stored < 20.0
+        assert rebuild / stored < 29.0

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.scatter import SegmentReducer, segment_max, segment_sum
+from repro.core.scatter import (
+    SegmentReducer,
+    running_max,
+    running_sum,
+    segment_max,
+    segment_sum,
+)
 
 
 def _add_at_reference(values, ids, n):
@@ -145,6 +153,40 @@ class TestSegmentReducer:
         assert red.order is None
         v = np.arange(6, dtype=np.float64)
         np.testing.assert_allclose(red.sum(v), _add_at_reference(v, ids, 6))
+
+
+class TestRunningReductions:
+    """A sum or max continued over the blocks of a row list, in turn,
+    ends on the bits of one reduction over the whole list."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 300), st.integers(0, 2**32 - 1),
+           st.booleans(), st.lists(st.integers(0, 300), max_size=12))
+    def test_any_chunking_is_one_reduction(self, n, p, seed, by_id, cuts):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, n, p)
+        if by_id:  # pair lists arrive sorted by pi
+            ids.sort()
+        # magnitudes over 16 decades: a sum in another order would differ
+        values = rng.normal(size=p) * 10.0 ** rng.integers(-8, 8, p)
+        cuts = sorted(min(c, p) for c in cuts)
+        total, peak = np.zeros(n), np.zeros(n)
+        for lo, hi in zip([0] + cuts, cuts + [p]):
+            running_sum(total, ids[lo:hi], values[lo:hi])
+            running_max(peak, ids[lo:hi], values[lo:hi])
+        assert np.array_equal(total,
+                              np.bincount(ids, weights=values, minlength=n))
+        assert np.array_equal(peak, SegmentReducer(ids, n).max(values))
+
+    def test_a_column_continues_and_a_2d_target_raises(self):
+        ids, v = np.array([2, 0, 2]), np.arange(9.0).reshape(3, 3)
+        acc = np.zeros((3, 3))
+        for k in range(3):
+            running_sum(acc[:, k], ids, v[:, k])
+        assert np.array_equal(acc, segment_sum(v, ids, 3))
+        for helper in (running_sum, running_max):
+            with pytest.raises(ValueError, match="1-D"):
+                helper(np.zeros((3, 3)), ids, v)
 
 
 class TestConservationAfterRefactor:
