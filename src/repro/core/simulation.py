@@ -231,6 +231,11 @@ class Simulation:
         # per PM step instead of 2^depth + 1 (HACC stream/kick split)
         self._pm_acc_unit = None
         self._pm_ref_pos = None
+        # each PM step times its phases into its own group and counts the
+        # pair rows it streams; a force evaluation outside a step (tests,
+        # analysis) times into this group and counts from zero
+        self._timers = self.observe.timer_group(f"{self._obs_scope}/unstepped")
+        self._n_pairs = 0
 
         self._init_smoothing_lengths()
 

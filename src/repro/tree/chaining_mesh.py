@@ -165,8 +165,7 @@ def neighbor_pairs(
     it: ``make_pair_batch`` requires it, ``SegmentReducer(assume_sorted=True)``
     skips its sort, and a filtered ``PairCache`` query is ``array_equal`` to
     a fresh call.  The list is :func:`directed_pairs` of the unordered
-    :func:`half_neighbor_pairs` rows, which is also how a ``PairCache``
-    derives its directed list from the half list it stores.
+    :func:`half_neighbor_pairs` rows.
 
     Positions need not lie inside ``[0, box)`` but must be finite
     (``ValueError``).

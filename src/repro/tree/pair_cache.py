@@ -7,34 +7,36 @@ path.  ``PairCache`` implements the classic Verlet-list version of that
 idea for the ``neighbor_pairs`` search:
 
 * **Build** with per-particle search radii inflated by a skin,
-  ``h_build * (1 + skin)``, and store the superset as the unordered half
-  list ``half_neighbor_pairs`` returns: rows ``pi < pj``, sorted by
-  ``pi·N + pj``.  The directed CSR list (both orientations plus self rows,
-  ``(pi, pj)`` ascending, so downstream segment reductions never sort) is
-  derived from it once per build, on the first directed query (:meth:`get`,
-  :meth:`active_slices`, :meth:`hop_closure`); from then on the cache holds
-  only the directed list.  A gravity cache, which only answers
-  :meth:`get_for_sinks`, never derives it.  A rebuild drops the old list
-  first, and the build measures its candidates a chunk at a time, so it
-  never holds two lists or geometry for the whole candidate set.
-* **Query** filters the cached superset down to the exact fresh-list
-  criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current* positions — a
-  cheap vectorized pass that keeps row order — so consumers see precisely
-  the arrays a fresh ``neighbor_pairs`` call would produce, whenever the
-  list was last rebuilt, and the symmetric-pair-list contract of the
-  conservative CRKSPH pairing is preserved.  The displacement the filter
-  measured travels with each surviving row (:class:`PairRows`), so the
-  force kernels never form it again.  Both short-range forces evaluate
-  each unordered pair once and apply it to both ends (paper Section
-  IV-B1).  Gravity's query (:meth:`PairCache.get_for_sinks`) returns
-  *unordered* pairs ``pi < pj``, so each is also measured and filtered
-  once, and it answers one block of ``PAIR_BLOCK_ROWS`` stored rows at a
-  time: the gravity kernel evaluates each block before the next is
-  queried, so only one block's pair state exists at once.  Hydro's
-  (:meth:`PairCache.active_slices`) stays directed, because its
-  density, volume and correction sums gather at support ``h_i``; the
-  CRKSPH force assembly takes the ``pi < pj`` rows of that list.  An
-  active query measures each superset row of its 2-hop closure once.
+  ``h_build * (1 + skin)``, and store the superset as the one list the
+  cache holds, whatever queries run: the unordered half list
+  ``half_neighbor_pairs`` returns, rows ``pi < pj`` sorted by
+  ``pi·N + pj``.  A rebuild drops the old list first, and the build
+  measures its candidates a chunk at a time, so it never holds two lists
+  or geometry for the whole candidate set.
+* **Query** filters the stored rows a query needs down to the exact
+  fresh-list criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current*
+  positions, keeping row order, so consumers see precisely the arrays a
+  fresh ``neighbor_pairs`` call would produce, whenever the list was last
+  rebuilt, and the symmetric-pair-list contract of the conservative
+  CRKSPH pairing is preserved.  The displacement the filter measured
+  travels with each surviving row (:class:`PairRows`), so the force
+  kernels never form it again, and each half row is measured once per
+  query.  Gravity's query (:meth:`PairCache.get_for_sinks`) returns the
+  filtered half rows themselves, one block of ``PAIR_BLOCK_ROWS`` stored
+  rows at a time: the gravity kernel evaluates each block before the
+  next is queried and applies each row to both ends (paper Section
+  IV-B1).  Hydro's queries (:meth:`PairCache.get`,
+  :meth:`PairCache.active_slices`) return directed rows, because its
+  density, volume and correction sums gather at support ``h_i``; they
+  are assembled from the filtered half rows.  A forward row ``(i, j)``
+  keeps the half row's ``dx`` and ``r2``, its mirror ``(j, i)`` carries
+  ``0.0 - dx`` and the same ``r2``, and a self row carries zeros, placed
+  in CSR order, ``(pi, pj)`` ascending, so downstream segment reductions
+  never sort.  The mirror is bitwise the direct measurement:
+  ``x_j - x_i`` is exactly ``-(x_i - x_j)`` and the minimum image is odd,
+  except that a zero component measures ``+0.0``, which ``0.0 - dx``
+  keeps and ``-dx`` would not.  Rows touching a sink set are selected by
+  marking the sinks and compressing the stored rows with an end marked.
 * **Rebuild** only when reuse could miss a pair, or the particle set itself
   changed.  Support growth and drift share the skin: with
   ``g_k = max(h_k / h_build_k - 1, 0)`` and
@@ -57,11 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.geometry import minimum_image, pair_geometry
-from .chaining_mesh import (
-    PAIR_BLOCK_ROWS,
-    directed_pairs,
-    half_neighbor_pairs,
-)
+from .chaining_mesh import PAIR_BLOCK_ROWS, half_neighbor_pairs
 
 __all__ = ["ActivePairSlices", "PairCache", "PairRows"]
 
@@ -184,20 +182,16 @@ class PairCache:
     # -- cache state -----------------------------------------------------------
     def invalidate(self) -> None:
         """Drop the cached list; the next query rebuilds."""
-        self._hpi = None  # the stored half list, until a directed query
+        self._hpi = None  # the stored half superset, rows pi < pj
         self._hpj = None
-        self._pi = None  # the directed CSR list derived from it
-        self._pj = None
-        self._starts = None
         self._ref_pos = None
         self._ref_h = None
         self._ref_ids = None
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the pair lists the cache holds (half or directed)."""
-        held = (self._hpi, self._hpj, self._pi, self._pj, self._starts)
-        return sum(a.nbytes for a in held if a is not None)
+        """Bytes of the half list the cache holds."""
+        return 0 if self._hpi is None else self._hpi.nbytes + self._hpj.nbytes
 
     def _why_invalid(self, pos, h, ids) -> str | None:
         """Reason the cached list cannot serve this query, or None."""
@@ -221,7 +215,7 @@ class PairCache:
         return "h" if grew[over].any() else "drift"
 
     def _build(self, pos, h, ids) -> None:
-        self.invalidate()  # the old lists go before the new ones are built
+        self.invalidate()  # the old list goes before the new one is built
         self._hpi, self._hpj = half_neighbor_pairs(
             pos, h * (1.0 + self.skin), box=self.box)
         self._ref_pos = np.array(pos, dtype=np.float64, copy=True)
@@ -229,40 +223,14 @@ class PairCache:
         self._ref_ids = None if ids is None else np.array(ids, copy=True)
         self.n_builds += 1
 
-    def _directed(self):
-        """The directed superset ``(pi, pj)`` with its CSR row starts,
-        derived from the half list once per build; the half list goes."""
-        if self._pi is None:
-            n = len(self._ref_pos)
-            self_rows = None
-            if self.include_self:
-                hb = np.broadcast_to(self._ref_h * (1.0 + self.skin), (n,))
-                self_rows = np.flatnonzero(0.0 < hb * hb)
-            self._pi, self._pj = directed_pairs(n, self._hpi, self._hpj,
-                                                self_rows)
-            # rows of sink i live in _pi[_starts[i]:_starts[i+1]]: the
-            # active-subset queries gather whole sink rows through this
-            # without scanning the full list
-            counts = np.bincount(self._pi, minlength=n)
-            self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(
-                np.intp)
-            self._hpi = self._hpj = None
-        return self._pi, self._pj
-
     def _half_block(self, block):
-        """The ``pi < pj`` rows of block ``block`` of the stored superset
-        (``None``: all of it), in half-list order.  A block is
-        ``PAIR_BLOCK_ROWS`` rows of the stored list: the half list, or the
-        directed list once a directed query derived it."""
-        directed = self._hpi is None
-        pi, pj = (self._pi, self._pj) if directed else (self._hpi, self._hpj)
-        if block is not None:
-            lo = block * PAIR_BLOCK_ROWS
-            pi, pj = pi[lo:lo + PAIR_BLOCK_ROWS], pj[lo:lo + PAIR_BLOCK_ROWS]
-        if directed:
-            keep = np.flatnonzero(pi < pj)
-            pi, pj = np.take(pi, keep), np.take(pj, keep)
-        return pi, pj
+        """Block ``block`` of the stored superset (``None``: all of it):
+        ``PAIR_BLOCK_ROWS`` rows of the half list."""
+        if block is None:
+            return self._hpi, self._hpj
+        lo = block * PAIR_BLOCK_ROWS
+        return (self._hpi[lo:lo + PAIR_BLOCK_ROWS],
+                self._hpj[lo:lo + PAIR_BLOCK_ROWS])
 
     def publish(self, registry, **labels) -> None:
         """Add the builds and rebuild reasons since the last call to the
@@ -308,8 +276,7 @@ class PairCache:
         The returned arrays are the caller's own.
         """
         self.n_queries += 1
-        pos, h = self._current(pos, h, ids)
-        return self._sink_rows(pos, h, None)[0]
+        return self._every_row(*self._current(pos, h, ids))
 
     def _current(self, pos, h, ids):
         """``(pos, h)`` as float arrays, with the cached list valid for them."""
@@ -318,48 +285,64 @@ class PairCache:
         self.ensure(pos, h, ids=ids)
         return pos, h
 
-    def _filtered(self, pos, h, pi, pj):
-        """The superset rows ``(pi, pj)`` that meet the exact fresh-list
-        criterion, with the geometry that decided it, and their positions
-        in ``(pi, pj)``."""
+    def _every_row(self, pos, h) -> PairRows:
+        """The directed rows of every particle at ``(pos, h)``."""
+        return self._directed_rows(
+            len(pos), h, self._filtered(pos, h, self._hpi, self._hpj))
+
+    def _filtered(self, pos, h, pi, pj) -> PairRows:
+        """The half rows ``(pi, pj)`` that meet the exact fresh-list
+        criterion, in their order, with the geometry that decided it."""
         dx, r2 = pair_geometry(pos, pi, pj, self.box)
         if h.ndim == 0:
             keep = r2 < h * h
         else:
             rmax = np.maximum(h[pi], h[pj])
             keep = r2 < rmax * rmax
-        if not self.include_self:
-            keep &= pi != pj
         kept = np.flatnonzero(keep)
-        rows = PairRows(pi[kept], pj[kept], np.take(dx, kept, axis=0),
+        return PairRows(pi[kept], pj[kept], np.take(dx, kept, axis=0),
                         r2[kept])
-        return rows, kept
 
-    def _rows_for_sinks(self, sinks: np.ndarray) -> np.ndarray:
-        """Directed-list row indices whose sink is in ``sinks`` (CSR gather).
-
-        Preserves per-sink row order, so downstream segment reductions sum
-        each sink's contributions in exactly the order a full query would.
-        """
-        starts = self._starts
-        counts = starts[sinks + 1] - starts[sinks]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.intp)
-        offsets = np.cumsum(counts) - counts
-        return (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts[sinks], counts)
-        )
+    def _directed_rows(self, n: int, h, half: PairRows, order=None,
+                       sinks=None) -> PairRows:
+        """The directed rows over ``n`` particles whose sink is marked in
+        ``sinks`` (``None``: every particle), in CSR order, mirrored from
+        the filtered half rows ``half`` (module docstring).  ``order``
+        takes ``half`` in ascending key ``pi·n + pj`` (``None``: it is in
+        that order); ``half`` must hold every row touching a sink.  A
+        sink's segment is its mirrored rows, its self row, then its
+        forward rows."""
+        selves = np.empty(0, dtype=np.intp)
+        if self.include_self:  # as neighbor_pairs keeps them
+            hb = np.broadcast_to(h, (n,))
+            selves = np.flatnonzero(0.0 < hb * hb)
+        fwd = mir = np.arange(len(half.pi)) if order is None else order
+        if sinks is not None:
+            fwd = fwd[sinks[half.pi[fwd]]]
+            mir = mir[sinks[half.pj[mir]]]
+            selves = selves[sinks[selves]]
+        # per sink: its mirrored rows (sources below it, in key order), its
+        # self row, its forward rows (sources above it); a stable sort by
+        # sink alone is then CSR order, and on a small unsigned dtype it is
+        # a radix sort
+        sink = np.concatenate((half.pj[mir], selves, half.pi[fwd]))
+        by_sink = np.argsort(sink.astype(np.min_scalar_type(n)), kind="stable")
+        # each row's source in [forward | mirrored | self] rows
+        m, s = len(half.pi), len(selves)
+        src = np.concatenate((m + mir, 2 * m + np.arange(s), fwd))[by_sink]
+        return PairRows(
+            sink[by_sink],
+            np.take(np.concatenate((half.pj, half.pi, selves)), src),
+            np.take(np.concatenate((half.dx, 0.0 - half.dx,
+                                    np.zeros((s, 3)))), src, axis=0),
+            np.take(np.concatenate((half.r2, half.r2, np.zeros(s))), src))
 
     def n_blocks(self, pos, h, ids=None) -> int:
         """Make the cached list valid for ``(pos, h)`` (:meth:`ensure`)
         and return how many blocks :meth:`get_for_sinks` answers its
         superset in (at least one)."""
         self._current(pos, h, ids)
-        stored = self._pi if self._hpi is None else self._hpi
-        return max(1, -(-len(stored) // PAIR_BLOCK_ROWS))
+        return max(1, -(-len(self._hpi) // PAIR_BLOCK_ROWS))
 
     def get_for_sinks(self, pos, h, sinks, ids=None, block=None) -> PairRows:
         """Unordered pair rows ``pi < pj`` with at least one end in
@@ -391,45 +374,28 @@ class PairCache:
             h = np.asarray(h, dtype=np.float64)
         hpi, hpj = self._half_block(block)
         if sinks is not None:
-            mark = np.zeros(len(pos), dtype=bool)
-            mark[sinks] = True
-            touched = np.flatnonzero(mark[hpi] | mark[hpj])
-            hpi, hpj = hpi[touched], hpj[touched]
-        return self._filtered(pos, h, hpi, hpj)[0]
-
-    def _sink_rows(self, pos, h, sinks):
-        """Filtered directed rows whose sink is in ``sinks`` (``None``:
-        all), and their row indices in the directed list."""
-        pi, pj = self._directed()
-        if sinks is None:
-            return self._filtered(pos, h, pi, pj)
-        at = self._rows_for_sinks(sinks)
-        rows, kept = self._filtered(pos, h, pi[at], pj[at])
-        return rows, at[kept]
+            hpi, hpj = _touching(_marked(len(pos), sinks), hpi, hpj)
+        return self._filtered(pos, h, hpi, hpj)
 
     def hop_closure(self, pos, h, seeds, hops: int, ids=None) -> np.ndarray:
         """Boolean mask of particles within ``hops`` pair-list hops of
         ``seeds`` (an index array or boolean mask; seeds are included).
 
-        Expands through the *unfiltered* skin-radius superset rows, so the
-        closure is conservative under any drift the cache itself tolerates.
-        The distributed driver derives its interior/boundary particle split
-        from this: rows outside the closure of the ghost-adjacent seeds
-        provably never touch ghost data and can be evaluated while the
-        exchange is still in flight.
+        Expands through the *unfiltered* skin-radius superset rows, to
+        both ends of each, so the closure is conservative under any drift
+        the cache itself tolerates.  The distributed driver derives its
+        interior/boundary particle split from this: rows outside the
+        closure of the ghost-adjacent seeds provably never touch ghost
+        data and can be evaluated while the exchange is still in flight.
         """
         pos, h = self._current(pos, h, ids)
-        _, pj = self._directed()
-        member = np.zeros(len(pos), dtype=bool)
-        member[np.asarray(seeds)] = True
+        member = _marked(len(pos), np.asarray(seeds))
         for _ in range(hops):
-            frontier = np.nonzero(member)[0]
-            rows = self._rows_for_sinks(frontier)
-            if len(rows) == 0:
-                break
-            before = member.sum()
-            member[pj[rows]] = True
-            if member.sum() == before:
+            pi, pj = _touching(member, self._hpi, self._hpj)
+            before = np.count_nonzero(member)
+            member[pi] = True
+            member[pj] = True
+            if np.count_nonzero(member) == before:
                 break
         return member
 
@@ -440,46 +406,62 @@ class PairCache:
         closures of ``sinks`` from the *filtered* pair lists and returns
         the pair rows needed at each tier (see :class:`ActivePairSlices`).
         ``sinks`` must be sorted ascending; ``None`` means every particle,
-        which takes one filtered pass over the whole list.  Each tier's
-        rows are the previous tier's plus the rows of the particles it
-        adds, so every superset row of the 2-hop closure is measured once.
+        which takes one filtered pass over the whole list.  Each tier
+        measures the superset rows that touch the particles it adds and
+        no particle of the tier before, so every superset row of the
+        2-hop closure is measured once.
         """
         self.n_queries += 1
         pos, h = self._current(pos, h, ids)
         if sinks is None:
-            return ActivePairSlices.everyone(
-                len(pos), self._sink_rows(pos, h, None)[0])
+            return ActivePairSlices.everyone(len(pos),
+                                             self._every_row(pos, h))
         sinks = np.asarray(sinks, dtype=np.intp)
-
-        member = np.zeros(len(pos), dtype=bool)
-        member[sinks] = True
-        rows0 = self._sink_rows(pos, h, sinks)
-
-        tier1_mask = member.copy()
-        tier1_mask[rows0[0].pj] = True
-        added1 = self._sink_rows(pos, h, np.flatnonzero(tier1_mask & ~member))
-        tier1_rows = _merged(rows0, added1)
-
-        # a sink row's source is already in tier 1
-        tier2_mask = tier1_mask.copy()
-        tier2_mask[added1[0].pj] = True
-        added2 = self._sink_rows(pos, h,
-                                 np.flatnonzero(tier2_mask & ~tier1_mask))
-
-        rows1 = tier1_rows[0]
+        tier = _marked(len(pos), sinks)
+        before = np.zeros(len(pos), dtype=bool)
+        tiers, found = [], []
+        for _ in range(3):  # the sinks, tier 1 and tier 2
+            rows = self._filtered(pos, h, *_touching(
+                tier & ~before, self._hpi, self._hpj, skip=before))
+            tiers.append(tier)
+            found.append(rows)
+            before, tier = tier, tier.copy()
+            tier[rows.pi] = True
+            tier[rows.pj] = True
+        member, tier1, tier2 = tiers
+        rows2 = self._directed_rows(len(pos), h, *_merged(found, len(pos)),
+                                    sinks=tier2)
+        at1 = np.flatnonzero(tier1[rows2.pi])
+        rows1 = PairRows(*(np.take(a, at1, axis=0) for a in rows2))
         return ActivePairSlices(
-            sinks, np.flatnonzero(tier1_mask), np.flatnonzero(tier2_mask),
-            rows1, member[rows1.pi], _merged(tier1_rows, added2)[0],
+            sinks, np.flatnonzero(tier1), np.flatnonzero(tier2),
+            rows1, member[rows1.pi], rows2,
         )
 
 
-def _merged(a, b):
-    """Two filtered row sets ``(PairRows, directed-list row indices)`` over
-    disjoint sinks, merged into directed-list (CSR) order."""
-    if len(b[1]) == 0:
-        return a
-    at = np.concatenate((a[1], b[1]))
-    # two ascending runs of unique indices: timsort merges them in one pass
-    order = np.argsort(at, kind="stable")
-    return PairRows(*(np.take(np.concatenate((x, y)), order, axis=0)
-                      for x, y in zip(a[0], b[0]))), at[order]
+def _marked(n: int, idx) -> np.ndarray:
+    """Boolean mask over ``n`` particles, set at ``idx``."""
+    mark = np.zeros(n, dtype=bool)
+    mark[idx] = True
+    return mark
+
+
+def _touching(mark, pi, pj, skip=None):
+    """The rows of ``(pi, pj)`` with an end marked in ``mark`` and, with
+    ``skip``, no end marked in ``skip`` (mark and compress; row order
+    kept)."""
+    at = np.flatnonzero(mark[pi] | mark[pj])
+    pi, pj = pi[at], pj[at]
+    if skip is not None:
+        at = np.flatnonzero(~(skip[pi] | skip[pj]))
+        pi, pj = pi[at], pj[at]
+    return pi, pj
+
+
+def _merged(parts, n: int):
+    """Row sets with disjoint ``(pi, pj)``, each in ascending key
+    ``pi·n + pj``: their concatenation and the order that merges it
+    by that key."""
+    rows = PairRows(*(np.concatenate(a) for a in zip(*parts)))
+    # ascending runs of unique keys: timsort merges them run by run
+    return rows, np.argsort(rows.pi * n + rows.pj, kind="stable")

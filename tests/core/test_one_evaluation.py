@@ -468,3 +468,45 @@ class TestGravityBlocks:
         assert cache.n_builds == 2
         assert gravity / stored < 20.0
         assert rebuild / stored < 29.0
+
+
+class TestShortRangeOutsideAStep:
+    @staticmethod
+    def _simulation():
+        from repro.core.particles import Particles, Species
+        from repro.core.simulation import Simulation, SimulationConfig
+
+        box = 100.0
+        ics = zeldovich_ics(6, box, PLANCK18, a_init=0.2, seed=17)
+        n = len(ics.positions)
+        species = np.where(np.arange(n) % 2, int(Species.GAS),
+                           int(Species.DARK_MATTER)).astype(np.int8)
+        parts = Particles(pos=ics.positions.copy(),
+                          vel=ics.velocities.copy(),
+                          mass=np.full(n, ics.particle_mass),
+                          species=species, u=np.full(n, 50.0))
+        cfg = SimulationConfig(box=box, pm_grid=16, a_init=0.2, a_final=0.3,
+                               n_pm_steps=1, cosmo=PLANCK18,
+                               r_split_cells=1.0)
+        return Simulation(cfg, parts)
+
+    def test_fresh_simulation_evaluates_like_the_first_opening(self):
+        """``short_range`` on a simulation that has not stepped returns the
+        bits the first step's opening evaluation computes."""
+        unstepped = self._simulation().short_range(0.2)
+        stepped = self._simulation()
+        calls = []
+        evaluate = stepped.short_range
+
+        def recording(*args, **kwargs):
+            out = evaluate(*args, **kwargs)
+            # the integrator updates the returned arrays in place
+            calls.append([a.copy() for a in out])
+            return out
+
+        stepped.short_range = recording
+        stepped.pm_step()
+        assert len(calls) > 1
+        for got, want in zip(unstepped, calls[0]):
+            assert np.array_equal(got, want)
+        assert np.abs(unstepped[0]).max() > 0.0  # gravity did evaluate

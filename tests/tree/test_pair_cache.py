@@ -237,8 +237,9 @@ class TestForcesThroughCache:
 
 
 class TestActiveSubsetQueries:
-    """Active-sink pair queries: CSR row gathers must equal masked full
-    queries, and the tiered slices must cover the CRK dependency closures."""
+    """Active-sink pair queries: sink-set row selections must equal masked
+    full queries, and the tiered slices must cover the CRK dependency
+    closures."""
 
     def _sinks(self, n, k=40, seed=11):
         rng = np.random.default_rng(seed)
@@ -337,7 +338,7 @@ class TestActiveSubsetQueries:
         _, pos, h, box = _random_setup()
         cache = PairCache(skin=0.3, box=box)
         cache.get(pos, h)
-        spi, spj = cache._pi, cache._pj  # superset rows
+        spi, spj = cache._hpi, cache._hpj  # the half superset, pi < pj
         seeds = self._sinks(len(pos), k=12, seed=8)
         for hops in (0, 1, 2, 3):
             got = cache.hop_closure(pos, h, seeds, hops=hops)
@@ -346,8 +347,8 @@ class TestActiveSubsetQueries:
             for _ in range(hops):
                 want = want | np.isin(
                     np.arange(len(pos)),
-                    spj[want[spi]],
-                ) | want
+                    np.concatenate([spj[want[spi]], spi[want[spj]]]),
+                )
             np.testing.assert_array_equal(got, want)
 
     def test_hop_closure_accepts_boolean_seeds(self):
@@ -532,8 +533,10 @@ class TestActiveQueryMeasuresOnce:
             sl = cache.active_slices(moved, h, sinks)
             measured = np.concatenate(seen)
             assert len(np.unique(measured)) == len(measured)
-            spi, spj = cache._pi, cache._pj  # the directed superset
-            closure = np.isin(spi, sl.tier2)
+            # each half-superset row with an end in tier 2, and no self
+            # row, reaches pair_geometry exactly once
+            spi, spj = cache._hpi, cache._hpj
+            closure = np.isin(spi, sl.tier2) | np.isin(spj, sl.tier2)
             assert np.array_equal(np.sort(measured),
                                   spi[closure] * n + spj[closure])
             want = _three_pass_slices(cache.get(moved, h), sinks, n)
@@ -564,30 +567,53 @@ class TestActiveQueryMeasuresOnce:
 
 
 class TestStoredLists:
+    @staticmethod
+    def _holds_only_the_half_superset(cache, box):
+        for name in ("_pi", "_pj", "_starts"):
+            assert not hasattr(cache, name)
+        hpi, hpj = half_neighbor_pairs(
+            cache._ref_pos, cache._ref_h * (1.0 + cache.skin), box=box)
+        assert np.array_equal(cache._hpi, hpi)
+        assert np.array_equal(cache._hpj, hpj)
+        assert cache.nbytes == hpi.nbytes + hpj.nbytes
+
     def test_gravity_cache_never_holds_directed_arrays(self):
         rng, pos, h, box = _random_setup(seed=31)
         cache = PairCache(box=box, include_self=False)
         for sinks in (None, np.arange(0, len(pos), 3), None):
             cache.get_for_sinks(pos, 1.1, sinks)
+            self._holds_only_the_half_superset(cache, box)
             pos = np.mod(pos + rng.normal(scale=0.05, size=pos.shape), box)
         assert cache.n_builds >= 2  # drift forced rebuilds on the way
-        assert cache._pi is None and cache._pj is None
-        assert cache._starts is None
-        hpi, hpj = half_neighbor_pairs(cache._ref_pos, 1.1 * 1.25, box=box)
-        assert np.array_equal(cache._hpi, hpi)
-        assert np.array_equal(cache._hpj, hpj)
-        assert cache.nbytes == hpi.nbytes + hpj.nbytes
 
     def test_directed_query_keeps_only_the_directed_list(self):
-        _, pos, h, box = _random_setup(seed=32)
+        """A directed query returns the fresh directed list yet stores no
+        directed form of it: whatever gravity and hydro queries run, the
+        one list kept is the half superset of the last build."""
+        rng, pos, h, box = _random_setup(seed=32)
         cache = PairCache(box=box)
         half = cache.get_for_sinks(pos, h, None)
-        cache.get(pos, h)
-        assert cache._hpi is None and cache._hpj is None
-        spi, spj = neighbor_pairs(pos, h * 1.25, box=box)
-        assert np.array_equal(cache._pi, spi)
-        assert np.array_equal(cache._pj, spj)
-        # the unordered query still serves, from the directed rows
+        pi, pj = cache.get(pos, h)[:2]
+        fi, fj = neighbor_pairs(pos, h, box=box)
+        assert _pair_set(pi, pj) == _pair_set(fi, fj)
+        self._holds_only_the_half_superset(cache, box)
+        # the unordered query still serves, with no rebuild
         for got, want in zip(cache.get_for_sinks(pos, h, None), half):
             assert np.array_equal(got, want)
         assert cache.n_builds == 1
+        sinks = np.arange(0, len(pos), 3)
+        queries = (
+            lambda c, x: c.get_for_sinks(x, h, None),
+            lambda c, x: c.get(x, h),
+            lambda c, x: c.get_for_sinks(x, h, sinks),
+            lambda c, x: c.active_slices(x, h, sinks),
+            lambda c, x: c.hop_closure(x, h, sinks, hops=2),
+            lambda c, x: c.active_slices(x, h, None),
+        )
+        for _ in range(2):
+            for query in queries:
+                query(cache, pos)
+                self._holds_only_the_half_superset(cache, box)
+                pos = np.mod(pos + rng.normal(scale=0.03, size=pos.shape),
+                             box)
+        assert cache.n_builds >= 2  # drift forced rebuilds on the way

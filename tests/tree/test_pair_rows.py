@@ -115,3 +115,40 @@ def test_returned_arrays_never_alias_the_cache(keep_all):
         a[...] = -1
     for again, want in zip(queries(), pristine):
         assert np.array_equal(again, want)
+
+
+def _same_bytes(got: PairRows, want: PairRows):
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_every_query_is_the_fresh_measurement_bytewise(include_self):
+    """On an unjittered lattice particles share coordinates, so many
+    displacement components are exactly zero: every query's rows are
+    ``tobytes``-equal to measuring a fresh ``neighbor_pairs`` list, signed
+    zeros included (a mirror formed as ``-dx`` would carry ``-0.0``)."""
+    n_side, box = 8, 2.0
+    c = (np.arange(n_side) + 0.5) * (box / n_side)
+    pos = np.stack(np.meshgrid(c, c, c, indexing="ij"), -1).reshape(-1, 3)
+    rng = np.random.default_rng(3)
+    h = 1.97 * (box / n_side) * rng.uniform(0.9, 1.1, len(pos))
+    cache = PairCache(skin=SKIN, box=box, include_self=include_self)
+    fresh = PairRows.measured(
+        pos, *neighbor_pairs(pos, h, box=box, include_self=include_self), box)
+
+    def rows_where(keep):
+        return PairRows(*(np.take(a, np.flatnonzero(keep), axis=0)
+                          for a in fresh))
+
+    _same_bytes(cache.get(pos, h), fresh)
+    for sinks in (np.array([0]), np.arange(7, len(pos), 11)):
+        touched = np.isin(fresh.pi, sinks) | np.isin(fresh.pj, sinks)
+        _same_bytes(cache.get_for_sinks(pos, h, sinks),
+                    rows_where((fresh.pi < fresh.pj) & touched))
+        sl = cache.active_slices(pos, h, sinks)
+        _same_bytes(sl.rows1, rows_where(np.isin(fresh.pi, sl.tier1)))
+        _same_bytes(sl.rows2, rows_where(np.isin(fresh.pi, sl.tier2)))
+    _same_bytes(cache.active_slices(pos, h, None).rows1, fresh)
+    assert cache.n_builds == 1
+    assert (fresh.dx == 0.0).any()  # the signed-zero case is exercised
