@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from ..cosmology.background import Cosmology
 from ..cosmology.power_spectrum import LinearPower

@@ -542,9 +542,8 @@ class Simulation:
         """Ages of star particles at scale factor ``a1`` in Myr.
 
         Vectorized over the whole star set: stars formed on the same step
-        share a birth scale factor, so the expensive ``cosmo.age``
-        quadrature runs once per *unique* birth epoch instead of once per
-        star.
+        share a birth scale factor, so ``cosmo.age`` runs once per *unique*
+        birth epoch instead of once per star.
         """
         birth = np.maximum(self.birth_a[stars], 1e-3)
         uniq, inverse = np.unique(birth, return_inverse=True)
@@ -604,8 +603,7 @@ class Simulation:
             gas = np.nonzero(p.gas)[0]
             if len(stars) > 0 and len(gas) > 0:
                 age1 = self._stellar_ages_myr(a1, stars)
-                age0 = np.maximum(age1 - self._dt_seconds(a0, a1) / 3.156e13,
-                                  0.0)
+                age0 = np.maximum(age1 - dt_s / 3.156e13, 0.0)
                 # the enrichment models are array-valued over the star set
                 expected_ia = np.asarray(
                     self.snia.events_between(p.mass[stars], age0, age1),

@@ -39,14 +39,15 @@ def gravity_rows(accel, cache, pos, mass, sinks, cfg, g_newton,
     if sinks is not None:
         mark = np.zeros(n, dtype=bool)
         mark[sinks] = True
+    # each config scalar is derived from the box: read once, not per block
+    cutoff, r_split, softening = cfg.cutoff, cfg.r_split, cfg.softening
     sums = PairSums(n)
     ends = 0
-    for block in range(cache.n_blocks(pos, cfg.cutoff, ids=ids)):
-        rows = cache.get_for_sinks(pos, cfg.cutoff, sinks, ids=ids,
-                                   block=block)
+    for block in range(cache.n_blocks(pos, cutoff, ids=ids)):
+        rows = cache.get_for_sinks(pos, cutoff, sinks, ids=ids, block=block)
         short_range_accelerations(
             pos, mass, rows.pi, rows.pj,
-            r_split=cfg.r_split, softening=cfg.softening, box=cache.box,
+            r_split=r_split, softening=softening, box=cache.box,
             g_newton=g_newton, dx=rows.dx, r2=rows.r2, sums=sums,
         )
         ends += (2 * len(rows.pi) if sinks is None else
@@ -61,7 +62,7 @@ def gravity_rows(accel, cache, pos, mass, sinks, cfg, g_newton,
         n_sinks = len(sinks)
     # a pair covers one directed row per sink end; every sink also has the
     # self row (r = 0 < cutoff) that an unordered list leaves out
-    return int(ends) + n_sinks * (cache.include_self and cfg.cutoff > 0)
+    return int(ends) + n_sinks * (cache.include_self and cutoff > 0)
 
 
 def crksph_rows(out, frame_rows, cache, pos, vel, mass, u, h, sinks, kernel,

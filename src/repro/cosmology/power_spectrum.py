@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .background import Cosmology
 
@@ -74,7 +73,11 @@ class LinearPower:
 
     def sigma_r(self, r: float, a: float = 1.0) -> float:
         """RMS linear density fluctuation in spheres of radius r [Mpc/h]."""
-        # the growth factor is itself a quadrature: once, not per evaluation
+        # the σ8 normalisation is the one adaptive quadrature left: imported
+        # here so a process that builds no power spectrum never maps it
+        from scipy import integrate
+
+        # the growth factor is itself an integral: once, not per evaluation
         growth2 = self.cosmo.growth_factor(a) ** 2
 
         def integrand(lnk):

@@ -37,6 +37,14 @@ class TestLinearPower:
     def test_sigma8_normalization(self, power):
         assert power.sigma8_at(1.0) == pytest.approx(PLANCK18.sigma8, rel=1e-3)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "sigma_r's quad runs at its default epsabs 1.49e-8 on an integral of "
+        "2.19e-7, so _norm is 8.1e-5 low and sigma8_at(1) reads 0.8101672; "
+        "the fix moves the recorded reference and needs its own re-record"))
+    def test_sigma8_normalization_exact(self, power):
+        assert power.sigma8_at(1.0) == pytest.approx(PLANCK18.sigma8,
+                                                     rel=1e-10)
+
     def test_growth_scaling(self, power):
         """P(k, a) = D^2(a) P(k, 1)."""
         k = np.array([0.1, 1.0])
