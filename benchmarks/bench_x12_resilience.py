@@ -13,8 +13,8 @@ failure, visible as a growing recovered-wall / clean-wall ratio.
 
 Invariants asserted in every mode: the recovery restores from the
 newest checkpoint the cadence allows, the recovered final state is
-bit-identical to a clean restart of the resumed segment from that same
-checkpoint, and the armed comm sanitizer reports a clean teardown.
+bit-identical to the clean uninterrupted run, and the armed comm
+sanitizer reports a clean teardown.
 """
 
 import time
@@ -63,7 +63,7 @@ def _config(n_pm_steps):
     )
 
 
-def _chaos_case(cadence, ics, cfg, root):
+def _chaos_case(cadence, ics, cfg, root, clean_hash):
     """One faulted run at a checkpoint cadence; returns its vitals."""
     pos, vel, mass = ics
     # kill in the final PM interval, mid-subcycle: the sparser the
@@ -79,20 +79,8 @@ def _chaos_case(cadence, ics, cfg, root):
         res = coord.run(cfg, N_RANKS, pos.copy(), vel.copy(), mass.copy(),
                         fault_plan=plan)
         wall = time.perf_counter() - t0
-        rec = res.recoveries[0]
-
-        # recovered-vs-clean hash check: clean restart of the resumed
-        # segment from the same checkpoint on the surviving rank count
-        if rec.restored_step is not None:
-            point = store.restorable_at(rec.restored_step)
-            arrays, _meta = store.restore(point)
-            seed_state = (arrays["pos"], arrays["vel"], arrays["mass"])
-        else:
-            seed_state = (pos.copy(), vel.copy(), mass.copy())
-    ref = DistributedSimulation(rec.resumed_config, rec.ranks_after)
-    rpos, rvel, _ = ref.run(*seed_state)
-    hash_ok = state_hash(pos=rpos, vel=rvel) == \
-        state_hash(pos=res.pos, vel=res.vel)
+    rec = res.recoveries[0]
+    hash_ok = state_hash(pos=res.pos, vel=res.vel) == clean_hash
 
     pipeline = {r.phase: r.seconds for r in recovery_report(obs.registry)}
     san = coord.last_sim.world.sanitizer
@@ -122,10 +110,11 @@ def test_x12_resilience(benchmark, tmp_path):
         # clean reference: the same run with no faults
         t0 = time.perf_counter()
         sim = DistributedSimulation(cfg, N_RANKS)
-        sim.run(ics[0].copy(), ics[1].copy(), ics[2].copy())
+        cpos, cvel, _ = sim.run(ics[0].copy(), ics[1].copy(), ics[2].copy())
         res["clean_wall"] = time.perf_counter() - t0
+        clean_hash = state_hash(pos=cpos, vel=cvel)
         res["cases"] = [
-            _chaos_case(c, ics, cfg, tmp_path) for c in cadences
+            _chaos_case(c, ics, cfg, tmp_path, clean_hash) for c in cadences
         ]
         return res
 
@@ -154,7 +143,8 @@ def test_x12_resilience(benchmark, tmp_path):
     })
 
     for c in res["cases"]:
-        # every cadence recovers onto 3 ranks, bit-identical, clean audit
+        # every cadence recovers onto 3 ranks, on the uninterrupted
+        # run's bits, with a clean audit
         assert c["hash_ok"], f"cadence {c['cadence']}: hash mismatch"
         assert c["findings"] == 0
         # a single node death never costs the NVMe tier (buddy copies)

@@ -216,17 +216,11 @@ def _run_chaos_demo(args) -> int:
         print(f"  state hash {state_hash(pos=res.pos, vel=res.vel)[:16]}")
         ok = True
         if res.recoveries:
-            last = res.recoveries[-1]
-            if last.restored_step is not None:
-                point = store.restorable_at(last.restored_step)
-                arrays, _meta = store.restore(point)
-                ref = DistributedSimulation(last.resumed_config,
-                                            last.ranks_after)
-                rp, rv, _ids = ref.run(arrays["pos"], arrays["vel"],
-                                       arrays["mass"])
-                ok = state_hash(pos=rp, vel=rv) == \
-                    state_hash(pos=res.pos, vel=res.vel)
-                print(f"  clean-restart hash match: {ok}")
+            rp, rv, _ids = DistributedSimulation(cfg, args.ranks).run(
+                pos, vel, mass)
+            ok = state_hash(pos=rp, vel=rv) == \
+                state_hash(pos=res.pos, vel=res.vel)
+            print(f"  uninterrupted-run hash match: {ok}")
         san = coord.last_sim.world.sanitizer
         findings = san.findings if san is not None else []
         print(f"  sanitizer findings: {len(findings)}")

@@ -198,12 +198,13 @@ class RankDomain:
     ``vel``, ``mass``, ``u``, ``ids``, ``gas`` to this rank's rows (the
     object takes ownership of the arrays); the same six names are what
     step hooks see (:meth:`view`).  ``scope`` is the run's metrics prefix,
-    shared by every rank of one run.
+    shared by every rank of one run.  ``step`` and ``a`` are the run
+    state to start from (:meth:`DistributedSimulation.run`).
     """
 
     def __init__(self, comm, config: DistributedConfig, decomp, owned: dict,
                  observe: Observatory | None = None, scope: str = "dist",
-                 fault_plan=None):
+                 fault_plan=None, step: int = 0, a: float | None = None):
         self.comm = comm
         self.cfg = cfg = config
         self.decomp = decomp
@@ -249,8 +250,8 @@ class RankDomain:
         # step's opening work
         self.flight = None
         self.flight_id = 0
-        self.a = cfg.a_init
-        self.istep = 0
+        self.a = cfg.a_init if a is None else a
+        self.first_step = self.istep = step
         self.n_pairs = 0
         #: distributed PM solves this rank entered (one forward + three
         #: gradient FFT sets each)
@@ -277,9 +278,9 @@ class RankDomain:
 
     # -- driving --------------------------------------------------------------
     def run(self, hooks=()) -> list[StepRecord]:
-        """All configured PM steps, then the last migration settled."""
+        """The PM steps left to run, then the last migration settled."""
         try:
-            for _ in range(self.cfg.n_pm_steps):
+            for _ in range(self.first_step, self.cfg.n_pm_steps):
                 self.step(hooks)
             self.settle()
         except BaseException:
@@ -298,7 +299,7 @@ class RankDomain:
         step's opening work (or :meth:`settle`)."""
         cfg = self.cfg
         da = (cfg.a_final - cfg.a_init) / cfg.n_pm_steps
-        self.istep = len(self.records)
+        self.istep = self.first_step + len(self.records)
         step_scope = f"{self.scope}/rank{self.comm.rank}/step{self.istep:05d}"
         self.timers = self.observe.timer_group(
             step_scope, keys=DISTRIBUTED_PHASES
@@ -763,14 +764,16 @@ class RankDomain:
 
 
 def _run_rank(comm, sim: DistributedSimulation, particles: dict,
-              owner: np.ndarray, scope: str) -> RankDomain:
+              owner: np.ndarray, scope: str, step: int,
+              a: float | None) -> RankDomain:
     """One rank of ``DistributedSimulation.run``: take the owned rows, run
-    every PM step, hand the finished domain back for the gather."""
+    the PM steps, hand the finished domain back for the gather."""
     mine = owner == comm.rank
     rank = RankDomain(
         comm, sim.config, sim.decomp,
         {name: rows[mine].copy() for name, rows in particles.items()},
         observe=sim.observe, scope=scope, fault_plan=sim.fault_plan,
+        step=step, a=a,
     )
     rank.run(sim.step_hooks)
     return rank
@@ -811,7 +814,8 @@ class DistributedSimulation:
         self.traffic = None
 
     def run(self, pos: np.ndarray, vel: np.ndarray, mass: np.ndarray,
-            u: np.ndarray | None = None, gas: np.ndarray | None = None):
+            u: np.ndarray | None = None, gas: np.ndarray | None = None,
+            step: int = 0, a: float | None = None):
         """Evolve the global particle set across the simulated ranks.
 
         Gravity-only: returns ``(pos, vel, ids)``.  With ``hydro=True``:
@@ -819,10 +823,19 @@ class DistributedSimulation:
         subset of a mixed DM+gas run (default: all particles are gas when
         ``hydro=True``); CRKSPH forces act on gas rows only while gravity
         couples everything.  ``ids`` maps rows back to the input order.
+
+        ``step`` and ``a`` are the state the run starts from (default:
+        step 0 at ``a_init``).  Steps count along the whole trajectory and
+        each is ``(a_final - a_init) / n_pm_steps`` long, so a run resumed
+        from step ``k``'s checkpoint (``step=k + 1``, its ``a``, its rows
+        in id order) ends on the uninterrupted run's bits.
         """
         cfg = self.config
         if cfg.hydro and u is None:
             raise ValueError("hydro runs need initial internal energies u")
+        if not 0 <= step < cfg.n_pm_steps:
+            raise ValueError(f"step {step} is outside the "
+                             f"{cfg.n_pm_steps}-step trajectory")
         pos = np.mod(np.asarray(pos, dtype=np.float64), cfg.box)
         n = len(pos)
         particles = {
@@ -845,7 +858,7 @@ class DistributedSimulation:
         ranks = world.run(
             _run_rank, self, particles,
             self.decomp.rank_of_positions(pos),
-            self.observe.scope("dist"), timeout=cfg.comm_timeout_s,
+            self.observe.scope("dist"), step, a, timeout=cfg.comm_timeout_s,
         )
         self.step_records = ranks[0].records
         self.traffic = world.stats

@@ -29,15 +29,14 @@ class DistributedCheckpointer:
     """Step hook writing NVMe shards (+ their periodic PFS bleed).
 
     ``nodes`` maps the current world's rank index to its storage node
-    (the coordinator shrinks this list as ranks die); ``step_offset``
-    maps the run's local step index to the global step of the whole
-    trajectory so resumed segments keep numbering checkpoints where the
-    failed segment stopped.
+    (the coordinator shrinks this list as ranks die).  Checkpoints are
+    numbered by the driver's step, which counts along the whole
+    trajectory, so a resumed run numbers them where the failed one
+    stopped.
     """
 
     def __init__(self, store: TieredCheckpointStore, box: float,
-                 every: int = 1, pfs_every: int = 1,
-                 nodes=None, step_offset: int = 0):
+                 every: int = 1, pfs_every: int = 1, nodes=None):
         if every < 1 or pfs_every < 1:
             raise ValueError("checkpoint cadences must be >= 1")
         self.store = store
@@ -46,28 +45,26 @@ class DistributedCheckpointer:
         self.pfs_every = int(pfs_every)
         self.nodes = (list(nodes) if nodes is not None
                       else list(range(store.n_nodes)))
-        self.step_offset = int(step_offset)
-        #: global steps this hook has written (rank-shared, append-only
+        #: steps this hook has written (rank-shared, append-only
         #: per cadence decision — every rank appends the same values, so
         #: only the set matters; tests read it)
         self.written: list[int] = []
 
     def __call__(self, comm, istep: int, a: float, my: dict) -> None:
-        gstep = istep + self.step_offset
-        if gstep % self.every != 0:
+        if istep % self.every != 0:
             return
         world = comm.world
         if world.fault_plan is not None:
             world.fault_plan.enter(comm.rank, istep, "checkpoint")
         world.note_phase(comm.rank, istep, "checkpoint")
         arrays = dict(my, pos=np.mod(my["pos"], self.box))
-        meta = {"step": gstep, "a": float(a), "n_shards": comm.size}
+        meta = {"step": istep, "a": float(a), "n_shards": comm.size}
         node = self.nodes[comm.rank]
         buddy = self.nodes[(comm.rank + 1) % comm.size]
         with world.tracer.span("io/checkpoint", cat="io", tid=comm.rank,
-                               step=gstep, tier="nvme"):
-            self.store.write_shard(gstep, comm.rank, arrays, meta,
+                               step=istep, tier="nvme"):
+            self.store.write_shard(istep, comm.rank, arrays, meta,
                                    node=node, buddy_node=buddy,
-                                   pfs=gstep % self.pfs_every == 0)
+                                   pfs=istep % self.pfs_every == 0)
         if comm.rank == 0:
-            self.written.append(gstep)
+            self.written.append(istep)

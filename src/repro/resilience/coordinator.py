@@ -8,7 +8,7 @@ drives the recovery pipeline::
 
     detect -> cancel -> restore -> redistribute -> resume
 
-- **detect**: the typed failure carries rank / global step / phase; the
+- **detect**: the typed failure carries rank / step / phase; the
   dead rank's storage node is marked lost.
 - **cancel**: the abort cascade already tore down every in-flight
   request through the ``Request.cancel()`` paths (ghost exchanges,
@@ -24,25 +24,24 @@ drives the recovery pipeline::
 - **redistribute**: the cuboid decomposition is re-run over the
   surviving rank count (a fresh ``DistributedSimulation``), which
   re-scatters the restored particles by owner.
-- **resume**: the step loop continues from the restored scale factor
-  with the remaining PM steps, checkpoint numbering and fault-plan
-  steps offset to global trajectory steps.
+- **resume**: the same config runs on from the checkpoint's step and
+  scale factor (``DistributedSimulation.run(step=, a=)``), so the
+  resumed steps, checkpoint numbers and fault-plan steps are those of
+  the one trajectory.
 
 Each phase is timed under its ``resilience/*`` span (taxonomy-
 registered), so recovery cost shows up in Perfetto traces and the
 registry-derived :func:`~repro.observe.derived.recovery_report`.
 
-Bit-identity contract: the recovered trajectory is bit-identical to a
-clean run restarted from the *same checkpoint* on the *same surviving
-rank count* (the headline chaos test asserts the hash match).  It is
-not bit-identical to the uninterrupted run: the resumed segment's
-``da`` is recomputed from the checkpoint's scale factor, which floating
-point does not guarantee to re-split identically.
+Bit-identity contract: the recovered run ends on the bits of the
+uninterrupted run, on whatever rank count survives as far as the rank
+count itself is bitwise (DESIGN.md "Failure model and recovery"; the
+``recovered`` class of ``tests/integration/test_golden_hashes.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class RecoveryRecord:
     failed_node: int
     failed_step: int | None
     failed_phase: str | None
-    #: global step of the checkpoint resumed from (None = cold restart)
+    #: step of the checkpoint resumed from (None = cold restart)
     restored_step: int | None
     #: "nvme" | "pfs" | "initial"
     tier: str
@@ -74,10 +73,6 @@ class RecoveryRecord:
     #: requests the failing segment posted / left unsettled (audit)
     n_requests: int = 0
     n_unsettled: int = 0
-    #: the exact config of the resumed segment — a clean-restart
-    #: reference run is ``DistributedSimulation(resumed_config,
-    #: ranks_after).run(<restored arrays>)``
-    resumed_config: DistributedConfig | None = None
 
 
 @dataclass
@@ -101,7 +96,7 @@ class RecoveryCoordinator:
     """Runs a distributed config to completion across rank deaths.
 
     ``checkpoint_every`` / ``pfs_every`` are step cadences of the NVMe
-    shards and of their bleed to the PFS (``pfs_every`` counts in global
+    shards and of their bleed to the PFS (``pfs_every`` counts in
     steps, not in NVMe checkpoints).  The store's PFS drains land on
     this coordinator's trace.  ``max_failures`` bounds how many rank
     deaths one run may absorb before the failure is re-raised.
@@ -136,9 +131,10 @@ class RecoveryCoordinator:
         # removed (and marked lost in the store) as their ranks die
         alive = list(range(n_ranks))
         n = len(np.asarray(pos))
+        # the run state the next attempt starts from
         seg = {
-            "config": config,
-            "offset": 0,  # global step index of the segment's step 0
+            "step": 0,
+            "a": None,
             "pos": np.asarray(pos, dtype=np.float64),
             "vel": np.asarray(vel, dtype=np.float64),
             "mass": np.asarray(mass, dtype=np.float64),
@@ -151,22 +147,18 @@ class RecoveryCoordinator:
         attempts = 0
         while True:
             attempts += 1
-            cfg = seg["config"]
             sim = DistributedSimulation(
-                cfg, len(alive), observe=self.observe,
+                config, len(alive), observe=self.observe,
                 fault_plan=fault_plan,
             )
-            ckpt = DistributedCheckpointer(
-                self.store, box=cfg.box, every=self.checkpoint_every,
+            sim.step_hooks.append(DistributedCheckpointer(
+                self.store, box=config.box, every=self.checkpoint_every,
                 pfs_every=self.pfs_every, nodes=alive,
-                step_offset=seg["offset"],
-            )
-            sim.step_hooks.append(ckpt)
-            if fault_plan is not None:
-                fault_plan.step_offset = seg["offset"]
+            ))
             try:
                 out = sim.run(seg["pos"], seg["vel"], seg["mass"],
-                              u=seg["u"], gas=seg["gas"])
+                              u=seg["u"], gas=seg["gas"],
+                              step=seg["step"], a=seg["a"])
             except RankFailure as failure:
                 if len(recoveries) >= self.max_failures:
                     raise
@@ -176,7 +168,7 @@ class RecoveryCoordinator:
                 recoveries.append(record)
                 continue
             self.last_sim = sim
-            if cfg.hydro:
+            if config.hydro:
                 fpos, fvel, fu, fids = out
             else:
                 fpos, fvel, fids = out
@@ -191,7 +183,7 @@ class RecoveryCoordinator:
     def _recover(self, sim, failure: RankFailure, alive: list,
                  seg: dict, timers) -> RecoveryRecord:
         tracer = self.observe.tracer
-        cfg = seg["config"]
+        cfg = sim.config
 
         with timers.time("resilience/detect", rank=failure.rank,
                          phase=failure.phase or ""):
@@ -231,34 +223,27 @@ class RecoveryCoordinator:
                 arrays, meta = self.store.restore(point)
                 restored_step: int | None = int(meta["step"])
                 tier = point.tier
-                done = restored_step + 1
-                n_total = seg["offset"] + cfg.n_pm_steps  # whole trajectory
-                remaining = n_total - done
-                if remaining < 1:
+                if restored_step + 1 >= cfg.n_pm_steps:
                     raise RecoveryError(
                         "failure after the final step's checkpoint: "
                         "nothing left to resume"
                     )
-                new_cfg = replace(cfg, a_init=float(meta["a"]),
-                                  n_pm_steps=remaining)
                 seg.update(
-                    config=new_cfg, offset=done,
+                    step=restored_step + 1, a=float(meta["a"]),
                     pos=arrays["pos"], vel=arrays["vel"],
                     mass=arrays["mass"], u=arrays["u"],
                     gas=arrays["gas"].astype(bool),
                 )
             else:
-                # nothing durable yet: cold restart of the whole segment
-                # from the state it started with (arrays in seg already)
+                # nothing durable yet: restart from the state the failed
+                # attempt started from (still in seg)
                 restored_step, tier = None, "initial"
-                new_cfg = cfg
 
         with timers.time("resilience/redistribute"):
             # re-run the cuboid decomposition over the survivors; the
             # construction validates the overload constraint against the
             # shrunken domain widths before any particle moves
-            DistributedSimulation(new_cfg, len(alive),
-                                  observe=self.observe)
+            DistributedSimulation(cfg, len(alive), observe=self.observe)
 
         with timers.time("resilience/resume"):
             record = RecoveryRecord(
@@ -267,7 +252,6 @@ class RecoveryCoordinator:
                 restored_step=restored_step, tier=tier,
                 ranks_before=ranks_before, ranks_after=len(alive),
                 n_requests=n_req, n_unsettled=n_unsettled,
-                resumed_config=new_cfg,
             )
             tracer.instant("resilience/resume", cat="resilience",
                            tier=tier, step=restored_step,

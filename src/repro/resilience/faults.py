@@ -15,10 +15,10 @@ cascade and tear their in-flight requests down sanitizer-clean.
 Plans are either explicit (:class:`KillSpec` list — deterministic chaos
 tests) or drawn from the :mod:`repro.iosim.faults` MTTI model
 (:meth:`FaultPlan.from_mtti` — seeded exponential interarrivals in PM-step
-units).  Kill steps are *global* step indices: a plan survives a
-recovery because the coordinator advances ``step_offset`` on resume, so
-step 1 of the resumed run no longer re-matches a step-1 kill that
-already fired (each kill fires at most once regardless).
+units).  Kill steps are step indices of the whole trajectory, which is
+how the driver counts them also in a run resumed from a checkpoint; each
+kill fires at most once, so a plan rides through a recovery and keeps
+its later kills for the recovered world.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ DEFAULT_KILL_PHASES = ("short_range", "long_range", "migration", "comm")
 
 @dataclass(frozen=True)
 class KillSpec:
-    """One scheduled rank death: ``rank`` dies at global ``step``.
+    """One scheduled rank death: ``rank`` dies at ``step``.
 
     ``phase`` narrows the kill point: a driver phase name (exact key or
     its prefix before ``/`` — ``"rung"`` matches every ``rung/<r>``
@@ -73,13 +73,9 @@ class FaultPlan:
     def __init__(self, kills=()):
         self.kills: list[KillSpec] = list(kills)
         self.fired: list[KillSpec] = []
-        #: global-step base of the current run segment; the coordinator
-        #: sets it to the restored step + 1 on resume so local step 0 of
-        #: the resumed run maps to the right global step
-        self.step_offset = 0
         self._pending: list[KillSpec] = list(kills)
         self._lock = threading.Lock()
-        #: rank -> (global step, phase) most recently entered; comm-layer
+        #: rank -> (step, phase) most recently entered; comm-layer
         #: kills need it because the transport has no step of its own
         self._current: dict[int, tuple] = {}
 
@@ -128,13 +124,12 @@ class FaultPlan:
 
     # -- injection points ------------------------------------------------------
     def enter(self, rank: int, step: int, phase: str) -> None:
-        """Driver hook: ``rank`` is entering ``phase`` of local ``step``.
+        """Driver hook: ``rank`` is entering ``phase`` of ``step``.
 
         Raises :class:`RankFailure` when a pending kill matches.
         """
-        gstep = step + self.step_offset
-        self._current[rank] = (gstep, phase)
-        self._maybe_fire(rank, gstep, phase)
+        self._current[rank] = (step, phase)
+        self._maybe_fire(rank, step, phase)
 
     def on_comm(self, rank: int) -> None:
         """Comm-layer hook: ``rank`` is posting a collective."""
@@ -143,16 +138,16 @@ class FaultPlan:
             return
         self._maybe_fire(rank, cur[0], "comm")
 
-    def _maybe_fire(self, rank: int, gstep: int, phase: str) -> None:
+    def _maybe_fire(self, rank: int, step: int, phase: str) -> None:
         with self._lock:
             for k in self._pending:
-                if k.matches(rank, gstep, phase):
+                if k.matches(rank, step, phase):
                     self._pending.remove(k)
                     self.fired.append(k)
                     break
             else:
                 return
         raise RankFailure(
-            rank, step=gstep, phase=phase,
+            rank, step=step, phase=phase,
             reason="injected fault (FaultPlan)",
         )

@@ -107,18 +107,8 @@ def _mixed_config(box=120.0, **kw):
 
 
 class TestOverlapBitIdentity:
-    def test_mixed_dm_gas_overlap_equals_blocking(self):
-        """The acceptance check: a multi-rank mixed DM+gas step under
-        comm_mode="overlap" is bitwise identical to "blocking"."""
-        pos, vel, mass, u, gas = _mixed_ics()
-        out = {}
-        for mode in ("blocking", "overlap"):
-            cfg = _mixed_config(comm_mode=mode)
-            sim = DistributedSimulation(cfg, 2)
-            out[mode] = sim.run(pos, vel, mass, u=u, gas=gas)
-        for a, b, name in zip(out["blocking"], out["overlap"],
-                              ("pos", "vel", "u", "ids")):
-            assert np.array_equal(a, b), f"{name} differs between comm modes"
+    """The 2-rank mixed DM + gas case is the golden class
+    ``dist_faces_mixed_r2`` (tests/integration/test_golden_hashes.py)."""
 
     def test_gravity_only_overlap_equals_blocking_four_ranks(self):
         box = 100.0
@@ -136,20 +126,17 @@ class TestOverlapBitIdentity:
         for a, b in zip(out["blocking"], out["overlap"]):
             assert np.array_equal(a, b)
 
-    def test_bit_identity_survives_fabric_latency(self):
-        """A nonzero simulated wire time only delays transfers — the
-        overlap/blocking outputs stay bitwise identical, and blocking
-        spends strictly more rank-time waiting on the same traffic."""
+    def test_overlap_waits_less_under_fabric_latency(self):
+        """A nonzero simulated wire time only delays transfers (the bits
+        are the golden class's latency cell); blocking spends strictly
+        more rank-time waiting on the same traffic."""
         pos, vel, mass, u, gas = _mixed_ics()
-        out, waits = {}, {}
+        waits = {}
         for mode in ("blocking", "overlap"):
             cfg = _mixed_config(comm_mode=mode, net_latency_s=0.02)
             sim = DistributedSimulation(cfg, 2)
-            out[mode] = sim.run(pos, vel, mass, u=u, gas=gas)
+            sim.run(pos, vel, mass, u=u, gas=gas)
             waits[mode] = sum(sim.traffic.wait_seconds.values())
-        for a, b, name in zip(out["blocking"], out["overlap"],
-                              ("pos", "vel", "u", "ids")):
-            assert np.array_equal(a, b), f"{name} differs between comm modes"
         assert waits["overlap"] < waits["blocking"]
 
     def test_overlap_matches_serial_reference(self):

@@ -37,3 +37,19 @@ class TestCadence:
         plain = DistributedSimulation(cfg, 2)
         plain.run(pos.copy(), vel.copy(), mass.copy())
         assert sim.traffic.collective_calls == plain.traffic.collective_calls
+
+    def test_a_resumed_run_numbers_checkpoints_along_the_trajectory(
+            self, make_store):
+        pos, vel, mass = clustered_ics(n_blob=12)
+        cfg = chaos_config(n_pm_steps=3)
+        store = make_store(2)
+        ckpt = DistributedCheckpointer(store, box=BOX)
+        sim = DistributedSimulation(cfg, 2)
+        sim.step_hooks.append(ckpt)
+        sim.run(pos.copy(), vel.copy(), mass.copy(), step=1, a=0.31)
+        assert store.flush()
+
+        assert ckpt.written == [1, 2] == store.steps()
+        assert [rec.step for rec in sim.step_records] == [1, 2]
+        with pytest.raises(ValueError, match="outside"):
+            sim.run(pos.copy(), vel.copy(), mass.copy(), step=3)

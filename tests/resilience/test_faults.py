@@ -44,14 +44,6 @@ class TestFaultPlan:
         plan.enter(0, 0, "short_range")
         assert plan.fired == [KillSpec(0, 0, "short_range")]
 
-    def test_step_offset_maps_local_to_global(self):
-        plan = FaultPlan.single(rank=1, step=5, phase="migration")
-        plan.step_offset = 3
-        plan.enter(1, 5, "migration")  # gstep 8: no match
-        with pytest.raises(RankFailure) as ei:
-            plan.enter(1, 2, "migration")  # gstep 5: fires
-        assert ei.value.step == 5
-
     def test_parse(self):
         plan = FaultPlan.parse("2:1:rung, 0:3")
         assert plan.kills == [KillSpec(2, 1, "rung"), KillSpec(0, 3, None)]

@@ -36,9 +36,6 @@ class KillAtPost:
         self.rank = rank
         self.k = k
         self.fired = False
-        #: set by the recovery coordinator on resume; a post count needs
-        #: no step base, so nothing reads it
-        self.step_offset = 0
         self._posts = 0
 
     def enter(self, rank: int, step: int, phase: str) -> None:

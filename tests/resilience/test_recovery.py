@@ -3,9 +3,10 @@
 The headline chaos scenario of the resilience subsystem: a 4-rank
 overlap+subcycle run with armed sanitizers loses a rank mid–PM-interval
 (inside a ``rung/<r>`` substep phase), the coordinator restores from the
-buddy-replicated NVMe tier, re-decomposes onto the 3 survivors, and the
-final state is bit-identical to a clean 3-rank restart from the same
-checkpoint — with a clean in-flight-request teardown audit.
+buddy-replicated NVMe tier and re-decomposes onto the 3 survivors, with a
+clean in-flight-request teardown audit.  That the recovered runs end on
+the uninterrupted run's bits is asserted by the ``recovered`` class of
+``tests/integration/test_golden_hashes.py``.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ def chaos_config(n_pm_steps=3, comm_mode="overlap"):
 
 
 class TestHeadlineChaosRun:
-    def test_midstep_kill_recovers_bit_identically(self, make_store):
+    def test_midstep_kill_recovers(self, make_store):
         self._kill_and_recover(make_store, "overlap")
 
     def test_midstep_kill_recovers_on_a_blocking_world(self, make_store):
@@ -82,16 +83,6 @@ class TestHeadlineChaosRun:
         # cancellation audit: the abort cascade settled every request
         assert rec.n_requests > 0 and rec.n_unsettled == 0
         assert coord.last_sim.world.sanitizer.findings == []
-
-        # bit-identity: recovered state == clean 3-rank restart from the
-        # same checkpoint under the resumed segment's exact config
-        point = store.restorable_at(rec.restored_step)
-        arrays, _meta = store.restore(point)
-        ref = DistributedSimulation(rec.resumed_config, rec.ranks_after)
-        rpos, rvel, _rids = ref.run(arrays["pos"], arrays["vel"],
-                                    arrays["mass"])
-        assert state_hash(pos=rpos, vel=rvel) == \
-            state_hash(pos=res.pos, vel=res.vel)
 
         # every recovery-pipeline phase landed in the exported trace
         trace = obs.export_chrome_trace()
@@ -142,8 +133,8 @@ class TestRecoveryPaths:
         assert len(point.paths) == 3
         arrays, _meta = store.restore(point)
         assert len(np.unique(arrays["ids"])) == len(arrays["ids"]) == len(pos)
-        ref = DistributedSimulation(second.resumed_config, 2)
-        rpos, rvel, _ = ref.run(arrays["pos"], arrays["vel"], arrays["mass"])
+        # and the run still ends on the uninterrupted bits
+        rpos, rvel, _ = DistributedSimulation(cfg, 4).run(pos, vel, mass)
         assert state_hash(pos=rpos, vel=rvel) == \
             state_hash(pos=res.pos, vel=res.vel)
 
