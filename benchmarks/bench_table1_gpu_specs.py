@@ -24,10 +24,10 @@ def _run_peak_kernel(device):
     n = 128
     pos_i = rng.uniform(0, 1, (n, 3))
     pos_j = rng.uniform(0, 1, (n, 3))
-    vol = {"vol": rng.uniform(0.9, 1.1, n) * 1e-3}
-    kern = crk_coefficient_kernel(0.4)
+    state = {"h": np.full(n, 0.4), "vol": rng.uniform(0.9, 1.1, n) * 1e-3}
+    kern = crk_coefficient_kernel()
     _, _, counters = execute_leaf_pair_warpsplit(
-        kern, pos_i, vol, pos_j, vol, device
+        kern, pos_i, state, pos_j, state, device
     )
     return counters
 

@@ -14,13 +14,14 @@ Run:  python examples/gpu_resident_step.py
 import numpy as np
 
 from repro.gpusim import (
+    FIELD_SHAPES,
     H100_SXM5,
     MI250X_GCD,
     GPUResidentSolver,
     OccupancyModel,
     execute_leaf_pair_naive,
     execute_leaf_pair_warpsplit,
-    hydro_force_like_kernel,
+    hydro_force_kernel,
     sph_density_kernel,
     warp_splitting_occupancy_gain,
 )
@@ -47,7 +48,7 @@ def main():
     h2d = solver.upload(pos, {"m": mass, "h": np.full(n, h)})
     print(f"H->D upload: {h2d / 1e6:.2f} MB (once per PM step)")
 
-    kern = sph_density_kernel(h)
+    kern = sph_density_kernel()
     device_bytes = 0
     n_subcycles = 4
     for s in range(n_subcycles):
@@ -72,10 +73,11 @@ def main():
           f"(GPU-resident design keeps this small)")
 
     # the warp-splitting story on one heavy kernel
-    heavy = hydro_force_like_kernel(h)
+    heavy = hydro_force_kernel()
     idx_i = leaves.particles_in_leaf(0)
     idx_j = leaves.particles_in_leaf(min(1, leaves.n_leaves - 1))
-    state = {k: rng.uniform(0.5, 2.0, n) for k in heavy.fields_i}
+    state = {k: rng.uniform(0.5, 2.0, (n,) + FIELD_SHAPES.get(k, ()))
+             for k in heavy.fields_i}
     si = {k: state[k][idx_i] for k in heavy.fields_i}
     sj = {k: state[k][idx_j] for k in heavy.fields_j}
     _, _, cs = execute_leaf_pair_warpsplit(
@@ -85,7 +87,7 @@ def main():
         heavy, pos[idx_i], si, pos[idx_j], sj, device
     )
     gain = warp_splitting_occupancy_gain(heavy, device, OccupancyModel())
-    print("\nwarp splitting on the hydro-force-shaped kernel:")
+    print("\nwarp splitting on the CRKSPH hydro-force kernel:")
     print(f"  global traffic: {cn.global_load_bytes / max(cs.global_load_bytes, 1):.1f}x "
           f"less with splitting ({cs.shuffles} register shuffles instead)")
     print(f"  registers/thread: {gain['naive']['registers']} -> "

@@ -76,10 +76,6 @@ class SimJob:
         n = self.n_per_dim**3
         return 2 * n if self.hydro else n
 
-    @property
-    def z_final(self) -> float:
-        return 1.0 / self.a_final - 1.0
-
 
 @dataclass
 class JobResult:

@@ -21,7 +21,7 @@ from scipy.special import erfc
 
 def short_range_shape(r, r_split: float):
     """Split function S(r): fraction of the Newtonian force assigned short-range."""
-    r = np.asarray(r, dtype=np.float64)
+    r = np.asanyarray(r, dtype=np.float64)
     if r_split <= 0:
         return np.zeros_like(r)
     x = r / (2.0 * r_split)
@@ -56,5 +56,5 @@ def newtonian_pair_kernel(r, softening: float):
     Multiplying by G*m and the unit separation vector gives the pair
     acceleration; equals 1/r^2 for r >> eps.
     """
-    r = np.asarray(r, dtype=np.float64)
+    r = np.asanyarray(r, dtype=np.float64)
     return r / (r**2 + softening**2) ** 1.5

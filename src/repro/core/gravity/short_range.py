@@ -49,6 +49,21 @@ class PairSums:
         return self.a - self.b
 
 
+def pair_force_coefficient(r2, r_split: float, softening: float,
+                           g_newton: float = G_COSMO):
+    """The pair body of :func:`short_range_accelerations`: the coefficient
+    ``coef`` with which a row of squared separation ``r2`` adds ``m_j coef
+    dx`` at ``pi`` (Newtonian kernel times the split function ``S(r)``,
+    over ``r``), zero at zero separation."""
+    r = np.sqrt(r2)
+    # 0/0 at r == 0 (unsoftened kernel, unit vector): masked just below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = newtonian_pair_kernel(r, softening)
+        if r_split > 0:
+            kern = kern * short_range_shape(r, r_split)
+        return np.where(r2 > 0, -g_newton * kern / r, 0.0)
+
+
 def short_range_accelerations(
     pos: np.ndarray,
     mass: np.ndarray,
@@ -86,13 +101,7 @@ def short_range_accelerations(
         dx, r2 = pair_geometry(pos, pi, pj, box)  # x_i - x_j
     elif r2 is None:
         r2 = np.einsum("pa,pa->p", dx, dx)
-    r = np.sqrt(r2)
-    # 0/0 at r == 0 (unsoftened kernel, unit vector): masked just below
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kern = newtonian_pair_kernel(r, softening)
-        if r_split > 0:
-            kern = kern * short_range_shape(r, r_split)
-        coef = np.where(r2 > 0, -g_newton * kern / r, 0.0)
+    coef = pair_force_coefficient(r2, r_split, softening, g_newton)
     into = PairSums(pos.shape[0]) if sums is None else sums
     at_i, at_j = mass[pj] * coef, mass[pi] * coef
     for k in range(3):

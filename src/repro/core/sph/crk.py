@@ -91,21 +91,33 @@ def compute_moments(vol: np.ndarray, batch: PairBatch):
         dm1 : (N, 3, 3)  dm1[:, a, b] = d m1_b / d x_a
         dm2 : (N, 3, 3, 3) dm2[:, a, b, c] = d m2_bc / d x_a
     """
-    vj = vol[batch.pj]
+    buf = moment_rows(vol[batch.pj], batch.w_i, batch.gw_i, batch.dx)
+    # the reductions are part of this one kernel call, not reducer calls
+    return moments_from_sums(segment_sum_csr(batch.seg, buf.T))
+
+
+def moment_rows(vj, w, gw, dx) -> np.ndarray:
+    """The pair body of :func:`compute_moments`: the ``(40, P)`` moment
+    buffer of rows with partner volume ``vj``, base kernel ``w`` and its
+    gradient ``gw`` at support ``h_i``, and separation ``dx = x_i - x_j``
+    (the ``(P, 40)`` rows, filled through their transpose)."""
     p = len(vj)
-    dxt = batch.dx.T
-    vw = vj * batch.w_i
+    dxt = dx.T
+    vw = vj * w
     sym = dxt[_SYM_B] * dxt[_SYM_C]  # dx_b dx_c, b <= c
     buf = np.empty((40, p))
     buf[0] = vw
     np.multiply(dxt, -vw, out=buf[1:4])
     np.multiply(sym, vw, out=buf[4:10])
-    vgw = np.multiply(batch.gw_i.T, vj, out=buf[10:13])
+    vgw = np.multiply(gw.T, vj, out=buf[10:13])
     np.multiply(vgw[:, None], -dxt, out=buf[13:22].reshape(3, 3, p))
     np.multiply(vgw[:, None], sym, out=buf[22:40].reshape(3, 6, p))
-    # the reductions are part of this one kernel call, not reducer calls
-    tot = segment_sum_csr(batch.seg, buf.T)
+    return buf
 
+
+def moments_from_sums(tot: np.ndarray):
+    """``(m0, m1, m2, dm0, dm1, dm2)`` from the per-particle sums ``tot``
+    ``(N, 40)`` of :func:`moment_rows`, delta terms included."""
     n = len(tot)
     eye = np.eye(3)
     m0 = tot[:, 0]

@@ -28,6 +28,7 @@ and total energy are conserved to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,6 +178,64 @@ def _spread(tier, values, n):
     return out
 
 
+class PairEnds(NamedTuple):
+    """The per-particle fields the pair force reads at both ends of a row
+    (``balsara`` is the shear limiter ``f``)."""
+
+    corr: CRKCorrections
+    vel: np.ndarray
+    h: np.ndarray
+    cs: np.ndarray
+    rho: np.ndarray
+    balsara: np.ndarray
+    pressure: np.ndarray
+    vol: np.ndarray
+
+
+def pair_force_work(ends: PairEnds, ti, tj, dx, r, w, gw, unit,
+                    kernel: Kernel, viscosity: MonaghanViscosity):
+    """The pair body of the CRKSPH force: ``(flux, work, speed)`` of the
+    unordered rows ``(ti, tj)``.
+
+    ``dx = x_i - x_j``, ``r = |dx|`` and ``unit = dx / r``; ``w, gw`` are
+    the forward base kernel and its gradient at support ``h_i``.  ``flux``
+    ``(P, 3)`` is the momentum flux of the pair onto ``i`` (``j`` receives
+    its negative, ``G_ji = -G_ij``), ``work`` the energy exchange each end
+    receives (symmetric: ``dv`` and ``G_ij`` both change sign), ``speed``
+    the pair's signal speed for the CFL condition.
+    """
+    # grad_i W^R_ij at support h_i, and grad_j W^R_ji: corrections of j,
+    # separation x_j - x_i = -dx, support h_j, gradient with respect to x_j
+    _, g_ij = corrected_kernel_pairs(ends.corr, ti, dx, w, gw)
+    hj = ends.h[tj]
+    _, g_ji = corrected_kernel_pairs(
+        ends.corr, tj, -dx, kernel.w(r, hj),
+        -kernel.dw_dr(r, hj)[:, None] * unit)
+    g_pair = g_ij - g_ji
+
+    dv = pair_differences(ends.vel, ti, tj)
+    rho, cs = ends.rho, ends.cs
+    h_ij = 0.5 * (ends.h[ti] + hj)
+    c_ij = 0.5 * (cs[ti] + cs[tj])
+    rho_ij = 0.5 * (rho[ti] + rho[tj])
+    limiter = 0.5 * (ends.balsara[ti] + ends.balsara[tj])
+
+    # viscous pseudo-pressure, symmetric in (i, j).  The 0.25 factor keeps
+    # the classic Monaghan strength: G_ij carries twice the one-sided
+    # kernel gradient the standard Pi_ij convention pairs with.
+    mu = viscosity.mu_pair(dx, dv, h_ij)
+    pi_visc = viscosity.pi_pair(mu, c_ij, rho_ij, limiter=limiter)
+    q_ij = 0.25 * rho[ti] * rho[tj] * pi_visc
+
+    pbar = 0.5 * (ends.pressure[ti] + ends.pressure[tj]) + q_ij
+    vv = ends.vol[ti] * ends.vol[tj]
+    flux = (-vv * pbar)[:, None] * g_pair
+    work = 0.5 * vv * pbar * np.einsum("pa,pa->p", dv, g_pair)
+    # c_i + c_j - min(0, mu_ij)-style estimate, maxed over both ends
+    speed = c_ij - 2.0 * np.minimum(mu, 0.0)
+    return flux, work, speed
+
+
 def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
     """The CRKSPH pipeline behind both public entry points.
 
@@ -270,6 +329,7 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
 
     # -- sink pairs: each unordered pair once, applied to both ends ----------
     pi, pj = pi1[rows], pj1[rows]
+    ends = PairEnds(corr, vel, h, cs, rho, f, pressure, vol)
     # running sums at each end, continued chunk by chunk in row order
     accel_i, accel_j = np.zeros((n, 3)), np.zeros((n, 3))
     du_i, du_j = np.zeros(n), np.zeros(n)
@@ -277,49 +337,17 @@ def _crksph(pos, vel, mass, u, h, sl, kernel, eos, viscosity):
     for lo in range(0, len(rows), PAIR_TILE_ROWS):
         t = slice(lo, lo + PAIR_TILE_ROWS)
         ti, tj = pi[t], pj[t]
-        dx = np.take(rows1.dx, rows[t], axis=0)
-        r = np.sqrt(rows1.r2[rows[t]])
-
-        # grad_i W^R_ij at support h_i, and grad_j W^R_ji: corrections of
-        # j, separation x_j - x_i = -dx, support h_j, gradient with respect
-        # to x_j
-        _, g_ij = corrected_kernel_pairs(corr, ti, dx, w_f[t], gw_f[t])
-        hj = h[tj]
-        _, g_ji = corrected_kernel_pairs(
-            corr, tj, -dx, kernel.w(r, hj),
-            -kernel.dw_dr(r, hj)[:, None] * unit_f[t])
-        g_pair = g_ij - g_ji
-
-        dv = pair_differences(vel, ti, tj)
-        h_ij = 0.5 * (h[ti] + hj)
-        c_ij = 0.5 * (cs[ti] + cs[tj])
-        rho_ij = 0.5 * (rho[ti] + rho[tj])
-        limiter = 0.5 * (f[ti] + f[tj])
-
-        # viscous pseudo-pressure, symmetric in (i, j).  The 0.25 factor
-        # keeps the classic Monaghan strength: G_ij carries twice the
-        # one-sided kernel gradient the standard Pi_ij convention pairs
-        # with.
-        mu = viscosity.mu_pair(dx, dv, h_ij)
-        pi_visc = viscosity.pi_pair(mu, c_ij, rho_ij, limiter=limiter)
-        q_ij = 0.25 * rho[ti] * rho[tj] * pi_visc
-
-        pbar = 0.5 * (pressure[ti] + pressure[tj]) + q_ij
-        vv = vol[ti] * vol[tj]
-        # momentum flux of the pair onto i; j receives its negative
-        # (G_ji = -G_ij)
-        flux = (-vv * pbar)[:, None] * g_pair
+        flux, work, speed = pair_force_work(
+            ends, ti, tj, np.take(rows1.dx, rows[t], axis=0),
+            np.sqrt(rows1.r2[rows[t]]), w_f[t], gw_f[t], unit_f[t], kernel,
+            viscosity)
         m_i, m_j = mass[ti], mass[tj]
         for k in range(3):
             running_sum(accel_i[:, k], ti, flux[:, k] / m_i)
             running_sum(accel_j[:, k], tj, flux[:, k] / m_j)
-        # symmetric in (i, j): dv and G_ij both change sign
-        work = 0.5 * vv * pbar * np.einsum("pa,pa->p", dv, g_pair)
         running_sum(du_i, ti, work / m_i)
         running_sum(du_j, tj, work / m_j)
-        # signal speed for CFL: c_i + c_j - min(0, mu_ij)-style estimate,
-        # maxed over both ends (a max is exact in any order)
-        speed = c_ij - 2.0 * np.minimum(mu, 0.0)
+        # a max is exact in any order
         running_max(v_sig, ti, speed)
         running_max(v_sig, tj, speed)
     del w_f, gw_f, unit_f

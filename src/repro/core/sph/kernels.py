@@ -93,23 +93,23 @@ class WendlandC4(Kernel):
     _sigma = 495.0 / (32.0 * math.pi)
 
     def w(self, r, h):
-        r = np.asarray(r, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64)
-        q = np.clip(r / h, 0.0, 1.0)
+        h = np.asanyarray(h, dtype=np.float64)
+        x = np.asanyarray(r, dtype=np.float64) / h
+        q = np.clip(x, 0.0, 1.0)
         u = 1.0 - q
         val = u**6 * (1.0 + 6.0 * q + 35.0 / 3.0 * q**2)
-        val = np.where(r / h < 1.0, val, 0.0)
-        return val * self._sigma / np.broadcast_to(h, val.shape) ** 3
+        val = np.where(x < 1.0, val, 0.0)
+        return val * self._sigma / h**3
 
     def dw_dr(self, r, h):
-        r = np.asarray(r, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64)
-        q = np.clip(r / h, 0.0, 1.0)
+        h = np.asanyarray(h, dtype=np.float64)
+        x = np.asanyarray(r, dtype=np.float64) / h
+        q = np.clip(x, 0.0, 1.0)
         u = 1.0 - q
         # d/dq [u^6 (1 + 6q + 35/3 q^2)] = -56/3 q u^5 (1 + 5q)
         val = -56.0 / 3.0 * q * u**5 * (1.0 + 5.0 * q)
-        val = np.where(r / h < 1.0, val, 0.0)
-        return val * self._sigma / np.broadcast_to(h, val.shape) ** 4
+        val = np.where(x < 1.0, val, 0.0)
+        return val * self._sigma / h**4
 
 
 KERNELS = {

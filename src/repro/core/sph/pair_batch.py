@@ -35,7 +35,8 @@ from ...tree.pair_cache import PairRows
 from ..scatter import SegmentReducer
 from .kernels import Kernel
 
-__all__ = ["PAIR_TILE_ROWS", "PairBatch", "PairTiles", "make_pair_batch"]
+__all__ = ["PAIR_TILE_ROWS", "PairBatch", "PairTiles", "make_pair_batch",
+           "unit_vectors"]
 
 #: most pair rows one tile holds (a particle with more rows is a tile of
 #: its own).  The CRK moment pass of a full evaluation at the Sedov
@@ -71,16 +72,19 @@ class PairBatch:
     @cached_property
     def unit(self) -> np.ndarray:
         """dx / r (zero for self pairs), (P, 3)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(
-                self.r[:, None] > 0.0,
-                self.dx / np.maximum(self.r, 1e-300)[:, None], 0.0,
-            )
+        return unit_vectors(self.dx, self.r)
 
     @cached_property
     def gw_i(self) -> np.ndarray:
         """grad_i W(r, h_i), (P, 3)."""
         return self.kernel.dw_dr(self.r, self.h[self.pi])[:, None] * self.unit
+
+
+def unit_vectors(dx: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``dx / r`` per row, zero where ``r == 0``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(
+            r[:, None] > 0.0, dx / np.maximum(r, 1e-300)[:, None], 0.0)
 
 
 def make_pair_batch(rows: PairRows, h, kernel: Kernel) -> PairBatch:

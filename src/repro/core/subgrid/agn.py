@@ -21,7 +21,6 @@ from ...constants import (
     M_PROTON,
     MSUN_G,
     SIGMA_THOMSON,
-    YEAR_S,
 )
 from .cooling import RHO_CODE_TO_CGS
 
@@ -95,15 +94,3 @@ class AGNModel:
             * C_LIGHT**2
         )
         return e_erg / MSUN_G / KM_CM**2  # (km/s)^2 * Msun
-
-    def should_seed(self, halo_masses: np.ndarray, has_bh: np.ndarray) -> np.ndarray:
-        """Halos that receive a new seed BH this step."""
-        return (np.asarray(halo_masses) >= self.seed_halo_mass) & ~np.asarray(
-            has_bh, dtype=bool
-        )
-
-    @staticmethod
-    def salpeter_time_myr(eps_r: float = 0.1) -> float:
-        """e-folding (Salpeter) timescale for Eddington growth, in Myr."""
-        t_s = eps_r * C_LIGHT * SIGMA_THOMSON / (4.0 * math.pi * G_CGS * M_PROTON)
-        return t_s / (1.0e6 * YEAR_S)

@@ -78,11 +78,6 @@ class Cosmology:
         return self.omega_m / a**3 / self.e_of_a(a) ** 2
 
     @property
-    def rho_crit0(self) -> float:
-        """Critical density today in Msun h^2 / Mpc^3 (comoving h-units)."""
-        return RHO_CRIT_COSMO
-
-    @property
     def rho_mean0(self) -> float:
         """Mean comoving matter density in Msun h^2/Mpc^3."""
         return self.omega_m * RHO_CRIT_COSMO
@@ -137,10 +132,6 @@ class Cosmology:
     @staticmethod
     def a_of_z(z):
         return 1.0 / (1.0 + np.asarray(z, dtype=np.float64))
-
-    @staticmethod
-    def z_of_a(a):
-        return 1.0 / np.asarray(a, dtype=np.float64) - 1.0
 
 
 def _like_input(arg, out):

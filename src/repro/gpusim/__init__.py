@@ -1,6 +1,6 @@
 """Simulated GPU execution: devices, warp splitting, counters, utilization."""
 
-from .counters import OpCounters
+from .counters import CountingArray, OpCounters
 from .device import H100_SXM5, MI250X_GCD, PVC_TILE, TABLE_I, GPUSpec, table_i_rows
 from .occupancy import (
     OccupancyModel,
@@ -17,18 +17,20 @@ from .kernels import (
     sustained_utilization,
 )
 from .warp import (
+    FIELD_SHAPES,
     SeparablePairKernel,
     coulomb_kernel,
     crk_coefficient_kernel,
     execute_leaf_pair_naive,
     execute_leaf_pair_warpsplit,
-    gravity_potential_kernel,
-    hydro_force_like_kernel,
+    hydro_force_kernel,
     lennard_jones_kernel,
+    short_range_gravity_kernel,
     sph_density_kernel,
 )
 
 __all__ = [
+    "FIELD_SHAPES",
     "H100_SXM5",
     "MI250X_GCD",
     "PVC_TILE",
@@ -38,6 +40,7 @@ __all__ = [
     "GPUSpec",
     "KernelProfile",
     "GPUResidentSolver",
+    "CountingArray",
     "OccupancyModel",
     "OpCounters",
     "ResidentPassResult",
@@ -47,11 +50,11 @@ __all__ = [
     "crk_coefficient_kernel",
     "execute_leaf_pair_naive",
     "execute_leaf_pair_warpsplit",
-    "gravity_potential_kernel",
-    "hydro_force_like_kernel",
+    "hydro_force_kernel",
     "lennard_jones_kernel",
     "peak_kernel",
     "peak_utilization",
+    "short_range_gravity_kernel",
     "sph_density_kernel",
     "sustained_utilization",
     "table_i_rows",

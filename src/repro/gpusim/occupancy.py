@@ -49,13 +49,6 @@ class OccupancyModel:
         """
         return float(min(1.0, max(occupancy, 0.0) / self.saturation_occupancy))
 
-    def kernel_efficiency(
-        self, registers_per_thread: int, device: GPUSpec
-    ) -> float:
-        """End-to-end efficiency factor for a kernel on a device."""
-        occ = self.occupancy(registers_per_thread, device.warp_size)
-        return self.latency_hiding_efficiency(occ)
-
 
 def active_compaction_stats(
     leaf_counts, leaf_active_counts, warp_size: int

@@ -30,7 +30,7 @@ _NULL_TRACER = NullTracer()
 class ResidentPassResult:
     """Output of one device-resident interaction-list pass."""
 
-    phi: np.ndarray  # accumulated per particle
+    phi: np.ndarray  # accumulated per particle: (N,) or (N, components)
     counters: OpCounters
     h2d_bytes: int
     d2h_bytes: int
@@ -144,7 +144,7 @@ class GPUResidentSolver:
         pos = self._resident["pos"]
         state = self._resident["state"]
         n = len(pos)
-        phi = np.zeros(n)
+        phi = np.zeros((n,) + kernel.stages.shape)
         counters = OpCounters()
 
         particle_active = None

@@ -29,9 +29,6 @@ class NVMeModel:
         bw = self.write_bw_gbps * (self.read_interference if concurrent_read else 1.0)
         return size_tb * 1000.0 / bw
 
-    def read_seconds(self, size_tb: float) -> float:
-        return size_tb * 1000.0 / self.read_bw_gbps
-
     def store(self, name: str, size_tb: float) -> None:
         if size_tb < 0:
             raise ValueError("negative file size")

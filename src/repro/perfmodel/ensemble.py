@@ -58,10 +58,6 @@ class EnsemblePlan:
     def n_members(self) -> int:
         return len(self.members)
 
-    @property
-    def budget_used(self) -> float:
-        return self.total_node_hours / self.budget_node_hours
-
     def covariance_precision(self, n_observables: int = 20) -> float:
         """Fractional covariance-matrix error ~ sqrt(2 / (N - p - 2)).
 

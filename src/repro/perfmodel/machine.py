@@ -37,18 +37,6 @@ class Machine:
     def aggregate_nvme_write_tbps(self) -> float:
         return self.n_nodes * self.nvme_per_node.write_bw_gbps / 1000.0
 
-    def subset(self, n_nodes: int) -> "Machine":
-        """The same machine at a smaller node count (for scaling sweeps)."""
-        return Machine(
-            name=self.name,
-            n_nodes=n_nodes,
-            gpus_per_node=self.gpus_per_node,
-            device=self.device,
-            nvme_per_node=self.nvme_per_node,
-            pfs=self.pfs,
-            interconnect=self.interconnect,
-        )
-
 
 def frontier(n_nodes: int = 9000) -> Machine:
     """OLCF Frontier: 64-core Trento + 4x MI250X (8 GCDs) per node.

@@ -69,9 +69,14 @@ def _keyword_sites(paths, keywords):
 class TestTheForkStaysGone:
     def test_pair_force_assembly_has_one_body(self):
         """The viscous pair pressure — the head of the CRKSPH pair-force
-        assembly — is called from exactly one function in ``src/repro``."""
-        sites = _call_sites(sorted(SRC.rglob("*.py")), {"pi_pair"})
-        assert sites == [("core/sph/hydro.py", "_crksph")]
+        body — is called from exactly one function in ``src/repro``, and
+        that body from the force assembly and the GPU model's hydro
+        kernel."""
+        paths = sorted(SRC.rglob("*.py"))
+        assert _call_sites(paths, {"pi_pair"}) == \
+            [("core/sph/hydro.py", "pair_force_work")]
+        assert _call_sites(paths, {"pair_force_work"}) == [
+            ("core/sph/hydro.py", "_crksph"), ("gpusim/warp.py", "h_ij")]
 
     def test_drivers_reach_the_kernels_through_the_row_evaluators(self):
         paths = [SRC / p for p in DRIVERS]
@@ -107,7 +112,7 @@ class TestTheForkStaysGone:
         assert _keyword_sites(paths, {"sink_index", "n_out"}) == []
         assert _call_sites(paths, {"newtonian_pair_kernel"}) == [
             ("core/gravity/precision.py", "short_range_accelerations_fp32"),
-            ("core/gravity/short_range.py", "short_range_accelerations"),
+            ("core/gravity/short_range.py", "pair_force_coefficient"),
         ]
 
 
@@ -285,11 +290,11 @@ class TestHydroEachPairOnce:
                                    rtol=1e-14)
 
     def test_corrected_gradients_are_formed_once_per_pair(self):
-        """The corrected kernel gradient is evaluated in the force assembly
-        only, once per orientation of its unordered rows."""
+        """The corrected kernel gradient is evaluated in the pair-force
+        body only, once per orientation of its unordered rows."""
         sites = _call_sites(sorted(SRC.rglob("*.py")),
                             {"corrected_kernel_pairs"})
-        assert sites == [("core/sph/hydro.py", "_crksph")] * 2
+        assert sites == [("core/sph/hydro.py", "pair_force_work")] * 2
 
 
 def _jittered_lattice(n1, seed):

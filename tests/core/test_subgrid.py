@@ -211,10 +211,6 @@ class TestAGN:
         e2 = eddington_rate(np.array([2e6]))
         assert e2[0] / e1[0] == pytest.approx(2.0, rel=1e-10)
 
-    def test_salpeter_time(self):
-        """Canonical Salpeter time ~ 45 Myr for eps_r = 0.1."""
-        assert AGNModel.salpeter_time_myr(0.1) == pytest.approx(45.0, rel=0.05)
-
     def test_bondi_scales_m_squared(self):
         b1 = bondi_rate(np.array([1e6]), np.array([1e13]), np.array([100.0]))
         b2 = bondi_rate(np.array([2e6]), np.array([1e13]), np.array([100.0]))
@@ -239,14 +235,6 @@ class TestAGN:
         agn = AGNModel()
         e = agn.feedback_energy(np.array([1.0]))
         assert e[0] == pytest.approx(0.005 * (2.9979e5) ** 2, rel=1e-3)
-
-    def test_seeding_mask(self):
-        agn = AGNModel(seed_halo_mass=1e11)
-        halos = np.array([5e10, 2e11, 3e11])
-        has = np.array([False, False, True])
-        np.testing.assert_array_equal(
-            agn.should_seed(halos, has), [False, True, False]
-        )
 
 
 class TestStellarEvolution:

@@ -108,10 +108,6 @@ class TestGrowth:
 
 
 class TestConversions:
-    def test_a_z_roundtrip(self):
-        z = np.array([0.0, 0.5, 9.0, 99.0])
-        np.testing.assert_allclose(Cosmology.z_of_a(Cosmology.a_of_z(z)), z)
-
     def test_rho_mean(self):
         assert PLANCK18.rho_mean0 == pytest.approx(
             PLANCK18.omega_m * 2.775e11, rel=1e-3

@@ -35,7 +35,7 @@ class TestExecutorActiveLanes:
         so it agrees with predication to roundoff; both are deterministic
         and leave inactive rows exactly zero."""
         pos_i, si, pos_j, sj = _leaf_setup()
-        kern = sph_density_kernel(0.5)
+        kern = sph_density_kernel()
         rng = np.random.default_rng(7)
         active = rng.random(len(pos_i)) < 0.3
         phi_p, _, _ = execute_leaf_pair_warpsplit(
@@ -57,7 +57,7 @@ class TestExecutorActiveLanes:
         """Predicated/compacted active rows equal the all-active result on
         those rows bit-for-bit (accumulation order is per-lane)."""
         pos_i, si, pos_j, sj = _leaf_setup()
-        kern = sph_density_kernel(0.5)
+        kern = sph_density_kernel()
         active = np.zeros(len(pos_i), dtype=bool)
         active[10:40] = True
         full, _, _ = execute_leaf_pair_warpsplit(
@@ -72,7 +72,7 @@ class TestExecutorActiveLanes:
         """Clustered sparse activity: predication issues every tile with
         most lanes dead; compaction issues only the dense active tiles."""
         pos_i, si, pos_j, sj = _leaf_setup(ni=128)
-        kern = sph_density_kernel(0.5)
+        kern = sph_density_kernel()
         half = MI250X_GCD.warp_size // 2
         active = np.zeros(len(pos_i), dtype=bool)
         active[:half] = True  # one dense tile's worth out of four
@@ -99,7 +99,7 @@ class TestExecutorActiveLanes:
 
     def test_all_active_degenerates_to_plain_execution(self):
         pos_i, si, pos_j, sj = _leaf_setup()
-        kern = sph_density_kernel(0.5)
+        kern = sph_density_kernel()
         c0, c1 = OpCounters(), OpCounters()
         phi0, _, _ = execute_leaf_pair_warpsplit(
             kern, pos_i, si, pos_j, sj, MI250X_GCD, c0
@@ -134,7 +134,7 @@ class TestCompactionStats:
         for a single leaf pair (tiles x partners x half lanes)."""
         ni, nj = 96, 64
         pos_i, si, pos_j, sj = _leaf_setup(ni=ni, nj=nj)
-        kern = sph_density_kernel(0.5)
+        kern = sph_density_kernel()
         half = MI250X_GCD.warp_size // 2
         active = np.zeros(ni, dtype=bool)
         active[: half + 3] = True  # 2 compacted tiles vs 3 predicated
@@ -172,7 +172,7 @@ class TestResidentActiveParticles:
         pos, mass, h, leaves, ilist = tree_setup
         solver = GPUResidentSolver(MI250X_GCD)
         solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-        kern = sph_density_kernel(h)
+        kern = sph_density_kernel()
         rng = np.random.default_rng(1)
         active = rng.random(len(pos)) < 0.2
 
@@ -196,7 +196,7 @@ class TestResidentActiveParticles:
         pos, mass, h, leaves, ilist = tree_setup
         solver = GPUResidentSolver(MI250X_GCD)
         solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-        kern = sph_density_kernel(h)
+        kern = sph_density_kernel()
         idx = np.arange(0, len(pos), 3)
         mask = np.zeros(len(pos), dtype=bool)
         mask[idx] = True

@@ -6,7 +6,7 @@ from repro.gpusim import (
     H100_SXM5,
     MI250X_GCD,
     OccupancyModel,
-    hydro_force_like_kernel,
+    hydro_force_kernel,
     warp_splitting_occupancy_gain,
 )
 
@@ -52,7 +52,7 @@ class TestOccupancyModel:
 
 class TestWarpSplittingGain:
     def test_split_never_worse(self):
-        kern = hydro_force_like_kernel(0.5)
+        kern = hydro_force_kernel()
         for device in (MI250X_GCD, H100_SXM5):
             gain = warp_splitting_occupancy_gain(kern, device)
             assert gain["split"]["registers"] < gain["naive"]["registers"]
@@ -62,6 +62,6 @@ class TestWarpSplittingGain:
     def test_heavy_kernel_gains_on_wide_warps(self):
         """The 64-wide AMD wavefront is more register-file constrained, so
         the register saving buys real occupancy there."""
-        kern = hydro_force_like_kernel(0.5)
+        kern = hydro_force_kernel()
         gain = warp_splitting_occupancy_gain(kern, MI250X_GCD)
         assert gain["split"]["resident_warps"] > gain["naive"]["resident_warps"]

@@ -50,7 +50,7 @@ class TestResidentSolver:
         solver = GPUResidentSolver(MI250X_GCD)
         solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
         result = solver.run_interaction_list(
-            sph_density_kernel(h), leaves, ilist
+            sph_density_kernel(), leaves, ilist
         )
         np.testing.assert_allclose(
             result.phi, direct_density(pos, mass, h), rtol=1e-10
@@ -60,7 +60,7 @@ class TestResidentSolver:
         box, pos, mass, h, leaves, ilist = tree_setup
         solver = GPUResidentSolver(MI250X_GCD)
         with pytest.raises(RuntimeError, match="resident"):
-            solver.run_interaction_list(sph_density_kernel(h), leaves, ilist)
+            solver.run_interaction_list(sph_density_kernel(), leaves, ilist)
 
     def test_transfer_accounting(self, tree_setup):
         """Upload once, run many passes: host traffic stays a small
@@ -70,7 +70,7 @@ class TestResidentSolver:
         h2d = solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
         assert h2d == pos.nbytes + mass.nbytes + pos[:, 0].nbytes
 
-        kern = sph_density_kernel(h)
+        kern = sph_density_kernel()
         device_bytes = 0
         for _ in range(5):  # five subcycles, no re-upload
             res = solver.run_interaction_list(kern, leaves, ilist,
@@ -86,7 +86,7 @@ class TestResidentSolver:
         box, pos, mass, h, leaves, ilist = tree_setup
         solver = GPUResidentSolver(MI250X_GCD)
         solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-        kern = sph_density_kernel(h)
+        kern = sph_density_kernel()
         r1 = solver.run_interaction_list(kern, leaves, ilist, download=False)
         h2d_before = solver.total_h2d_bytes
         solver.update_field("m", mass * 2.0)
@@ -98,7 +98,7 @@ class TestResidentSolver:
         box, pos, mass, h, leaves, ilist = tree_setup
         solver = GPUResidentSolver(MI250X_GCD)
         solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-        kern = sph_density_kernel(h)
+        kern = sph_density_kernel()
         active = np.zeros(leaves.n_leaves, dtype=bool)
         active[: leaves.n_leaves // 4] = True
         full = solver.run_interaction_list(kern, leaves, ilist)
@@ -117,7 +117,7 @@ class TestResidentSolver:
         box, pos, mass, h, leaves, ilist = tree_setup
         solver = GPUResidentSolver(MI250X_GCD)
         solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-        res = solver.run_interaction_list(sph_density_kernel(h), leaves, ilist)
+        res = solver.run_interaction_list(sph_density_kernel(), leaves, ilist)
         # if the device ran at 30% of peak, this wall time would result:
         wall = res.counters.flops / (0.3 * MI250X_GCD.peak_fp32_flops)
         assert res.utilization(MI250X_GCD, wall) == pytest.approx(0.3)

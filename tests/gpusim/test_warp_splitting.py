@@ -11,10 +11,10 @@ from repro.gpusim import (
     PVC_TILE,
     OpCounters,
     SeparablePairKernel,
+    coulomb_kernel,
     crk_coefficient_kernel,
     execute_leaf_pair_naive,
     execute_leaf_pair_warpsplit,
-    gravity_potential_kernel,
     sph_density_kernel,
 )
 
@@ -54,7 +54,7 @@ class TestCorrectness:
         pos_i = rng.uniform(0, 1, (ni, 3))
         pos_j = rng.uniform(0, 1, (nj, 3))
         m = rng.uniform(1, 2, nj)
-        k = sph_density_kernel(0.5)
+        k = sph_density_kernel()
         phi, _, _ = execute_leaf_pair_warpsplit(
             k, pos_i, {"h": np.full(ni, 0.5)}, pos_j, {"m": m}, device
         )
@@ -76,23 +76,23 @@ class TestCorrectness:
             np.testing.assert_allclose(phi, nj)
 
     def test_symmetric_reaction_accumulated(self):
-        """Pair-potential kernel: phi_j reaction equals direct j-side sum."""
+        """Pair-energy kernel: phi_j reaction equals direct j-side sum."""
         rng = np.random.default_rng(3)
         ni, nj = 40, 24
         pos_i = rng.uniform(0, 1, (ni, 3))
         pos_j = rng.uniform(2, 3, (nj, 3))  # disjoint: no self pairs
-        mi = rng.uniform(1, 2, ni)
-        mj = rng.uniform(1, 2, nj)
-        k = gravity_potential_kernel(softening=0.1)
+        qi = rng.uniform(1, 2, ni)
+        qj = rng.uniform(1, 2, nj)
+        k = coulomb_kernel(k_e=1.0, softening=0.1)
         phi_i, phi_j, _ = execute_leaf_pair_warpsplit(
-            k, pos_i, {"m": mi}, pos_j, {"m": mj}, MI250X_GCD
+            k, pos_i, {"q": qi}, pos_j, {"q": qj}, MI250X_GCD
         )
         # direct
         ref_i = np.zeros(ni)
         ref_j = np.zeros(nj)
         for j in range(nj):
             d = pos_i - pos_j[j]
-            val = -mi * mj[j] / np.sqrt((d**2).sum(axis=1) + 0.01)
+            val = qi * qj[j] / np.sqrt((d**2).sum(axis=1) + 0.01)
             ref_i += val
             ref_j[j] += val.sum()
         np.testing.assert_allclose(phi_i, ref_i, rtol=1e-12)
@@ -104,7 +104,7 @@ class TestCorrectness:
         pos_i = rng.uniform(0, 1, (ni, 3))
         pos_j = rng.uniform(0, 1, (nj, 3))
         m = rng.uniform(1, 2, nj)
-        k = sph_density_kernel(0.4)
+        k = sph_density_kernel()
         si = {"h": np.full(ni, 0.4)}
         sj = {"m": m}
         phi_split, _, _ = execute_leaf_pair_warpsplit(
@@ -137,7 +137,7 @@ class TestTrafficProfile:
         self.ni = self.nj = 64
         self.pos_i = rng.uniform(0, 1, (self.ni, 3))
         self.pos_j = rng.uniform(0, 1, (self.nj, 3))
-        self.k = sph_density_kernel(0.5)
+        self.k = sph_density_kernel()
         self.si = {"h": np.full(self.ni, 0.5)}
         self.sj = {"m": rng.uniform(1, 2, self.nj)}
 
@@ -165,7 +165,7 @@ class TestTrafficProfile:
         assert self.k.register_estimate(split=True) < self.k.register_estimate(
             split=False
         )
-        heavy = crk_coefficient_kernel(0.5)
+        heavy = crk_coefficient_kernel()
         assert heavy.register_estimate(split=True) < heavy.register_estimate(
             split=False
         )

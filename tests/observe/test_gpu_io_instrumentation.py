@@ -55,8 +55,8 @@ def gpu_pass():
     tracer = Tracer()
     solver = GPUResidentSolver(MI250X_GCD, tracer=tracer)
     solver.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-    result = solver.run_interaction_list(sph_density_kernel(h), leaves, ilist)
-    result2 = solver.run_interaction_list(sph_density_kernel(h), leaves,
+    result = solver.run_interaction_list(sph_density_kernel(), leaves, ilist)
+    result2 = solver.run_interaction_list(sph_density_kernel(), leaves,
                                           ilist)
     return tracer, solver, result, result2
 
@@ -98,7 +98,7 @@ class TestKernelLaunchSpans:
         ilist = build_interaction_list(leaves, mesh, pad=h, box=None)
         bare = GPUResidentSolver(MI250X_GCD)
         bare.upload(pos, {"m": mass, "h": np.full(len(pos), h)})
-        res = bare.run_interaction_list(sph_density_kernel(h), leaves, ilist)
+        res = bare.run_interaction_list(sph_density_kernel(), leaves, ilist)
         np.testing.assert_array_equal(res.phi, r1.phi)
 
 

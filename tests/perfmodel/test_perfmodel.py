@@ -43,11 +43,6 @@ class TestMachine:
         """36 TB/s aggregate node-local write bandwidth (paper V-A)."""
         assert frontier().aggregate_nvme_write_tbps == pytest.approx(36.0)
 
-    def test_subset(self):
-        m = frontier().subset(128)
-        assert m.n_ranks == 1024
-        assert m.device is MI250X_GCD
-
 
 class TestWorkload:
     def test_clustering_monotone(self):

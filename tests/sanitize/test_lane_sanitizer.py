@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import MI250X_GCD, GPUResidentSolver, sph_density_kernel
-from repro.gpusim.warp import gravity_potential_kernel
+from repro.gpusim.warp import short_range_gravity_kernel
 from repro.sanitize import LaneCollisionError, LaneSanitizer
 from repro.tree import build_chaining_mesh, build_interaction_list, build_leaf_set
 from repro.tree.interaction_lists import InteractionList
@@ -98,7 +98,7 @@ class TestSolverIntegration:
         san = LaneSanitizer()
         solver = GPUResidentSolver(MI250X_GCD, sanitizer=san)
         solver.upload(pos, {"m": mass, "h": np.full(300, 0.4)})
-        solver.run_interaction_list(sph_density_kernel(0.4), leaves, ilist)
+        solver.run_interaction_list(sph_density_kernel(), leaves, ilist)
         assert san.findings == []
         assert san.n_pairs_checked == len(ilist)
 
@@ -115,7 +115,7 @@ class TestSolverIntegration:
         plain.upload(pos, state)
         checked = GPUResidentSolver(MI250X_GCD, sanitizer=LaneSanitizer())
         checked.upload(pos, state)
-        kern = sph_density_kernel(0.4)
+        kern = sph_density_kernel()
         a = plain.run_interaction_list(kern, leaves, ilist)
         b = checked.run_interaction_list(kern, leaves, ilist)
         assert np.array_equal(a.phi, b.phi)
@@ -131,7 +131,7 @@ class TestSolverIntegration:
         solver = GPUResidentSolver(MI250X_GCD, sanitizer=LaneSanitizer())
         solver.upload(pos, {"m": np.ones(5), "h": np.full(5, 2.0)})
         with pytest.raises(LaneCollisionError) as exc:
-            solver.run_interaction_list(sph_density_kernel(2.0), leaves, ilist)
+            solver.run_interaction_list(sph_density_kernel(), leaves, ilist)
         assert "particle 1" in str(exc.value)
 
     def test_overlapping_leaves_caught_only_for_reaction_kernels(self):
@@ -145,12 +145,12 @@ class TestSolverIntegration:
 
         gather = GPUResidentSolver(MI250X_GCD, sanitizer=LaneSanitizer())
         gather.upload(pos, state)
-        gather.run_interaction_list(sph_density_kernel(2.0), leaves, ilist)
+        gather.run_interaction_list(sph_density_kernel(), leaves, ilist)
         assert gather.sanitizer.findings == []
 
         reaction = GPUResidentSolver(MI250X_GCD, sanitizer=LaneSanitizer())
         reaction.upload(pos, state)
-        kern = gravity_potential_kernel(0.05)
+        kern = short_range_gravity_kernel(1.0, 0.05)
         assert kern.reaction != 0
         with pytest.raises(LaneCollisionError) as exc:
             reaction.run_interaction_list(kern, leaves, ilist)

@@ -1,4 +1,5 @@
-"""Every top-level function and class in ``src/repro`` has a caller.
+"""Every function, class, method and property in ``src/repro`` has a
+caller.
 
 A word-level reference closure over the package.  The roots are the
 words of every non-test entry point (``benchmarks/``, ``examples/``,
@@ -6,6 +7,8 @@ words of every non-test entry point (``benchmarks/``, ``examples/``,
 ``src/repro`` (constants, tables, registrations, decorators — imports
 and ``__all__`` excepted, since a re-export is not a caller).  A reached
 symbol reaches every symbol whose name occurs as a word in its source.
+A method or property is a symbol of its own, reached by its name; a
+class reaches its dunder methods (Python calls them), not the others.
 What is left unreached is reached by tests alone.
 
 The check is deliberately coarse: any occurrence of a name in code,
@@ -59,9 +62,58 @@ KEEP = {
     "LaneSanitizer":
         "tests/sanitize/test_lane_sanitizer.py::TestSolverIntegration (plugs "
         "into GPUResidentSolver.run_interaction_list)",
-    "LaneCollisionError":
-        "tests/sanitize/test_lane_sanitizer.py::TestSolverIntegration (what "
-        "LaneSanitizer raises inside a live launch)",
+    # methods and properties: readers of live state, and the reference
+    # relations tests hold live results against
+    "pixel_solid_angle":
+        "tests/analysis/test_skymaps_profiles.py::"
+        "test_solid_angles_sum_to_4pi (the live map's pixel areas)",
+    "n_components":
+        "tests/analysis/test_clustering.py::TestUnionFind (reads the live "
+        "union-find's merges)",
+    "n_cancelled":
+        "tests/campaign/test_cancel_retry.py::TestDeadlines (reads the "
+        "report of a live cancelled run)",
+    "potential":
+        "tests/core/test_gravity.py::TestPMSolver::"
+        "test_sinusoidal_density_potential (the live potential_k in real "
+        "space)",
+    "dark_matter":
+        "tests/core/test_particles.py::TestContainer::test_species_masks",
+    "cooling_time":
+        "tests/core/test_subgrid.py::test_cooling_time_positive (the live "
+        "du_dt as a timescale)",
+    "omega_m_of_a":
+        "tests/cosmology/test_background.py::TestExpansion::"
+        "test_matter_dominates_early (the live E(a))",
+    "lookback_time":
+        "tests/cosmology/test_background.py::TestTime (the live age())",
+    "a_of_z":
+        "tests/cosmology/test_background.py::TestTime (lookback_time's "
+        "conversion)",
+    "sigma8_at":
+        "tests/cosmology/test_power_and_ics.py (the live normalisation)",
+    "update_field":
+        "tests/gpusim/test_resident.py::test_device_side_field_update "
+        "(drives the resident solver)",
+    "free_tb":
+        "tests/iosim/test_io.py::test_capacity_enforced (the live NVMe "
+        "store's free space)",
+    "absorb_op_counters":
+        "tests/observe/test_metrics.py::test_absorb_op_counters (the "
+        "registry's OpCounters instrument; no launch feeds one yet)",
+    "structure":
+        "tests/observe/test_trace.py (reads back the trace the program "
+        "records)",
+    "rank_of_coords":
+        "tests/parallel/test_decomposition_overload.py (inverts the live "
+        "coords_of)",
+    "overload_fraction":
+        "tests/parallel/test_decomposition_overload.py::TestOverloadOracle "
+        "(a property of the oracle's domains)",
+    "mass_resolution_proxy":
+        "tests/perfmodel/test_perfmodel.py::"
+        "test_finer_resolution_than_largest_volume_hydro (the landscape "
+        "table's claim)",
     "RetryPolicy":
         "tests/campaign/test_cancel_retry.py::TestRetry (drives "
         "CampaignEngine's retry loop)",
@@ -93,25 +145,47 @@ def _is_reexport(node: ast.stmt) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_method(node: ast.stmt) -> bool:
+    """A named method or property: reached by its name, unlike a dunder,
+    which Python calls when its class is used."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def _scan_package():
-    """``({name: {module, ...}}, {name: words of its bodies}, root words)``."""
+    """``({name: {module or module.Class, ...}}, {name: words of its
+    bodies}, root words)``; a class's words leave out its methods'."""
     where: dict[str, set] = {}
     body_words: dict[str, set] = {}
     roots: set = set()
+
+    def define(name, owner, words, decorators):
+        where.setdefault(name, set()).add(owner)
+        body_words.setdefault(name, set()).update(words)
+        for dec in decorators:
+            roots.update(_words(dec))
+
     for path in sorted(SRC.rglob("*.py")):
         parts = path.relative_to(SRC).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         module = ".".join(("repro",) + parts)
         for node in _code(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                where.setdefault(node.name, set()).add(module)
-                body_words.setdefault(node.name, set()).update(_words(node))
-                for dec in node.decorator_list:
-                    roots |= _words(dec)
-            elif not _is_reexport(node):
-                roots |= _words(node)
+            if not isinstance(node, _DEFS):
+                if not _is_reexport(node):
+                    roots |= _words(node)
+                continue
+            methods = []
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if _is_method(m)]
+                node.body = [m for m in node.body if not _is_method(m)]
+            define(node.name, module, _words(node), node.decorator_list)
+            for m in methods:
+                define(m.name, f"{module}.{node.name}", _words(m),
+                       m.decorator_list)
     return where, body_words, roots
 
 
@@ -136,7 +210,7 @@ def test_every_symbol_has_a_caller():
     listing = "\n".join(sorted(f"  {m}.{name}" for name, mods in dead.items()
                                for m in mods))
     assert not dead, (
-        f"{len(dead)} top-level symbol(s) in src/repro are reached only by "
+        f"{len(dead)} symbol(s) in src/repro are reached only by "
         f"tests; give each a caller or delete it:\n{listing}"
     )
 
