@@ -45,6 +45,13 @@ class PairSums:
         self.a = np.zeros((n, 3))
         self.b = np.zeros((n, 3))
 
+    def grow(self, n: int) -> None:
+        """Extend the sums with zero rows to ``n`` particles, for a list
+        over a frame whose first rows are the ones summed so far."""
+        extra = np.zeros((n - len(self.a), 3))
+        self.a = np.concatenate((self.a, extra))
+        self.b = np.concatenate((self.b, extra))
+
     def accelerations(self) -> np.ndarray:
         return self.a - self.b
 

@@ -21,7 +21,7 @@ from .sph.hydro import HydroDerivatives, crksph_derivatives_active
 
 
 def gravity_rows(accel, cache, pos, mass, sinks, cfg, g_newton,
-                 ids=None) -> int:
+                 ids=None, sums=None, cross=None) -> int:
     """Add the pair gravity on ``sinks`` to their rows of ``accel``
     (split scale, softening and cutoff from ``cfg``); returns the directed
     ``(sink, source)`` rows covered, self rows included.
@@ -32,36 +32,52 @@ def gravity_rows(accel, cache, pos, mass, sinks, cfg, g_newton,
     superset streams one block at a time: each block's rows are queried,
     then continue the kernel's running sums, so no more than one block of
     pair state exists at once, and the sums end on the bits of one pass
-    over the whole list."""
+    over the whole list.
+
+    One list may also be evaluated in two passes, over two frames.
+    ``sums`` are running sums the caller keeps across the passes
+    (:class:`PairSums`, grown to ``len(pos)`` rows); a pass with ``accel``
+    ``None`` only continues them.  ``cross = m`` names a frame whose first
+    ``m`` rows are the sinks' frame of an earlier pass (a rank's owned
+    rows, then its ghosts): the pass adds only the rows ``pi < m <= pj``
+    (``PairCache.n_blocks``), and ``sinks=None`` is the first ``m`` rows.
+    A sink's rows to a later end follow its other rows in the one half
+    list over the whole frame, so the two passes sum every sink's rows in
+    the order of one pass over that list."""
     if sinks is not None and len(sinks) == 0:
         return 0
     n = len(pos)
+    m = n if cross is None else cross
+    if sums is None:
+        sums = PairSums(n)
+    elif len(sums.a) < n:
+        sums.grow(n)
     if sinks is not None:
         mark = np.zeros(n, dtype=bool)
         mark[sinks] = True
     # each config scalar is derived from the box: read once, not per block
     cutoff, r_split, softening = cfg.cutoff, cfg.r_split, cfg.softening
-    sums = PairSums(n)
     ends = 0
-    for block in range(cache.n_blocks(pos, cutoff, ids=ids)):
+    for block in range(cache.n_blocks(pos, cutoff, ids=ids, cross=cross)):
         rows = cache.get_for_sinks(pos, cutoff, sinks, ids=ids, block=block)
         short_range_accelerations(
             pos, mass, rows.pi, rows.pj,
             r_split=r_split, softening=softening, box=cache.box,
             g_newton=g_newton, dx=rows.dx, r2=rows.r2, sums=sums,
         )
-        ends += (2 * len(rows.pi) if sinks is None else
+        # with every row a sink, a crossing row has one sink end
+        ends += ((1 + (cross is None)) * len(rows.pi) if sinks is None else
                  np.count_nonzero(mark[rows.pi])
                  + np.count_nonzero(mark[rows.pj]))
-    acc = sums.accelerations()
-    if sinks is None:
-        accel += acc
-        n_sinks = n
-    else:
-        accel[sinks] += acc[sinks]
-        n_sinks = len(sinks)
+    if accel is not None:
+        acc = sums.accelerations()
+        if sinks is None:
+            accel += acc[:m]
+        else:
+            accel[sinks] += acc[sinks]
     # a pair covers one directed row per sink end; every sink also has the
     # self row (r = 0 < cutoff) that an unordered list leaves out
+    n_sinks = m if sinks is None else len(sinks)
     return int(ends) + n_sinks * (cache.include_self and cutoff > 0)
 
 

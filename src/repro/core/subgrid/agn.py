@@ -1,9 +1,12 @@
 """AGN feedback: black-hole seeding, Bondi accretion, thermal feedback.
 
-Black holes are seeded at the densest gas sites of sufficiently massive
-halos, grow by Eddington-limited Bondi-Hoyle accretion, and return a
-fraction ``eps_r * eps_f`` of the accreted rest-mass energy to surrounding
-gas as heat — the standard thermal-mode AGN model used by the large-volume
+A black hole of ``seed_mass`` is seeded each step at the densest gas
+particle whose density exceeds 5e3 times the mean gas density, unless a
+black hole already lies within 0.05 times the smallest box side
+(``core/simulation.py``, the subgrid step).  Black holes grow by
+Eddington-limited Bondi-Hoyle accretion and return a fraction
+``eps_r * eps_f`` of the accreted rest-mass energy to surrounding gas as
+heat — the standard thermal-mode AGN model used by the large-volume
 hydrodynamic simulations the paper compares against.
 """
 
@@ -53,15 +56,15 @@ class AGNModel:
 
     Parameters
     ----------
-    seed_mass : BH seed mass [Msun/h]
-    seed_halo_mass : minimum FOF halo mass for seeding [Msun/h]
+    seed_mass : BH seed mass [Msun/h], placed at the densest gas site
+        above 5e3 times the mean gas density with no black hole within
+        0.05 of the box (module docstring)
     eps_r : radiative efficiency
     eps_f : fraction of radiated energy coupled to gas
     bondi_boost : alpha boost factor on the Bondi rate
     """
 
     seed_mass: float = 1.0e5
-    seed_halo_mass: float = 5.0e10
     eps_r: float = 0.1
     eps_f: float = 0.05
     bondi_boost: float = 100.0

@@ -9,17 +9,21 @@ three communication phases — ghost exchange, grid reduction + FFT
 transposes, and migration — everything else is rank-local, which is the
 design the paper credits for its scalability (Section IV-A).
 
-Every step splits the short-range work into **interior** and **boundary**
-rows.  Interior sinks are those provably out of reach of any ghost at the
-current positions: farther than ``cutoff + drift`` from every domain face
-for gravity, and outside the 2-hop :meth:`PairCache.hop_closure` of the
-ghost-adjacent seed zone for CRKSPH (a sink's evaluation reads data three
-pair-hops out, so two hops from a seed that may *pair* a ghost bounds the
-contaminated set).  ``drift`` is the globally allreduced maximum
+Every step splits the short-range work into **interior** work, which
+reads only owned data and is evaluated between the ghost exchange's post
+and its ``wait()``, and **boundary** work, which finishes after it.
+Gravity splits by pair: every owned-owned pair is evaluated, for every
+sink, before the wait, and the pairs crossing from an owned particle to a
+ghost continue the same running sums after it.  Owned rows precede ghosts
+in the overloaded frame, so the two passes sum each sink's pairs in the
+order of one pass over the overloaded half list, and each pair is
+evaluated once.  CRKSPH splits by sink: interior sinks lie outside the
+2-hop :meth:`PairCache.hop_closure` of the ghost-adjacent seed zone (a
+sink's evaluation reads data three pair-hops out, so two hops from a seed
+that may *pair* a ghost bounds the contaminated set).  The seed zone is
+``sph_h + drift`` deep, where ``drift`` is the globally allreduced maximum
 displacement since the last migration, which bounds how far a ghost can
-have wandered into the domain.  Interior rows depend only on owned data,
-so they are evaluated between the ghost exchange's post and its
-``wait()``; the boundary rows finish after it.
+have wandered into the domain; gravity-only runs post no such reduction.
 
 The driver has one communication schedule: every exchange, reduction and
 migration wave is posted as early as its inputs exist, fenced
@@ -65,6 +69,7 @@ from ..core.gravity.pm import (
     cic_deposit,
     cic_interpolate,
 )
+from ..core.gravity.short_range import PairSums
 from ..core.simulation import StepRecord
 from ..core.sink_rows import crksph_rows, gravity_rows
 from ..core.sph.kernels import get_kernel
@@ -222,24 +227,29 @@ class RankDomain:
         self.fft = DistributedFFT(comm, cfg.pm_grid) if cfg.gravity else None
         self.kernel = get_kernel(cfg.kernel) if cfg.hydro else None
         # per-rank Verlet caches: the *_own caches cover owned particles
-        # only and serve the interior rows (available before the ghost
-        # exchange lands); the overloaded caches cover owned + ghost and
-        # serve the boundary rows.  Ghost ids ride along in the exchange so
-        # the caches can tell "same neighborhood, small drift" (reuse) from
-        # "membership changed" (rebuild).  The overload guarantees
-        # completeness within the cutoff, so their *non-periodic* neighbor
-        # search is exact.
-        self.grav_cache = PairCache(box=None)
+        # only (available before the ghost exchange lands); the overloaded
+        # caches cover owned + ghost.  Gravity's owned cache serves every
+        # owned-owned pair and its overloaded cache holds only the pairs
+        # crossing from an owned row to a ghost (no self rows: the owned
+        # pass counted them), so each pair is evaluated once.  CRKSPH's
+        # serve its interior and boundary sinks.  Ghost ids ride along in
+        # the exchange so the caches can tell "same neighborhood, small
+        # drift" (reuse) from "membership changed" (rebuild); the owned
+        # count is part of the crossing list's membership.  The overload
+        # guarantees completeness within the cutoff, so their
+        # *non-periodic* neighbor search is exact.
+        self.grav_cache = PairCache(box=None, include_self=False)
         self.grav_cache_own = PairCache(box=None)
         self.hydro_cache = PairCache(box=None)
         self.hydro_cache_own = PairCache(box=None)
         self.lo, self.hi = decomp.bounds(comm.rank)
-        # max displacement of ANY particle since the last migration
-        # (globally reduced): bounds how far a ghost can have drifted into
-        # this domain, so the interior margin stays sound.  Displacement
-        # accumulates over the fine substeps (disp_accum: running sum of
-        # per-substep max norms — a conservative bound on any particle's
-        # total wander).
+        # hydro only: max displacement of ANY particle since the last
+        # migration (globally reduced) bounds how far a ghost can have
+        # drifted into this domain, so CRKSPH's interior margin stays
+        # sound.  Displacement accumulates over the fine substeps
+        # (disp_accum: running sum of per-substep max norms — a
+        # conservative bound on any particle's total wander).  Gravity's
+        # split is by pair, not by sink, and needs no bound.
         self.drift_req = None
         self.drift_max = 0.0
         self.disp_accum = 0.0
@@ -437,14 +447,15 @@ class RankDomain:
         disp = self.vel * (dt / (a_eff * a_hubble(cfg, a_mid)))
         self.pos = self.pos + disp
         self.acc_long = None  # positions moved: field stale
-        d2 = np.einsum("na,na->n", disp, disp)
-        # cumulative bound on any particle's total wander since the last
-        # migration (sum of per-substep maxima — conservative, keeps the
-        # interior margin sound as ghosts drift deeper into the domain
-        # over substeps)
-        self.disp_accum += float(np.sqrt(d2.max())) if len(d2) else 0.0
-        self.drift_req = self.comm.iallreduce(self.disp_accum, op="max")
-        self.comm.fence((self.drift_req,))
+        if cfg.hydro:
+            d2 = np.einsum("na,na->n", disp, disp)
+            # cumulative bound on any particle's total wander since the
+            # last migration (sum of per-substep maxima — conservative,
+            # keeps CRKSPH's interior margin sound as ghosts drift deeper
+            # into the domain over substeps)
+            self.disp_accum += float(np.sqrt(d2.max())) if len(d2) else 0.0
+            self.drift_req = self.comm.iallreduce(self.disp_accum, op="max")
+            self.comm.fence((self.drift_req,))
         if s + 1 == nsub:
             # final destinations are fixed: wave 1 matures behind the
             # full closing evaluation + FFT
@@ -570,13 +581,14 @@ class RankDomain:
     def _short_forces(self, a: float, sinks=None, rho_ahead: bool = True):
         """Short-range (dv/da, du/da, vsig) on owned rows at a.
 
-        Posts the ghost exchange, partitions the sink rows into
-        interior/boundary, evaluates the interior rows from owned data
-        (the exchange's window to ride the wire), then completes the
-        boundary rows from the overloaded set.  ``sinks`` (sorted
-        owned-row indices) restricts evaluation
-        to the active set: per-sink pair rows are identical regardless of
-        the sink set, so restricted rows match the full evaluation bitwise.
+        Posts the ghost exchange, evaluates the work that reads owned data
+        only (the exchange's window to ride the wire: gravity's owned
+        pairs, CRKSPH's interior sinks), then completes the rest from the
+        overloaded set (gravity's owned-ghost pairs, CRKSPH's boundary
+        sinks).  ``sinks`` (sorted owned-row indices) restricts
+        evaluation to the active set: per-sink pair rows are identical
+        regardless of the sink set, so restricted rows match the full
+        evaluation bitwise.
         ``rho_ahead`` marks evaluations that immediately precede a
         long-range solve with genuinely stale ``acc_long``, so the PM
         density reduction can be posted behind this work — subcycle
@@ -617,21 +629,17 @@ class RankDomain:
             ))
             self.comm.fence((self.rho_req,))
 
-        if self.drift_req is not None:
-            self.drift_max = float(self.drift_req.wait())
-            self.drift_req = None
-        drift = self.drift_max
-
-        # -- interior/boundary partition from owned data only ------------
-        # the partition is structural (positions + drift bound, never
-        # force values) and the per-sink pair rows are sink-set
-        # independent, so restricting to ``sinks`` is bitwise neutral per
-        # evaluated row
-        face = _face_distance(self.pos, self.lo, self.hi)
-        if cfg.gravity:
-            grav_bnd = face < cfg.cutoff + drift
-            g_sinks = np.arange(n_owned) if sinks is None else sinks
         if cfg.hydro:
+            # -- interior/boundary partition from owned data only --------
+            # the partition is structural (positions + drift bound, never
+            # force values) and the per-sink pair rows are sink-set
+            # independent, so restricting to ``sinks`` is bitwise neutral
+            # per evaluated row
+            if self.drift_req is not None:
+                self.drift_max = float(self.drift_req.wait())
+                self.drift_req = None
+            drift = self.drift_max
+            face = _face_distance(self.pos, self.lo, self.hi)
             gas_rows = np.nonzero(self.gas)[0]
             gpos = self.pos[gas_rows]
             gids = self.ids[gas_rows]
@@ -655,9 +663,12 @@ class RankDomain:
         # -- interior rows: owned data only (the exchange's window) -------
         with self.tracer.span("short_range/interior", cat="driver"):
             if cfg.gravity:
+                # every owned-owned pair, for every sink; the sums stay
+                # open for the pairs that cross to a ghost
+                grav = PairSums(n_owned)
                 self.n_pairs += gravity_rows(
-                    out[0], self.grav_cache_own, self.pos, self.mass,
-                    g_sinks[~grav_bnd[g_sinks]], cfg, g_newton, ids=self.ids,
+                    None, self.grav_cache_own, self.pos, self.mass, sinks,
+                    cfg, g_newton, ids=self.ids, sums=grav,
                 )
             if cfg.hydro:
                 intr_g = h_sinks[~hyd_bnd[h_sinks]]
@@ -677,9 +688,11 @@ class RankDomain:
             all_mass = np.concatenate([self.mass, gfl["mass"]])
             all_ids = np.concatenate([self.ids, gfl["ids"]])
             if cfg.gravity:
+                # owned rows precede ghosts: the owned-ghost pairs
+                # continue each sink's sums where its owned pairs ended
                 self.n_pairs += gravity_rows(
-                    out[0], self.grav_cache, all_pos, all_mass,
-                    g_sinks[grav_bnd[g_sinks]], cfg, g_newton, ids=all_ids,
+                    out[0], self.grav_cache, all_pos, all_mass, sinks,
+                    cfg, g_newton, ids=all_ids, sums=grav, cross=n_owned,
                 )
             if cfg.hydro:
                 bnd_g = h_sinks[hyd_bnd[h_sinks]]

@@ -12,7 +12,9 @@ idea for the ``neighbor_pairs`` search:
   ``half_neighbor_pairs`` returns, rows ``pi < pj`` sorted by
   ``pi·N + pj``.  A rebuild drops the old list first, and the build
   measures its candidates a chunk at a time, so it never holds two lists
-  or geometry for the whole candidate set.
+  or geometry for the whole candidate set.  A gravity list built with
+  ``cross = m`` (:meth:`PairCache.n_blocks`) keeps only the rows from the
+  first ``m`` particles to the rest, a rank's owned–ghost pairs.
 * **Query** filters the stored rows a query needs down to the exact
   fresh-list criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current*
   positions, keeping row order, so consumers see precisely the arrays a
@@ -187,13 +189,14 @@ class PairCache:
         self._ref_pos = None
         self._ref_h = None
         self._ref_ids = None
+        self._ref_cross = None
 
     @property
     def nbytes(self) -> int:
         """Bytes of the half list the cache holds."""
         return 0 if self._hpi is None else self._hpi.nbytes + self._hpj.nbytes
 
-    def _why_invalid(self, pos, h, ids) -> str | None:
+    def _why_invalid(self, pos, h, ids, cross) -> str | None:
         """Reason the cached list cannot serve this query, or None."""
         if self._ref_pos is None:
             return "empty"
@@ -201,6 +204,8 @@ class PairCache:
             if ids is not None or len(pos) != len(self._ref_pos):
                 return "ids"
         elif ids is None or not np.array_equal(ids, self._ref_ids):
+            return "ids"
+        if cross != self._ref_cross:
             return "ids"
         # support growth and drift share the skin (module docstring):
         # h_build * (g + δ) <= skin * h_build / 2 on every particle
@@ -214,13 +219,14 @@ class PairCache:
         grew = np.broadcast_to(growth > 0.0, over.shape)
         return "h" if grew[over].any() else "drift"
 
-    def _build(self, pos, h, ids) -> None:
+    def _build(self, pos, h, ids, cross) -> None:
         self.invalidate()  # the old list goes before the new one is built
         self._hpi, self._hpj = half_neighbor_pairs(
-            pos, h * (1.0 + self.skin), box=self.box)
+            pos, h * (1.0 + self.skin), box=self.box, cross=cross)
         self._ref_pos = np.array(pos, dtype=np.float64, copy=True)
         self._ref_h = np.array(h, dtype=np.float64, copy=True)
         self._ref_ids = None if ids is None else np.array(ids, copy=True)
+        self._ref_cross = cross
         self.n_builds += 1
 
     def _half_block(self, block):
@@ -247,14 +253,15 @@ class PairCache:
         self._published = now
 
     # -- queries ---------------------------------------------------------------
-    def ensure(self, pos, h, ids=None) -> bool:
+    def ensure(self, pos, h, ids=None, cross=None) -> bool:
         """Validate (and if needed rebuild) the cached list without
         filtering.  Returns True when a rebuild happened — callers that
         attribute build time to a tree-build timer use this at PM-step
-        boundaries."""
+        boundaries.  ``cross`` (:meth:`n_blocks`) is part of what the
+        list was built for: a list built for another split is rebuilt."""
         pos = np.asarray(pos, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
-        reason = self._why_invalid(pos, h, ids)
+        reason = self._why_invalid(pos, h, ids, cross)
         if reason is None:
             return False
         if reason == "drift":
@@ -263,7 +270,7 @@ class PairCache:
             self.n_rebuilds_h += 1
         elif reason == "ids":
             self.n_rebuilds_ids += 1
-        self._build(pos, h, ids)
+        self._build(pos, h, ids, cross)
         return True
 
     def get(self, pos, h, ids=None) -> PairRows:
@@ -278,11 +285,11 @@ class PairCache:
         self.n_queries += 1
         return self._every_row(*self._current(pos, h, ids))
 
-    def _current(self, pos, h, ids):
+    def _current(self, pos, h, ids, cross=None):
         """``(pos, h)`` as float arrays, with the cached list valid for them."""
         pos = np.asarray(pos, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
-        self.ensure(pos, h, ids=ids)
+        self.ensure(pos, h, ids=ids, cross=cross)
         return pos, h
 
     def _every_row(self, pos, h) -> PairRows:
@@ -337,11 +344,15 @@ class PairCache:
                                     np.zeros((s, 3)))), src, axis=0),
             np.take(np.concatenate((half.r2, half.r2, np.zeros(s))), src))
 
-    def n_blocks(self, pos, h, ids=None) -> int:
+    def n_blocks(self, pos, h, ids=None, cross=None) -> int:
         """Make the cached list valid for ``(pos, h)`` (:meth:`ensure`)
         and return how many blocks :meth:`get_for_sinks` answers its
-        superset in (at least one)."""
-        self._current(pos, h, ids)
+        superset in (at least one).
+
+        With ``cross = m`` the list holds only the rows ``pi < m <= pj``,
+        from the first ``m`` particles to the rest (a rank's owned rows,
+        then its ghosts)."""
+        self._current(pos, h, ids, cross)
         return max(1, -(-len(self._hpi) // PAIR_BLOCK_ROWS))
 
     def get_for_sinks(self, pos, h, sinks, ids=None, block=None) -> PairRows:

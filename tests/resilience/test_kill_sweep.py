@@ -11,6 +11,10 @@ makes :class:`~repro.resilience.RecoveryCoordinator` refuse to recover,
 so every cell is a recovery the coordinator would accept.
 """
 
+import ast
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,6 +93,52 @@ def _run(sim, ics):
     return sim.run(pos, vel, mass, u=u, gas=gas)
 
 
+#: the function posting each collective a subcycled run issues: the ghost
+#: exchange, both migration waves, the FFT transposes, the slab gathers,
+#: the depth, stats and rho reductions, and the numerics sanitizer's energy
+#: reduction; hydro runs also post the drift bound of CRKSPH's interior
+#: margin, which gravity's pair split does not need
+POSTERS = {
+    "GhostExchange.__init__",
+    "MigrationFlight.__init__",
+    "MigrationFlight.post_payload",
+    "DistributedFFT._post_transpose",
+    "RankDomain._solve_long_range",
+    "RankDomain._reduce_depth",
+    "RankDomain.reduce_stats",
+    "RankDomain._short_forces_posted",
+    "RankDomain.step",
+}
+HYDRO_POSTERS = {"RankDomain.drift"}
+
+
+@lru_cache(maxsize=None)
+def _functions(path: str) -> tuple:
+    """``(first line, last line, qualified name)`` of every function in
+    the file at ``path``."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                name = prefix + child.name
+                out.append((child.lineno, child.end_lineno, name))
+                walk(child, f"{name}.")
+
+    walk(ast.parse(Path(path).read_text()), "")
+    return tuple(out)
+
+
+def _poster(site: str) -> str:
+    """The innermost function around a sanitizer post site ``file:line``."""
+    path, _, line = site.rpartition(":")
+    at = int(line)
+    return max((lo, name) for lo, hi, name in _functions(path)
+               if lo <= at <= hi)[1]
+
+
 def _kill_points(sim) -> list:
     """``(rank, k, site)`` for the first and second post of every post
     site of every rank, read off a clean run's sanitizer records."""
@@ -111,9 +161,9 @@ def test_kill_inside_every_post_site_tears_down_clean(case):
     # a subcycled pass: kills land mid-interval too
     assert all(rec.deepest_rung == 2 for rec in clean.step_records)
     points = _kill_points(clean)
-    # ghost exchange, migration waves, FFT transposes, slab gathers,
-    # drift/depth/rho reductions: the sweep is not blind
-    assert len({site for _, _, site in points}) >= 10
+    # the sweep reaches every posting function, and only those
+    assert {_poster(site) for _, _, site in points} == \
+        POSTERS | (HYDRO_POSTERS if cfg.hydro else set())
     torn = []
     for rank, k, site in points:
         plan = KillAtPost(rank, k)

@@ -617,3 +617,35 @@ class TestStoredLists:
                 pos = np.mod(pos + rng.normal(scale=0.03, size=pos.shape),
                              box)
         assert cache.n_builds >= 2  # drift forced rebuilds on the way
+
+
+class TestCrossingList:
+    """``cross = m`` keeps only the rows from the first ``m`` particles to
+    the rest: the full half list's crossing rows, in its order."""
+
+    @pytest.mark.parametrize("box", [8.0, None])
+    @pytest.mark.parametrize("m", [0, 1, 77, 199, 200])
+    def test_half_list_crossing_rows(self, box, m):
+        _, pos, h, _ = _random_setup(seed=41)
+        hpi, hpj = half_neighbor_pairs(pos, h, box=box)
+        pi, pj = half_neighbor_pairs(pos, h, box=box, cross=m)
+        crossing = (hpi < m) & (hpj >= m)
+        assert np.array_equal(pi, hpi[crossing])
+        assert np.array_equal(pj, hpj[crossing])
+
+    def test_split_is_part_of_the_membership(self):
+        """The same particles split elsewhere rebuild (reason ``ids``); the
+        same split reuses, and a query without one rebuilds the full
+        list."""
+        _, pos, h, _ = _random_setup(seed=42)
+        ids = np.arange(len(pos))
+        cache = PairCache(box=None, include_self=False)
+        assert cache.n_blocks(pos, 1.1, ids=ids, cross=120) == 1
+        for m, builds in ((120, 1), (90, 2), (90, 2), (None, 3)):
+            cache.n_blocks(pos, 1.1, ids=ids, cross=m)
+            rows = cache.get_for_sinks(pos, 1.1, None, ids=ids, block=0)
+            assert cache.n_builds == builds
+            if m is not None:
+                assert np.all(rows.pi < m) and np.all(rows.pj >= m)
+        assert cache.n_rebuilds_ids == 2
+        assert len(rows.pi) == len(half_neighbor_pairs(pos, 1.1)[0])
