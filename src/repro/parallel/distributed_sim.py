@@ -232,12 +232,13 @@ class RankDomain:
         # owned-owned pair and its overloaded cache holds only the pairs
         # crossing from an owned row to a ghost (no self rows: the owned
         # pass counted them), so each pair is evaluated once.  CRKSPH's
-        # serve its interior and boundary sinks.  Ghost ids ride along in
-        # the exchange so the caches can tell "same neighborhood, small
-        # drift" (reuse) from "membership changed" (rebuild); the owned
-        # count is part of the crossing list's membership.  The overload
-        # guarantees completeness within the cutoff, so their
-        # *non-periodic* neighbor search is exact.
+        # two caches (owned-only and overloaded) serve its interior and
+        # boundary sinks.  Ghost ids ride along in the exchange so the
+        # caches can tell "same neighborhood, small drift" (reuse) from
+        # "membership changed" (rebuild); the owned count is part of the
+        # crossing list's membership.  The overload guarantees
+        # completeness within the cutoff, so their *non-periodic* neighbor
+        # search is exact.
         self.grav_cache = PairCache(box=None, include_self=False)
         self.grav_cache_own = PairCache(box=None)
         self.hydro_cache = PairCache(box=None)

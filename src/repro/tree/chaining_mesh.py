@@ -177,13 +177,11 @@ def neighbor_pairs(
 
 
 def half_neighbor_pairs(pos: np.ndarray, h: np.ndarray,
-                        box: float | None = None, cross: int | None = None):
+                        box: float | None = None):
     """The unordered half of :func:`neighbor_pairs`: the rows ``pi < pj``
     with ``|x_i - x_j| < max(h_i, h_j)``, sorted by ``pi·N + pj`` (the
-    order they have among the ``neighbor_pairs`` rows).  With ``cross =
-    m``, only the rows ``pi < m <= pj``: the candidates are searched
-    between the first ``m`` particles and the rest, never among either."""
-    h, key = _half_keys(pos, h, box, cross)
+    order they have among the ``neighbor_pairs`` rows)."""
+    h, key = _half_keys(pos, h, box)
     key.sort()
     return _decoded(key, len(h))
 
@@ -220,17 +218,15 @@ def _decoded(key: np.ndarray, n: int):
 PAIR_BLOCK_ROWS = 32768
 
 
-def _half_keys(pos, h, box, cross=None):
+def _half_keys(pos, h, box):
     """``(h, key)``: the supports broadcast to ``(N,)`` and the unsorted
-    keys ``a·N + b`` of the rows ``a < b`` (with ``cross``, ``a < cross
-    <= b``) with ``|x_a - x_b| < max(h_a, h_b)``.
+    keys ``a·N + b`` of the rows ``a < b`` with
+    ``|x_a - x_b| < max(h_a, h_b)``.
 
-    A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` (with
-    ``cross``, a ``sparse_distance_matrix`` between the trees of the
-    particles either side of it) yields the candidates; membership is
-    then decided by the minimum-image arithmetic of ``pair_geometry`` on
-    the caller's positions, so the tree (built on a wrapped copy when
-    periodic) only has to return a superset.  The
+    A dual-tree ``query_pairs`` at a slightly padded ``max(h)`` yields the
+    candidates; membership is then decided by the minimum-image arithmetic
+    of ``pair_geometry`` on the caller's positions, so the tree (built on a
+    wrapped copy when periodic) only has to return a superset.  The
     criterion runs ``PAIR_BLOCK_ROWS`` candidates at a time and keeps only
     the kept rows' keys, and the candidate array goes before the keys are
     joined, so the build never holds geometry for the whole candidate set.
@@ -245,27 +241,18 @@ def _half_keys(pos, h, box, cross=None):
     if hmax <= 0:
         raise ValueError("search radii must be positive")
     if box is None:
-        tree_pos, boxsize = pos, None
+        tree = cKDTree(pos)
     else:
-        boxsize = np.broadcast_to(np.asarray(box, dtype=np.float64), (3,))
+        boxv = np.broadcast_to(np.asarray(box, dtype=np.float64), (3,))
         # cKDTree rejects coordinates outside [0, box); mod can round up to
         # exactly box (e.g. for -1e-17), which is the same point as 0
-        wrapped = np.mod(pos, boxsize)
-        tree_pos = np.where(wrapped >= boxsize, 0.0, wrapped)
+        wrapped = np.mod(pos, boxv)
+        tree = cKDTree(np.where(wrapped >= boxv, 0.0, wrapped), boxsize=boxv)
     # padded well past the rounding differences (~1e-16 relative, a few
     # ulps of the box from wrapping) between the tree's distances and the
     # filter's
-    reach = hmax * (1.0 + 1e-9)
-    if cross is None:
-        half = cKDTree(tree_pos, boxsize=boxsize).query_pairs(
-            reach, output_type="ndarray")
-    else:
-        first, rest = (cKDTree(p, boxsize=boxsize)
-                       for p in (tree_pos[:cross], tree_pos[cross:]))
-        near = first.sparse_distance_matrix(rest, reach,
-                                            output_type="ndarray")
-        half = np.stack((near["i"], near["j"] + cross), axis=1)
-        del near
+    half = tree.query_pairs(hmax * (1.0 + 1e-9), output_type="ndarray")
+    del tree
 
     # exact criterion; dx -> -dx leaves r2 bitwise unchanged, so deciding the
     # i < j orientation decides both

@@ -13,8 +13,9 @@ idea for the ``neighbor_pairs`` search:
   ``pi·N + pj``.  A rebuild drops the old list first, and the build
   measures its candidates a chunk at a time, so it never holds two lists
   or geometry for the whole candidate set.  A gravity list built with
-  ``cross = m`` (:meth:`PairCache.n_blocks`) keeps only the rows from the
-  first ``m`` particles to the rest, a rank's owned–ghost pairs.
+  ``cross = m`` (:meth:`PairCache.n_blocks`) keeps only the half list's
+  rows from the first ``m`` particles to the rest, a rank's owned–ghost
+  pairs.
 * **Query** filters the stored rows a query needs down to the exact
   fresh-list criterion ``|x_i - x_j| < max(h_i, h_j)`` at the *current*
   positions, keeping row order, so consumers see precisely the arrays a
@@ -221,8 +222,12 @@ class PairCache:
 
     def _build(self, pos, h, ids, cross) -> None:
         self.invalidate()  # the old list goes before the new one is built
-        self._hpi, self._hpj = half_neighbor_pairs(
-            pos, h * (1.0 + self.skin), box=self.box, cross=cross)
+        hpi, hpj = half_neighbor_pairs(pos, h * (1.0 + self.skin),
+                                       box=self.box)
+        if cross is not None:
+            keep = (hpi < cross) & (hpj >= cross)
+            hpi, hpj = hpi[keep], hpj[keep]
+        self._hpi, self._hpj = hpi, hpj
         self._ref_pos = np.array(pos, dtype=np.float64, copy=True)
         self._ref_h = np.array(h, dtype=np.float64, copy=True)
         self._ref_ids = None if ids is None else np.array(ids, copy=True)

@@ -628,10 +628,12 @@ class TestCrossingList:
     def test_half_list_crossing_rows(self, box, m):
         _, pos, h, _ = _random_setup(seed=41)
         hpi, hpj = half_neighbor_pairs(pos, h, box=box)
-        pi, pj = half_neighbor_pairs(pos, h, box=box, cross=m)
+        cache = PairCache(box=box, include_self=False)
+        assert cache.n_blocks(pos, h, cross=m) == 1
+        rows = cache.get_for_sinks(pos, h, None, block=0)
         crossing = (hpi < m) & (hpj >= m)
-        assert np.array_equal(pi, hpi[crossing])
-        assert np.array_equal(pj, hpj[crossing])
+        assert np.array_equal(rows.pi, hpi[crossing])
+        assert np.array_equal(rows.pj, hpj[crossing])
 
     def test_split_is_part_of_the_membership(self):
         """The same particles split elsewhere rebuild (reason ``ids``); the
